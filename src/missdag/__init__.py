@@ -16,6 +16,7 @@ from .data import (
 )
 from .discovery import (
     KnowledgeBase,
+    SearchOptions,
     SearchTrace,
     BootstrapSummary,
     bootstrap_sem,
@@ -31,21 +32,17 @@ from .estimation import (
     IpwBicScorer,
     ParameterSet,
     ScoreValue,
-    WeightedCounts,
-    bic,
     em_fit,
     fit_mle,
     ipw_weights,
     log_likelihood,
     rescale_ll,
-    weighted_counts,
 )
 from .graphs import (
     Dag,
     MGraph,
     MechanismClass,
     VertexClass,
-    build_dag,
     classify_mechanism,
     d_separated,
     export_dot,

@@ -9,24 +9,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import ecdemo
-from .data import AmputationSpec, ampute, read_csv, write_csv
+from .data import AmputationSpec, ampute, forward_sample, json_object, read_csv, write_csv
 from .discovery import (
     ALGORITHMS,
+    SEARCHES,
     KnowledgeBase,
+    SearchOptions,
     bootstrap_sem,
     evaluate,
-    hc_aipw,
-    hill_climb,
 )
-from .errors import MissDagError
-from .estimation import BicScorer, ParameterSet, fit_mle
-from .data import forward_sample, impute_mode
+from .errors import ConfigError, MissDagError
+from .estimation import ParameterSet
 from .graphs import (
     Dag,
     d_separated,
@@ -41,10 +41,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _diag(message: str, json_logs: bool) -> None:
     if json_logs:
         sys.stderr.write(json.dumps({"level": "error", "message": message}) + "\n")
@@ -52,15 +48,26 @@ def _diag(message: str, json_logs: bool) -> None:
         sys.stderr.write(f"error: {message}\n")
 
 
+def _number(value, kind, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
+
+
 def _resolve_seed(args, config=None):
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     if config is not None and "seed" in config:
-        return int(config["seed"])
+        return _number(config["seed"], int, "config field 'seed'")
     env = os.environ.get("MGD_SEED")
     if env is not None:
-        return int(env)
+        return _number(env, int, "MGD_SEED")
     raise ConfigError("no seed given (flag --seed, config field 'seed', or MGD_SEED)")
+
+
+def _field(config: dict, key: str, default, kind):
+    return _number(config.get(key, default), kind, f"config field {key!r}")
 
 
 def _load_config(path) -> dict:
@@ -69,10 +76,7 @@ def _load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return json_object(p.read_text(encoding="utf-8"), "config")
 
 
 def _load_dataset(config: dict, seed: int):
@@ -80,7 +84,7 @@ def _load_dataset(config: dict, seed: int):
     if ref is None:
         raise ConfigError("config field 'dataset' is required")
     if ref == "ec-demo":
-        n = int(config.get("dataset_n", 763))
+        n = _field(config, "dataset_n", 763, int)
         d = ecdemo.ec_demo_dataset(n, seed)
     else:
         p = Path(ref)
@@ -128,13 +132,9 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _options(config: dict) -> dict:
-    opts = {}
-    for key in ("alpha", "max_parents", "max_iter", "refit_pseudocount",
-                "score_pseudocount", "sem_max_outer", "em_max_iter", "em_tol"):
-        if key in config:
-            opts[key] = config[key]
-    return opts
+def _search_options(config: dict) -> SearchOptions:
+    return SearchOptions(**{f.name: config[f.name]
+                            for f in dataclasses.fields(SearchOptions) if f.name in config})
 
 
 def cmd_discover(args) -> int:
@@ -143,42 +143,19 @@ def cmd_discover(args) -> int:
     algorithm = config.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"config field 'algorithm' must be one of {ALGORITHMS}")
+    opts = _search_options(config)
     d = _load_dataset(config, seed)
     kb = _load_knowledge(config)
     out = _out_dir(args, config)
-    opts = _options(config)
-    threads = args.threads or 1
     trace_doc = {"algorithm": algorithm, "seed": seed}
     summary_doc = None
-    if algorithm == "hc-complete":
-        dc = impute_mode(d)
-        scorer = BicScorer(dc.schema, dc.rows,
-                           pseudocount=opts.get("score_pseudocount", 0.0))
-        init = Dag(dc.names, sorted(kb.required))
-        g, trace = hill_climb(scorer, kb, init,
-                              max_iter=opts.get("max_iter", 500),
-                              max_parents=opts.get("max_parents", 4))
-        trace_doc.update(_trace_to_doc(trace))
-    elif algorithm == "hc-aipw":
-        g, trace, report = hc_aipw(d, kb, alpha=opts.get("alpha", 0.01),
-                                   pseudocount=opts.get("score_pseudocount", 0.0),
-                                   max_iter=opts.get("max_iter", 500),
-                                   max_parents=opts.get("max_parents", 4))
-        trace_doc.update(_trace_to_doc(trace))
-        trace_doc["indicator_report"] = report
-    else:  # bootstrap-sem
+    if algorithm == "bootstrap-sem":
         g, summary = bootstrap_sem(
-            d, kb, B=int(config.get("B", 100)),
-            threshold=float(config.get("threshold", 0.5)),
+            d, kb, B=_field(config, "B", 100, int),
+            threshold=_field(config, "threshold", 0.5, float),
             seed=seed,
-            held_out_fraction=float(config.get("held_out_fraction", 0.2)),
-            threads=threads,
-            max_outer=opts.get("sem_max_outer", 5),
-            em_max_iter=opts.get("em_max_iter", 30),
-            em_tol=opts.get("em_tol", 1e-3),
-            max_parents=opts.get("max_parents", 4),
-            max_iter=opts.get("max_iter", 500),
-            pseudocount=opts.get("refit_pseudocount", 1.0))
+            held_out_fraction=_field(config, "held_out_fraction", 0.2, float),
+            threads=args.threads or 1, **opts.sem_options())
         in_mean, in_sd = summary.in_sample_mean_sd
         out_mean, out_sd = summary.out_of_sample_mean_sd
         summary_doc = {
@@ -191,6 +168,12 @@ def cmd_discover(args) -> int:
             "out_of_sample_mean": out_mean, "out_of_sample_sd": out_sd,
         }
         trace_doc["edges"] = sorted([list(e) for e in g.edges])
+    else:
+        found = SEARCHES[algorithm](d, kb, opts)
+        g = found.graph
+        trace_doc.update(dataclasses.asdict(found.trace))
+        if found.report is not None:
+            trace_doc["indicator_report"] = found.report
     _write(out / "graph.json", graph_to_json(g))
     _write(out / "graph.dot", export_dot(g, roles=ecdemo.EC_ROLES
                                          if set(g.vertices) >= set(ecdemo.EC_ROLES) else None))
@@ -198,15 +181,6 @@ def cmd_discover(args) -> int:
     if summary_doc is not None:
         _write(out / "summary.json", json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
-
-
-def _trace_to_doc(trace) -> dict:
-    return {
-        "moves": [[op, list(edge), delta] for op, edge, delta in trace.moves],
-        "initial_score": trace.initial_score,
-        "final_score": trace.final_score,
-        "iterations": trace.iterations,
-    }
 
 
 def cmd_evaluate(args) -> int:
@@ -218,14 +192,15 @@ def cmd_evaluate(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+    opts = _search_options(config)
     d = _load_dataset(config, seed)
     kb = _load_knowledge(config)
     out = _out_dir(args, config)
     report = evaluate(algorithms, d, kb,
-                      B=int(config.get("B", 100)),
-                      held_out_fraction=float(config.get("held_out_fraction", 0.2)),
+                      B=_field(config, "B", 100, int),
+                      held_out_fraction=_field(config, "held_out_fraction", 0.2, float),
                       seed=seed, threads=args.threads or 1,
-                      **_options(config))
+                      **dataclasses.asdict(opts))
     _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -19,6 +19,7 @@ from scipy.special import expit
 from .errors import (
     AllMissingColumn,
     BadFraction,
+    ConfigError,
     DriverMissing,
     EmptyDataset,
     HeaderMismatch,
@@ -32,6 +33,38 @@ from .graphs import Dag
 
 MISSING = -1
 MISSING_TOKENS = ("", "NA")
+
+
+def mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:
+    """Mixed-radix code of each row over the given columns, the first column
+    most significant: the flat index of the row's cell in a table whose axes
+    have the given cardinalities."""
+    code = np.zeros(rows.shape[0], dtype=np.int64)
+    for j, card in zip(cols, cards):
+        code = code * card + rows[:, j]
+    return code
+
+
+def family_counts(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int],
+                  weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """(Weighted) counts of a family's configurations as a float table with
+    one row per parent configuration and one column per child state; the
+    child is the last of ``cols``."""
+    size = math.prod(cards)
+    counts = np.bincount(mixed_radix(rows, cols, cards), weights=weights,
+                         minlength=size).astype(float)
+    return counts.reshape(size // cards[-1], cards[-1])
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse a JSON document that must be an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -210,10 +243,8 @@ def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
         parents, table = params.variables[v]
         if set(parents) != set(g.parents(v)):
             raise IncompleteParameters(f"CPT parents for {v!r} do not match the graph")
-        code = np.zeros(n, dtype=np.int64)
-        for pvar in parents:
-            code = code * cards[pvar] + rows[:, col[pvar]]
-        probs = table[code]
+        probs = table[mixed_radix(rows, [col[q] for q in parents],
+                                  [cards[q] for q in parents])]
         u = rng.random(n)
         cum = np.cumsum(probs, axis=1)
         val = np.sum(cum < u[:, None], axis=1)
@@ -256,19 +287,24 @@ class AmputationSpec:
 
     @staticmethod
     def from_json(text: str) -> "AmputationSpec":
-        doc = json.loads(text)
-        entries = [
-            AmputationEntry(
-                target=t["target"],
-                mechanism=t["mechanism"],
-                drivers=tuple(t.get("drivers", ())),
-                intercept=float(t.get("intercept", -math.inf)),
-                weights={k: {s: float(w) for s, w in v.items()}
-                         for k, v in t.get("weights", {}).items()},
-            )
-            for t in doc["targets"]
-        ]
-        return AmputationSpec(tuple(entries), int(doc["seed"]))
+        doc = json_object(text, "amputation spec")
+        try:
+            entries = [
+                AmputationEntry(
+                    target=t["target"],
+                    mechanism=t["mechanism"],
+                    drivers=tuple(t.get("drivers", ())),
+                    intercept=float(t.get("intercept", -math.inf)),
+                    weights={k: {s: float(w) for s, w in v.items()}
+                             for k, v in t.get("weights", {}).items()},
+                )
+                for t in doc["targets"]
+            ]
+            return AmputationSpec(tuple(entries), int(doc["seed"]))
+        except KeyError as exc:
+            raise ConfigError(f"amputation spec lacks field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"amputation spec is malformed: {exc}") from exc
 
     def to_json(self) -> str:
         doc = {

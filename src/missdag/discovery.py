@@ -9,14 +9,22 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import data as data_mod
-from .data import CategoricalDataset, bootstrap, impute_mode, indicators, split
+from .data import (
+    CategoricalDataset,
+    bootstrap,
+    impute_mode,
+    indicators,
+    json_object,
+    split,
+)
 from .errors import (
+    ConfigError,
     CycleDetected,
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
@@ -26,7 +34,6 @@ from .estimation import (
     IpwBicScorer,
     ParameterSet,
     ScoreValue,
-    _normalize_counts,
     em_fit,
     fit_mle,
     ipw_weights,
@@ -39,7 +46,32 @@ from .stats import g_test
 Edge = Tuple[str, str]
 IMPROVEMENT_EPS = 1e-9
 
-ALGORITHMS = ("hc-complete", "bootstrap-sem", "hc-aipw")
+
+@dataclass(frozen=True)
+class SearchOptions:
+    """Settings of the three searches; the only place their defaults are
+    written."""
+    alpha: float = 0.01               # G-test level for indicator parents (hc-aipw)
+    max_parents: int = 4              # parent-set limit of every hill climb
+    max_iter: int = 500               # move limit of every hill climb
+    refit_pseudocount: float = 1.0    # fitted parameters, and EM in structural EM
+    score_pseudocount: float = 0.0    # family scores (hc-complete, hc-aipw)
+    sem_max_outer: int = 5            # structural-EM rounds of search and refit
+    em_max_iter: int = 30             # EM iteration limit (structural EM, hc-aipw refit)
+    em_tol: float = 1e-3              # EM convergence tolerance (likewise)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"search option {f.name!r} must be {f.type}, got {value!r}")
+
+    def sem_options(self) -> dict:
+        """The keyword arguments of ``structural_em``."""
+        return dict(pseudocount=self.refit_pseudocount, max_outer=self.sem_max_outer,
+                    em_max_iter=self.em_max_iter, em_tol=self.em_tol,
+                    max_parents=self.max_parents, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -63,11 +95,14 @@ class KnowledgeBase:
 
     @staticmethod
     def from_json(text: str) -> "KnowledgeBase":
-        doc = json.loads(text)
-        return KnowledgeBase(
-            forbidden=frozenset(tuple(e) for e in doc.get("forbidden", [])),
-            required=frozenset(tuple(e) for e in doc.get("required", [])),
-        )
+        doc = json_object(text, "knowledge")
+        edges = {key: doc.get(key, []) for key in ("forbidden", "required")}
+        for key, pairs in edges.items():
+            if not isinstance(pairs, list) or not all(
+                    isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+                    for e in pairs):
+                raise ConfigError(f"knowledge field {key!r} must list [parent, child] pairs")
+        return KnowledgeBase(**edges)
 
     def to_json(self) -> str:
         doc = {
@@ -92,18 +127,20 @@ class BootstrapSummary:
     in_sample: List[ScoreValue]
     out_of_sample: List[ScoreValue]
 
-    def _stats(self, values):
-        arr = np.array([v.log_likelihood for v in values])
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        return float(np.mean(arr)), sd
-
     @property
     def in_sample_mean_sd(self):
-        return self._stats(self.in_sample)
+        return _mean_sd([v.log_likelihood for v in self.in_sample])
 
     @property
     def out_of_sample_mean_sd(self):
-        return self._stats(self.out_of_sample)
+        return _mean_sd([v.log_likelihood for v in self.out_of_sample])
+
+
+def _mean_sd(values) -> Tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single value)."""
+    arr = np.array(values)
+    sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+    return float(np.mean(arr)), sd
 
 
 # --- move enumeration and hill climbing ---
@@ -150,7 +187,7 @@ def _enumerate_moves(vertices, parents, children, kb: KnowledgeBase,
     return moves
 
 
-def legal_moves(g: Dag, kb: KnowledgeBase, max_parents: int = 4):
+def legal_moves(g: Dag, kb: KnowledgeBase, max_parents: int = SearchOptions.max_parents):
     """All single-edge add/delete/reverse moves preserving acyclicity and
     the knowledge constraints."""
     if not kb.satisfied_by(g):
@@ -160,8 +197,8 @@ def legal_moves(g: Dag, kb: KnowledgeBase, max_parents: int = 4):
     return _enumerate_moves(g.vertices, parents, children, kb, max_parents)
 
 
-def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = 500,
-               max_parents: int = 4) -> Tuple[Dag, SearchTrace]:
+def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptions.max_iter,
+               max_parents: int = SearchOptions.max_parents) -> Tuple[Dag, SearchTrace]:
     """Greedy best-improvement search; ties break lexicographically by
     (operation, parent, child) for determinism."""
     if not kb.satisfied_by(init):
@@ -215,19 +252,26 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = 500,
 # --- structural EM ---
 
 
+def _initial_graph(names, kb: KnowledgeBase) -> Dag:
+    """The search's starting point: the required edges only."""
+    try:
+        return Dag(names, sorted(kb.required))
+    except CycleDetected as exc:
+        raise KnowledgeInfeasible(str(exc)) from exc
+
+
 def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
-                  pseudocount: float = 1.0, max_outer: int = 10,
-                  em_max_iter: int = 50, em_tol: float = 1e-4,
-                  max_parents: int = 4,
-                  max_iter: int = 500) -> Tuple[Dag, ParameterSet]:
+                  pseudocount: float = SearchOptions.refit_pseudocount,
+                  max_outer: int = SearchOptions.sem_max_outer,
+                  em_max_iter: int = SearchOptions.em_max_iter,
+                  em_tol: float = SearchOptions.em_tol,
+                  max_parents: int = SearchOptions.max_parents,
+                  max_iter: int = SearchOptions.max_iter) -> Tuple[Dag, ParameterSet]:
     """Alternates parameter EM with hill climbing on expected family counts
     (soft completion) until the graph stabilizes."""
     from .estimation import expand_completions
 
-    try:
-        g = Dag(d.names, sorted(kb.required))
-    except CycleDetected as exc:
-        raise KnowledgeInfeasible(str(exc)) from exc
+    g = _initial_graph(d.names, kb)
     params, _ = em_fit(g, d, pseudocount, em_max_iter, em_tol)
     if max_outer == 0:
         return g, params
@@ -313,7 +357,7 @@ def bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase, B: int = 100,
 # --- IPW-corrected hill climbing ---
 
 
-def detect_indicator_parents(d: CategoricalDataset, alpha: float = 0.01):
+def detect_indicator_parents(d: CategoricalDataset, alpha: float = SearchOptions.alpha):
     """Per partially observed variable: fully observed parents of its
     missingness indicator (Bonferroni-corrected G-tests) and available-case
     evidence of dependence on other partially observed variables."""
@@ -352,9 +396,10 @@ def detect_indicator_parents(d: CategoricalDataset, alpha: float = 0.01):
     return report
 
 
-def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase, alpha: float = 0.01,
-            pseudocount: float = 0.0, max_iter: int = 500,
-            max_parents: int = 4):
+def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase, alpha: float = SearchOptions.alpha,
+            pseudocount: float = SearchOptions.score_pseudocount,
+            max_iter: int = SearchOptions.max_iter,
+            max_parents: int = SearchOptions.max_parents):
     """Hill climbing on IPW-weighted family-complete counts.
 
     Missingness-indicator parents are detected by G-tests against the fully
@@ -366,71 +411,76 @@ def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase, alpha: float = 0.01,
     var_weights = {x: ipw_weights(d, x, info["detected_parents"])
                    for x, info in report.items()}
     scorer = IpwBicScorer(d, var_weights, pseudocount=pseudocount)
-    try:
-        init = Dag(d.names, sorted(kb.required))
-    except CycleDetected as exc:
-        raise KnowledgeInfeasible(str(exc)) from exc
-    g, trace = hill_climb(scorer, kb, init, max_iter=max_iter,
-                          max_parents=max_parents)
+    g, trace = hill_climb(scorer, kb, _initial_graph(d.names, kb),
+                          max_iter=max_iter, max_parents=max_parents)
     return g, trace, report
 
 
-def ipw_fit(g: Dag, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
-            pseudocount: float = 1.0) -> ParameterSet:
-    """Per-family weighted MLE on family-complete rows (the parameter
-    counterpart of the IPW family scores)."""
-    scorer = IpwBicScorer(d, var_weights, pseudocount=pseudocount)
-    variables, states = {}, {}
-    for v in g.vertices:
-        parents = tuple(sorted(g.parents(v), key=d.index))
-        counts = scorer._family_counts(v, parents)
-        variables[v] = (parents, _normalize_counts(counts, pseudocount))
-        states[v] = d.variable(v).states
-    return ParameterSet(variables, states, pseudocount)
+# --- the algorithm registry ---
+
+
+@dataclass
+class Discovery:
+    """One run of a search: the graph, the hill-climbing trace and the
+    indicator report where the search makes them, and a function that fits
+    parameters to the graph (only ``evaluate`` calls it)."""
+    graph: Dag
+    refit: Callable[[], ParameterSet]
+    trace: Optional[SearchTrace] = None
+    report: Optional[dict] = None
+
+
+# The searches call the package's functions by their module-level names, so
+# that a wrapper installed on a name is the one that runs.
+
+def _hc_complete(d: CategoricalDataset, kb: KnowledgeBase,
+                 opts: SearchOptions) -> Discovery:
+    dc = impute_mode(d)
+    scorer = BicScorer(dc.schema, dc.rows, pseudocount=opts.score_pseudocount)
+    g, trace = hill_climb(scorer, kb, _initial_graph(dc.names, kb),
+                          max_iter=opts.max_iter, max_parents=opts.max_parents)
+    return Discovery(g, lambda: fit_mle(g, dc, opts.refit_pseudocount), trace)
+
+
+def _bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase,
+                   opts: SearchOptions) -> Discovery:
+    # one structural-EM run; the resampling is the caller's (evaluate's
+    # replicates here, bootstrap_sem's own for `missdag discover`)
+    g, params = structural_em(d, kb, **opts.sem_options())
+    return Discovery(g, lambda: params)
+
+
+def _hc_aipw(d: CategoricalDataset, kb: KnowledgeBase,
+             opts: SearchOptions) -> Discovery:
+    g, trace, report = hc_aipw(d, kb, alpha=opts.alpha,
+                               pseudocount=opts.score_pseudocount,
+                               max_iter=opts.max_iter, max_parents=opts.max_parents)
+    # Structure comes from the weighted search; parameters are refit by
+    # EM so that every partially observed row still contributes.
+    return Discovery(g, lambda: em_fit(g, d, opts.refit_pseudocount,
+                                       max_iter=opts.em_max_iter, tol=opts.em_tol)[0],
+                     trace, report)
+
+
+SEARCHES: Dict[str, Callable[..., Discovery]] = {
+    "hc-complete": _hc_complete,
+    "bootstrap-sem": _bootstrap_sem,
+    "hc-aipw": _hc_aipw,
+}
+ALGORITHMS = tuple(SEARCHES)
 
 
 # --- the evaluation harness ---
 
 
-def _run_algorithm(name: str, db: CategoricalDataset, kb: KnowledgeBase,
-                   opts: Mapping) -> Tuple[Dag, ParameterSet]:
-    max_parents = opts.get("max_parents", 4)
-    max_iter = opts.get("max_iter", 500)
-    refit_c = opts.get("refit_pseudocount", 1.0)
-    score_c = opts.get("score_pseudocount", 0.0)
-    if name == "hc-complete":
-        dc = impute_mode(db)
-        scorer = BicScorer(dc.schema, dc.rows, pseudocount=score_c)
-        init = Dag(dc.names, sorted(kb.required))
-        g, _ = hill_climb(scorer, kb, init, max_iter=max_iter,
-                          max_parents=max_parents)
-        return g, fit_mle(g, dc, refit_c)
-    if name == "bootstrap-sem":
-        return structural_em(
-            db, kb, pseudocount=refit_c,
-            max_outer=opts.get("sem_max_outer", 5),
-            em_max_iter=opts.get("em_max_iter", 30),
-            em_tol=opts.get("em_tol", 1e-3),
-            max_parents=max_parents, max_iter=max_iter)
-    if name == "hc-aipw":
-        g, _, _ = hc_aipw(db, kb, alpha=opts.get("alpha", 0.01),
-                          pseudocount=score_c, max_iter=max_iter,
-                          max_parents=max_parents)
-        # Structure comes from the weighted search; parameters are refit by
-        # EM so that every partially observed row still contributes.
-        params, _ = em_fit(g, db, refit_c,
-                           max_iter=opts.get("em_max_iter", 30),
-                           tol=opts.get("em_tol", 1e-3))
-        return g, params
-    raise KnowledgeViolatedByInput(f"unknown algorithm {name!r}")
-
-
 def _eval_replicate(args):
     name, train, test, kb, stream, b, opts = args
     db = bootstrap(train, stream)
-    g, params = _run_algorithm(name, db, kb, opts)
-    if not KnowledgeBase(kb.forbidden, kb.required).satisfied_by(g):
+    found = SEARCHES[name](db, kb, opts)
+    g = found.graph
+    if not kb.satisfied_by(g):
         raise KnowledgeViolatedByInput(f"{name} violated the knowledge base")
+    params = found.refit()
     ll_in = log_likelihood(params, g, db).log_likelihood
     ll_out = log_likelihood(params, g, test).log_likelihood
     return name, b, ll_in, ll_out
@@ -442,9 +492,14 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
              test: Optional[CategoricalDataset] = None,
              **options) -> Dict:
     """Per-replicate in/out-of-sample log-likelihood for each algorithm on a
-    shared held-out split, raw and rescaled."""
+    shared held-out split, raw and rescaled. ``options`` are the fields of
+    ``SearchOptions``."""
     if B < 1:
         raise KnowledgeInfeasible("B must be >= 1")
+    opts = SearchOptions(**options)
+    for name in algorithms:
+        if name not in SEARCHES:
+            raise KnowledgeViolatedByInput(f"unknown algorithm {name!r}")
     split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
     if test is None:
         train, test = split(d, held_out_fraction, split_ss)
@@ -452,7 +507,7 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
         train = d
     # every algorithm sees the same B resamples
     streams = boot_ss.spawn(B)
-    jobs = [(name, train, test, kb, streams[b], b, options)
+    jobs = [(name, train, test, kb, streams[b], b, opts)
             for name in algorithms for b in range(B)]
     results = _pmap(_eval_replicate, jobs, threads)
     order = {name: i for i, name in enumerate(algorithms)}
@@ -469,13 +524,9 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
     summary = {}
     for name in dict.fromkeys(algorithms):
         rows = [r for r in replicates if r["algorithm"] == name]
-        def _ms(key):
-            arr = np.array([r[key] for r in rows])
-            sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-            return float(np.mean(arr)), sd
         summary[name] = {}
         for key in ("ll_in", "ll_out", "ll_in_rescaled", "ll_out_rescaled"):
-            mean, sd = _ms(key)
+            mean, sd = _mean_sd([r[key] for r in rows])
             summary[name][f"{key}_mean"] = mean
             summary[name][f"{key}_sd"] = sd
     return {

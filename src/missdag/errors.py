@@ -5,6 +5,11 @@ class MissDagError(Exception):
     """Base class for all missdag errors."""
 
 
+class ConfigError(MissDagError):
+    """Malformed user input: a config, knowledge or amputation-spec document,
+    a search option or a seed. The command line exits with code 2."""
+
+
 # --- graphs ---
 
 class CycleDetected(MissDagError):

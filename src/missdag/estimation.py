@@ -17,14 +17,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import CategoricalDataset, VariableSchema
+from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix
 from .errors import (
     AllZero,
     EmptyList,
     MissingCellsPresent,
     SchemaMismatch,
     TooManyMissingInRow,
-    UnknownVariable,
 )
 from .graphs import Dag
 
@@ -109,11 +108,6 @@ def _check_coverage(g: Dag, d: CategoricalDataset) -> None:
             raise SchemaMismatch(f"dataset has no column for vertex {v!r}")
 
 
-def _family_columns(g: Dag, d: CategoricalDataset, v: str) -> Tuple[Tuple[str, ...], List[int]]:
-    parents = tuple(sorted(g.parents(v), key=d.index))
-    return parents, [d.index(p) for p in parents]
-
-
 def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0) -> ParameterSet:
     """Per-family counting estimator; unseen parent configurations with zero
     pseudocount get a uniform row."""
@@ -129,15 +123,9 @@ def _weighted_fit(g: Dag, schema, col_of, rows, weights, pseudocount: float) -> 
     variables, states = {}, {}
     for v in g.vertices:
         parents = tuple(sorted(g.parents(v), key=col_of.__getitem__))
-        card = cards[v]
-        ncfg = 1
-        code = np.zeros(rows.shape[0], dtype=np.int64)
-        for p in parents:
-            code = code * cards[p] + rows[:, col_of[p]]
-            ncfg *= cards[p]
-        code = code * card + rows[:, col_of[v]]
-        counts = np.bincount(code, weights=weights, minlength=ncfg * card).astype(float)
-        counts = counts.reshape(ncfg, card)
+        family = parents + (v,)
+        counts = family_counts(rows, [col_of[u] for u in family],
+                               [cards[u] for u in family], weights)
         table = _normalize_counts(counts, pseudocount)
         variables[v] = (parents, table)
         states[v] = next(s.states for s in schema if s.name == v)
@@ -167,23 +155,23 @@ def _check_params(g: Dag, params: ParameterSet, d: CategoricalDataset) -> None:
             raise SchemaMismatch(f"CPT cardinality mismatch for {v!r}")
 
 
-def _log_tables(g: Dag, params: ParameterSet) -> Dict[str, np.ndarray]:
-    out = {}
+def _log_families(g: Dag, params: ParameterSet, cards) -> list:
+    """Per vertex: log CPT, parent columns, parent cardinalities and own
+    column, the columns indexing a block of the graph's vertices in order."""
+    col = {v: i for i, v in enumerate(g.vertices)}
+    out = []
     with np.errstate(divide="ignore"):
         for v in g.vertices:
-            out[v] = np.log(params.table(v))
+            parents = params.parents(v)
+            out.append((np.log(params.table(v)), [col[p] for p in parents],
+                        [cards[p] for p in parents], col[v]))
     return out
 
 
-def _block_loglik(g: Dag, params: ParameterSet, log_tabs, col_of, cards,
-                  block: np.ndarray) -> np.ndarray:
+def _block_loglik(families, block: np.ndarray) -> np.ndarray:
     logp = np.zeros(block.shape[0])
-    for v in g.vertices:
-        parents = params.parents(v)
-        code = np.zeros(block.shape[0], dtype=np.int64)
-        for p in parents:
-            code = code * cards[p] + block[:, col_of[p]]
-        logp += log_tabs[v][code, block[:, col_of[v]]]
+    for log_tab, pcols, pcards, j in families:
+        logp += log_tab[mixed_radix(block, pcols, pcards), block[:, j]]
     return logp
 
 
@@ -197,12 +185,11 @@ def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
     original row.
     """
     _check_params(g, params, d)
-    col_of = {v: i for i, v in enumerate(g.vertices)}
     cols = [d.index(v) for v in g.vertices]
     sub = np.ascontiguousarray(d.rows[:, cols])
     smask = np.ascontiguousarray(d.mask[:, cols])
     cards = {v: d.variable(v).cardinality for v in g.vertices}
-    log_tabs = _log_tables(g, params)
+    families = _log_families(g, params, cards)
 
     patterns, inverse = np.unique(smask, axis=0, return_inverse=True)
     inverse = inverse.ravel()
@@ -214,7 +201,7 @@ def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
         m = ridx.size
         if miss.size == 0:
             block = sub[ridx]
-            ll = _block_loglik(g, params, log_tabs, col_of, cards, block)
+            ll = _block_loglik(families, block)
             row_ll[ridx] = ll
             blocks.append(block)
             wblocks.append(np.ones(m))
@@ -231,7 +218,7 @@ def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
             dtype=np.int16)
         block = np.repeat(sub[ridx], k, axis=0)
         block[:, miss] = np.tile(completions, (m, 1))
-        logp = _block_loglik(g, params, log_tabs, col_of, cards, block)
+        logp = _block_loglik(families, block)
         logp = logp.reshape(m, k)
         ll = logsumexp(logp, axis=1)
         row_ll[ridx] = ll
@@ -250,12 +237,9 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
     exact marginal over all completions."""
     if d.is_complete():
         _check_params(g, params, d)
-        col_of = {v: i for i, v in enumerate(g.vertices)}
-        cols = [d.index(v) for v in g.vertices]
-        block = np.ascontiguousarray(d.rows[:, cols])
+        block = np.ascontiguousarray(d.rows[:, [d.index(v) for v in g.vertices]])
         cards = {v: d.variable(v).cardinality for v in g.vertices}
-        ll = float(np.sum(_block_loglik(g, params, _log_tables(g, params),
-                                        col_of, cards, block)))
+        ll = float(np.sum(_block_loglik(_log_families(g, params, cards), block)))
     else:
         _, _, _, row_ll = expand_completions(g, params, d)
         ll = float(np.sum(row_ll))
@@ -319,11 +303,10 @@ def ipw_weights(d: CategoricalDataset, target: str,
             raise MissingCellsPresent(
                 f"detected parent {p!r} has missing cells where {target!r} is observed")
     cards = [d.variable(p).cardinality for p in parents]
-    ncfg = int(np.prod(cards)) if cards else 1
+    ncfg = math.prod(cards)
     usable = ~d.mask[:, pcols].any(axis=1) if pcols else np.ones(d.n, dtype=bool)
-    code = np.zeros(d.n, dtype=np.int64)
-    for jp, card in zip(pcols, cards):
-        code = code * card + np.where(d.mask[:, jp], 0, d.rows[:, jp])
+    # codes of rows outside `usable` read missing cells and are never used
+    code = mixed_radix(d.rows, pcols, cards)
     total = np.bincount(code[usable], minlength=ncfg).astype(float)
     obs = np.bincount(code[usable & observed], minlength=ncfg).astype(float)
     phat = (obs + 1.0) / (total + 2.0)
@@ -336,66 +319,20 @@ def ipw_weights(d: CategoricalDataset, target: str,
     return weights
 
 
-@dataclass
-class WeightedCounts:
-    """Per-family weighted sufficient statistics for one graph."""
-    parents: Dict[str, Tuple[str, ...]]
-    tables: Dict[str, np.ndarray]
-    total_weight: float
-
-
-def weighted_counts(g: Dag, d: CategoricalDataset,
-                    row_weights: Optional[np.ndarray] = None) -> WeightedCounts:
-    if d.mask.any():
-        raise MissingCellsPresent("weighted_counts requires complete rows")
-    _check_coverage(g, d)
-    cards = {v: d.variable(v).cardinality for v in g.vertices}
-    parents_map, tables = {}, {}
-    for v in g.vertices:
-        parents, pcols = _family_columns(g, d, v)
-        ncfg = 1
-        code = np.zeros(d.n, dtype=np.int64)
-        for p, jp in zip(parents, pcols):
-            code = code * cards[p] + d.rows[:, jp]
-            ncfg *= cards[p]
-        code = code * cards[v] + d.rows[:, d.index(v)]
-        counts = np.bincount(code, weights=row_weights,
-                             minlength=ncfg * cards[v]).astype(float)
-        parents_map[v] = parents
-        tables[v] = counts.reshape(ncfg, cards[v])
-    total = float(d.n) if row_weights is None else float(np.sum(row_weights))
-    return WeightedCounts(parents_map, tables, total)
-
-
-def _counts_ll_term(counts: np.ndarray, pseudocount: float) -> float:
+def _family_bic(counts: np.ndarray, pseudocount: float, n_effective: float) -> float:
+    """BIC of one family from its count table: the log-likelihood of the
+    (smoothed) conditional frequencies minus 1/2 log n per free parameter."""
     rowsum = counts.sum(axis=1, keepdims=True)
+    nz = counts > 0
     if pseudocount > 0:
         probs = (counts + pseudocount) / (rowsum + pseudocount * counts.shape[1])
-        nz = counts > 0
-        return float(np.sum(counts[nz] * np.log(probs[nz])))
-    nz = counts > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = counts / rowsum
-    return float(np.sum(counts[nz] * np.log(ratio[nz])))
-
-
-def bic(g: Dag, counts: WeightedCounts, n_effective: float,
-        pseudocount: float = 0.0) -> ScoreValue:
-    """Decomposable BIC from weighted family counts."""
-    for v in g.vertices:
-        if v not in counts.tables:
-            raise SchemaMismatch(f"no counts for vertex {v!r}")
-        if set(counts.parents[v]) != set(g.parents(v)):
-            raise SchemaMismatch(f"counts for {v!r} use a different parent set")
-    ll = 0.0
-    nparams = 0
-    for v in g.vertices:
-        tab = counts.tables[v]
-        ll += _counts_ll_term(tab, pseudocount)
-        nparams += (tab.shape[1] - 1) * tab.shape[0]
-    penalty = 0.5 * math.log(n_effective) * nparams
-    per = ll / n_effective if n_effective > 0 else 0.0
-    return ScoreValue(log_likelihood=ll, penalty=penalty, per_sample=per)
+        ll = float(np.sum(counts[nz] * np.log(probs[nz])))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = counts / rowsum
+        ll = float(np.sum(counts[nz] * np.log(ratio[nz])))
+    penalty = 0.5 * math.log(n_effective) * (counts.shape[1] - 1) * counts.shape[0]
+    return ll - penalty
 
 
 class BicScorer:
@@ -433,27 +370,17 @@ class BicScorer:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = self._compute(child, key[1])
+        val = _family_bic(self._family_counts(child, key[1]), self.pseudocount,
+                          self.n_effective)
         self._cache[key] = val
         return val
 
-    def _family_counts(self, child: str, parents: Tuple[str, ...]):
-        card = self._card[child]
-        ncfg = 1
-        code = np.zeros(self.rows.shape[0], dtype=np.int64)
-        for p in parents:
-            code = code * self._card[p] + self.rows[:, self._col[p]]
-            ncfg *= self._card[p]
-        code = code * card + self.rows[:, self._col[child]]
-        counts = np.bincount(code, weights=self.weights,
-                             minlength=ncfg * card).astype(float)
-        return counts.reshape(ncfg, card)
+    def _counts(self, rows: np.ndarray, family: Tuple[str, ...], weights):
+        return family_counts(rows, [self._col[v] for v in family],
+                             [self._card[v] for v in family], weights)
 
-    def _compute(self, child: str, parents: Tuple[str, ...]) -> float:
-        counts = self._family_counts(child, parents)
-        ll = _counts_ll_term(counts, self.pseudocount)
-        penalty = 0.5 * math.log(self.n_effective) * (counts.shape[1] - 1) * counts.shape[0]
-        return ll - penalty
+    def _family_counts(self, child: str, parents: Tuple[str, ...]):
+        return self._counts(self.rows, parents + (child,), self.weights)
 
     def score(self, g: Dag) -> float:
         return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
@@ -505,16 +432,7 @@ class IpwBicScorer(BicScorer):
         total = w.sum()
         if total > 0:
             w = w * (ok.sum() / total)
-        rows = self.rows[ok]
-        card = self._card[child]
-        ncfg = 1
-        code = np.zeros(rows.shape[0], dtype=np.int64)
-        for p in parents:
-            code = code * self._card[p] + rows[:, self._col[p]]
-            ncfg *= self._card[p]
-        code = code * card + rows[:, self._col[child]]
-        counts = np.bincount(code, weights=w, minlength=ncfg * card).astype(float)
-        return counts.reshape(ncfg, card)
+        return self._counts(self.rows[ok], parents + (child,), w)
 
     def _score_on(self, child: str, parents: Tuple[str, ...],
                   obs: Tuple[str, ...]) -> float:
@@ -522,10 +440,8 @@ class IpwBicScorer(BicScorer):
         hit = self._on_cache.get(key)
         if hit is not None:
             return hit
-        counts = self._counts_on(child, parents, obs)
-        ll = _counts_ll_term(counts, self.pseudocount)
-        penalty = 0.5 * math.log(self.n_effective) * (counts.shape[1] - 1) * counts.shape[0]
-        val = ll - penalty
+        val = _family_bic(self._counts_on(child, parents, obs), self.pseudocount,
+                          self.n_effective)
         self._on_cache[key] = val
         return val
 

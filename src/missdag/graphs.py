@@ -169,10 +169,6 @@ class Dag:
         return f"Dag(vertices={list(self._vertices)!r}, edges={es!r})"
 
 
-def build_dag(vertices: Sequence[str], edges: Iterable[Edge] = ()) -> Dag:
-    return Dag(vertices, edges)
-
-
 class MGraph:
     """Missingness graph: a DAG plus the five-way vertex partition.
 

@@ -7,6 +7,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import chi2
 
+from .data import family_counts
+
 
 def g_test(a: np.ndarray, b: np.ndarray, a_card: int, b_card: int,
            cond: Optional[np.ndarray] = None, cond_card: int = 1) -> Tuple[float, int, float]:
@@ -15,15 +17,10 @@ def g_test(a: np.ndarray, b: np.ndarray, a_card: int, b_card: int,
     Returns (G, degrees of freedom, p-value). Degrees of freedom use the
     full table dimensions, which is conservative for sparse strata.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     if cond is None:
-        cond = np.zeros(a.shape[0], dtype=np.int64)
-        cond_card = 1
-    else:
-        cond = np.asarray(cond, dtype=np.int64)
-    code = (cond * a_card + a) * b_card + b
-    counts = np.bincount(code, minlength=cond_card * a_card * b_card).astype(float)
+        cond, cond_card = np.zeros(len(a), dtype=np.int64), 1
+    table = np.column_stack([cond, a, b])
+    counts = family_counts(table, (0, 1, 2), (cond_card, a_card, b_card))
     counts = counts.reshape(cond_card, a_card, b_card)
     g_stat = 0.0
     for s in range(cond_card):

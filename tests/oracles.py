@@ -121,6 +121,44 @@ def joint_log_likelihood(params, g: Dag, d) -> float:
     return total
 
 
+# --- family counts and BIC by plain loops ---
+
+
+def tally_counts(rows, cols: Sequence[int], cards: Sequence[int], weights=None):
+    """Family count table, one row at a time: one table row per parent
+    configuration (first parent most significant), one column per child
+    state; the child is the last of `cols`."""
+    ncfg = 1
+    for k in cards[:-1]:
+        ncfg *= k
+    table = np.zeros((ncfg, cards[-1]))
+    for r in range(rows.shape[0]):
+        cfg = 0
+        for j, k in zip(cols[:-1], cards[:-1]):
+            cfg = cfg * k + int(rows[r, j])
+        table[cfg, int(rows[r, cols[-1]])] += 1.0 if weights is None else weights[r]
+    return table
+
+
+def bic(g: Dag, d, pseudocount: float = 0.0) -> float:
+    """Decomposable BIC of complete data under g: per family, the sum of
+    n_jk log theta_jk over observed cells, minus 1/2 log n per free
+    parameter."""
+    total = 0.0
+    for v in g.vertices:
+        family = sorted(g.parents(v), key=d.index) + [v]
+        cards = [d.variable(u).cardinality for u in family]
+        table = tally_counts(d.rows, [d.index(u) for u in family], cards)
+        for row in table:
+            n_j = float(sum(row))
+            for n_jk in row:
+                if n_jk > 0:
+                    theta = (n_jk + pseudocount) / (n_j + pseudocount * len(row))
+                    total += n_jk * math.log(theta)
+        total -= 0.5 * math.log(d.n) * (cards[-1] - 1) * len(table)
+    return total
+
+
 # --- exhaustive score optimum ---
 
 

@@ -25,8 +25,9 @@ from missdag.data import (
 )
 from missdag.discovery import (
     ALGORITHMS,
+    SEARCHES,
     KnowledgeBase,
-    _run_algorithm,
+    SearchOptions,
     evaluate,
     hill_climb,
     legal_moves,
@@ -253,8 +254,8 @@ def test_criterion_6_knowledge_constraints_always_hold():
         amputed = ampute(ecdemo.ec_demo_dataset(n=400, seed=763 + seed),
                          ecdemo.ec_mnar_amputation(seed))
         for name in ALGORITHMS:
-            g, _ = _run_algorithm(name, amputed, kb,
-                                  {"sem_max_outer": 2, "score_pseudocount": 10.0})
+            g = SEARCHES[name](amputed, kb, SearchOptions(
+                sem_max_outer=2, score_pseudocount=10.0)).graph
             assert kb.satisfied_by(g)
             assert ("Survival1yr", "Survival3yr") in g.edges
             assert ("Survival3yr", "Survival5yr") in g.edges

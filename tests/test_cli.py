@@ -68,6 +68,46 @@ class TestExitCodes:
         assert doc["level"] == "error" and "config" in doc["message"]
 
 
+# case -> (config fields, or the config's raw text; other input files; MGD_SEED)
+MALFORMED_INPUTS = {
+    "config-is-a-list": ("[]", {}, None),
+    "knowledge-is-a-list": ({"knowledge": "kb.json"}, {"kb.json": [["Age", "LNM"]]}, None),
+    "knowledge-edge-of-three": ({"knowledge": "kb.json"},
+                                {"kb.json": {"required": [["Age", "LNM", "p53"]]}}, None),
+    "spec-without-targets": ({"ampute_spec": "spec.json"}, {"spec.json": {"seed": 1}}, None),
+    "env-seed-not-an-integer": ({}, {}, "abc"),
+    "B-not-an-integer": ({"algorithm": "bootstrap-sem", "B": "abc"}, {}, None),
+    "max-parents-not-an-integer": ({"max_parents": "x"}, {}, None),
+}
+
+
+@pytest.mark.parametrize("json_logs", [False, True])
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, json_logs):
+    fields, files, env_seed = MALFORMED_INPUTS[case]
+    for name, doc in files.items():
+        _write_json(tmp_path / name, doc)
+    if isinstance(fields, str):
+        (tmp_path / "config.json").write_text(fields)
+        cfg = str(tmp_path / "config.json")
+    else:
+        cfg = _demo_config(tmp_path, **{k: str(tmp_path / v) if v in files else v
+                                        for k, v in fields.items()})
+    argv = ["discover", "--config", cfg, "--out", str(tmp_path / "o")]
+    if env_seed is None:
+        monkeypatch.delenv("MGD_SEED", raising=False)
+        argv += ["--seed", "1"]
+    else:
+        monkeypatch.setenv("MGD_SEED", env_seed)
+    assert main(argv + (["--json-logs"] if json_logs else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    if json_logs:
+        assert json.loads(err)["level"] == "error"
+    else:
+        assert err.startswith("error: ")
+
+
 class TestSeedResolution:
     def test_env_seed_is_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MGD_SEED", "7")

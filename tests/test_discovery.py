@@ -19,7 +19,6 @@ from missdag.discovery import (
     evaluate,
     hc_aipw,
     hill_climb,
-    ipw_fit,
     legal_moves,
     structural_em,
 )
@@ -27,7 +26,7 @@ from missdag.errors import (
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
 )
-from missdag.estimation import BicScorer, IpwBicScorer, fit_mle
+from missdag.estimation import BicScorer, IpwBicScorer
 from missdag.graphs import Dag
 from missdag.stats import g_test
 
@@ -295,13 +294,6 @@ class TestHcAipw:
         assert {frozenset(("a", "b")), frozenset(("b", "c"))} <= skel
         assert "a" in report["c"]["detected_parents"]
 
-    def test_ipw_fit_matches_mle_on_complete_data(self):
-        g, _, d = _chain_data(seed=18)
-        fitted = ipw_fit(g, d, {}, pseudocount=0.5)
-        plain = fit_mle(g, d, pseudocount=0.5)
-        for v in g.vertices:
-            assert np.allclose(fitted.table(v), plain.table(v))
-
 
 class TestEvaluate:
     def _run(self, threads, B=3):
@@ -336,3 +328,8 @@ class TestEvaluate:
         d = _mar_amputed(seed=22, n=300)
         with pytest.raises(KnowledgeViolatedByInput):
             evaluate(["nope"], d, KnowledgeBase(), B=1, seed=0)
+
+    def test_unknown_option_rejected(self):
+        d = _mar_amputed(seed=22, n=300)
+        with pytest.raises(TypeError):
+            evaluate(["hc-complete"], d, KnowledgeBase(), B=1, seed=0, max_parent=2)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from missdag.data import (
     MISSING,
     CategoricalDataset,
     VariableSchema,
+    family_counts,
     forward_sample,
 )
 from missdag.errors import (
@@ -21,18 +23,16 @@ from missdag.estimation import (
     IpwBicScorer,
     ParameterSet,
     ScoreValue,
-    bic,
     em_fit,
     expand_completions,
     fit_mle,
     ipw_weights,
     log_likelihood,
     rescale_ll,
-    weighted_counts,
 )
 from missdag.graphs import Dag
 
-from oracles import joint_log_likelihood, random_dag, random_params
+from oracles import bic, joint_log_likelihood, random_dag, random_params, tally_counts
 
 
 def _schema(*cards):
@@ -230,32 +230,36 @@ class TestIpwWeights:
 
 class TestWeightedCountsAndBic:
     def test_counts_match_hand_tally(self):
-        g = Dag(["v0", "v1"], [("v0", "v1")])
-        d = _dataset([2, 2], [[0, 0], [0, 1], [1, 1]])
-        c = weighted_counts(g, d)
-        assert np.allclose(c.tables["v0"], [[2, 1]])
-        assert np.allclose(c.tables["v1"], [[1, 1], [0, 1]])
-        assert c.total_weight == 3.0
+        rows = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int16)
+        assert np.array_equal(family_counts(rows, [0], [2]), [[2, 1]])
+        assert np.array_equal(family_counts(rows, [0, 1], [2, 2]), [[1, 1], [0, 1]])
+        assert np.array_equal(family_counts(rows, [1, 0], [2, 2], np.array([1.0, 2.0, 3.0])),
+                              [[1, 0], [2, 3]])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_plain_loop_tally(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+        n = data.draw(st.integers(0, 30))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        order = data.draw(st.permutations(range(len(cards))))
+        cols = order[:data.draw(st.integers(1, len(cards)))]
+        weights = data.draw(st.none() | st.lists(st.integers(0, 1000), min_size=n,
+                                                 max_size=n).map(np.array))
+        fcards = [cards[j] for j in cols]
+        got = family_counts(rows, cols, fcards,
+                            None if weights is None else weights.astype(float))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, tally_counts(rows, cols, fcards, weights))
 
     def test_bic_matches_scorer(self):
         g, _, d = _random_instance(11, missing=0.0)
-        counts = weighted_counts(g, d)
-        val = bic(g, counts, float(d.n))
         scorer = BicScorer(d.schema, d.rows)
-        assert val.bic == pytest.approx(scorer.score(g), abs=1e-9)
-
-    def test_bic_rejects_wrong_parent_sets(self):
-        g = Dag(["v0", "v1"], [("v0", "v1")])
-        d = _dataset([2, 2], [[0, 0]])
-        counts = weighted_counts(Dag(["v0", "v1"]), d)
-        with pytest.raises(SchemaMismatch):
-            bic(g, counts, 1.0)
-
-    def test_missing_cells_rejected(self):
-        g = Dag(["v0"], [])
-        d = _dataset([2], [[MISSING]])
-        with pytest.raises(MissingCellsPresent):
-            weighted_counts(g, d)
+        assert bic(g, d) == pytest.approx(scorer.score(g), abs=1e-9)
+        smoothed = BicScorer(d.schema, d.rows, pseudocount=2.0)
+        assert bic(g, d, pseudocount=2.0) == pytest.approx(smoothed.score(g), abs=1e-9)
 
 
 class TestBicScorer:

@@ -14,7 +14,6 @@ from missdag.graphs import (
     MechanismClass,
     MGraph,
     VertexClass,
-    build_dag,
     classify_mechanism,
     d_separated,
     export_dot,
@@ -87,7 +86,6 @@ class TestDag:
         g2 = Dag(["a", "b"], [("a", "b")])
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1 != Dag(["a", "b"])
-        assert build_dag(["a", "b"]) == Dag(["a", "b"])
 
 
 class TestDSeparation:
