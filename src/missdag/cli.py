@@ -70,6 +70,12 @@ def _field(config: dict, key: str, default, kind):
     return _number(config.get(key, default), kind, f"config field {key!r}")
 
 
+def _path(value, key: str) -> Path:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"config field {key!r} must be a path, got {value!r}")
+    return Path(value)
+
+
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("missing required flag --config")
@@ -85,15 +91,17 @@ def _load_dataset(config: dict, seed: int):
         raise ConfigError("config field 'dataset' is required")
     if ref == "ec-demo":
         n = _field(config, "dataset_n", 763, int)
+        if n < 0:
+            raise ConfigError(f"config field 'dataset_n' must be >= 0, got {n}")
         d = ecdemo.ec_demo_dataset(n, seed)
     else:
-        p = Path(ref)
+        p = _path(ref, "dataset")
         if not p.exists():
             raise ConfigError(f"config field 'dataset': file not found: {p}")
         d = read_csv(p)
     spec_path = config.get("ampute_spec")
     if spec_path:
-        p = Path(spec_path)
+        p = _path(spec_path, "ampute_spec")
         if not p.exists():
             raise ConfigError(f"config field 'ampute_spec': file not found: {p}")
         spec = AmputationSpec.from_json(p.read_text(encoding="utf-8"))
@@ -106,7 +114,7 @@ def _load_knowledge(config: dict) -> KnowledgeBase:
     path = config.get("knowledge")
     if not path:
         return KnowledgeBase()
-    p = Path(path)
+    p = _path(path, "knowledge")
     if not p.exists():
         raise ConfigError(f"config field 'knowledge': file not found: {p}")
     return KnowledgeBase.from_json(p.read_text(encoding="utf-8"))
@@ -123,7 +131,7 @@ def _out_dir(args, config: dict) -> Path:
     out = getattr(args, "out", None) or config.get("out")
     if out is None:
         raise ConfigError("no output directory (flag --out or config field 'out')")
-    p = Path(out)
+    p = _path(out, "out")
     p.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -187,7 +195,7 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     algorithms = config.get("algorithms")
-    if not algorithms:
+    if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("config field 'algorithms' must list at least one algorithm")
     for a in algorithms:
         if a not in ALGORITHMS:

@@ -85,7 +85,7 @@ class VariableSchema:
 
 
 class CategoricalDataset:
-    __slots__ = ("schema", "rows", "mask", "_index")
+    __slots__ = ("schema", "rows", "mask", "_index", "_completions")
 
     def __init__(self, schema: Sequence[VariableSchema], rows, mask=None):
         self.schema = tuple(schema)
@@ -110,6 +110,8 @@ class CategoricalDataset:
         self._index = {v.name: i for i, v in enumerate(self.schema)}
         if len(self._index) != len(self.schema):
             raise NameCollision("duplicate variable names in schema")
+        # completion blocks by vertex order, built by estimation on first use
+        self._completions = {}
 
     @property
     def n(self) -> int:

@@ -35,6 +35,7 @@ from .estimation import (
     ParameterSet,
     ScoreValue,
     em_fit,
+    expand_completions,
     fit_mle,
     ipw_weights,
     log_likelihood,
@@ -269,8 +270,6 @@ def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
                   max_iter: int = SearchOptions.max_iter) -> Tuple[Dag, ParameterSet]:
     """Alternates parameter EM with hill climbing on expected family counts
     (soft completion) until the graph stabilizes."""
-    from .estimation import expand_completions
-
     g = _initial_graph(d.names, kb)
     params, _ = em_fit(g, d, pseudocount, em_max_iter, em_tol)
     if max_outer == 0:

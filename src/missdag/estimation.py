@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix
 from .errors import (
@@ -175,6 +174,84 @@ def _block_loglik(families, block: np.ndarray) -> np.ndarray:
     return logp
 
 
+def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
+                      cards: Mapping[str, int], cap: int):
+    """Every completion of the rows of ``d`` over the vertices' columns,
+    built on first use and kept on the dataset (which never changes).
+
+    Returns (block, origin, complete, groups), all read-only: the completed
+    rows, pattern-major in ``np.unique`` order of the missingness patterns,
+    rows ascending within a pattern, completions in ``itertools.product``
+    order; the original row of each block row; the rows without missing
+    cells, which are block rows ``0 .. len(complete) - 1``; and for each
+    completion count k > 1, the original rows with k completions and the
+    ``(rows, k)`` block positions of those completions.
+    """
+    hit = d._completions.get(vertices)
+    if hit is None:
+        cols = [d.index(v) for v in vertices]
+        patterns, inverse = np.unique(d.mask[:, cols], axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
+                  for pattern in patterns]
+        kmax = max(counts, default=1)
+    else:
+        kmax, index = hit
+    if kmax > cap:
+        raise TooManyMissingInRow(f"row marginalization needs > {cap} completions")
+    if hit is not None:
+        return index
+    sub = d.rows[:, cols]
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(patterns)))
+    blocks = [np.zeros((0, len(cols)), dtype=np.int16)]
+    complete = np.zeros(0, dtype=np.intp)
+    by_count: Dict[int, list] = {}
+    start = 0
+    for pattern, k, ridx in zip(patterns, counts, np.split(order, bounds[:-1])):
+        block = np.repeat(sub[ridx], k, axis=0)
+        if k == 1:
+            complete = ridx
+        else:
+            miss = np.nonzero(pattern)[0]
+            completions = np.array(
+                list(itertools.product(*[range(cards[vertices[j]]) for j in miss])),
+                dtype=np.int16)
+            block[:, miss] = np.tile(completions, (ridx.size, 1))
+            pos = start + np.arange(block.shape[0]).reshape(ridx.size, k)
+            by_count.setdefault(k, []).append((ridx, pos))
+        blocks.append(block)
+        start += block.shape[0]
+    block = np.concatenate(blocks)
+    origin = np.repeat(order, np.asarray(counts, dtype=np.intp)[inverse[order]])
+    groups = tuple((np.concatenate([r for r, _ in parts]),
+                    np.concatenate([p for _, p in parts]))
+                   for parts in by_count.values())
+    for a in (block, origin, complete, *itertools.chain.from_iterable(groups)):
+        a.setflags(write=False)
+    index = (block, origin, complete, groups)
+    d._completions[vertices] = (kmax, index)
+    return index
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row, in the operations and order of
+    ``scipy.special.logsumexp`` so the result has the same bits: the row
+    maximum and its ties are taken out of the shifted sum, and a result that
+    is not finite falls back to the unshifted sum."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amax = a.max(axis=1, keepdims=True)
+        ismax = a == amax
+        m = ismax.sum(axis=1, keepdims=True, dtype=float)
+        s = np.exp(np.where(ismax, -np.inf, a) - amax).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + amax)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
                        cap: int = ENUMERATION_CAP):
     """Exact enumeration of missing-cell completions (graph columns only).
@@ -182,54 +259,22 @@ def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
     Returns (rows, weights, origin, row_ll): completed row block, posterior
     weight of each completion (summing to 1 per original row), the original
     row index of each block row, and the observed-data log-likelihood per
-    original row.
+    original row. The block and origins are built once per dataset and
+    vertex order and are read-only.
     """
     _check_params(g, params, d)
-    cols = [d.index(v) for v in g.vertices]
-    sub = np.ascontiguousarray(d.rows[:, cols])
-    smask = np.ascontiguousarray(d.mask[:, cols])
     cards = {v: d.variable(v).cardinality for v in g.vertices}
-    families = _log_families(g, params, cards)
-
-    patterns, inverse = np.unique(smask, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    row_ll = np.zeros(d.n)
-    blocks, wblocks, oblocks = [], [], []
-    for pi in range(patterns.shape[0]):
-        ridx = np.nonzero(inverse == pi)[0]
-        miss = np.nonzero(patterns[pi])[0]
-        m = ridx.size
-        if miss.size == 0:
-            block = sub[ridx]
-            ll = _block_loglik(families, block)
-            row_ll[ridx] = ll
-            blocks.append(block)
-            wblocks.append(np.ones(m))
-            oblocks.append(ridx)
-            continue
-        k = 1
-        for j in miss:
-            k *= cards[g.vertices[j]]
-            if k > cap:
-                raise TooManyMissingInRow(
-                    f"row marginalization needs > {cap} completions")
-        completions = np.array(
-            list(itertools.product(*[range(cards[g.vertices[j]]) for j in miss])),
-            dtype=np.int16)
-        block = np.repeat(sub[ridx], k, axis=0)
-        block[:, miss] = np.tile(completions, (m, 1))
-        logp = _block_loglik(families, block)
-        logp = logp.reshape(m, k)
-        ll = logsumexp(logp, axis=1)
+    block, origin, complete, groups = _completion_index(d, g.vertices, cards, cap)
+    logp = _block_loglik(_log_families(g, params, cards), block)
+    weights = np.ones(block.shape[0])
+    row_ll = np.empty(d.n)
+    row_ll[complete] = logp[:complete.size]
+    for ridx, pos in groups:
+        a = logp[pos]
+        ll = _logsumexp_rows(a)
         row_ll[ridx] = ll
-        w = np.exp(logp - ll[:, None])
-        blocks.append(block)
-        wblocks.append(w.ravel())
-        oblocks.append(np.repeat(ridx, k))
-    rows = np.vstack(blocks) if blocks else np.zeros((0, len(cols)), dtype=np.int16)
-    weights = np.concatenate(wblocks) if wblocks else np.zeros(0)
-    origin = np.concatenate(oblocks) if oblocks else np.zeros(0, dtype=np.intp)
-    return rows, weights, origin, row_ll
+        weights[pos] = np.exp(a - ll[:, None])
+    return block, weights, origin, row_ll
 
 
 def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> ScoreValue:
@@ -269,8 +314,8 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
     col_of = {v: i for i, v in enumerate(g.vertices)}
     schema = tuple(d.variable(v) for v in g.vertices)
     # available-case init, smoothed so every completion has positive mass
-    complete_rows = ~d.mask[:, [d.index(v) for v in g.vertices]].any(axis=1)
-    sub = d.rows[:, [d.index(v) for v in g.vertices]][complete_rows]
+    cols = [d.index(v) for v in g.vertices]
+    sub = d.rows[:, cols][~d.mask[:, cols].any(axis=1)]
     params = _weighted_fit(g, schema, col_of, sub, None, max(pseudocount, 1.0))
     trace: List[float] = []
     converged = False
@@ -279,7 +324,7 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
         rows, weights, _, row_ll = expand_completions(g, params, d)
         ll = float(np.sum(row_ll))
         trace.append(ll)
-        if trace and len(trace) > 1 and ll - prev < tol:
+        if len(trace) > 1 and ll - prev < tol:
             converged = True
             break
         prev = ll

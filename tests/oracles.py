@@ -121,6 +121,59 @@ def joint_log_likelihood(params, g: Dag, d) -> float:
     return total
 
 
+# --- completions and their posteriors, one row at a time ---
+
+
+def row_completions(g: Dag, params, d):
+    """(rows, weights, origin, row_ll) of the completion block, built row by
+    row: each row's missing cells (graph columns) are completed in
+    itertools.product order, each completion's joint log-probability is the
+    vertex-by-vertex sum of log CPT entries, and the row's log-likelihood is
+    scipy's logsumexp over that row alone. A row without missing cells gets
+    weight 1. Rows are ordered by their missingness pattern (lexicographic,
+    observed before missing), then by row index."""
+    from scipy.special import logsumexp
+
+    names = list(g.vertices)
+    cards = {v: len(params.states[v]) for v in names}
+    cols = [d.index(v) for v in names]
+    with np.errstate(divide="ignore"):
+        log_tables = {v: np.log(params.variables[v][1]) for v in names}
+
+    def log_joint(assign):
+        lp = 0.0
+        for v in names:
+            cfg = 0
+            for q in params.variables[v][0]:
+                cfg = cfg * cards[q] + assign[q]
+            lp = lp + log_tables[v][cfg, assign[v]]
+        return lp
+
+    order = sorted(range(d.n), key=lambda r: tuple(bool(d.mask[r, j]) for j in cols))
+    rows, weights, origin = [], [], []
+    row_ll = np.zeros(d.n)
+    for r in order:
+        missing = [v for v, j in zip(names, cols) if d.mask[r, j]]
+        fixed = {v: int(d.rows[r, j]) for v, j in zip(names, cols) if not d.mask[r, j]}
+        lps = []
+        for combo in itertools.product(*[range(cards[v]) for v in missing]):
+            assign = {**fixed, **dict(zip(missing, combo))}
+            rows.append([assign[v] for v in names])
+            origin.append(r)
+            lps.append(log_joint(assign))
+        lps = np.array(lps)
+        if not missing:
+            row_ll[r] = lps[0]
+            weights.append(np.ones(1))
+            continue
+        with np.errstate(invalid="ignore"):
+            row_ll[r] = logsumexp(lps)
+            weights.append(np.exp(lps - row_ll[r]))
+    return (np.array(rows, dtype=np.int16).reshape(len(rows), len(names)),
+            np.concatenate(weights) if weights else np.zeros(0),
+            np.array(origin, dtype=np.intp), row_ll)
+
+
 # --- family counts and BIC by plain loops ---
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import missdag
 from missdag import ecdemo
 from missdag.cli import main
 from missdag.data import read_csv, write_csv
@@ -68,23 +73,34 @@ class TestExitCodes:
         assert doc["level"] == "error" and "config" in doc["message"]
 
 
-# case -> (config fields, or the config's raw text; other input files; MGD_SEED)
+# case -> (command, config fields or the config's raw text, other input
+# files, MGD_SEED); the output directory comes from --out unless the config
+# sets one
 MALFORMED_INPUTS = {
-    "config-is-a-list": ("[]", {}, None),
-    "knowledge-is-a-list": ({"knowledge": "kb.json"}, {"kb.json": [["Age", "LNM"]]}, None),
-    "knowledge-edge-of-three": ({"knowledge": "kb.json"},
+    "config-is-a-list": ("discover", "[]", {}, None),
+    "knowledge-is-a-list": ("discover", {"knowledge": "kb.json"},
+                            {"kb.json": [["Age", "LNM"]]}, None),
+    "knowledge-edge-of-three": ("discover", {"knowledge": "kb.json"},
                                 {"kb.json": {"required": [["Age", "LNM", "p53"]]}}, None),
-    "spec-without-targets": ({"ampute_spec": "spec.json"}, {"spec.json": {"seed": 1}}, None),
-    "env-seed-not-an-integer": ({}, {}, "abc"),
-    "B-not-an-integer": ({"algorithm": "bootstrap-sem", "B": "abc"}, {}, None),
-    "max-parents-not-an-integer": ({"max_parents": "x"}, {}, None),
+    "spec-without-targets": ("discover", {"ampute_spec": "spec.json"},
+                             {"spec.json": {"seed": 1}}, None),
+    "env-seed-not-an-integer": ("discover", {}, {}, "abc"),
+    "B-not-an-integer": ("discover", {"algorithm": "bootstrap-sem", "B": "abc"}, {}, None),
+    "max-parents-not-an-integer": ("discover", {"max_parents": "x"}, {}, None),
+    "dataset-is-a-number": ("discover", {"dataset": 5}, {}, None),
+    "dataset-is-empty": ("discover", {"dataset": ""}, {}, None),
+    "knowledge-is-a-number": ("discover", {"knowledge": 5}, {}, None),
+    "spec-is-a-number": ("discover", {"ampute_spec": 5}, {}, None),
+    "out-is-a-number": ("discover", {"out": 5}, {}, None),
+    "algorithms-not-a-list": ("evaluate", {"algorithms": 5}, {}, None),
+    "dataset-n-negative": ("discover", {"dataset_n": -1}, {}, None),
 }
 
 
 @pytest.mark.parametrize("json_logs", [False, True])
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, json_logs):
-    fields, files, env_seed = MALFORMED_INPUTS[case]
+    command, fields, files, env_seed = MALFORMED_INPUTS[case]
     for name, doc in files.items():
         _write_json(tmp_path / name, doc)
     if isinstance(fields, str):
@@ -93,7 +109,9 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, jso
     else:
         cfg = _demo_config(tmp_path, **{k: str(tmp_path / v) if v in files else v
                                         for k, v in fields.items()})
-    argv = ["discover", "--config", cfg, "--out", str(tmp_path / "o")]
+    argv = [command, "--config", cfg]
+    if "out" not in fields:
+        argv += ["--out", str(tmp_path / "o")]
     if env_seed is None:
         monkeypatch.delenv("MGD_SEED", raising=False)
         argv += ["--seed", "1"]
@@ -106,6 +124,15 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, jso
         assert json.loads(err)["level"] == "error"
     else:
         assert err.startswith("error: ")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes most of the import time of the package
+    env = dict(os.environ, PYTHONPATH=str(Path(missdag.__file__).parents[1]))
+    probe = "import sys, missdag; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 class TestSeedResolution:

@@ -32,7 +32,14 @@ from missdag.estimation import (
 )
 from missdag.graphs import Dag
 
-from oracles import bic, joint_log_likelihood, random_dag, random_params, tally_counts
+from oracles import (
+    bic,
+    joint_log_likelihood,
+    random_dag,
+    random_params,
+    row_completions,
+    tally_counts,
+)
 
 
 def _schema(*cards):
@@ -163,6 +170,53 @@ class TestExpandCompletions:
         d = _dataset([2, 2, 2], [[MISSING, MISSING, MISSING]])
         with pytest.raises(TooManyMissingInRow):
             expand_completions(g, params, d, cap=4)
+        # the block built under the default cap is checked again on reuse
+        assert expand_completions(g, params, d)[0].shape == (8, 3)
+        with pytest.raises(TooManyMissingInRow):
+            expand_completions(g, params, d, cap=4)
+
+    def test_block_is_built_once_and_read_only(self):
+        g, params, d = _random_instance(7, missing=0.4)
+        rows, weights, origin, row_ll = expand_completions(g, params, d)
+        again = expand_completions(g, params, d)
+        assert again[0] is rows and again[2] is origin
+        assert not rows.flags.writeable and not origin.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+        assert weights.flags.writeable and row_ll.flags.writeable
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_by_row_oracle(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 12))
+        cells = st.tuples(*[st.integers(MISSING, k - 1) for k in cards])
+        rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            rows.append(tuple(k - 1 for k in cards))
+        if data.draw(st.booleans()):
+            rows.append((MISSING,) * len(cards))
+        d = _dataset(cards, np.array(rows, dtype=np.int16).reshape(len(rows), len(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # graph columns in another order than the dataset's
+        g = random_dag(rng, data.draw(st.permutations(names)), edge_prob=0.5)
+        params = random_params(rng, g, dict(zip(names, cards)))
+        if data.draw(st.booleans()):
+            # impossible completions, and rows with no possible completion
+            variables = {}
+            for v, (parents, table) in params.variables.items():
+                table = np.where(table < 0.3, 0.0, table)
+                table[table.sum(axis=1) == 0] = 1.0
+                variables[v] = (parents, table / table.sum(axis=1, keepdims=True))
+            params = ParameterSet(variables, params.states)
+        with np.errstate(invalid="ignore"):
+            got = expand_completions(g, params, d)
+            again = expand_completions(g, params, d)
+        for ours, theirs, hit in zip(got, row_completions(g, params, d), again):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs, equal_nan=True)
+            assert np.array_equal(hit, ours, equal_nan=True)
 
 
 class TestRescale:
