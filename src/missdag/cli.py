@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import ecdemo
-from .data import AmputationSpec, ampute, forward_sample, json_object, read_csv, write_csv
+from .data import AmputationSpec, ampute, forward_sample, read_csv, write_csv
 from .discovery import (
     ALGORITHMS,
     SEARCHES,
@@ -25,16 +25,9 @@ from .discovery import (
     bootstrap_sem,
     evaluate,
 )
-from .errors import ConfigError, MissDagError
+from .errors import ConfigError, MissDagError, OverlappingSets, json_object
 from .estimation import ParameterSet
-from .graphs import (
-    Dag,
-    d_separated,
-    export_dot,
-    find_active_path,
-    graph_from_json,
-    graph_to_json,
-)
+from .graphs import Dag, export_dot, find_active_path, graph_from_json, graph_to_json
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -227,8 +220,7 @@ def _load_graph(ref: str) -> Dag:
     p = Path(ref)
     if not p.exists():
         raise ConfigError(f"graph file not found: {p}")
-    text = p.read_text(encoding="utf-8")
-    g, _ = graph_from_json(text)
+    g, _ = graph_from_json(p.read_text(encoding="utf-8"))
     return g
 
 
@@ -256,10 +248,13 @@ def cmd_dsep(args) -> int:
     for v in x + y + z:
         if v not in g.vertices:
             raise ConfigError(f"unknown vertex {v!r}")
-    if d_separated(g, x, y, z):
+    try:
+        path = find_active_path(g, x, y, z)
+    except OverlappingSets as exc:
+        raise ConfigError(f"query sets overlap: {exc}") from None
+    if path is None:
         print("d-separated")
     else:
-        path = find_active_path(g, x, y, z)
         print("d-connected (active path: " + " - ".join(path) + ")")
     return EXIT_OK
 

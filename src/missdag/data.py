@@ -28,6 +28,7 @@ from .errors import (
     NameCollision,
     UnknownState,
     UnknownVariable,
+    json_object,
 )
 from .graphs import Dag
 
@@ -54,17 +55,6 @@ def family_counts(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int],
     counts = np.bincount(mixed_radix(rows, cols, cards), weights=weights,
                          minlength=size).astype(float)
     return counts.reshape(size // cards[-1], cards[-1])
-
-
-def json_object(text: str, what: str) -> dict:
-    """Parse a JSON document that must be an object."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    return doc
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .data import (
     bootstrap,
     impute_mode,
     indicators,
-    json_object,
     split,
 )
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     CycleDetected,
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
+    json_object,
 )
 from .estimation import (
     BicScorer,

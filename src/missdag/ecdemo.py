@@ -19,8 +19,6 @@ from .data import (
     AmputationEntry,
     AmputationSpec,
     CategoricalDataset,
-    VariableSchema,
-    ampute,
     forward_sample,
 )
 from .estimation import ParameterSet
@@ -94,10 +92,6 @@ GROUND_TRUTH_EDGES: List[Tuple[str, str]] = [
     ("Survival1yr", "Survival3yr"),
     ("Survival3yr", "Survival5yr"),
 ]
-
-
-def ec_schema() -> List[VariableSchema]:
-    return [VariableSchema(name, states) for name, states in EC_VARIABLES]
 
 
 def ec_knowledge_json() -> str:
@@ -192,10 +186,6 @@ def ec_mnar_amputation(seed: int = 0) -> AmputationSpec:
                         {"p53": {"overexpressed": 1.6}}),
     )
     return AmputationSpec(entries, seed)
-
-
-def ec_demo_amputed(n: int = 763, seed: int = 763) -> CategoricalDataset:
-    return ampute(ec_demo_dataset(n, seed), ec_mnar_amputation(seed))
 
 
 def _with_myometrial_invasion(edges, drop=(), add=()):

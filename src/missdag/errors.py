@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all missdag modules."""
+"""Exception hierarchy shared by all missdag modules, and the parser of the
+JSON documents they read from users."""
+
+import json
 
 
 class MissDagError(Exception):
@@ -6,8 +9,20 @@ class MissDagError(Exception):
 
 
 class ConfigError(MissDagError):
-    """Malformed user input: a config, knowledge or amputation-spec document,
-    a search option or a seed. The command line exits with code 2."""
+    """Malformed user input: a config, knowledge, amputation-spec, graph or
+    parameter document, a search option or a seed. The command line exits
+    with code 2."""
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse a JSON document that must be an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
 
 
 # --- graphs ---

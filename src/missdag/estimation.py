@@ -19,10 +19,12 @@ import numpy as np
 from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix
 from .errors import (
     AllZero,
+    ConfigError,
     EmptyList,
     MissingCellsPresent,
     SchemaMismatch,
     TooManyMissingInRow,
+    json_object,
 )
 from .graphs import Dag
 
@@ -71,24 +73,24 @@ class ParameterSet:
 
     @staticmethod
     def from_json(text: str) -> "ParameterSet":
-        doc = json.loads(text)
+        doc = json_object(text, "parameter file")
         variables, states = {}, {}
-        for v, spec in doc["variables"].items():
-            table = np.asarray(spec["table"], dtype=float)
-            variables[v] = (tuple(spec["parents"]), table)
-            states[v] = tuple(spec.get("states", [str(i) for i in range(table.shape[1])]))
+        try:
+            for v, spec in doc["variables"].items():
+                table = np.asarray(spec["table"], dtype=float)
+                variables[v] = (tuple(spec["parents"]), table)
+                states[v] = tuple(spec.get("states", [str(i) for i in range(table.shape[1])]))
+        except KeyError as exc:
+            raise ConfigError(f"parameter file lacks field {exc}") from exc
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"parameter file is malformed: {exc}") from exc
         return ParameterSet(variables, states)
 
 
 @dataclass(frozen=True)
 class ScoreValue:
     log_likelihood: float
-    penalty: float = 0.0
     per_sample: float = 0.0
-
-    @property
-    def bic(self) -> float:
-        return self.log_likelihood - self.penalty
 
 
 @dataclass
@@ -289,7 +291,7 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
         _, _, _, row_ll = expand_completions(g, params, d)
         ll = float(np.sum(row_ll))
     per = ll / d.n if d.n > 0 else 0.0
-    return ScoreValue(log_likelihood=ll, penalty=0.0, per_sample=per)
+    return ScoreValue(log_likelihood=ll, per_sample=per)
 
 
 def rescale_ll(values: Sequence, n: int) -> List[float]:
@@ -402,10 +404,6 @@ class BicScorer:
         self._col = {v.name: i for i, v in enumerate(self.schema)}
         self._card = {v.name: v.cardinality for v in self.schema}
         self._cache: Dict[Tuple[str, Tuple[str, ...]], float] = {}
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(v.name for v in self.schema)
 
     def _canon(self, parents: Iterable[str]) -> Tuple[str, ...]:
         return tuple(sorted(parents, key=self._col.__getitem__))

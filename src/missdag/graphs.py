@@ -13,11 +13,13 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
+    ConfigError,
     CycleDetected,
     DuplicateEdge,
     InvalidMGraph,
     OverlappingSets,
     UnknownVertex,
+    json_object,
 )
 
 Edge = Tuple[str, str]
@@ -73,30 +75,30 @@ class Dag:
             raise CycleDetected(cyc)
 
     def _find_cycle(self):
+        """The closed walk [v, ..., v] closed by the first back edge of a
+        depth-first search from each vertex in declared order, children in
+        name order; None if acyclic. Iterative, so deep graphs do not hit
+        the recursion limit."""
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {v: WHITE for v in self._vertices}
-        stack_path = []
-
-        def visit(v):
-            color[v] = GRAY
-            stack_path.append(v)
-            for c in sorted(self._children[v]):
-                if color[c] == GRAY:
-                    i = stack_path.index(c)
-                    return stack_path[i:] + [c]
-                if color[c] == WHITE:
-                    found = visit(c)
-                    if found is not None:
-                        return found
-            stack_path.pop()
-            color[v] = BLACK
-            return None
-
-        for v in self._vertices:
-            if color[v] == WHITE:
-                found = visit(v)
-                if found is not None:
-                    return found
+        for root in self._vertices:
+            if color[root] != WHITE:
+                continue
+            color[root] = GRAY
+            path = [root]
+            pending = [iter(sorted(self._children[root]))]
+            while pending:
+                for c in pending[-1]:
+                    if color[c] == GRAY:
+                        return path[path.index(c):] + [c]
+                    if color[c] == WHITE:
+                        color[c] = GRAY
+                        path.append(c)
+                        pending.append(iter(sorted(self._children[c])))
+                        break
+                else:
+                    pending.pop()
+                    color[path.pop()] = BLACK
         return None
 
     @property
@@ -114,9 +116,6 @@ class Dag:
     def children(self, v: str) -> frozenset:
         self._check(v)
         return self._children[v]
-
-    def has_edge(self, p: str, c: str) -> bool:
-        return (p, c) in self._edges
 
     def _check(self, v: str) -> None:
         if v not in self._index:
@@ -215,116 +214,55 @@ class MGraph:
                 raise InvalidMGraph(f"indicator {rx!r} may only point to {sx!r}")
 
 
-def d_separated(g: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> bool:
-    """True iff z blocks every path between x and y.
-
-    Linear-time reachability over active trails (Koller & Friedman
-    alg. 3.1); agreement with literal path enumeration is enforced by the
-    test suite.
-    """
-    xs, ys, zs = set(x), set(y), set(z)
-    for v in xs | ys | zs:
-        g._check(v)
-    if xs & ys or xs & zs or ys & zs:
-        raise OverlappingSets("x, y, z must be pairwise disjoint")
-    if not xs or not ys:
-        return True
-    anc_z = g.ancestors(zs) if zs else set()
-    # (vertex, direction): direction True = arrived via edge into vertex
-    visited = set()
-    queue = deque((v, False) for v in xs)  # leaving the source upward
-    while queue:
-        v, came_down = queue.popleft()
-        if (v, came_down) in visited:
-            continue
-        visited.add((v, came_down))
-        if v in ys:
-            return False
-        if not came_down:
-            # trail currently moving against edge direction
-            if v not in zs:
-                for p in g.parents(v):
-                    queue.append((p, False))
-                for c in g.children(v):
-                    queue.append((c, True))
-        else:
-            # arrived along an edge into v
-            if v not in zs:
-                for c in g.children(v):
-                    queue.append((c, True))
-            if v in anc_z:
-                for p in g.parents(v):
-                    queue.append((p, False))
-    return True
-
-
-def _undirected_neighbors(g: Dag, v: str) -> set:
-    return set(g.parents(v)) | set(g.children(v))
-
-
-def _path_active(g: Dag, path: Sequence[str], zs: set) -> bool:
-    """Apply the fork/chain/collider blocking rules to one simple path."""
-    if len(path) == 2:
-        return True
-    desc_cache = {}
-    for i in range(1, len(path) - 1):
-        a, b, c = path[i - 1], path[i], path[i + 1]
-        collider = g.has_edge(a, b) and g.has_edge(c, b)
-        if collider:
-            if b not in desc_cache:
-                # descendants of b, b included
-                seen = set()
-                stack = [b]
-                while stack:
-                    w = stack.pop()
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    stack.extend(g.children(w))
-                desc_cache[b] = seen
-            if not (desc_cache[b] & zs):
-                return False
-        else:
-            if b in zs:
-                return False
-    return True
-
-
 def find_active_path(g: Dag, x: Iterable[str], y: Iterable[str],
                      z: Iterable[str]) -> Optional[list]:
-    """One active path between x and y given z, or None if d-separated.
+    """A shortest active path from x to y given z, or None if z d-separates
+    them.
 
-    Exhaustive over simple paths; intended for witness reporting on small
-    graphs, not for hot loops.
+    Linear-time breadth-first reachability over active trails (Koller &
+    Friedman 2009, alg. 3.1; Shachter's Bayes-Ball), keeping one
+    back-pointer per (vertex, arrived along an edge into it) state. Sources
+    and neighbours are taken in declared vertex order, so the witness does
+    not depend on set iteration order. The first state reached in y ends a
+    shortest active trail, and a shortest active trail repeats no vertex:
+    cutting it between two visits of a vertex leaves it active. So the
+    witness is a simple path, of the least length any active path has.
     """
     xs, ys, zs = set(x), set(y), set(z)
     for v in xs | ys | zs:
         g._check(v)
     if xs & ys or xs & zs or ys & zs:
         raise OverlappingSets("x, y, z must be pairwise disjoint")
-    order = {v: i for i, v in enumerate(g.vertices)}
-
-    def dfs(path):
-        v = path[-1]
+    anc_z = g.ancestors(zs)
+    rank = g._index.__getitem__
+    # a trail leaves each source against the edge direction, as if it had
+    # arrived from a child
+    back = {(v, False): None for v in sorted(xs, key=rank)}
+    queue = deque(back)
+    while queue:
+        state = queue.popleft()
+        v, came_down = state
         if v in ys:
-            if _path_active(g, path, zs):
-                return list(path)
-            return None
-        for w in sorted(_undirected_neighbors(g, v), key=order.__getitem__):
-            if w in path or (w in xs):
-                continue
-            path.append(w)
-            found = dfs(path)
-            if found is not None:
-                return found
-            path.pop()
-        return None
-
-    for s in sorted(xs, key=order.__getitem__):
-        found = dfs([s])
-        if found is not None:
-            return found
+            path = []
+            while state is not None:
+                path.append(state[0])
+                state = back[state]
+            return path[::-1]
+        steps = [(c, True) for c in g.children(v)] if v not in zs else []
+        # up to a parent: through a chain or fork, or a collider in An(z)
+        if (v in anc_z) if came_down else (v not in zs):
+            steps += [(p, False) for p in g.parents(v)]
+        for step in sorted(steps, key=lambda s: rank(s[0])):
+            if step not in back:
+                back[step] = state
+                queue.append(step)
     return None
+
+
+def d_separated(g: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) -> bool:
+    """True iff z blocks every path between x and y: `find_active_path`
+    finds none."""
+    return find_active_path(g, x, y, z) is None
 
 
 def classify_mechanism(m: MGraph) -> MechanismClass:
@@ -453,12 +391,18 @@ def graph_to_json(g: Dag, classes: Optional[Mapping[str, VertexClass]] = None) -
 
 
 def graph_from_json(text: str):
-    """Returns (Dag, classes-or-None)."""
-    doc = json.loads(text)
-    g = Dag(doc["vertices"], [tuple(e) for e in doc.get("edges", [])])
-    classes = None
-    if "classes" in doc:
-        classes = {v: VertexClass(c) for v, c in doc["classes"].items()}
-        if set(classes) != set(g.vertices):
-            raise InvalidMGraph("classes must cover exactly the vertex set")
+    """Returns (Dag, classes-or-None); a document that is not a graph raises
+    ConfigError."""
+    doc = json_object(text, "graph file")
+    try:
+        g = Dag(doc["vertices"], [tuple(e) for e in doc.get("edges", [])])
+        classes = None
+        if "classes" in doc:
+            classes = {v: VertexClass(c) for v, c in doc["classes"].items()}
+    except KeyError as exc:
+        raise ConfigError(f"graph file lacks field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"graph file is malformed: {exc}") from exc
+    if classes is not None and set(classes) != set(g.vertices):
+        raise InvalidMGraph("classes must cover exactly the vertex set")
     return g, classes

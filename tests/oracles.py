@@ -39,6 +39,44 @@ def all_dags(names: Sequence[str]) -> List[Dag]:
     return out
 
 
+# --- cycle witness by recursive depth-first search ---
+
+
+def find_cycle(vertices: Sequence[str], edges: Iterable[Tuple[str, str]]):
+    """The cycle witness `Dag` reports, by plain recursion: the closed walk
+    [v, ..., v] closed by the first back edge of a depth-first search from
+    each vertex in declared order, children in name order; None if
+    acyclic."""
+    children = {v: set() for v in vertices}
+    for p, c in edges:
+        children[p].add(c)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in vertices}
+    stack_path = []
+
+    def visit(v):
+        color[v] = GRAY
+        stack_path.append(v)
+        for c in sorted(children[v]):
+            if color[c] == GRAY:
+                i = stack_path.index(c)
+                return stack_path[i:] + [c]
+            if color[c] == WHITE:
+                found = visit(c)
+                if found is not None:
+                    return found
+        stack_path.pop()
+        color[v] = BLACK
+        return None
+
+    for v in vertices:
+        if color[v] == WHITE:
+            found = visit(v)
+            if found is not None:
+                return found
+    return None
+
+
 # --- d-separation by literal path enumeration ---
 
 
@@ -57,7 +95,7 @@ def _descendants(g: Dag, v: str) -> set:
 def _active(g: Dag, path: Sequence[str], zs: set) -> bool:
     for i in range(1, len(path) - 1):
         a, b, c = path[i - 1], path[i], path[i + 1]
-        is_collider = g.has_edge(a, b) and g.has_edge(c, b)
+        is_collider = (a, b) in g.edges and (c, b) in g.edges
         if is_collider:
             if not (_descendants(g, b) & zs):
                 return False
@@ -66,9 +104,9 @@ def _active(g: Dag, path: Sequence[str], zs: set) -> bool:
     return True
 
 
-def dsep_by_path_enumeration(g: Dag, x: Iterable[str], y: Iterable[str],
-                             z: Iterable[str]) -> bool:
-    """True iff no simple undirected path from x to y is active given z."""
+def active_paths(g: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]):
+    """Every simple undirected path from x to y, with no other vertex in x or
+    y, that is active given z."""
     xs, ys, zs = set(x), set(y), set(z)
 
     def neighbors(v):
@@ -77,17 +115,31 @@ def dsep_by_path_enumeration(g: Dag, x: Iterable[str], y: Iterable[str],
     def walk(path):
         v = path[-1]
         if v in ys:
-            return _active(g, path, zs)
+            if _active(g, path, zs):
+                yield list(path)
+            return
         for w in neighbors(v):
             if w in path or w in xs:
                 continue
             path.append(w)
-            if walk(path):
-                return True
+            yield from walk(path)
             path.pop()
-        return False
 
-    return not any(walk([s]) for s in xs)
+    for s in xs:
+        yield from walk([s])
+
+
+def dsep_by_path_enumeration(g: Dag, x: Iterable[str], y: Iterable[str],
+                             z: Iterable[str]) -> bool:
+    """True iff no simple undirected path from x to y is active given z."""
+    return next(active_paths(g, x, y, z), None) is None
+
+
+def shortest_active_path_length(g: Dag, x: Iterable[str], y: Iterable[str],
+                                z: Iterable[str]):
+    """Number of vertices on the shortest active path from x to y given z,
+    or None if there is none."""
+    return min((len(p) for p in active_paths(g, x, y, z)), default=None)
 
 
 # --- full-joint likelihood ---

@@ -118,12 +118,59 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, jso
     else:
         monkeypatch.setenv("MGD_SEED", env_seed)
     assert main(argv + (["--json-logs"] if json_logs else [])) == 2
-    err = capsys.readouterr().err
+    _assert_one_diagnostic(capsys.readouterr().err, json_logs)
+
+
+def _assert_one_diagnostic(err, json_logs):
     assert err.count("\n") == 1 and err.endswith("\n")
     if json_logs:
         assert json.loads(err)["level"] == "error"
     else:
         assert err.startswith("error: ")
+
+
+GRAPH = json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]})
+PARAMS = json.dumps({"variables": {
+    "a": {"parents": [], "table": [[0.5, 0.5]]},
+    "b": {"parents": ["a"], "table": [[0.9, 0.1], [0.2, 0.8]]}}})
+SIMULATE = ["simulate", "g.json", "--params", "p.json", "--n", "5",
+            "--out", "d.csv", "--seed", "1"]
+
+# case -> (command line, files written under the working directory)
+MALFORMED_FILES = {
+    "dsep-graph-not-json": (["dsep", "g.json", "a _||_ b |"], {"g.json": "{not json"}),
+    "dsep-graph-is-a-list": (["dsep", "g.json", "a _||_ b |"], {"g.json": "[]"}),
+    "dsep-graph-without-vertices": (["dsep", "g.json", "a _||_ b |"],
+                                    {"g.json": '{"edges": []}'}),
+    "dsep-query-sets-overlap": (["dsep", "ec-mnar", "LNM _||_ LNM |"], {}),
+    "export-dot-graph-not-json": (["export-dot", "g.json"], {"g.json": "{not json"}),
+    "export-dot-graph-is-a-list": (["export-dot", "g.json"], {"g.json": "[]"}),
+    "simulate-graph-is-a-list": (SIMULATE, {"g.json": "[]", "p.json": PARAMS}),
+    "simulate-params-not-json": (SIMULATE, {"g.json": GRAPH, "p.json": "{not json"}),
+    "simulate-params-is-a-list": (SIMULATE, {"g.json": GRAPH, "p.json": "[]"}),
+    "simulate-params-without-parents": (SIMULATE, {"g.json": GRAPH, "p.json": json.dumps(
+        {"variables": {"a": {"table": [[0.5, 0.5]]}}})}),
+}
+
+
+@pytest.mark.parametrize("json_logs", [False, True])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_graph_input_is_usage_error(tmp_path, monkeypatch, capsys, case,
+                                              json_logs):
+    argv, files = MALFORMED_FILES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + (["--json-logs"] if json_logs else [])) == 2
+    _assert_one_diagnostic(capsys.readouterr().err, json_logs)
+
+
+def test_well_formed_graph_and_params_simulate(tmp_path, monkeypatch):
+    for name, text in (("g.json", GRAPH), ("p.json", PARAMS)):
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(SIMULATE) == 0
+    assert read_csv(tmp_path / "d.csv").n == 5
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -249,6 +296,23 @@ class TestDsep:
         assert main(["dsep", "ec-mnar", "CA125 _||_ Survival5yr |"]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("d-connected (active path: CA125 - ")
+
+    def test_witness_is_a_shortest_path(self, capsys):
+        # Chemotherapy -> LNM is an edge of ec-mnar
+        assert main(["dsep", "ec-mnar", "LNM _||_ Chemotherapy |"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == "d-connected (active path: LNM - Chemotherapy)"
+
+    def test_witness_does_not_depend_on_hash_seed(self):
+        outs = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(Path(missdag.__file__).parents[1]))
+            outs.add(subprocess.run(
+                [sys.executable, "-m", "missdag.cli", "dsep", "ec-mnar",
+                 "CA125 _||_ Hospital |"], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert len(outs) == 1 and next(iter(outs)).startswith("d-connected")
 
     def test_unknown_vertex_is_usage_error(self, capsys):
         assert main(["dsep", "ec-mnar", "Bogus _||_ CA125 |"]) == 2

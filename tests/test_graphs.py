@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,13 @@ from missdag.graphs import (
     parse_dot,
 )
 
-from oracles import all_dags, dsep_by_path_enumeration, random_dag
+from oracles import (
+    _active,
+    dsep_by_path_enumeration,
+    find_cycle,
+    random_dag,
+    shortest_active_path_length,
+)
 
 
 class TestDag:
@@ -62,6 +70,30 @@ class TestDag:
         assert cyc[0] == cyc[-1]
         edges = {("a", "b"), ("b", "c"), ("c", "a")}
         assert all((p, c) in edges for p, c in zip(cyc, cyc[1:]))
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_cycle_witness_matches_recursive_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"v{i}" for i in range(int(rng.integers(2, 9)))]
+        rng.shuffle(names)
+        pairs = [(a, b) for a in names for b in names if a != b]
+        edges = [e for e in pairs if rng.random() < 0.3]
+        expected = find_cycle(names, edges)
+        if expected is None:
+            Dag(names, edges)
+        else:
+            with pytest.raises(CycleDetected) as exc:
+                Dag(names, edges)
+            assert exc.value.cycle == expected
+
+    def test_deep_chain_builds(self):
+        names = [f"v{i}" for i in range(5000)]
+        g = Dag(names, list(zip(names, names[1:])))
+        assert g.topological_order()[-1] == "v4999"
+        with pytest.raises(CycleDetected) as exc:
+            Dag(names, list(zip(names, names[1:])) + [("v4999", "v0")])
+        assert len(exc.value.cycle) == 5001
 
     def test_topological_order_respects_edges(self):
         g = Dag(["d", "c", "b", "a"], [("a", "b"), ("b", "c"), ("a", "d")])
@@ -146,23 +178,51 @@ class TestDSeparation:
 
 
 class TestFindActivePath:
-    def test_agrees_with_d_separated(self):
-        rng = np.random.default_rng(3)
-        names = ["a", "b", "c", "d"]
-        for g in all_dags(names)[::7]:
-            for x, y in [("a", "d"), ("b", "c")]:
-                for z in ([], ["a"] if x != "a" and y != "a" else ["c"]):
-                    z = [v for v in z if v not in (x, y)]
-                    sep = d_separated(g, [x], [y], z)
-                    path = find_active_path(g, [x], [y], z)
-                    assert (path is None) == sep
-                    if path is not None:
-                        assert path[0] == x and path[-1] == y
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_witness_is_a_shortest_active_path(self, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"v{i}" for i in range(int(rng.integers(3, 9)))]
+        g = random_dag(rng, names, edge_prob=float(rng.uniform(0.2, 0.7)))
+        # a random partition into x, y, z and the vertices outside the query
+        side = rng.integers(0, 4, size=len(names))
+        side[:2] = rng.permutation(2)
+        x, y, z = ([v for v, s in zip(names, side) if s == k] for k in range(3))
+        path = find_active_path(g, x, y, z)
+        assert (path is None) == dsep_by_path_enumeration(g, x, y, z)
+        assert d_separated(g, x, y, z) == (path is None)
+        if path is None:
+            return
+        assert path[0] in x and path[-1] in y
+        assert len(set(path)) == len(path)
+        assert all((a, b) in g.edges or (b, a) in g.edges
+                   for a, b in zip(path, path[1:]))
+        assert _active(g, path, set(z))
+        assert len(path) == shortest_active_path_length(g, x, y, z)
 
     def test_witness_is_a_real_path(self):
         g = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
         path = find_active_path(g, ["a"], ["c"], [])
         assert path == ["a", "b", "c"]
+
+    def test_fifty_vertex_queries_are_fast(self):
+        # an exhaustive simple-path search runs past 3 s on 7 of the 10
+        # connected queries here
+        rng = np.random.default_rng(2)
+        names = [f"v{i}" for i in range(50)]
+        g = random_dag(rng, names, edge_prob=0.08)
+        queries = []
+        for _ in range(15):
+            order = [str(v) for v in rng.permutation(names)]
+            queries.append(([order[0]], [order[1]], order[2:2 + int(rng.integers(0, 4))]))
+        t0 = time.monotonic()
+        paths = [find_active_path(g, x, y, z) for x, y, z in queries]
+        assert time.monotonic() - t0 < 1.0
+        assert any(p is not None for p in paths)
+        for (x, y, z), path in zip(queries, paths):
+            if path is not None:
+                assert path[0] == x[0] and path[-1] == y[0]
+                assert _active(g, path, set(z))
 
 
 class TestMGraph:
