@@ -23,7 +23,6 @@ from .discovery import (
     evaluate,
     hc_aipw,
     hill_climb,
-    legal_moves,
     structural_em,
 )
 from .estimation import (
@@ -50,7 +49,6 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     implied_mgraph,
-    parse_dot,
 )
 
 __version__ = "0.1.0"

@@ -69,13 +69,22 @@ def _path(value, key: str) -> Path:
     return Path(value)
 
 
+def _read_text(path, what: str) -> str:
+    """The text of a UTF-8 input file; a missing file or one that is not
+    UTF-8 is a usage error."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} not found: {p}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not UTF-8 text: {p}: {exc}") from None
+
+
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("missing required flag --config")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return json_object(p.read_text(encoding="utf-8"), "config")
+    return json_object(_read_text(path, "config file"), "config")
 
 
 def _load_dataset(config: dict, seed: int):
@@ -94,10 +103,8 @@ def _load_dataset(config: dict, seed: int):
         d = read_csv(p)
     spec_path = config.get("ampute_spec")
     if spec_path:
-        p = _path(spec_path, "ampute_spec")
-        if not p.exists():
-            raise ConfigError(f"config field 'ampute_spec': file not found: {p}")
-        spec = AmputationSpec.from_json(p.read_text(encoding="utf-8"))
+        spec = AmputationSpec.from_json(_read_text(
+            _path(spec_path, "ampute_spec"), "config field 'ampute_spec': file"))
         _check_spec_columns(spec, d)
         d = ampute(d, spec)
     return d
@@ -107,10 +114,8 @@ def _load_knowledge(config: dict) -> KnowledgeBase:
     path = config.get("knowledge")
     if not path:
         return KnowledgeBase()
-    p = _path(path, "knowledge")
-    if not p.exists():
-        raise ConfigError(f"config field 'knowledge': file not found: {p}")
-    return KnowledgeBase.from_json(p.read_text(encoding="utf-8"))
+    return KnowledgeBase.from_json(_read_text(
+        _path(path, "knowledge"), "config field 'knowledge': file"))
 
 
 def _check_spec_columns(spec: AmputationSpec, d) -> None:
@@ -217,10 +222,7 @@ def cmd_evaluate(args) -> int:
 def _load_graph(ref: str) -> Dag:
     if ref in ecdemo.BUILTIN_GRAPHS:
         return ecdemo.BUILTIN_GRAPHS[ref]()
-    p = Path(ref)
-    if not p.exists():
-        raise ConfigError(f"graph file not found: {p}")
-    g, _ = graph_from_json(p.read_text(encoding="utf-8"))
+    g, _ = graph_from_json(_read_text(ref, "graph file"))
     return g
 
 
@@ -263,11 +265,9 @@ def cmd_ampute(args) -> int:
     data_path = Path(args.data)
     if not data_path.exists():
         raise ConfigError(f"dataset file not found: {data_path}")
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError(f"amputation spec not found: {spec_path}")
+    spec_text = _read_text(args.spec, "amputation spec")
     d = read_csv(data_path)
-    spec = AmputationSpec.from_json(spec_path.read_text(encoding="utf-8"))
+    spec = AmputationSpec.from_json(spec_text)
     _check_spec_columns(spec, d)
     write_csv(ampute(d, spec), args.out)
     return EXIT_OK
@@ -284,10 +284,7 @@ def cmd_simulate(args) -> int:
         if not args.params:
             raise ConfigError("--params is required unless model is 'ec-demo'")
         g = _load_graph(args.model)
-        p = Path(args.params)
-        if not p.exists():
-            raise ConfigError(f"parameter file not found: {p}")
-        params = ParameterSet.from_json(p.read_text(encoding="utf-8"))
+        params = ParameterSet.from_json(_read_text(args.params, "parameter file"))
     d = forward_sample(g, params, n, seed)
     write_csv(d, args.out)
     return EXIT_OK

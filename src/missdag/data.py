@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -145,13 +145,15 @@ class CategoricalDataset:
 
 
 def read_csv(path, schema: Optional[Sequence[VariableSchema]] = None) -> CategoricalDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file")
-        records = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            records = list(reader)
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8 text: {exc}") from None
+    if header is None:
+        raise MalformedCsv(f"{path}: empty file")
     return _parse_rows(header, records, schema, str(path))
 
 

@@ -41,7 +41,7 @@ from .estimation import (
     log_likelihood,
     rescale_ll,
 )
-from .graphs import Dag, MechanismClass, classify_mechanism, implied_mgraph
+from .graphs import Dag, classify_mechanism, implied_mgraph
 from .stats import g_test
 
 Edge = Tuple[str, str]
@@ -144,58 +144,33 @@ def _mean_sd(values) -> Tuple[float, float]:
     return float(np.mean(arr)), sd
 
 
-# --- move enumeration and hill climbing ---
+# --- hill climbing ---
 
 
-def _reaches(children: Mapping[str, set], src: str, dst: str) -> bool:
-    stack = [src]
-    seen = set()
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            return True
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(children[v])
-    return False
-
-
-def _enumerate_moves(vertices, parents, children, kb: KnowledgeBase,
-                     max_parents: int):
-    edges = {(p, c) for c, ps in parents.items() for p in ps}
+def _moves(g: Dag, kb: KnowledgeBase, max_parents: int):
+    """All single-edge add/delete/reverse moves preserving acyclicity, the
+    knowledge constraints and the parent limit, (parent, child) in declared
+    order. ``reach[v]`` is v with its descendants, built once per call."""
+    reach = {}
+    for v in reversed(g.topological_order()):
+        reach[v] = {v}.union(*(reach[c] for c in g.children(v)))
     moves = []
-    for a in vertices:
-        for b in vertices:
+    for a in g.vertices:
+        for b in g.vertices:
             if a == b:
                 continue
-            if (a, b) in edges:
+            if (a, b) in g.edges:
                 if (a, b) not in kb.required:
                     moves.append(("delete", (a, b)))
+                    # cycle iff another directed path a ~> b remains
                     if ((b, a) not in kb.forbidden
-                            and len(parents[a]) < max_parents):
-                        # cycle iff another directed path a ~> b remains
-                        children[a].discard(b)
-                        ok = not _reaches(children, a, b)
-                        children[a].add(b)
-                        if ok:
-                            moves.append(("reverse", (a, b)))
-            else:
-                if ((a, b) not in kb.forbidden and (b, a) not in edges
-                        and len(parents[b]) < max_parents
-                        and not _reaches(children, b, a)):
-                    moves.append(("add", (a, b)))
+                            and len(g.parents(a)) < max_parents
+                            and not any(b in reach[c] for c in g.children(a) if c != b)):
+                        moves.append(("reverse", (a, b)))
+            elif ((a, b) not in kb.forbidden and len(g.parents(b)) < max_parents
+                    and a not in reach[b]):
+                moves.append(("add", (a, b)))
     return moves
-
-
-def legal_moves(g: Dag, kb: KnowledgeBase, max_parents: int = SearchOptions.max_parents):
-    """All single-edge add/delete/reverse moves preserving acyclicity and
-    the knowledge constraints."""
-    if not kb.satisfied_by(g):
-        raise KnowledgeViolatedByInput("input graph violates the knowledge base")
-    parents = {v: set(g.parents(v)) for v in g.vertices}
-    children = {v: set(g.children(v)) for v in g.vertices}
-    return _enumerate_moves(g.vertices, parents, children, kb, max_parents)
 
 
 def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptions.max_iter,
@@ -204,24 +179,19 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     (operation, parent, child) for determinism."""
     if not kb.satisfied_by(init):
         raise KnowledgeViolatedByInput("initial graph violates the knowledge base")
-    vertices = init.vertices
-    parents = {v: set(init.parents(v)) for v in vertices}
-    children = {v: set(init.children(v)) for v in vertices}
-
-    trace = SearchTrace()
-    trace.initial_score = sum(scorer.family_score(v, parents[v]) for v in vertices)
+    g = init
+    trace = SearchTrace(initial_score=scorer.score(init))
     current = trace.initial_score
     for it in range(max_iter):
-        best = None  # (delta, op, edge)
-        for op, (a, b) in _enumerate_moves(vertices, parents, children, kb,
-                                           max_parents):
+        best = None  # (key, op, edge, delta)
+        for op, (a, b) in _moves(g, kb, max_parents):
+            pb = g.parents(b)
             if op == "add":
-                delta = scorer.move_delta(b, parents[b], parents[b] | {a})
-            elif op == "delete":
-                delta = scorer.move_delta(b, parents[b], parents[b] - {a})
-            else:  # reverse
-                delta = (scorer.move_delta(b, parents[b], parents[b] - {a})
-                         + scorer.move_delta(a, parents[a], parents[a] | {b}))
+                delta = scorer.move_delta(b, pb, pb | {a})
+            else:
+                delta = scorer.move_delta(b, pb, pb - {a})
+                if op == "reverse":
+                    delta += scorer.move_delta(a, g.parents(a), g.parents(a) | {b})
             if delta > IMPROVEMENT_EPS:
                 key = (-delta, op, a, b)
                 if best is None or key < best[0]:
@@ -230,24 +200,18 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
             trace.iterations = it
             break
         _, op, (a, b), delta = best
+        edges = g.edges - {(a, b)}
         if op == "add":
-            parents[b].add(a)
-            children[a].add(b)
-        elif op == "delete":
-            parents[b].discard(a)
-            children[a].discard(b)
-        else:
-            parents[b].discard(a)
-            children[a].discard(b)
-            parents[a].add(b)
-            children[b].add(a)
+            edges |= {(a, b)}
+        elif op == "reverse":
+            edges |= {(b, a)}
+        g = Dag(g.vertices, edges)
         current += delta
         trace.moves.append((op, (a, b), delta))
     else:
         trace.iterations = max_iter
     trace.final_score = current
-    edges = [(p, c) for c in vertices for p in sorted(parents[c])]
-    return Dag(vertices, edges), trace
+    return g, trace
 
 
 # --- structural EM ---

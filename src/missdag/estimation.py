@@ -90,7 +90,6 @@ class ParameterSet:
 @dataclass(frozen=True)
 class ScoreValue:
     log_likelihood: float
-    per_sample: float = 0.0
 
 
 @dataclass
@@ -290,8 +289,7 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
     else:
         _, _, _, row_ll = expand_completions(g, params, d)
         ll = float(np.sum(row_ll))
-    per = ll / d.n if d.n > 0 else 0.0
-    return ScoreValue(log_likelihood=ll, per_sample=per)
+    return ScoreValue(log_likelihood=ll)
 
 
 def rescale_ll(values: Sequence, n: int) -> List[float]:

@@ -7,7 +7,6 @@ be shared freely across worker processes.
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
@@ -355,29 +354,6 @@ def export_dot(g: Dag, classes: Optional[Mapping[str, VertexClass]] = None,
         lines.append(f'  "{p}" -> "{c}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_NODE = re.compile(r'^\s*"([^"]+)"(?:\s*\[[^\]]*\])?;\s*$')
-_DOT_EDGE = re.compile(r'^\s*"([^"]+)"\s*->\s*"([^"]+)";\s*$')
-
-
-def parse_dot(text: str) -> Dag:
-    """Read back the DOT dialect emitted by export_dot."""
-    verts, edges = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("digraph") or line == "}":
-            continue
-        m = _DOT_EDGE.match(line)
-        if m:
-            edges.append((m.group(1), m.group(2)))
-            continue
-        m = _DOT_NODE.match(line)
-        if m:
-            verts.append(m.group(1))
-            continue
-        raise UnknownVertex(f"unparseable DOT line: {line!r}")
-    return Dag(verts, edges)
 
 
 def graph_to_json(g: Dag, classes: Optional[Mapping[str, VertexClass]] = None) -> str:

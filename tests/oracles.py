@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to validate the fast paths.
 
 Everything here is deliberately naive: exhaustive path enumeration for
-d-separation, full-joint enumeration for likelihoods, and exhaustive DAG
-enumeration for score optima. Slow, obviously correct, and independent of
+d-separation, full-joint enumeration for likelihoods, exhaustive DAG
+enumeration for score optima, and one candidate graph per hill-climbing
+move. Slow, obviously correct, and independent of
 the production code paths.
 """
 
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from missdag.errors import CycleDetected, UnknownVertex
 from missdag.graphs import Dag
 
 
@@ -277,6 +280,57 @@ def best_score_exhaustive(scorer, names: Sequence[str],
         if s > best:
             best = s
     return best
+
+
+# --- hill-climbing moves by building every candidate graph ---
+
+
+def legal_moves(g: Dag, kb, max_parents: int) -> List[Tuple[str, Tuple[str, str]]]:
+    """Every single-edge add/delete/reverse move, (parent, child) in
+    declared order, whose result is a DAG that satisfies the knowledge base
+    and grows no parent set past ``max_parents``."""
+    moves = []
+    for a, b in itertools.permutations(g.vertices, 2):
+        rest = g.edges - {(a, b)}
+        if (a, b) in g.edges:
+            candidates = [("delete", rest), ("reverse", rest | {(b, a)})]
+        else:
+            candidates = [("add", g.edges | {(a, b)})]
+        for op, edges in candidates:
+            try:
+                h = Dag(g.vertices, edges)
+            except CycleDetected:
+                continue
+            if kb.satisfied_by(h) and all(
+                    len(h.parents(v)) <= max(max_parents, len(g.parents(v)))
+                    for v in h.vertices):
+                moves.append((op, (a, b)))
+    return moves
+
+
+# --- DOT text read back ---
+
+_DOT_NODE = re.compile(r'^\s*"([^"]+)"(?:\s*\[[^\]]*\])?;\s*$')
+_DOT_EDGE = re.compile(r'^\s*"([^"]+)"\s*->\s*"([^"]+)";\s*$')
+
+
+def parse_dot(text: str) -> Dag:
+    """Read back the DOT dialect emitted by export_dot."""
+    verts, edges = [], []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("digraph") or line == "}":
+            continue
+        m = _DOT_EDGE.match(line)
+        if m:
+            edges.append((m.group(1), m.group(2)))
+            continue
+        m = _DOT_NODE.match(line)
+        if m:
+            verts.append(m.group(1))
+            continue
+        raise UnknownVertex(f"unparseable DOT line: {line!r}")
+    return Dag(verts, edges)
 
 
 # --- random instances ---

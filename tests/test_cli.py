@@ -9,8 +9,10 @@ import pytest
 import missdag
 from missdag import ecdemo
 from missdag.cli import main
-from missdag.data import read_csv, write_csv
-from missdag.graphs import graph_from_json, parse_dot
+from missdag.data import read_csv
+from missdag.graphs import graph_from_json
+
+from oracles import parse_dot
 
 
 @pytest.fixture
@@ -20,6 +22,17 @@ def no_env_seed(monkeypatch):
 
 def _write_json(path, doc):
     path.write_text(json.dumps(doc) + "\n")
+    return str(path)
+
+
+def _write_input(path, content):
+    """Bytes and text are written as they are, anything else as JSON."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        return _write_json(path, content)
     return str(path)
 
 
@@ -61,6 +74,15 @@ class TestExitCodes:
         assert main(["discover", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_runtime_error_on_non_utf8_dataset(self, tmp_path, no_env_seed, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a,b\n\xff,0\n")
+        cfg = _write_json(tmp_path / "c.json",
+                          {"dataset": str(data), "algorithm": "hc-complete"})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        _assert_one_diagnostic(capsys.readouterr().err, False)
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -73,11 +95,16 @@ class TestExitCodes:
         assert doc["level"] == "error" and "config" in doc["message"]
 
 
-# case -> (command, config fields or the config's raw text, other input
+# case -> (command, config fields or the config's raw content, other input
 # files, MGD_SEED); the output directory comes from --out unless the config
 # sets one
 MALFORMED_INPUTS = {
     "config-is-a-list": ("discover", "[]", {}, None),
+    "config-not-utf8": ("discover", b'{"dataset": "ec-demo\xff"}', {}, None),
+    "evaluate-config-not-utf8": ("evaluate", b"\xff", {}, None),
+    "knowledge-not-utf8": ("discover", {"knowledge": "kb.json"},
+                           {"kb.json": b'{"required": []}\xff'}, None),
+    "spec-not-utf8": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": b"\xff"}, None),
     "knowledge-is-a-list": ("discover", {"knowledge": "kb.json"},
                             {"kb.json": [["Age", "LNM"]]}, None),
     "knowledge-edge-of-three": ("discover", {"knowledge": "kb.json"},
@@ -102,15 +129,14 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, json_logs):
     command, fields, files, env_seed = MALFORMED_INPUTS[case]
     for name, doc in files.items():
-        _write_json(tmp_path / name, doc)
-    if isinstance(fields, str):
-        (tmp_path / "config.json").write_text(fields)
-        cfg = str(tmp_path / "config.json")
-    else:
+        _write_input(tmp_path / name, doc)
+    if isinstance(fields, dict):
         cfg = _demo_config(tmp_path, **{k: str(tmp_path / v) if v in files else v
                                         for k, v in fields.items()})
+    else:
+        cfg = _write_input(tmp_path / "config.json", fields)
     argv = [command, "--config", cfg]
-    if "out" not in fields:
+    if not (isinstance(fields, dict) and "out" in fields):
         argv += ["--out", str(tmp_path / "o")]
     if env_seed is None:
         monkeypatch.delenv("MGD_SEED", raising=False)
@@ -143,6 +169,12 @@ MALFORMED_FILES = {
     "dsep-graph-without-vertices": (["dsep", "g.json", "a _||_ b |"],
                                     {"g.json": '{"edges": []}'}),
     "dsep-query-sets-overlap": (["dsep", "ec-mnar", "LNM _||_ LNM |"], {}),
+    "dsep-graph-not-utf8": (["dsep", "g.json", "a _||_ b |"],
+                            {"g.json": b'{"vertices": ["a", "b\xff"]}'}),
+    "export-dot-graph-not-utf8": (["export-dot", "g.json"], {"g.json": b"\xff"}),
+    "simulate-params-not-utf8": (SIMULATE, {"g.json": GRAPH, "p.json": b"\xff"}),
+    "ampute-spec-not-utf8": (["ampute", "--data", "d.csv", "--spec", "s.json",
+                              "--out", "o.csv"], {"d.csv": "a,b\n0,1\n", "s.json": b"\xff"}),
     "export-dot-graph-not-json": (["export-dot", "g.json"], {"g.json": "{not json"}),
     "export-dot-graph-is-a-list": (["export-dot", "g.json"], {"g.json": "[]"}),
     "simulate-graph-is-a-list": (SIMULATE, {"g.json": "[]", "p.json": PARAMS}),
@@ -158,8 +190,8 @@ MALFORMED_FILES = {
 def test_malformed_graph_input_is_usage_error(tmp_path, monkeypatch, capsys, case,
                                               json_logs):
     argv, files = MALFORMED_FILES[case]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        _write_input(tmp_path / name, content)
     monkeypatch.chdir(tmp_path)
     assert main(argv + (["--json-logs"] if json_logs else [])) == 2
     _assert_one_diagnostic(capsys.readouterr().err, json_logs)

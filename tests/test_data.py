@@ -115,6 +115,12 @@ class TestCsv:
         with pytest.raises(MalformedCsv):
             read_csv(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n\xff,0\n")
+        with pytest.raises(MalformedCsv):
+            read_csv(path)
+
 
 class TestIndicators:
     def test_appends_one_indicator_per_partial_column(self):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from missdag.data import (
-    MISSING,
     AmputationEntry,
     AmputationSpec,
-    CategoricalDataset,
-    VariableSchema,
     ampute,
     forward_sample,
     logit,
@@ -14,23 +12,23 @@ from missdag.data import (
 from missdag.discovery import (
     ALGORITHMS,
     KnowledgeBase,
+    _moves,
     bootstrap_sem,
     detect_indicator_parents,
     evaluate,
     hc_aipw,
     hill_climb,
-    legal_moves,
     structural_em,
 )
 from missdag.errors import (
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
 )
-from missdag.estimation import BicScorer, IpwBicScorer
+from missdag.estimation import BicScorer
 from missdag.graphs import Dag
 from missdag.stats import g_test
 
-from oracles import best_score_exhaustive, random_params
+from oracles import best_score_exhaustive, legal_moves, random_dag, random_params
 
 
 def _chain_data(n=2000, seed=0):
@@ -130,16 +128,31 @@ class TestLegalMoves:
 
     def test_cycle_creating_moves_excluded(self):
         g = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        moves = legal_moves(g, KnowledgeBase())
+        moves = legal_moves(g, KnowledgeBase(), max_parents=4)
         assert ("add", ("c", "a")) not in moves
         # reversing a->b is blocked by the remaining path a -> b via nothing,
         # but here no second path exists, so it is allowed
         assert ("reverse", ("a", "b")) in moves
 
     def test_violating_input_rejected(self):
+        _, _, d = _chain_data(n=50)
         kb = KnowledgeBase(required={("a", "b")})
         with pytest.raises(KnowledgeViolatedByInput):
-            legal_moves(Dag(["a", "b"]), kb)
+            hill_climb(BicScorer(d.schema, d.rows), kb, Dag(d.names))
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=300, deadline=None)
+    def test_search_moves_match_candidate_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"v{i}" for i in range(rng.integers(2, 8))]
+        g = random_dag(rng, names, edge_prob=rng.uniform(0.1, 0.8))
+        non_edges = [(a, b) for a in names for b in names
+                     if a != b and (a, b) not in g.edges]
+        kb = KnowledgeBase(
+            required=[e for e in sorted(g.edges) if rng.random() < 0.3],
+            forbidden=[e for e in non_edges if rng.random() < 0.3])
+        max_parents = int(rng.integers(0, 4))
+        assert set(_moves(g, kb, max_parents)) == set(legal_moves(g, kb, max_parents))
 
 
 class TestHillClimb:
@@ -164,7 +177,7 @@ class TestHillClimb:
         kb = KnowledgeBase()
         g, _ = hill_climb(scorer, kb, Dag(d.names))
         base = scorer.score(g)
-        for op, edge in legal_moves(g, kb):
+        for op, edge in legal_moves(g, kb, max_parents=4):
             assert scorer.score(_apply(g, op, edge)) <= base + 1e-9
 
     def test_trace_score_matches_result(self):

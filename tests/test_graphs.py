@@ -23,13 +23,13 @@ from missdag.graphs import (
     graph_from_json,
     graph_to_json,
     implied_mgraph,
-    parse_dot,
 )
 
 from oracles import (
     _active,
     dsep_by_path_enumeration,
     find_cycle,
+    parse_dot,
     random_dag,
     shortest_active_path_length,
 )
