@@ -69,12 +69,20 @@ def _path(value, key: str) -> Path:
     return Path(value)
 
 
+def _input_file(path, what: str) -> Path:
+    """An input file's path; a missing path, or one that is not a regular
+    file (a directory, say), is a usage error."""
+    p = Path(path)
+    if not p.is_file():
+        problem = "is not a regular file" if p.exists() else "not found"
+        raise ConfigError(f"{what} {problem}: {p}")
+    return p
+
+
 def _read_text(path, what: str) -> str:
     """The text of a UTF-8 input file; a missing file or one that is not
     UTF-8 is a usage error."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
+    p = _input_file(path, what)
     try:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -97,10 +105,7 @@ def _load_dataset(config: dict, seed: int):
             raise ConfigError(f"config field 'dataset_n' must be >= 0, got {n}")
         d = ecdemo.ec_demo_dataset(n, seed)
     else:
-        p = _path(ref, "dataset")
-        if not p.exists():
-            raise ConfigError(f"config field 'dataset': file not found: {p}")
-        d = read_csv(p)
+        d = read_csv(_input_file(_path(ref, "dataset"), "config field 'dataset': file"))
     spec_path = config.get("ampute_spec")
     if spec_path:
         spec = AmputationSpec.from_json(_read_text(
@@ -198,6 +203,8 @@ def cmd_evaluate(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+    if len(set(algorithms)) < len(algorithms):
+        raise ConfigError(f"config field 'algorithms' lists an algorithm twice: {algorithms}")
     opts = _search_options(config)
     d = _load_dataset(config, seed)
     kb = _load_knowledge(config)
@@ -262,9 +269,7 @@ def cmd_dsep(args) -> int:
 
 
 def cmd_ampute(args) -> int:
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise ConfigError(f"dataset file not found: {data_path}")
+    data_path = _input_file(args.data, "dataset file")
     spec_text = _read_text(args.spec, "amputation spec")
     d = read_csv(data_path)
     spec = AmputationSpec.from_json(spec_text)

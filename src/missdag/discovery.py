@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,9 +71,13 @@ class SearchOptions:
 
     def sem_options(self) -> dict:
         """The keyword arguments of ``structural_em``."""
-        return dict(pseudocount=self.refit_pseudocount, max_outer=self.sem_max_outer,
-                    em_max_iter=self.em_max_iter, em_tol=self.em_tol,
-                    max_parents=self.max_parents, max_iter=self.max_iter)
+        return {kw: getattr(self, name) for kw, name in _SEM_KEYWORDS.items()}
+
+
+# structural_em's keyword -> the SearchOptions field that sets it
+_SEM_KEYWORDS = {"pseudocount": "refit_pseudocount", "max_outer": "sem_max_outer",
+                 "em_max_iter": "em_max_iter", "em_tol": "em_tol",
+                 "max_parents": "max_parents", "max_iter": "max_iter"}
 
 
 @dataclass(frozen=True)
@@ -252,71 +257,6 @@ def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
     return g, params
 
 
-# --- bootstrap aggregation ---
-
-
-def _consensus_edges(freq: Mapping[Edge, float], threshold: float,
-                     kb: KnowledgeBase, vertices) -> Dag:
-    edges = {e for e, f in freq.items() if f >= threshold}
-    edges |= kb.required
-    while True:
-        try:
-            return Dag(vertices, sorted(edges))
-        except CycleDetected as exc:
-            cyc = exc.cycle
-            cyc_edges = list(zip(cyc, cyc[1:]))
-            removable = [e for e in cyc_edges if e not in kb.required]
-            if not removable:
-                raise KnowledgeInfeasible("required edges form a cycle") from exc
-            edges.discard(min(removable, key=lambda e: (freq.get(e, 0.0), e)))
-
-
-def _sem_replicate(args):
-    train, test, kb, stream, b, opts = args
-    db = bootstrap(train, stream)
-    g, params = structural_em(db, kb, **opts)
-    ll_in = log_likelihood(params, g, db)
-    ll_out = log_likelihood(params, g, test)
-    return b, sorted(g.edges), ll_in, ll_out
-
-
-def _pmap(fn, jobs, threads):
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(threads, len(jobs))) as pool:
-        return pool.map(fn, jobs)
-
-
-def bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase, B: int = 100,
-                  threshold: float = 0.5, seed: int = 0,
-                  held_out_fraction: float = 0.2, threads: int = 1,
-                  **sem_options) -> Tuple[Dag, BootstrapSummary]:
-    """Structural EM on B bootstrap resamples; consensus graph from edges
-    whose frequency reaches the threshold, cycles broken lowest-frequency
-    first, required edges enforced."""
-    if B < 1:
-        raise KnowledgeInfeasible("B must be >= 1")
-    if not 0.0 < threshold <= 1.0:
-        raise KnowledgeInfeasible("threshold must lie in (0, 1]")
-    split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
-    train, test = split(d, held_out_fraction, split_ss)
-    jobs = [(train, test, kb, bs, b, sem_options)
-            for b, bs in enumerate(boot_ss.spawn(B))]
-    results = sorted(_pmap(_sem_replicate, jobs, threads))
-    tally: Dict[Edge, int] = {}
-    in_sample, out_of_sample = [], []
-    for _, edges, ll_in, ll_out in results:
-        for e in edges:
-            tally[tuple(e)] = tally.get(tuple(e), 0) + 1
-        in_sample.append(ll_in)
-        out_of_sample.append(ll_out)
-    freq = {e: c / B for e, c in tally.items()}
-    consensus = _consensus_edges(freq, threshold, kb, d.names)
-    summary = BootstrapSummary(B, freq, in_sample, out_of_sample)
-    return consensus, summary
-
-
 # --- IPW-corrected hill climbing ---
 
 
@@ -386,7 +326,7 @@ def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase, alpha: float = SearchOptio
 class Discovery:
     """One run of a search: the graph, the hill-climbing trace and the
     indicator report where the search makes them, and a function that fits
-    parameters to the graph (only ``evaluate`` calls it)."""
+    parameters to the graph (only the bootstrap replicates call it)."""
     graph: Dag
     refit: Callable[[], ParameterSet]
     trace: Optional[SearchTrace] = None
@@ -407,8 +347,7 @@ def _hc_complete(d: CategoricalDataset, kb: KnowledgeBase,
 
 def _bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase,
                    opts: SearchOptions) -> Discovery:
-    # one structural-EM run; the resampling is the caller's (evaluate's
-    # replicates here, bootstrap_sem's own for `missdag discover`)
+    # one structural-EM run; the resampling is _replicate's
     g, params = structural_em(d, kb, **opts.sem_options())
     return Discovery(g, lambda: params)
 
@@ -433,10 +372,12 @@ SEARCHES: Dict[str, Callable[..., Discovery]] = {
 ALGORITHMS = tuple(SEARCHES)
 
 
-# --- the evaluation harness ---
+# --- bootstrap replicates: the evaluation harness and bootstrap aggregation ---
 
 
-def _eval_replicate(args):
+def _replicate(args):
+    """Replicate b of search ``name``: search a bootstrap resample of the
+    train set, refit, and score the fit in and out of sample."""
     name, train, test, kb, stream, b, opts = args
     db = bootstrap(train, stream)
     found = SEARCHES[name](db, kb, opts)
@@ -446,7 +387,50 @@ def _eval_replicate(args):
     params = found.refit()
     ll_in = log_likelihood(params, g, db).log_likelihood
     ll_out = log_likelihood(params, g, test).log_likelihood
-    return name, b, ll_in, ll_out
+    return name, b, sorted(g.edges), ll_in, ll_out
+
+
+def _pmap(fn, jobs, threads):
+    if threads <= 1 or len(jobs) <= 1:
+        return [fn(j) for j in jobs]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(min(threads, len(jobs))) as pool:
+        return pool.map(fn, jobs)
+
+
+def _replicates(algorithms, d: CategoricalDataset, kb: KnowledgeBase, B: int,
+                held_out_fraction: float, seed: int, threads: int, opts: SearchOptions,
+                test: Optional[CategoricalDataset] = None):
+    """The train and test sets, and the rows ``(name, b, edges, ll_in,
+    ll_out)`` of B replicates of each algorithm, in (algorithm, b) order.
+    Every algorithm sees the same B resamples."""
+    if B < 1:
+        raise KnowledgeInfeasible("B must be >= 1")
+    split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
+    if test is None:
+        train, test = split(d, held_out_fraction, split_ss)
+    else:
+        train = d
+    streams = boot_ss.spawn(B)
+    jobs = [(name, train, test, kb, streams[b], b, opts)
+            for name in algorithms for b in range(B)]
+    return train, test, _pmap(_replicate, jobs, threads)
+
+
+def _consensus_edges(freq: Mapping[Edge, float], threshold: float,
+                     kb: KnowledgeBase, vertices) -> Dag:
+    edges = {e for e, f in freq.items() if f >= threshold}
+    edges |= kb.required
+    while True:
+        try:
+            return Dag(vertices, sorted(edges))
+        except CycleDetected as exc:
+            cyc = exc.cycle
+            cyc_edges = list(zip(cyc, cyc[1:]))
+            removable = [e for e in cyc_edges if e not in kb.required]
+            if not removable:
+                raise KnowledgeInfeasible("required edges form a cycle") from exc
+            edges.discard(min(removable, key=lambda e: (freq.get(e, 0.0), e)))
 
 
 def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
@@ -457,35 +441,23 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
     """Per-replicate in/out-of-sample log-likelihood for each algorithm on a
     shared held-out split, raw and rescaled. ``options`` are the fields of
     ``SearchOptions``."""
-    if B < 1:
-        raise KnowledgeInfeasible("B must be >= 1")
     opts = SearchOptions(**options)
     for name in algorithms:
         if name not in SEARCHES:
             raise KnowledgeViolatedByInput(f"unknown algorithm {name!r}")
-    split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
-    if test is None:
-        train, test = split(d, held_out_fraction, split_ss)
-    else:
-        train = d
-    # every algorithm sees the same B resamples
-    streams = boot_ss.spawn(B)
-    jobs = [(name, train, test, kb, streams[b], b, opts)
-            for name in algorithms for b in range(B)]
-    results = _pmap(_eval_replicate, jobs, threads)
-    order = {name: i for i, name in enumerate(algorithms)}
-    results.sort(key=lambda r: (order[r[0]], r[1]))
-    ll_in = [r[2] for r in results]
-    ll_out = [r[3] for r in results]
-    in_rescaled = rescale_ll(ll_in, train.n)
-    out_rescaled = rescale_ll(ll_out, test.n)
+    if len(set(algorithms)) < len(algorithms):
+        raise KnowledgeViolatedByInput(f"an algorithm is listed twice in {list(algorithms)}")
+    train, test, results = _replicates(algorithms, d, kb, B, held_out_fraction, seed,
+                                       threads, opts, test)
+    in_rescaled = rescale_ll([r[3] for r in results], train.n)
+    out_rescaled = rescale_ll([r[4] for r in results], test.n)
     replicates = [
         {"algorithm": name, "replicate": b, "ll_in": li, "ll_out": lo,
          "ll_in_rescaled": ri, "ll_out_rescaled": ro}
-        for (name, b, li, lo), ri, ro in zip(results, in_rescaled, out_rescaled)
+        for (name, b, _, li, lo), ri, ro in zip(results, in_rescaled, out_rescaled)
     ]
     summary = {}
-    for name in dict.fromkeys(algorithms):
+    for name in algorithms:
         rows = [r for r in replicates if r["algorithm"] == name]
         summary[name] = {}
         for key in ("ll_in", "ll_out", "ll_in_rescaled", "ll_out_rescaled"):
@@ -501,3 +473,25 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
         "replicates": replicates,
         "summary": summary,
     }
+
+
+def bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase, B: int = 100,
+                  threshold: float = 0.5, seed: int = 0,
+                  held_out_fraction: float = 0.2, threads: int = 1,
+                  **sem_options) -> Tuple[Dag, BootstrapSummary]:
+    """Structural EM on B bootstrap resamples (``evaluate``'s replicates of
+    ``bootstrap-sem``); consensus graph from edges whose frequency reaches
+    the threshold, cycles broken lowest-frequency first, required edges
+    enforced. ``sem_options`` are ``structural_em``'s keywords."""
+    unknown = sorted(set(sem_options) - set(_SEM_KEYWORDS))
+    if unknown:
+        raise TypeError(f"bootstrap_sem() got unexpected keyword arguments {unknown}")
+    opts = SearchOptions(**{_SEM_KEYWORDS[kw]: v for kw, v in sem_options.items()})
+    if not 0.0 < threshold <= 1.0:
+        raise KnowledgeInfeasible("threshold must lie in (0, 1]")
+    _, _, results = _replicates(["bootstrap-sem"], d, kb, B, held_out_fraction, seed,
+                                threads, opts)
+    tally = Counter(e for _, _, edges, _, _ in results for e in edges)
+    freq = {e: c / B for e, c in tally.items()}
+    return _consensus_edges(freq, threshold, kb, d.names), BootstrapSummary(
+        B, freq, [ScoreValue(r[3]) for r in results], [ScoreValue(r[4]) for r in results])

@@ -119,16 +119,14 @@ def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0) -> Paramete
 
 
 def _weighted_fit(g: Dag, schema, col_of, rows, weights, pseudocount: float) -> ParameterSet:
-    cards = {v.name: v.cardinality for v in schema}
     variables, states = {}, {}
     for v in g.vertices:
         parents = tuple(sorted(g.parents(v), key=col_of.__getitem__))
-        family = parents + (v,)
-        counts = family_counts(rows, [col_of[u] for u in family],
-                               [cards[u] for u in family], weights)
+        cols = [col_of[u] for u in parents + (v,)]
+        counts = family_counts(rows, cols, [schema[j].cardinality for j in cols], weights)
         table = _normalize_counts(counts, pseudocount)
         variables[v] = (parents, table)
-        states[v] = next(s.states for s in schema if s.name == v)
+        states[v] = schema[col_of[v]].states
     return ParameterSet(variables, states, pseudocount)
 
 

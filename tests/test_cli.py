@@ -26,8 +26,11 @@ def _write_json(path, doc):
 
 
 def _write_input(path, content):
-    """Bytes and text are written as they are, anything else as JSON."""
-    if isinstance(content, bytes):
+    """Bytes and text are written as they are, None makes a directory,
+    anything else is written as JSON."""
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
         path.write_bytes(content)
     elif isinstance(content, str):
         path.write_text(content)
@@ -121,6 +124,11 @@ MALFORMED_INPUTS = {
     "out-is-a-number": ("discover", {"out": 5}, {}, None),
     "algorithms-not-a-list": ("evaluate", {"algorithms": 5}, {}, None),
     "dataset-n-negative": ("discover", {"dataset_n": -1}, {}, None),
+    "dataset-is-a-directory": ("discover", {"dataset": "data"}, {"data": None}, None),
+    "knowledge-is-a-directory": ("discover", {"knowledge": "kb"}, {"kb": None}, None),
+    "spec-is-a-directory": ("discover", {"ampute_spec": "spec"}, {"spec": None}, None),
+    "algorithm-listed-twice": ("evaluate", {"algorithms": ["hc-complete", "hc-complete"]},
+                               {}, None),
 }
 
 
@@ -131,8 +139,9 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, jso
     for name, doc in files.items():
         _write_input(tmp_path / name, doc)
     if isinstance(fields, dict):
-        cfg = _demo_config(tmp_path, **{k: str(tmp_path / v) if v in files else v
-                                        for k, v in fields.items()})
+        cfg = _demo_config(tmp_path, **{
+            k: str(tmp_path / v) if isinstance(v, str) and v in files else v
+            for k, v in fields.items()})
     else:
         cfg = _write_input(tmp_path / "config.json", fields)
     argv = [command, "--config", cfg]
@@ -182,6 +191,11 @@ MALFORMED_FILES = {
     "simulate-params-is-a-list": (SIMULATE, {"g.json": GRAPH, "p.json": "[]"}),
     "simulate-params-without-parents": (SIMULATE, {"g.json": GRAPH, "p.json": json.dumps(
         {"variables": {"a": {"table": [[0.5, 0.5]]}}})}),
+    "export-dot-graph-is-a-directory": (["export-dot", "g"], {"g": None}),
+    "ampute-data-is-a-directory": (["ampute", "--data", "d", "--spec", "s.json",
+                                    "--out", "o.csv"], {"d": None, "s.json": "{}"}),
+    "discover-config-is-a-directory": (["discover", "--config", "c", "--seed", "1",
+                                        "--out", "o"], {"c": None}),
 }
 
 

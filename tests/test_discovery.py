@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from missdag.data import (
 from missdag.discovery import (
     ALGORITHMS,
     KnowledgeBase,
+    SearchOptions,
     _moves,
     bootstrap_sem,
     detect_indicator_parents,
@@ -260,6 +264,38 @@ class TestBootstrapSem:
         with pytest.raises(KnowledgeInfeasible):
             bootstrap_sem(d, KnowledgeBase(), B=2, threshold=0.0)
 
+    def test_sem_keywords_name_structural_em_parameters(self):
+        # every SearchOptions default differs from the others, so a keyword
+        # mapped to the wrong field shows as a default that does not match
+        defaults = {k: p.default for k, p in
+                    inspect.signature(structural_em).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert SearchOptions().sem_options() == defaults
+        assert len(set(dataclasses.astuple(SearchOptions()))) == len(
+            dataclasses.fields(SearchOptions))
+
+    # structural_em's keywords and the SearchOptions fields they set
+    SAME_OPTIONS = [
+        ({"max_outer": 1, "em_max_iter": 3}, {"sem_max_outer": 1, "em_max_iter": 3}),
+        ({"pseudocount": 2.0, "max_outer": 2, "em_max_iter": 4, "em_tol": 0.0,
+          "max_parents": 1, "max_iter": 2},
+         {"refit_pseudocount": 2.0, "sem_max_outer": 2, "em_max_iter": 4, "em_tol": 0.0,
+          "max_parents": 1, "max_iter": 2}),
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sem_options,search_options", SAME_OPTIONS)
+    def test_replicates_are_evaluate_replicates(self, threads, sem_options, search_options):
+        d = _mar_amputed(seed=23, n=300)
+        kb = KnowledgeBase(required={("a", "b")})
+        _, summary = bootstrap_sem(d, kb, B=3, seed=6, threads=threads, **sem_options)
+        report = evaluate(["bootstrap-sem"], d, kb, B=3, seed=6, threads=threads,
+                          **search_options)
+        assert [v.log_likelihood for v in summary.in_sample] == [
+            r["ll_in"] for r in report["replicates"]]
+        assert [v.log_likelihood for v in summary.out_of_sample] == [
+            r["ll_out"] for r in report["replicates"]]
+
 
 class TestDetectIndicatorParents:
     def test_mar_driver_detected(self):
@@ -342,7 +378,16 @@ class TestEvaluate:
         with pytest.raises(KnowledgeViolatedByInput):
             evaluate(["nope"], d, KnowledgeBase(), B=1, seed=0)
 
+    def test_duplicate_algorithm_rejected(self):
+        d = _mar_amputed(seed=22, n=300)
+        with pytest.raises(KnowledgeViolatedByInput):
+            evaluate(["hc-complete", "hc-complete"], d, KnowledgeBase(), B=1, seed=0)
+
     def test_unknown_option_rejected(self):
         d = _mar_amputed(seed=22, n=300)
         with pytest.raises(TypeError):
             evaluate(["hc-complete"], d, KnowledgeBase(), B=1, seed=0, max_parent=2)
+        # bootstrap_sem takes structural_em's keywords, not the SearchOptions fields
+        for option in ({"max_outr": 1}, {"sem_max_outer": 1}):
+            with pytest.raises(TypeError):
+                bootstrap_sem(d, KnowledgeBase(), B=1, seed=0, **option)
