@@ -25,7 +25,7 @@ from .discovery import (
     bootstrap_sem,
     evaluate,
 )
-from .errors import ConfigError, MissDagError, OverlappingSets, json_object
+from .errors import ConfigError, MissDagError, json_object
 from .estimation import ParameterSet
 from .graphs import Dag, export_dot, find_active_path, graph_from_json, graph_to_json
 
@@ -59,8 +59,12 @@ def _resolve_seed(args, config=None):
     raise ConfigError("no seed given (flag --seed, config field 'seed', or MGD_SEED)")
 
 
-def _field(config: dict, key: str, default, kind):
-    return _number(config.get(key, default), kind, f"config field {key!r}")
+def _fields(config: dict, **kinds) -> dict:
+    """The fields named in ``kinds`` that the config sets, each converted to
+    its kind. A field the config leaves out is not passed on, so the default
+    of the function that takes it applies."""
+    return {key: _number(config[key], kind, f"config field {key!r}")
+            for key, kind in kinds.items() if key in config}
 
 
 def _path(value, key: str) -> Path:
@@ -100,18 +104,14 @@ def _load_dataset(config: dict, seed: int):
     if ref is None:
         raise ConfigError("config field 'dataset' is required")
     if ref == "ec-demo":
-        n = _field(config, "dataset_n", 763, int)
-        if n < 0:
-            raise ConfigError(f"config field 'dataset_n' must be >= 0, got {n}")
-        d = ecdemo.ec_demo_dataset(n, seed)
+        size = {"n": n for n in _fields(config, dataset_n=int).values()}
+        d = ecdemo.ec_demo_dataset(seed=seed, **size)
     else:
         d = read_csv(_input_file(_path(ref, "dataset"), "config field 'dataset': file"))
     spec_path = config.get("ampute_spec")
     if spec_path:
-        spec = AmputationSpec.from_json(_read_text(
-            _path(spec_path, "ampute_spec"), "config field 'ampute_spec': file"))
-        _check_spec_columns(spec, d)
-        d = ampute(d, spec)
+        d = ampute(d, AmputationSpec.from_json(_read_text(
+            _path(spec_path, "ampute_spec"), "config field 'ampute_spec': file")))
     return d
 
 
@@ -123,19 +123,23 @@ def _load_knowledge(config: dict) -> KnowledgeBase:
         _path(path, "knowledge"), "config field 'knowledge': file"))
 
 
-def _check_spec_columns(spec: AmputationSpec, d) -> None:
-    for e in spec.entries:
-        for name in (e.target,) + e.drivers:
-            if name not in d.names:
-                raise ConfigError(f"amputation spec references unknown column {name!r}")
-
-
 def _out_dir(args, config: dict) -> Path:
     out = getattr(args, "out", None) or config.get("out")
     if out is None:
         raise ConfigError("no output directory (flag --out or config field 'out')")
     p = _path(out, "out")
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory is a file or lies under one: {p}") from None
+    return p
+
+
+def _out_file(path) -> Path:
+    """An output file's path; one that names a directory is a usage error."""
+    p = Path(path)
+    if p.is_dir():
+        raise ConfigError(f"output file is a directory: {p}")
     return p
 
 
@@ -148,25 +152,26 @@ def _search_options(config: dict) -> SearchOptions:
                             for f in dataclasses.fields(SearchOptions) if f.name in config})
 
 
-def cmd_discover(args) -> int:
+def _load_run(args):
+    """The config, seed, search options, dataset, knowledge base and output
+    directory of a ``discover`` or ``evaluate`` run."""
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
+    return (config, seed, _search_options(config), _load_dataset(config, seed),
+            _load_knowledge(config), _out_dir(args, config))
+
+
+def cmd_discover(args) -> int:
+    config, seed, opts, d, kb, out = _load_run(args)
     algorithm = config.get("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"config field 'algorithm' must be one of {ALGORITHMS}")
-    opts = _search_options(config)
-    d = _load_dataset(config, seed)
-    kb = _load_knowledge(config)
-    out = _out_dir(args, config)
     trace_doc = {"algorithm": algorithm, "seed": seed}
     summary_doc = None
     if algorithm == "bootstrap-sem":
         g, summary = bootstrap_sem(
-            d, kb, B=_field(config, "B", 100, int),
-            threshold=_field(config, "threshold", 0.5, float),
-            seed=seed,
-            held_out_fraction=_field(config, "held_out_fraction", 0.2, float),
-            threads=args.threads or 1, **opts.sem_options())
+            d, kb, seed=seed, threads=args.threads or 1, **opts.sem_options(),
+            **_fields(config, B=int, threshold=float, held_out_fraction=float))
         in_mean, in_sd = summary.in_sample_mean_sd
         out_mean, out_sd = summary.out_of_sample_mean_sd
         summary_doc = {
@@ -195,25 +200,13 @@ def cmd_discover(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
+    config, seed, opts, d, kb, out = _load_run(args)
     algorithms = config.get("algorithms")
-    if not isinstance(algorithms, list) or not algorithms:
-        raise ConfigError("config field 'algorithms' must list at least one algorithm")
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
-    if len(set(algorithms)) < len(algorithms):
-        raise ConfigError(f"config field 'algorithms' lists an algorithm twice: {algorithms}")
-    opts = _search_options(config)
-    d = _load_dataset(config, seed)
-    kb = _load_knowledge(config)
-    out = _out_dir(args, config)
-    report = evaluate(algorithms, d, kb,
-                      B=_field(config, "B", 100, int),
-                      held_out_fraction=_field(config, "held_out_fraction", 0.2, float),
-                      seed=seed, threads=args.threads or 1,
-                      **dataclasses.asdict(opts))
+    if not isinstance(algorithms, list):
+        raise ConfigError("config field 'algorithms' must be a list of algorithm names")
+    report = evaluate(algorithms, d, kb, seed=seed, threads=args.threads or 1,
+                      **dataclasses.asdict(opts),
+                      **_fields(config, B=int, held_out_fraction=float))
     _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -257,10 +250,7 @@ def cmd_dsep(args) -> int:
     for v in x + y + z:
         if v not in g.vertices:
             raise ConfigError(f"unknown vertex {v!r}")
-    try:
-        path = find_active_path(g, x, y, z)
-    except OverlappingSets as exc:
-        raise ConfigError(f"query sets overlap: {exc}") from None
+    path = find_active_path(g, x, y, z)
     if path is None:
         print("d-separated")
     else:
@@ -271,18 +261,15 @@ def cmd_dsep(args) -> int:
 def cmd_ampute(args) -> int:
     data_path = _input_file(args.data, "dataset file")
     spec_text = _read_text(args.spec, "amputation spec")
+    out = _out_file(args.out)
     d = read_csv(data_path)
-    spec = AmputationSpec.from_json(spec_text)
-    _check_spec_columns(spec, d)
-    write_csv(ampute(d, spec), args.out)
+    write_csv(ampute(d, AmputationSpec.from_json(spec_text)), out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    n = int(args.n)
-    if n < 0:
-        raise ConfigError("n must be >= 0")
     seed = _resolve_seed(args)
+    out = _out_file(args.out)
     if args.model == "ec-demo":
         g, params = ecdemo.ec_ground_truth()
     else:
@@ -290,17 +277,17 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--params is required unless model is 'ec-demo'")
         g = _load_graph(args.model)
         params = ParameterSet.from_json(_read_text(args.params, "parameter file"))
-    d = forward_sample(g, params, n, seed)
-    write_csv(d, args.out)
+    write_csv(forward_sample(g, params, args.n, seed), out)
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
     g = _load_graph(args.graph)
+    out = _out_file(args.out) if args.out else None
     roles = ecdemo.EC_ROLES if set(g.vertices) >= set(ecdemo.EC_ROLES) else None
     text = export_dot(g, roles=roles)
-    if args.out:
-        _write(Path(args.out), text)
+    if out is not None:
+        _write(out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -312,22 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Causal discovery for categorical data with missing values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, text in (("discover", cmd_discover, "run one discovery algorithm"),
+                             ("evaluate", cmd_evaluate, "in/out-of-sample LL benchmark")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=False)
+        p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=os.cpu_count())
         p.add_argument("--json-logs", action="store_true")
-
-    p = sub.add_parser("discover", help="run one discovery algorithm")
-    p.add_argument("--config", required=False)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_discover)
-
-    p = sub.add_parser("evaluate", help="in/out-of-sample LL benchmark")
-    p.add_argument("--config", required=False)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("dsep", help="d-separation query on a graph file")
     p.add_argument("graph", help="graph.json path or builtin (ec-mnar, ec-mar)")
@@ -347,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="ParameterSet JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--json-logs", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("export-dot", help="graph.json to DOT text")

@@ -225,6 +225,8 @@ def indicators(d: CategoricalDataset) -> CategoricalDataset:
 
 def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     """Ancestral sampling: n i.i.d. rows, deterministic given seed."""
+    if n < 0:
+        raise ConfigError(f"sample size n must be >= 0, got {n}")
     for v in g.vertices:
         if v not in params.variables:
             raise IncompleteParameters(f"no CPT for {v!r}")
@@ -266,7 +268,7 @@ class AmputationEntry:
     def __post_init__(self):
         object.__setattr__(self, "drivers", tuple(self.drivers))
         if self.mechanism not in ("MCAR", "MAR", "MNAR"):
-            raise UnknownVariable(f"unknown mechanism {self.mechanism!r}")
+            raise ConfigError(f"unknown amputation mechanism {self.mechanism!r}")
         if self.mechanism == "MCAR" and self.drivers:
             raise DriverMissing("MCAR entries take no drivers")
 
@@ -297,7 +299,7 @@ class AmputationSpec:
             return AmputationSpec(tuple(entries), int(doc["seed"]))
         except KeyError as exc:
             raise ConfigError(f"amputation spec lacks field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, DriverMissing, TypeError, ValueError) as exc:
             raise ConfigError(f"amputation spec is malformed: {exc}") from exc
 
     def to_json(self) -> str:
@@ -325,6 +327,9 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
     """
     targets = []
     for e in spec.entries:
+        for name in (e.target,) + e.drivers:
+            if name not in d.names:
+                raise ConfigError(f"amputation spec references unknown column {name!r}")
         j = d.index(e.target)
         if d.mask[:, j].any():
             raise DriverMissing(f"target {e.target!r} must be complete before amputation")
@@ -385,7 +390,7 @@ def bootstrap(d: CategoricalDataset, seed: int) -> CategoricalDataset:
 def split(d: CategoricalDataset, held_out_fraction: float, seed: int):
     """(train, test) with floor(n * fraction) rows held out."""
     if not 0.0 < held_out_fraction < 1.0:
-        raise BadFraction(f"fraction must lie in (0, 1), got {held_out_fraction}")
+        raise BadFraction(f"held-out fraction must lie in (0, 1), got {held_out_fraction}")
     if d.n < 2:
         raise EmptyDataset("need at least two rows to split")
     k = int(math.floor(d.n * held_out_fraction))

@@ -223,11 +223,13 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
 
 
 def _initial_graph(names, kb: KnowledgeBase) -> Dag:
-    """The search's starting point: the required edges only."""
-    try:
-        return Dag(names, sorted(kb.required))
-    except CycleDetected as exc:
-        raise KnowledgeInfeasible(str(exc)) from exc
+    """The search's starting point: the required edges only. Knowledge that
+    names a variable the dataset lacks is a usage error, forbidden edges
+    included: otherwise a misspelt name would drop the constraint unseen."""
+    unknown = sorted({v for e in kb.required | kb.forbidden for v in e} - set(names))
+    if unknown:
+        raise ConfigError(f"knowledge names variables the dataset lacks: {unknown}")
+    return Dag(names, sorted(kb.required))
 
 
 def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
@@ -241,8 +243,6 @@ def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
     (soft completion) until the graph stabilizes."""
     g = _initial_graph(d.names, kb)
     params, _ = em_fit(g, d, pseudocount, em_max_iter, em_tol)
-    if max_outer == 0:
-        return g, params
     schema = [d.variable(v) for v in g.vertices]
     for _ in range(max_outer):
         rows, weights, _, _ = expand_completions(g, params, d)
@@ -250,10 +250,11 @@ def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
                            n_effective=float(d.n))
         g2, _ = hill_climb(scorer, kb, init=g, max_iter=max_iter,
                            max_parents=max_parents)
-        params, _ = em_fit(g2, d, pseudocount, em_max_iter, em_tol)
         if g2 == g:
+            # params are already em_fit(g): EM is deterministic
             break
         g = g2
+        params, _ = em_fit(g, d, pseudocount, em_max_iter, em_tol)
     return g, params
 
 
@@ -405,7 +406,7 @@ def _replicates(algorithms, d: CategoricalDataset, kb: KnowledgeBase, B: int,
     ll_out)`` of B replicates of each algorithm, in (algorithm, b) order.
     Every algorithm sees the same B resamples."""
     if B < 1:
-        raise KnowledgeInfeasible("B must be >= 1")
+        raise ConfigError(f"B must be >= 1, got {B}")
     split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
     if test is None:
         train, test = split(d, held_out_fraction, split_ss)
@@ -442,11 +443,13 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
     shared held-out split, raw and rescaled. ``options`` are the fields of
     ``SearchOptions``."""
     opts = SearchOptions(**options)
+    if not algorithms:
+        raise ConfigError("no algorithm to evaluate")
     for name in algorithms:
-        if name not in SEARCHES:
-            raise KnowledgeViolatedByInput(f"unknown algorithm {name!r}")
+        if name not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
     if len(set(algorithms)) < len(algorithms):
-        raise KnowledgeViolatedByInput(f"an algorithm is listed twice in {list(algorithms)}")
+        raise ConfigError(f"an algorithm is listed twice in {list(algorithms)}")
     train, test, results = _replicates(algorithms, d, kb, B, held_out_fraction, seed,
                                        threads, opts, test)
     in_rescaled = rescale_ll([r[3] for r in results], train.n)
@@ -488,7 +491,7 @@ def bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase, B: int = 100,
         raise TypeError(f"bootstrap_sem() got unexpected keyword arguments {unknown}")
     opts = SearchOptions(**{_SEM_KEYWORDS[kw]: v for kw, v in sem_options.items()})
     if not 0.0 < threshold <= 1.0:
-        raise KnowledgeInfeasible("threshold must lie in (0, 1]")
+        raise ConfigError(f"threshold must lie in (0, 1], got {threshold}")
     _, _, results = _replicates(["bootstrap-sem"], d, kb, B, held_out_fraction, seed,
                                 threads, opts)
     tally = Counter(e for _, _, edges, _, _ in results for e in edges)

@@ -10,8 +10,10 @@ class MissDagError(Exception):
 
 class ConfigError(MissDagError):
     """Malformed user input: a config, knowledge, amputation-spec, graph or
-    parameter document, a search option or a seed. The command line exits
-    with code 2."""
+    parameter document, a search option, a run setting (algorithm list,
+    replicate count, fraction, threshold, sample size), a seed or an output
+    path. Raised by the function that uses the value. The command line
+    exits with code 2."""
 
 
 def json_object(text: str, what: str) -> dict:
@@ -41,7 +43,7 @@ class DuplicateEdge(MissDagError):
     pass
 
 
-class OverlappingSets(MissDagError):
+class OverlappingSets(ConfigError):
     pass
 
 
@@ -87,7 +89,7 @@ class EmptyDataset(MissDagError):
     pass
 
 
-class BadFraction(MissDagError):
+class BadFraction(ConfigError):
     pass
 
 

@@ -29,6 +29,9 @@ from .errors import (
 from .graphs import Dag
 
 ENUMERATION_CAP = 2 ** 20
+# how far a CPT row sum may be from 1: 1e-9 absolute plus 1e-5 relative, the
+# accept set of np.allclose(row_sums, 1.0, atol=1e-9)
+ROW_SUM_TOL = 1e-9 + 1e-5
 
 
 class ParameterSet:
@@ -55,7 +58,8 @@ class ParameterSet:
             if table.shape != (ncfg, card):
                 raise SchemaMismatch(
                     f"CPT for {v!r} has shape {table.shape}, expected {(ncfg, card)}")
-            if not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
+            # NaN and +-inf sums fail the comparison
+            if not (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
                 raise SchemaMismatch(f"CPT rows for {v!r} do not sum to 1")
 
     def table(self, v: str) -> np.ndarray:
@@ -174,7 +178,7 @@ def _block_loglik(families, block: np.ndarray) -> np.ndarray:
 
 
 def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
-                      cards: Mapping[str, int], cap: int):
+                      cards: Mapping[str, int]):
     """Every completion of the rows of ``d`` over the vertices' columns,
     built on first use and kept on the dataset (which never changes).
 
@@ -184,22 +188,20 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     order; the original row of each block row; the rows without missing
     cells, which are block rows ``0 .. len(complete) - 1``; and for each
     completion count k > 1, the original rows with k completions and the
-    ``(rows, k)`` block positions of those completions.
+    ``(rows, k)`` block positions of those completions. A row with more than
+    ``ENUMERATION_CAP`` completions raises ``TooManyMissingInRow``.
     """
-    hit = d._completions.get(vertices)
-    if hit is None:
-        cols = [d.index(v) for v in vertices]
-        patterns, inverse = np.unique(d.mask[:, cols], axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
-                  for pattern in patterns]
-        kmax = max(counts, default=1)
-    else:
-        kmax, index = hit
-    if kmax > cap:
-        raise TooManyMissingInRow(f"row marginalization needs > {cap} completions")
-    if hit is not None:
+    index = d._completions.get(vertices)
+    if index is not None:
         return index
+    cols = [d.index(v) for v in vertices]
+    patterns, inverse = np.unique(d.mask[:, cols], axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
+              for pattern in patterns]
+    if max(counts, default=1) > ENUMERATION_CAP:
+        raise TooManyMissingInRow(
+            f"row marginalization needs > {ENUMERATION_CAP} completions")
     sub = d.rows[:, cols]
     order = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(np.bincount(inverse, minlength=len(patterns)))
@@ -229,7 +231,7 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     for a in (block, origin, complete, *itertools.chain.from_iterable(groups)):
         a.setflags(write=False)
     index = (block, origin, complete, groups)
-    d._completions[vertices] = (kmax, index)
+    d._completions[vertices] = index
     return index
 
 
@@ -251,8 +253,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
-                       cap: int = ENUMERATION_CAP):
+def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset):
     """Exact enumeration of missing-cell completions (graph columns only).
 
     Returns (rows, weights, origin, row_ll): completed row block, posterior
@@ -263,7 +264,7 @@ def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset,
     """
     _check_params(g, params, d)
     cards = {v: d.variable(v).cardinality for v in g.vertices}
-    block, origin, complete, groups = _completion_index(d, g.vertices, cards, cap)
+    block, origin, complete, groups = _completion_index(d, g.vertices, cards)
     logp = _block_loglik(_log_families(g, params, cards), block)
     weights = np.ones(block.shape[0])
     row_ll = np.empty(d.n)

@@ -231,7 +231,7 @@ def find_active_path(g: Dag, x: Iterable[str], y: Iterable[str],
     for v in xs | ys | zs:
         g._check(v)
     if xs & ys or xs & zs or ys & zs:
-        raise OverlappingSets("x, y, z must be pairwise disjoint")
+        raise OverlappingSets("d-separation sets x, y, z must be pairwise disjoint")
     anc_z = g.ancestors(zs)
     rank = g._index.__getitem__
     # a trail leaves each source against the edge direction, as if it had

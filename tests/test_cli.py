@@ -129,6 +129,29 @@ MALFORMED_INPUTS = {
     "spec-is-a-directory": ("discover", {"ampute_spec": "spec"}, {"spec": None}, None),
     "algorithm-listed-twice": ("evaluate", {"algorithms": ["hc-complete", "hc-complete"]},
                                {}, None),
+    "algorithms-empty": ("evaluate", {"algorithms": []}, {}, None),
+    "algorithm-unknown": ("evaluate", {"algorithms": ["hc-complete", "nope"]}, {}, None),
+    "B-zero": ("discover", {"algorithm": "bootstrap-sem", "B": 0}, {}, None),
+    "evaluate-B-zero": ("evaluate", {"algorithms": ["hc-complete"], "B": 0}, {}, None),
+    "threshold-above-one": ("discover", {"algorithm": "bootstrap-sem", "threshold": 2.0},
+                            {}, None),
+    "held-out-fraction-above-one": ("evaluate", {"algorithms": ["hc-complete"],
+                                                 "held_out_fraction": 1.5}, {}, None),
+    "out-is-a-file": ("discover", {"out": "o.txt"}, {"o.txt": "x"}, None),
+    "spec-unknown-mechanism": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
+        "seed": 1, "targets": [{"target": "CA125", "mechanism": "NMAR"}]}}, None),
+    "spec-mcar-with-drivers": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
+        "seed": 1, "targets": [{"target": "CA125", "mechanism": "MCAR",
+                                "drivers": ["Age"]}]}}, None),
+    "spec-unknown-driver": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
+        "seed": 1, "targets": [{"target": "CA125", "mechanism": "MNAR",
+                                "drivers": ["Nope"]}]}}, None),
+    "knowledge-required-unknown-variable": ("discover", {"knowledge": "kb.json"},
+                                            {"kb.json": {"required": [["Age", "Nope"]]}},
+                                            None),
+    "knowledge-forbidden-unknown-variable": ("discover", {"knowledge": "kb.json"},
+                                             {"kb.json": {"forbidden": [["Nope", "Age"]]}},
+                                             None),
 }
 
 
@@ -170,6 +193,11 @@ PARAMS = json.dumps({"variables": {
     "b": {"parents": ["a"], "table": [[0.9, 0.1], [0.2, 0.8]]}}})
 SIMULATE = ["simulate", "g.json", "--params", "p.json", "--n", "5",
             "--out", "d.csv", "--seed", "1"]
+EVALUATE = json.dumps({"dataset": "ec-demo", "dataset_n": 50, "algorithms": ["hc-complete"]})
+DATA = "a,b\n0,1\n1,0\n"
+SPEC = json.dumps({"seed": 1, "targets": [{"target": "a", "mechanism": "MCAR",
+                                           "intercept": 0.0}]})
+AMPUTE = ["ampute", "--data", "d.csv", "--spec", "s.json", "--out"]
 
 # case -> (command line, files written under the working directory)
 MALFORMED_FILES = {
@@ -196,6 +224,18 @@ MALFORMED_FILES = {
                                     "--out", "o.csv"], {"d": None, "s.json": "{}"}),
     "discover-config-is-a-directory": (["discover", "--config", "c", "--seed", "1",
                                         "--out", "o"], {"c": None}),
+    "evaluate-out-is-a-file": (["evaluate", "--config", "c.json", "--seed", "1",
+                                "--out", "o"], {"c.json": EVALUATE, "o": "x"}),
+    "evaluate-out-under-a-file": (["evaluate", "--config", "c.json", "--seed", "1",
+                                   "--out", "o/sub"], {"c.json": EVALUATE, "o": "x"}),
+    "export-dot-out-is-a-directory": (["export-dot", "ec-mar", "--out", "o"], {"o": None}),
+    "simulate-out-is-a-directory": (["simulate", "ec-demo", "--n", "5", "--out", "o",
+                                     "--seed", "1"], {"o": None}),
+    "ampute-out-is-a-directory": (AMPUTE + ["o"], {"d.csv": DATA, "s.json": SPEC, "o": None}),
+    "ampute-spec-unknown-mechanism": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
+        {"seed": 1, "targets": [{"target": "a", "mechanism": "NMAR"}]})}),
+    "ampute-spec-mcar-with-drivers": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
+        {"seed": 1, "targets": [{"target": "a", "mechanism": "MCAR", "drivers": ["b"]}]})}),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from missdag.data import (
 from missdag.errors import (
     AllMissingColumn,
     BadFraction,
+    ConfigError,
     DriverMissing,
     EmptyDataset,
     HeaderMismatch,
@@ -154,6 +156,13 @@ class TestForwardSample:
         assert np.abs(fitted.table("a") - params.table("a")).max() < 0.02
         assert np.abs(fitted.table("b") - params.table("b")).max() < 0.05
 
+    def test_negative_size_rejected(self):
+        g = Dag(["a"])
+        params = random_params(np.random.default_rng(5), g, {"a": 2})
+        assert forward_sample(g, params, 0, seed=9).n == 0
+        with pytest.raises(ConfigError):
+            forward_sample(g, params, -1, seed=9)
+
 
 class TestAmputation:
     def test_logit_inverts_expit(self):
@@ -227,6 +236,20 @@ class TestAmputation:
             seed=4)
         with pytest.raises(DriverMissing):
             ampute(d, spec)
+
+    def test_spec_naming_unknown_column_rejected(self):
+        d = _dataset([2], [[0], [1]])
+        for entry in (AmputationEntry("zz", "MCAR"),
+                      AmputationEntry("v0", "MAR", drivers=("zz",))):
+            with pytest.raises(ConfigError, match="zz"):
+                ampute(d, AmputationSpec((entry,), seed=0))
+
+    @pytest.mark.parametrize("target", [
+        {"target": "x", "mechanism": "NMAR"},
+        {"target": "x", "mechanism": "MCAR", "drivers": ["w"]}])
+    def test_malformed_entry_in_json_rejected(self, target):
+        with pytest.raises(ConfigError):
+            AmputationSpec.from_json(json.dumps({"seed": 0, "targets": [target]}))
 
     def test_json_round_trip(self):
         spec = AmputationSpec(

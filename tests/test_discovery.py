@@ -12,8 +12,10 @@ from missdag.data import (
     forward_sample,
     logit,
 )
+from missdag import discovery
 from missdag.discovery import (
     ALGORITHMS,
+    SEARCHES,
     KnowledgeBase,
     SearchOptions,
     _moves,
@@ -25,10 +27,11 @@ from missdag.discovery import (
     structural_em,
 )
 from missdag.errors import (
+    ConfigError,
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
 )
-from missdag.estimation import BicScorer
+from missdag.estimation import BicScorer, em_fit
 from missdag.graphs import Dag
 from missdag.stats import g_test
 
@@ -236,6 +239,44 @@ class TestStructuralEm:
         g, _ = structural_em(d, kb)
         assert ("a", "b") in g.edges
 
+    @pytest.mark.parametrize("max_outer", [0, 10])
+    def test_settled_graph_is_not_refit(self, monkeypatch, max_outer):
+        calls = {"em_fit": 0, "hill_climb": 0}
+
+        def counting(name):
+            fn = getattr(discovery, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        for name in calls:
+            monkeypatch.setattr(discovery, name, counting(name))
+        d = _mar_amputed(seed=8, n=600)
+        g, params = structural_em(d, KnowledgeBase(), max_outer=max_outer)
+        # one fit of the start graph and one of each graph a search moved to;
+        # the search that returns its start graph (here before max_outer runs
+        # out) is not followed by a refit
+        assert calls["hill_climb"] < max(max_outer, 1)
+        assert calls["em_fit"] == max(calls["hill_climb"], 1)
+        assert (max_outer == 0) == (g == Dag(d.names))
+        fresh, _ = em_fit(g, d, SearchOptions.refit_pseudocount, SearchOptions.em_max_iter,
+                          SearchOptions.em_tol)
+        assert params.variables.keys() == fresh.variables.keys()
+        for v, (parents, table) in fresh.variables.items():
+            assert params.parents(v) == parents
+            assert np.array_equal(params.table(v), table)
+
+
+class TestSearches:
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    @pytest.mark.parametrize("kind", ["required", "forbidden"])
+    def test_knowledge_of_unknown_variable_rejected(self, name, kind):
+        d = _mar_amputed(seed=9, n=200)
+        kb = KnowledgeBase(**{kind: {("a", "typo")}})
+        with pytest.raises(ConfigError, match="typo"):
+            SEARCHES[name](d, kb, SearchOptions())
+
 
 class TestBootstrapSem:
     def test_consensus_and_frequencies(self):
@@ -259,9 +300,9 @@ class TestBootstrapSem:
 
     def test_bad_options_rejected(self):
         d = _mar_amputed(seed=12, n=300)
-        with pytest.raises(KnowledgeInfeasible):
+        with pytest.raises(ConfigError):
             bootstrap_sem(d, KnowledgeBase(), B=0)
-        with pytest.raises(KnowledgeInfeasible):
+        with pytest.raises(ConfigError):
             bootstrap_sem(d, KnowledgeBase(), B=2, threshold=0.0)
 
     def test_sem_keywords_name_structural_em_parameters(self):
@@ -375,12 +416,14 @@ class TestEvaluate:
 
     def test_unknown_algorithm_rejected(self):
         d = _mar_amputed(seed=22, n=300)
-        with pytest.raises(KnowledgeViolatedByInput):
+        with pytest.raises(ConfigError):
             evaluate(["nope"], d, KnowledgeBase(), B=1, seed=0)
+        with pytest.raises(ConfigError):
+            evaluate([], d, KnowledgeBase(), B=1, seed=0)
 
     def test_duplicate_algorithm_rejected(self):
         d = _mar_amputed(seed=22, n=300)
-        with pytest.raises(KnowledgeViolatedByInput):
+        with pytest.raises(ConfigError):
             evaluate(["hc-complete", "hc-complete"], d, KnowledgeBase(), B=1, seed=0)
 
     def test_unknown_option_rejected(self):

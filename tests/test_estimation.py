@@ -16,6 +16,7 @@ from missdag.errors import (
     SchemaMismatch,
     TooManyMissingInRow,
 )
+from missdag import estimation
 from missdag.estimation import (
     BicScorer,
     IpwBicScorer,
@@ -71,6 +72,23 @@ class TestParameterSet:
     def test_rows_must_sum_to_one(self):
         with pytest.raises(SchemaMismatch):
             ParameterSet({"a": ((), np.array([[0.5, 0.4]]))}, {"a": ("s0", "s1")})
+
+    EDGE = 1.0 + (1e-9 + 1e-5)
+
+    @pytest.mark.parametrize("row_sum", [
+        1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-5, 1.0 - 1e-5,
+        EDGE, np.nextafter(EDGE, 2.0), np.nextafter(EDGE, 0.0),
+        2.0 - EDGE, np.nextafter(2.0 - EDGE, 0.0), np.nextafter(2.0 - EDGE, 2.0),
+        1.0 + 2e-5, 1.0 - 2e-5, 0.0, np.nan, np.inf, -np.inf])
+    def test_row_sum_tolerance_is_that_of_allclose(self, row_sum):
+        table = np.array([[row_sum, 0.0]])
+        accepted = np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
+        try:
+            ParameterSet({"a": ((), table)}, {"a": ("s0", "s1")})
+        except SchemaMismatch:
+            assert not accepted
+        else:
+            assert accepted
 
     def test_shape_must_match_parent_product(self):
         with pytest.raises(SchemaMismatch):
@@ -160,17 +178,16 @@ class TestExpandCompletions:
         rows, _, _, _ = expand_completions(g, params, d)
         assert (rows >= 0).all()
 
-    def test_cap_guards_row_blowup(self):
+    def test_cap_guards_row_blowup(self, monkeypatch):
         g = Dag(["v0", "v1", "v2"], [])
         params = random_params(np.random.default_rng(2), g,
                                {"v0": 2, "v1": 2, "v2": 2})
         d = _dataset([2, 2, 2], [[MISSING, MISSING, MISSING]])
+        monkeypatch.setattr(estimation, "ENUMERATION_CAP", 4)
         with pytest.raises(TooManyMissingInRow):
-            expand_completions(g, params, d, cap=4)
-        # the block built under the default cap is checked again on reuse
+            expand_completions(g, params, d)
+        monkeypatch.setattr(estimation, "ENUMERATION_CAP", 8)
         assert expand_completions(g, params, d)[0].shape == (8, 3)
-        with pytest.raises(TooManyMissingInRow):
-            expand_completions(g, params, d, cap=4)
 
     def test_block_is_built_once_and_read_only(self):
         g, params, d = _random_instance(7, missing=0.4)
