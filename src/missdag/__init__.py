@@ -9,7 +9,6 @@ from .data import (
     bootstrap,
     forward_sample,
     impute_mode,
-    indicators,
     read_csv,
     split,
     write_csv,

@@ -25,7 +25,7 @@ from .discovery import (
     bootstrap_sem,
     evaluate,
 )
-from .errors import ConfigError, MissDagError, json_object
+from .errors import ConfigError, MissDagError, checked_number, json_object
 from .estimation import ParameterSet
 from .graphs import Dag, export_dot, find_active_path, graph_from_json, graph_to_json
 
@@ -41,29 +41,25 @@ def _diag(message: str, json_logs: bool) -> None:
         sys.stderr.write(f"error: {message}\n")
 
 
-def _number(value, kind, what: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
-
-
 def _resolve_seed(args, config=None):
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     if config is not None and "seed" in config:
-        return _number(config["seed"], int, "config field 'seed'")
+        return checked_number(config["seed"], int, "config field 'seed'")
     env = os.environ.get("MGD_SEED")
     if env is not None:
-        return _number(env, int, "MGD_SEED")
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"MGD_SEED must be int, got {env!r}") from None
     raise ConfigError("no seed given (flag --seed, config field 'seed', or MGD_SEED)")
 
 
 def _fields(config: dict, **kinds) -> dict:
-    """The fields named in ``kinds`` that the config sets, each converted to
-    its kind. A field the config leaves out is not passed on, so the default
-    of the function that takes it applies."""
-    return {key: _number(config[key], kind, f"config field {key!r}")
+    """The fields named in ``kinds`` that the config sets, each checked to
+    be of its kind. A field the config leaves out is not passed on, so the
+    default of the function that takes it applies."""
+    return {key: checked_number(config[key], kind, f"config field {key!r}")
             for key, kind in kinds.items() if key in config}
 
 

@@ -28,6 +28,7 @@ from .errors import (
     NameCollision,
     UnknownState,
     UnknownVariable,
+    checked_number,
     json_object,
 )
 from .graphs import Dag
@@ -204,25 +205,6 @@ def write_csv(d: CategoricalDataset, path) -> None:
             writer.writerow(rec)
 
 
-def indicators(d: CategoricalDataset) -> CategoricalDataset:
-    """Append one binary indicator R_X (state 1 = missing) per partially
-    observed column; fully observed columns get none."""
-    partial = [j for j in range(d.p) if d.mask[:, j].any()]
-    if not partial:
-        return d
-    schema = list(d.schema)
-    cols = [d.rows]
-    for j in partial:
-        name = f"R_{d.schema[j].name}"
-        if name in d._index:
-            raise NameCollision(f"variable {name!r} already exists")
-        schema.append(VariableSchema(name, ("0", "1")))
-        cols.append(d.mask[:, j].astype(np.int16).reshape(-1, 1))
-    rows = np.hstack(cols)
-    mask = np.hstack([d.mask, np.zeros((d.n, len(partial)), dtype=bool)])
-    return CategoricalDataset(schema, rows, mask)
-
-
 def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     """Ancestral sampling: n i.i.d. rows, deterministic given seed."""
     if n < 0:
@@ -296,7 +278,8 @@ class AmputationSpec:
                 )
                 for t in doc["targets"]
             ]
-            return AmputationSpec(tuple(entries), int(doc["seed"]))
+            return AmputationSpec(tuple(entries), checked_number(
+                doc["seed"], int, "amputation spec field 'seed'"))
         except KeyError as exc:
             raise ConfigError(f"amputation spec lacks field {exc}") from exc
         except (AttributeError, DriverMissing, TypeError, ValueError) as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -20,7 +19,6 @@ from .data import (
     CategoricalDataset,
     bootstrap,
     impute_mode,
-    indicators,
     split,
 )
 from .errors import (
@@ -28,6 +26,7 @@ from .errors import (
     CycleDetected,
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
+    checked_number,
     json_object,
 )
 from .estimation import (
@@ -64,10 +63,8 @@ class SearchOptions:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"search option {f.name!r} must be {f.type}, got {value!r}")
+            checked_number(getattr(self, f.name), int if f.type == "int" else float,
+                           f"search option {f.name!r}")
 
     def sem_options(self) -> dict:
         """The keyword arguments of ``structural_em``."""
@@ -265,12 +262,11 @@ def detect_indicator_parents(d: CategoricalDataset, alpha: float = SearchOptions
     """Per partially observed variable: fully observed parents of its
     missingness indicator (Bonferroni-corrected G-tests) and available-case
     evidence of dependence on other partially observed variables."""
-    dind = indicators(d)
     partial = [v.name for j, v in enumerate(d.schema) if d.mask[:, j].any()]
     fully = [v.name for j, v in enumerate(d.schema) if not d.mask[:, j].any()]
     report = {}
     for x in partial:
-        rx = dind.column(f"R_{x}")
+        rx = d.mask[:, d.index(x)].astype(np.int16)
         detected = []
         a_corr = alpha / max(1, len(fully))
         for w in fully:

@@ -2,6 +2,7 @@
 JSON documents they read from users."""
 
 import json
+import numbers
 
 
 class MissDagError(Exception):
@@ -25,6 +26,16 @@ def json_object(text: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return doc
+
+
+def checked_number(value, kind, what: str):
+    """``value`` as ``kind``: an int field takes a non-bool integer, a float
+    field a non-bool int or float (converted with ``kind``). Nothing else is
+    coerced: ``1.9`` is not an int and ``"0.5"`` is not a float."""
+    accepted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 # --- graphs ---

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .graphs import Dag
 
-ENUMERATION_CAP = 2 ** 20
+ENUMERATION_CAP = 2 ** 22  # rows of one completion block
 # how far a CPT row sum may be from 1: 1e-9 absolute plus 1e-5 relative, the
 # accept set of np.allclose(row_sums, 1.0, atol=1e-9)
 ROW_SUM_TOL = 1e-9 + 1e-5
@@ -188,8 +188,9 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     order; the original row of each block row; the rows without missing
     cells, which are block rows ``0 .. len(complete) - 1``; and for each
     completion count k > 1, the original rows with k completions and the
-    ``(rows, k)`` block positions of those completions. A row with more than
-    ``ENUMERATION_CAP`` completions raises ``TooManyMissingInRow``.
+    ``(rows, k)`` block positions of those completions. A block of more than
+    ``ENUMERATION_CAP`` rows raises ``TooManyMissingInRow`` before anything
+    is allocated.
     """
     index = d._completions.get(vertices)
     if index is not None:
@@ -199,12 +200,15 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     inverse = inverse.ravel()
     counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
               for pattern in patterns]
-    if max(counts, default=1) > ENUMERATION_CAP:
+    sizes = np.bincount(inverse, minlength=len(patterns))
+    total = sum(k * int(size) for k, size in zip(counts, sizes))
+    if total > ENUMERATION_CAP:
         raise TooManyMissingInRow(
-            f"row marginalization needs > {ENUMERATION_CAP} completions")
+            f"row marginalization needs {total} completed rows, "
+            f"more than the budget of {ENUMERATION_CAP}")
     sub = d.rows[:, cols]
     order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse, minlength=len(patterns)))
+    bounds = np.cumsum(sizes)
     blocks = [np.zeros((0, len(cols)), dtype=np.int16)]
     complete = np.zeros(0, dtype=np.intp)
     by_count: Dict[int, list] = {}
@@ -383,8 +387,9 @@ class BicScorer:
     """Decomposable BIC with a (child, parent-set) family-score cache.
 
     Operates on complete rows, optionally weighted (expected counts from an
-    EM completion, or bootstrap weights). Safe for read-mostly sharing:
-    cache writes are idempotent.
+    EM completion, or bootstrap weights). A lookup keys the family by the
+    parent set as given; only a cache miss puts the parents in column order
+    to count the family.
     """
 
     def __init__(self, schema: Sequence[VariableSchema], rows: np.ndarray,
@@ -400,18 +405,18 @@ class BicScorer:
         self.n_effective = float(n_effective)
         self._col = {v.name: i for i, v in enumerate(self.schema)}
         self._card = {v.name: v.cardinality for v in self.schema}
-        self._cache: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+        self._cache: Dict[tuple, float] = {}
 
-    def _canon(self, parents: Iterable[str]) -> Tuple[str, ...]:
-        return tuple(sorted(parents, key=self._col.__getitem__))
+    def _canon(self, names: Iterable[str]) -> Tuple[str, ...]:
+        return tuple(sorted(names, key=self._col.__getitem__))
 
     def family_score(self, child: str, parents: Iterable[str]) -> float:
-        key = (child, self._canon(parents))
+        key = (child, frozenset(parents))
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = _family_bic(self._family_counts(child, key[1]), self.pseudocount,
-                          self.n_effective)
+        val = _family_bic(self._family_counts(child, self._canon(key[1])),
+                          self.pseudocount, self.n_effective)
         self._cache[key] = val
         return val
 
@@ -440,7 +445,9 @@ class IpwBicScorer(BicScorer):
     counts never claim more evidence than the rows actually seen. Move
     deltas evaluate the old and the new family on the same row subset (that
     of their union), otherwise the subpopulation shift between subsets
-    would masquerade as signal.
+    would masquerade as signal. Such a score is cached under
+    (child, parent set, observed set), a key that cannot meet the
+    (child, parent set) keys of ``family_score``.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
@@ -451,17 +458,13 @@ class IpwBicScorer(BicScorer):
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         self.partial = frozenset(
             v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
-        self._on_cache: Dict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], float] = {}
-
-    def _observed_part(self, names: Iterable[str]) -> Tuple[str, ...]:
-        return tuple(sorted((v for v in names if v in self.partial),
-                            key=self._col.__getitem__))
 
     def _counts_on(self, child: str, parents: Tuple[str, ...],
                    obs: Tuple[str, ...]):
         ok = (~self.mask[:, [self._col[v] for v in obs]].any(axis=1)
               if obs else np.ones(self.rows.shape[0], dtype=bool))
         w = np.ones(int(ok.sum()))
+        # obs comes in column order; the bits of the weight product depend on it
         for v in obs:
             vw = self.var_weights.get(v)
             if vw is not None:
@@ -474,24 +477,22 @@ class IpwBicScorer(BicScorer):
             w = w * (ok.sum() / total)
         return self._counts(self.rows[ok], parents + (child,), w)
 
-    def _score_on(self, child: str, parents: Tuple[str, ...],
-                  obs: Tuple[str, ...]) -> float:
+    def _score_on(self, child: str, parents: frozenset, obs: frozenset) -> float:
         key = (child, parents, obs)
-        hit = self._on_cache.get(key)
+        hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = _family_bic(self._counts_on(child, parents, obs), self.pseudocount,
-                          self.n_effective)
-        self._on_cache[key] = val
+        val = _family_bic(self._counts_on(child, self._canon(parents), self._canon(obs)),
+                          self.pseudocount, self.n_effective)
+        self._cache[key] = val
         return val
 
     def _family_counts(self, child: str, parents: Tuple[str, ...]):
-        return self._counts_on(child, parents,
-                               self._observed_part((child,) + parents))
+        obs = self.partial & (frozenset(parents) | {child})
+        return self._counts_on(child, parents, self._canon(obs))
 
     def move_delta(self, child: str, old_parents: Iterable[str],
                    new_parents: Iterable[str]) -> float:
-        old = self._canon(old_parents)
-        new = self._canon(new_parents)
-        obs = self._observed_part({child} | set(old) | set(new))
+        old, new = frozenset(old_parents), frozenset(new_parents)
+        obs = self.partial & (old | new | {child})
         return self._score_on(child, new, obs) - self._score_on(child, old, obs)

@@ -257,14 +257,46 @@ def bic(g: Dag, d, pseudocount: float = 0.0) -> float:
         family = sorted(g.parents(v), key=d.index) + [v]
         cards = [d.variable(u).cardinality for u in family]
         table = tally_counts(d.rows, [d.index(u) for u in family], cards)
-        for row in table:
-            n_j = float(sum(row))
-            for n_jk in row:
-                if n_jk > 0:
-                    theta = (n_jk + pseudocount) / (n_j + pseudocount * len(row))
-                    total += n_jk * math.log(theta)
-        total -= 0.5 * math.log(d.n) * (cards[-1] - 1) * len(table)
+        total += _table_bic(table, pseudocount, d.n)
     return total
+
+
+def _table_bic(table, pseudocount: float, n: float) -> float:
+    total = 0.0
+    for row in table:
+        n_j = float(sum(row))
+        for n_jk in row:
+            if n_jk > 0:
+                theta = (n_jk + pseudocount) / (n_j + pseudocount * len(row))
+                total += n_jk * math.log(theta)
+    return total - 0.5 * math.log(n) * (len(table[0]) - 1) * len(table)
+
+
+def ipw_family_bic(d, var_weights, child: str, parents: Iterable[str],
+                   obs: Iterable[str], pseudocount: float = 0.0) -> float:
+    """BIC of one family under IPW weights, one row at a time: the rows
+    where the family and every variable of `obs` are observed, each
+    weighted by the product of the `obs` variables' weights in column
+    order, the weights scaled to mean one over those rows; the penalty
+    uses the dataset's row count."""
+    family = sorted(parents, key=d.index) + [child]
+    obs = sorted(obs, key=d.index)
+    kept, weights = [], []
+    for r in range(d.n):
+        if any(d.mask[r, d.index(v)] for v in family + obs):
+            continue
+        w = 1.0
+        for v in obs:
+            if v in var_weights:
+                w *= float(var_weights[v][r])
+        kept.append(r)
+        weights.append(w)
+    total = sum(weights)
+    if total > 0:
+        weights = [w * len(kept) / total for w in weights]
+    cards = [d.variable(u).cardinality for u in family]
+    table = tally_counts(d.rows[kept], [d.index(u) for u in family], cards, weights)
+    return _table_bic(table, pseudocount, d.n)
 
 
 # --- exhaustive score optimum ---

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import missdag
-from missdag import ecdemo
+from missdag import ecdemo, estimation
 from missdag.cli import main
 from missdag.data import read_csv
 from missdag.graphs import graph_from_json
@@ -86,6 +86,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         _assert_one_diagnostic(capsys.readouterr().err, False)
 
+    def test_runtime_error_on_over_budget_completion_block(self, tmp_path, no_env_seed,
+                                                           monkeypatch, capsys):
+        # a resample of 96 rows, about half of them with CA125 missing
+        monkeypatch.setattr(estimation, "ENUMERATION_CAP", 100)
+        spec = _write_json(tmp_path / "spec.json", {"seed": 1, "targets": [
+            {"target": "CA125", "mechanism": "MCAR", "intercept": 0.0}]})
+        cfg = _demo_config(tmp_path, algorithm="bootstrap-sem", B=1, ampute_spec=spec)
+        assert main(["discover", "--config", cfg, "--seed", "1", "--threads", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        _assert_one_diagnostic(err, False)
+        assert "TooManyMissingInRow" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -152,6 +165,17 @@ MALFORMED_INPUTS = {
     "knowledge-forbidden-unknown-variable": ("discover", {"knowledge": "kb.json"},
                                              {"kb.json": {"forbidden": [["Nope", "Age"]]}},
                                              None),
+    # numbers of the wrong kind are refused, not coerced (int(1.9) would run B=1)
+    "B-float": ("discover", {"algorithm": "bootstrap-sem", "B": 1.9}, {}, None),
+    "threshold-bool": ("discover", {"algorithm": "bootstrap-sem", "B": 1, "threshold": True},
+                       {}, None),
+    "held-out-fraction-string": ("evaluate", {"algorithms": ["hc-complete"], "B": 1,
+                                              "held_out_fraction": "0.5"}, {}, None),
+    "dataset-n-float": ("discover", {"dataset_n": 60.0}, {}, None),
+    # the config seed is read before MGD_SEED
+    "seed-string": ("discover", {"seed": "5"}, {}, "1"),
+    "spec-seed-float": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
+        "seed": 1.5, "targets": [{"target": "CA125", "mechanism": "MCAR"}]}}, None),
 }
 
 

@@ -14,7 +14,6 @@ from missdag.data import (
     bootstrap,
     forward_sample,
     impute_mode,
-    indicators,
     logit,
     read_csv,
     split,
@@ -28,7 +27,6 @@ from missdag.errors import (
     EmptyDataset,
     HeaderMismatch,
     MalformedCsv,
-    NameCollision,
     UnknownState,
 )
 from missdag.estimation import fit_mle
@@ -122,26 +120,6 @@ class TestCsv:
         path.write_bytes(b"a,b\n\xff,0\n")
         with pytest.raises(MalformedCsv):
             read_csv(path)
-
-
-class TestIndicators:
-    def test_appends_one_indicator_per_partial_column(self):
-        d = _dataset([2, 2], [[0, MISSING], [1, 0]])
-        e = indicators(d)
-        assert e.names == ("v0", "v1", "R_v1")
-        assert e.column("R_v1").tolist() == [1, 0]
-        assert e.is_complete() is False  # v1's cell is still missing
-
-    def test_complete_data_returned_unchanged(self):
-        d = _dataset([2], [[0], [1]])
-        assert indicators(d) is d
-
-    def test_name_collision_rejected(self):
-        schema = [VariableSchema("x", ("a", "b")),
-                  VariableSchema("R_x", ("a", "b"))]
-        d = CategoricalDataset(schema, np.array([[MISSING, 0]], dtype=np.int16))
-        with pytest.raises(NameCollision):
-            indicators(d)
 
 
 class TestForwardSample:

@@ -33,6 +33,7 @@ from missdag.graphs import Dag
 
 from oracles import (
     bic,
+    ipw_family_bic,
     joint_log_likelihood,
     random_dag,
     random_params,
@@ -188,6 +189,20 @@ class TestExpandCompletions:
             expand_completions(g, params, d)
         monkeypatch.setattr(estimation, "ENUMERATION_CAP", 8)
         assert expand_completions(g, params, d)[0].shape == (8, 3)
+
+    def test_cap_bounds_the_whole_block(self, monkeypatch):
+        # no row has more than 8 completions, but the block would have 12
+        g = Dag(["v0", "v1", "v2"], [])
+        params = random_params(np.random.default_rng(2), g,
+                               {"v0": 2, "v1": 2, "v2": 2})
+        d = _dataset([2, 2, 2], [[MISSING, MISSING, 0], [0, MISSING, MISSING],
+                                 [MISSING, 1, MISSING]])
+        monkeypatch.setattr(estimation, "ENUMERATION_CAP", 8)
+        with pytest.raises(TooManyMissingInRow):
+            expand_completions(g, params, d)
+        assert d._completions == {}
+        monkeypatch.setattr(estimation, "ENUMERATION_CAP", 12)
+        assert expand_completions(g, params, d)[0].shape == (12, 3)
 
     def test_block_is_built_once_and_read_only(self):
         g, params, d = _random_instance(7, missing=0.4)
@@ -388,6 +403,51 @@ class TestIpwBicScorer:
         counts = scorer._family_counts("v1", ("v0",))
         # the row with v1 missing contributes nothing
         assert counts.sum() == pytest.approx(2.0)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_loop_oracle(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(1, 30))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        # the first column stays fully observed, so IPW weights can use it
+        partial = data.draw(st.sets(st.sampled_from(names[1:])))
+        for v in partial:
+            missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows[np.array(missing, dtype=bool), names.index(v)] = MISSING
+        d = _dataset(cards, rows)
+        fully = [v for j, v in enumerate(names) if not d.mask[:, j].any()]
+        var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
+                       for v in sorted(partial) if data.draw(st.booleans())}
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        scorer = IpwBicScorer(d, var_weights, pseudocount)
+        child = data.draw(st.sampled_from(names))
+        others = [v for v in names if v != child]
+        old = data.draw(st.sets(st.sampled_from(others)))
+        new = data.draw(st.sets(st.sampled_from(others)))
+        seen = set(names) - set(fully)
+        obs = seen & (old | new | {child})
+        want_new, want_old = (ipw_family_bic(d, var_weights, child, ps, obs, pseudocount)
+                              for ps in (new, old))
+        tol = 1e-12 * max(abs(want_new), abs(want_old), 1.0)
+        assert abs(scorer.move_delta(child, old, new) - (want_new - want_old)) <= tol
+        g = random_dag(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                       names, edge_prob=0.5)
+        want = [ipw_family_bic(d, var_weights, v, g.parents(v),
+                               seen & (g.parents(v) | {v}), pseudocount)
+                for v in g.vertices]
+        assert scorer.score(g) == pytest.approx(sum(want), rel=1e-12, abs=1e-12)
+        # the parent set's type and order do not change a value, whether the
+        # family is computed (a fresh scorer) or looked up
+        shuffled = data.draw(st.permutations(sorted(new)))
+        for ps in (list(shuffled), tuple(shuffled), set(new), frozenset(new)):
+            fresh = IpwBicScorer(d, var_weights, pseudocount)
+            for s in (fresh, scorer):
+                assert s.move_delta(child, old, ps) == scorer.move_delta(child, old, new)
+                assert s.family_score(child, ps) == scorer.family_score(child, new)
 
     def test_mean_one_normalisation_caps_total_evidence(self):
         rng = np.random.default_rng(4)
