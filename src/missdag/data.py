@@ -272,8 +272,10 @@ class AmputationSpec:
                     target=t["target"],
                     mechanism=t["mechanism"],
                     drivers=tuple(t.get("drivers", ())),
-                    intercept=float(t.get("intercept", -math.inf)),
-                    weights={k: {s: float(w) for s, w in v.items()}
+                    intercept=checked_number(t.get("intercept", -math.inf), float,
+                                             "amputation spec field 'intercept'"),
+                    weights={k: {s: checked_number(w, float, "amputation spec weight")
+                                 for s, w in v.items()}
                              for k, v in t.get("weights", {}).items()},
                 )
                 for t in doc["targets"]

@@ -152,48 +152,69 @@ def _mean_sd(values) -> Tuple[float, float]:
 def _moves(g: Dag, kb: KnowledgeBase, max_parents: int):
     """All single-edge add/delete/reverse moves preserving acyclicity, the
     knowledge constraints and the parent limit, (parent, child) in declared
-    order. ``reach[v]`` is v with its descendants, built once per call."""
-    reach = {}
+    order. ``reach[i]`` is the bitset of vertex i and its descendants (bit j
+    for the j-th declared vertex), built in one reverse-topological pass."""
+    verts = g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    reach = [0] * len(verts)
     for v in reversed(g.topological_order()):
-        reach[v] = {v}.union(*(reach[c] for c in g.children(v)))
+        bits = 1 << index[v]
+        for c in g.children(v):
+            bits |= reach[index[c]]
+        reach[index[v]] = bits
+    room = [len(g.parents(v)) < max_parents for v in verts]
     moves = []
-    for a in g.vertices:
-        for b in g.vertices:
-            if a == b:
+    for i, a in enumerate(verts):
+        children = g.children(a)
+        for j, b in enumerate(verts):
+            if i == j:
                 continue
-            if (a, b) in g.edges:
+            if b in children:
                 if (a, b) not in kb.required:
                     moves.append(("delete", (a, b)))
                     # cycle iff another directed path a ~> b remains
-                    if ((b, a) not in kb.forbidden
-                            and len(g.parents(a)) < max_parents
-                            and not any(b in reach[c] for c in g.children(a) if c != b)):
+                    if (room[i] and (b, a) not in kb.forbidden
+                            and not any(reach[index[c]] >> j & 1
+                                        for c in children if c != b)):
                         moves.append(("reverse", (a, b)))
-            elif ((a, b) not in kb.forbidden and len(g.parents(b)) < max_parents
-                    and a not in reach[b]):
+            elif room[j] and not reach[j] >> i & 1 and (a, b) not in kb.forbidden:
                 moves.append(("add", (a, b)))
     return moves
+
+
+def _delta(scorer, deltas: dict, g: Dag, child: str, x: str) -> float:
+    """The delta of adding ``x`` to ``child``'s parents in ``g``, or of
+    removing it if it is one, looked up in or stored to ``deltas[child]``,
+    whose entries hold while ``child``'s parents do."""
+    cache = deltas[child]
+    delta = cache.get(x)
+    if delta is None:
+        pc = g.parents(child)
+        delta = cache[x] = scorer.move_delta(child, pc, pc - {x} if x in pc else pc | {x})
+    return delta
 
 
 def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptions.max_iter,
                max_parents: int = SearchOptions.max_parents) -> Tuple[Dag, SearchTrace]:
     """Greedy best-improvement search; ties break lexicographically by
-    (operation, parent, child) for determinism."""
+    (operation, parent, child) for determinism.
+
+    A delta depends only on its child's old and new parent sets, so it is
+    cached per child and re-scored only after a move changes that child's
+    parents: ``b``'s after a move on (a, b), and ``a``'s too after a
+    reversal."""
     if not kb.satisfied_by(init):
         raise KnowledgeViolatedByInput("initial graph violates the knowledge base")
     g = init
     trace = SearchTrace(initial_score=scorer.score(init))
     current = trace.initial_score
+    deltas = {v: {} for v in g.vertices}  # child -> {x: delta of toggling x}
     for it in range(max_iter):
         best = None  # (key, op, edge, delta)
         for op, (a, b) in _moves(g, kb, max_parents):
-            pb = g.parents(b)
-            if op == "add":
-                delta = scorer.move_delta(b, pb, pb | {a})
-            else:
-                delta = scorer.move_delta(b, pb, pb - {a})
-                if op == "reverse":
-                    delta += scorer.move_delta(a, g.parents(a), g.parents(a) | {b})
+            delta = _delta(scorer, deltas, g, b, a)
+            if op == "reverse":
+                delta += _delta(scorer, deltas, g, a, b)
             if delta > IMPROVEMENT_EPS:
                 key = (-delta, op, a, b)
                 if best is None or key < best[0]:
@@ -203,10 +224,12 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
             break
         _, op, (a, b), delta = best
         edges = g.edges - {(a, b)}
+        deltas[b].clear()
         if op == "add":
             edges |= {(a, b)}
         elif op == "reverse":
             edges |= {(b, a)}
+            deltas[a].clear()
         g = Dag(g.vertices, edges)
         current += delta
         trace.moves.append((op, (a, b), delta))

@@ -24,6 +24,7 @@ from .errors import (
     MissingCellsPresent,
     SchemaMismatch,
     TooManyMissingInRow,
+    checked_number,
     json_object,
 )
 from .graphs import Dag
@@ -81,7 +82,8 @@ class ParameterSet:
         variables, states = {}, {}
         try:
             for v, spec in doc["variables"].items():
-                table = np.asarray(spec["table"], dtype=float)
+                table = np.array([[checked_number(x, float, f"CPT cell of {v!r}") for x in row]
+                                  for row in spec["table"]])
                 variables[v] = (tuple(spec["parents"]), table)
                 states[v] = tuple(spec.get("states", [str(i) for i in range(table.shape[1])]))
         except KeyError as exc:

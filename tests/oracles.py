@@ -3,8 +3,8 @@
 Everything here is deliberately naive: exhaustive path enumeration for
 d-separation, full-joint enumeration for likelihoods, exhaustive DAG
 enumeration for score optima, and one candidate graph per hill-climbing
-move. Slow, obviously correct, and independent of
-the production code paths.
+move, each move re-scored on every iteration. Slow, obviously correct,
+and independent of the production code paths.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
 from missdag.errors import CycleDetected, UnknownVertex
 from missdag.graphs import Dag
 
@@ -338,6 +339,50 @@ def legal_moves(g: Dag, kb, max_parents: int) -> List[Tuple[str, Tuple[str, str]
                     for v in h.vertices):
                 moves.append((op, (a, b)))
     return moves
+
+
+def apply_move(g: Dag, op: str, edge: Tuple[str, str]) -> Dag:
+    """The graph after one add/delete/reverse move (raises on a cycle)."""
+    a, b = edge
+    edges = set(g.edges) - {(a, b)}
+    if op == "add":
+        edges.add((a, b))
+    elif op == "reverse":
+        edges.add((b, a))
+    return Dag(g.vertices, sorted(edges))
+
+
+def hill_climb_by_rescoring(scorer, kb, init: Dag, max_iter: int, max_parents: int):
+    """Greedy best-improvement search with no delta cache: every iteration
+    builds each candidate graph of ``legal_moves`` and scores the move
+    afresh with ``scorer.move_delta``, from the parents of the child in the
+    current and the candidate graph (for a reversal, the child's delta plus
+    the parent's). The best move has the smallest (-delta, operation,
+    parent, child) among those improving the score by more than
+    ``IMPROVEMENT_EPS``. Returns the graph and its ``SearchTrace``."""
+    g = init
+    trace = SearchTrace(initial_score=sum(scorer.family_score(v, g.parents(v))
+                                          for v in g.vertices))
+    current = trace.initial_score
+    for it in range(max_iter):
+        best = None
+        for op, (a, b) in legal_moves(g, kb, max_parents):
+            h = apply_move(g, op, (a, b))
+            delta = scorer.move_delta(b, g.parents(b), h.parents(b))
+            if op == "reverse":
+                delta += scorer.move_delta(a, g.parents(a), h.parents(a))
+            if delta > IMPROVEMENT_EPS and (best is None or (-delta, op, a, b) < best[0]):
+                best = ((-delta, op, a, b), delta, h)
+        if best is None:
+            trace.iterations = it
+            break
+        (_, op, a, b), delta, g = best
+        current += delta
+        trace.moves.append((op, (a, b), delta))
+    else:
+        trace.iterations = max_iter
+    trace.final_score = current
+    return g, trace
 
 
 # --- DOT text read back ---

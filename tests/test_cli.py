@@ -260,6 +260,15 @@ MALFORMED_FILES = {
         {"seed": 1, "targets": [{"target": "a", "mechanism": "NMAR"}]})}),
     "ampute-spec-mcar-with-drivers": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
         {"seed": 1, "targets": [{"target": "a", "mechanism": "MCAR", "drivers": ["b"]}]})}),
+    # numbers of the wrong kind are refused, not coerced
+    "ampute-spec-intercept-string": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
+        {"seed": 1, "targets": [{"target": "a", "mechanism": "MAR", "drivers": ["b"],
+                                 "intercept": "-2"}]})}),
+    "ampute-spec-weight-bool": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
+        {"seed": 1, "targets": [{"target": "a", "mechanism": "MAR", "drivers": ["b"],
+                                 "intercept": 0.0, "weights": {"b": {"1": True}}}]})}),
+    "simulate-params-cell-string": (SIMULATE, {"g.json": GRAPH, "p.json": PARAMS.replace(
+        "[[0.5, 0.5]]", '[["0.5", 0.5]]')}),
 }
 
 

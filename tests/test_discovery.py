@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from missdag.data import (
+    MISSING,
     AmputationEntry,
     AmputationSpec,
+    CategoricalDataset,
     ampute,
     forward_sample,
     logit,
@@ -31,11 +33,18 @@ from missdag.errors import (
     KnowledgeInfeasible,
     KnowledgeViolatedByInput,
 )
-from missdag.estimation import BicScorer, em_fit
+from missdag.estimation import BicScorer, IpwBicScorer, em_fit, ipw_weights
 from missdag.graphs import Dag
 from missdag.stats import g_test
 
-from oracles import best_score_exhaustive, legal_moves, random_dag, random_params
+from oracles import (
+    apply_move,
+    best_score_exhaustive,
+    hill_climb_by_rescoring,
+    legal_moves,
+    random_dag,
+    random_params,
+)
 
 
 def _chain_data(n=2000, seed=0):
@@ -98,19 +107,6 @@ class TestKnowledgeBase:
         assert KnowledgeBase.from_json(kb.to_json()) == kb
 
 
-def _apply(g, op, edge):
-    a, b = edge
-    edges = set(g.edges)
-    if op == "add":
-        edges.add((a, b))
-    elif op == "delete":
-        edges.discard((a, b))
-    else:
-        edges.discard((a, b))
-        edges.add((b, a))
-    return Dag(g.vertices, sorted(edges))
-
-
 class TestLegalMoves:
     def test_every_move_yields_a_legal_dag(self):
         kb = KnowledgeBase(forbidden={("c", "a")}, required={("a", "b")})
@@ -118,7 +114,7 @@ class TestLegalMoves:
         moves = legal_moves(g, kb, max_parents=2)
         assert moves
         for op, edge in moves:
-            h = _apply(g, op, edge)  # Dag() would raise on a cycle
+            h = apply_move(g, op, edge)  # Dag() would raise on a cycle
             assert kb.satisfied_by(h)
             assert all(len(h.parents(v)) <= 2 for v in h.vertices)
 
@@ -162,7 +158,91 @@ class TestLegalMoves:
         assert set(_moves(g, kb, max_parents)) == set(legal_moves(g, kb, max_parents))
 
 
+def _search_instance(seed, kind, max_vars=6):
+    """A knowledge base, a starting graph and a factory of fresh scorers for
+    a random search: data sampled from a random network, a random starting
+    graph that holds the required edges and none of the random forbidden
+    ones. ``kind`` is "bic", "weighted" (row weights) or "ipw"
+    (``IpwBicScorer`` on masked data). A pseudocount makes the score tell
+    the directions of a covered edge apart, so reversals improve it."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i}" for i in range(rng.integers(2, max_vars + 1))]
+    cards = {v: int(rng.integers(2, 5)) for v in names}
+    truth = random_dag(rng, names, edge_prob=rng.uniform(0.2, 0.9))
+    n = int(rng.integers(20, 300))
+    d = forward_sample(truth, random_params(rng, truth, cards), n,
+                       seed=int(rng.integers(2 ** 31)))
+    init = random_dag(rng, names, edge_prob=rng.uniform(0.0, 0.7))
+    kb = KnowledgeBase(
+        required=[e for e in sorted(init.edges) if rng.random() < 0.25],
+        forbidden=[(a, b) for a in names for b in names
+                   if a != b and (a, b) not in init.edges and rng.random() < 0.15])
+    pseudocount = float(rng.choice([0.0, 0.5, 1.0]))
+    if kind == "bic":
+        return kb, init, lambda: BicScorer(d.schema, d.rows, pseudocount=pseudocount)
+    if kind == "weighted":
+        weights = rng.uniform(0.1, 3.0, n)
+        return kb, init, lambda: BicScorer(d.schema, d.rows, weights, pseudocount)
+    # the first column and the first row stay fully observed
+    rows = d.rows.copy()
+    for j in range(1, len(names)):
+        if rng.random() < 0.7:
+            rows[1:][rng.random(n - 1) < rng.uniform(0.05, 0.4), j] = MISSING
+    dm = CategoricalDataset(d.schema, rows)
+    fully = [v for j, v in enumerate(names) if not dm.mask[:, j].any()]
+    var_weights = {v: ipw_weights(dm, v, [w for w in fully if rng.random() < 0.5])
+                   for v in names if v not in fully}
+    return kb, init, lambda: IpwBicScorer(dm, var_weights, pseudocount)
+
+
 class TestHillClimb:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["bic", "weighted", "ipw"]),
+           st.integers(1, 4), st.integers(0, 6) | st.just(SearchOptions.max_iter))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_search_that_rescores_every_move(self, seed, kind, max_parents,
+                                                    max_iter):
+        kb, init, make = _search_instance(seed, kind)
+        assert hill_climb(make(), kb, init, max_iter, max_parents) == \
+            hill_climb_by_rescoring(make(), kb, init, max_iter, max_parents)
+
+    def test_rescores_only_the_moves_whose_child_changed(self, monkeypatch):
+        # A delta is computed once per child and parent set: for every
+        # candidate of the first iteration, then for the candidates whose
+        # child the last move changed (b, and a after a reversal), and for
+        # candidates the child's parent set has not offered before.
+        # seed 3: seven variables, knowledge, and 14 moves of all three kinds
+        kb, init, make = _search_instance(3, "bic", max_vars=8)
+        max_iter, max_parents = 500, 3
+        calls = []
+        move_delta = BicScorer.move_delta
+
+        def counted(self, *args):
+            calls.append(args)
+            return move_delta(self, *args)
+
+        monkeypatch.setattr(BicScorer, "move_delta", counted)
+        _, trace = hill_climb(make(), kb, init, max_iter, max_parents)
+        h, scored, expected, reads_total = init, {v: set() for v in init.vertices}, 0, 0
+        for k in range(len(trace.moves) + 1):
+            for op, (a, b) in legal_moves(h, kb, max_parents):
+                # (child, the parent it gains or loses)
+                reads = [(b, a)] + ([(a, b)] if op == "reverse" else [])
+                reads_total += len(reads)
+                for child, x in reads:
+                    if x not in scored[child]:
+                        scored[child].add(x)
+                        expected += 1
+            if k < len(trace.moves):
+                op, (a, b), _ = trace.moves[k]
+                h = apply_move(h, op, (a, b))
+                scored[b].clear()
+                if op == "reverse":
+                    scored[a].clear()
+        assert len(trace.moves) < max_iter
+        assert {op for op, _, _ in trace.moves} == {"add", "delete", "reverse"}
+        assert len(calls) == expected
+        assert expected < reads_total / 4  # 109 of 498 reads
+
     def test_matches_exhaustive_optimum_on_small_instances(self):
         hits = 0
         for seed in range(20):
@@ -185,7 +265,7 @@ class TestHillClimb:
         g, _ = hill_climb(scorer, kb, Dag(d.names))
         base = scorer.score(g)
         for op, edge in legal_moves(g, kb, max_parents=4):
-            assert scorer.score(_apply(g, op, edge)) <= base + 1e-9
+            assert scorer.score(apply_move(g, op, edge)) <= base + 1e-9
 
     def test_trace_score_matches_result(self):
         _, _, d = _chain_data(seed=4)
