@@ -143,6 +143,13 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def _dot(g: Dag) -> str:
+    """The DOT text of ``g``, its vertices coloured by clinical role when it
+    holds every variable of the bundled demo model that has one."""
+    return export_dot(g, roles=ecdemo.EC_ROLES
+                      if set(g.vertices) >= set(ecdemo.EC_ROLES) else None)
+
+
 def _search_options(config: dict) -> SearchOptions:
     return SearchOptions(**{f.name: config[f.name]
                             for f in dataclasses.fields(SearchOptions) if f.name in config})
@@ -187,8 +194,7 @@ def cmd_discover(args) -> int:
         if found.report is not None:
             trace_doc["indicator_report"] = found.report
     _write(out / "graph.json", graph_to_json(g))
-    _write(out / "graph.dot", export_dot(g, roles=ecdemo.EC_ROLES
-                                         if set(g.vertices) >= set(ecdemo.EC_ROLES) else None))
+    _write(out / "graph.dot", _dot(g))
     _write(out / "trace.json", json.dumps(trace_doc, indent=2, sort_keys=True) + "\n")
     if summary_doc is not None:
         _write(out / "summary.json", json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
@@ -218,8 +224,7 @@ def cmd_evaluate(args) -> int:
 def _load_graph(ref: str) -> Dag:
     if ref in ecdemo.BUILTIN_GRAPHS:
         return ecdemo.BUILTIN_GRAPHS[ref]()
-    g, _ = graph_from_json(_read_text(ref, "graph file"))
-    return g
+    return graph_from_json(_read_text(ref, "graph file"))
 
 
 def _parse_dsep_query(query: str):
@@ -280,8 +285,7 @@ def cmd_simulate(args) -> int:
 def cmd_export_dot(args) -> int:
     g = _load_graph(args.graph)
     out = _out_file(args.out) if args.out else None
-    roles = ecdemo.EC_ROLES if set(g.vertices) >= set(ecdemo.EC_ROLES) else None
-    text = export_dot(g, roles=roles)
+    text = _dot(g)
     if out is not None:
         _write(out, text)
     else:

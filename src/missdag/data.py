@@ -22,13 +22,13 @@ from .errors import (
     ConfigError,
     DriverMissing,
     EmptyDataset,
-    HeaderMismatch,
     IncompleteParameters,
     MalformedCsv,
     NameCollision,
     UnknownState,
     UnknownVariable,
     checked_number,
+    checked_strings,
     json_object,
 )
 from .graphs import Dag
@@ -145,7 +145,10 @@ class CategoricalDataset:
         return f"CategoricalDataset(n={self.n}, p={self.p})"
 
 
-def read_csv(path, schema: Optional[Sequence[VariableSchema]] = None) -> CategoricalDataset:
+def read_csv(path) -> CategoricalDataset:
+    """The dataset in a CSV file with a header row. Each column's states are
+    its distinct tokens in order of first appearance; empty and ``NA`` cells
+    are missing. A column with fewer than two states is padded to two."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -155,39 +158,25 @@ def read_csv(path, schema: Optional[Sequence[VariableSchema]] = None) -> Categor
         raise MalformedCsv(f"{path}: not UTF-8 text: {exc}") from None
     if header is None:
         raise MalformedCsv(f"{path}: empty file")
-    return _parse_rows(header, records, schema, str(path))
-
-
-def _parse_rows(header, records, schema, where):
-    if schema is not None:
-        names = [v.name for v in schema]
-        if list(header) != names:
-            raise HeaderMismatch(f"{where}: header {header!r} != schema {names!r}")
-        lookup = [{s: i for i, s in enumerate(v.states)} for v in schema]
-    else:
-        lookup = [{} for _ in header]
     p = len(header)
+    lookup = [{} for _ in header]
     rows = np.full((len(records), p), MISSING, dtype=np.int16)
     for r, rec in enumerate(records):
         if len(rec) != p:
-            raise MalformedCsv(f"{where}: row {r + 1} has {len(rec)} fields, expected {p}")
+            raise MalformedCsv(f"{path}: row {r + 1} has {len(rec)} fields, expected {p}")
         for c, tok in enumerate(rec):
             if tok in MISSING_TOKENS:
                 continue
             if tok not in lookup[c]:
-                if schema is not None:
-                    raise UnknownState(
-                        f"{where}: row {r + 1}, column {header[c]!r}: state {tok!r}")
                 lookup[c][tok] = len(lookup[c])
             rows[r, c] = lookup[c][tok]
-    if schema is None:
-        schema = []
-        for c, name in enumerate(header):
-            states = [s for s, _ in sorted(lookup[c].items(), key=lambda kv: kv[1])]
-            if len(states) < 2:
-                # pad degenerate columns so the schema invariant holds
-                states = states + [f"__pad{k}" for k in range(2 - len(states))]
-            schema.append(VariableSchema(name, tuple(states)))
+    schema = []
+    for c, name in enumerate(header):
+        states = list(lookup[c])  # insertion order is state-index order
+        if len(states) < 2:
+            # pad degenerate columns so the schema invariant holds
+            states = states + [f"__pad{k}" for k in range(2 - len(states))]
+        schema.append(VariableSchema(name, tuple(states)))
     return CategoricalDataset(schema, rows)
 
 
@@ -271,7 +260,8 @@ class AmputationSpec:
                 AmputationEntry(
                     target=t["target"],
                     mechanism=t["mechanism"],
-                    drivers=tuple(t.get("drivers", ())),
+                    drivers=tuple(checked_strings(t.get("drivers", []),
+                                                  "amputation spec field 'drivers'")),
                     intercept=checked_number(t.get("intercept", -math.inf), float,
                                              "amputation spec field 'intercept'"),
                     weights={k: {s: checked_number(w, float, "amputation spec weight")

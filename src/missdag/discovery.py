@@ -67,11 +67,11 @@ class SearchOptions:
                            f"search option {f.name!r}")
 
     def sem_options(self) -> dict:
-        """The keyword arguments of ``structural_em``."""
+        """The options as ``bootstrap_sem``'s keyword arguments."""
         return {kw: getattr(self, name) for kw, name in _SEM_KEYWORDS.items()}
 
 
-# structural_em's keyword -> the SearchOptions field that sets it
+# bootstrap_sem's keyword -> the SearchOptions field that sets it
 _SEM_KEYWORDS = {"pseudocount": "refit_pseudocount", "max_outer": "sem_max_outer",
                  "em_max_iter": "em_max_iter", "em_tol": "em_tol",
                  "max_parents": "max_parents", "max_iter": "max_iter"}
@@ -121,6 +121,17 @@ class SearchTrace:
     initial_score: float = 0.0
     final_score: float = 0.0
     iterations: int = 0
+
+
+@dataclass
+class Discovery:
+    """One run of a search: the graph, the hill-climbing trace and the
+    indicator report where the search makes them, and a function that fits
+    parameters to the graph (only the bootstrap replicates call it)."""
+    graph: Dag
+    refit: Callable[[], ParameterSet]
+    trace: Optional[SearchTrace] = None
+    report: Optional[dict] = None
 
 
 @dataclass
@@ -253,28 +264,23 @@ def _initial_graph(names, kb: KnowledgeBase) -> Dag:
 
 
 def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
-                  pseudocount: float = SearchOptions.refit_pseudocount,
-                  max_outer: int = SearchOptions.sem_max_outer,
-                  em_max_iter: int = SearchOptions.em_max_iter,
-                  em_tol: float = SearchOptions.em_tol,
-                  max_parents: int = SearchOptions.max_parents,
-                  max_iter: int = SearchOptions.max_iter) -> Tuple[Dag, ParameterSet]:
+                  opts: SearchOptions = SearchOptions()) -> Tuple[Dag, ParameterSet]:
     """Alternates parameter EM with hill climbing on expected family counts
     (soft completion) until the graph stabilizes."""
     g = _initial_graph(d.names, kb)
-    params, _ = em_fit(g, d, pseudocount, em_max_iter, em_tol)
+    params, _ = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
     schema = [d.variable(v) for v in g.vertices]
-    for _ in range(max_outer):
+    for _ in range(opts.sem_max_outer):
         rows, weights, _, _ = expand_completions(g, params, d)
         scorer = BicScorer(schema, rows, weights, pseudocount=0.0,
                            n_effective=float(d.n))
-        g2, _ = hill_climb(scorer, kb, init=g, max_iter=max_iter,
-                           max_parents=max_parents)
+        g2, _ = hill_climb(scorer, kb, init=g, max_iter=opts.max_iter,
+                           max_parents=opts.max_parents)
         if g2 == g:
             # params are already em_fit(g): EM is deterministic
             break
         g = g2
-        params, _ = em_fit(g, d, pseudocount, em_max_iter, em_tol)
+        params, _ = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
     return g, params
 
 
@@ -319,42 +325,33 @@ def detect_indicator_parents(d: CategoricalDataset, alpha: float = SearchOptions
     return report
 
 
-def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase, alpha: float = SearchOptions.alpha,
-            pseudocount: float = SearchOptions.score_pseudocount,
-            max_iter: int = SearchOptions.max_iter,
-            max_parents: int = SearchOptions.max_parents):
+def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase,
+            opts: SearchOptions = SearchOptions()) -> Discovery:
     """Hill climbing on IPW-weighted family-complete counts.
 
     Missingness-indicator parents are detected by G-tests against the fully
     observed variables; each family is scored on the rows where all its
     members are observed, reweighted by the involved variables' inverse
-    observation probabilities.
+    observation probabilities. Parameters are refit by EM, so that every
+    partially observed row still contributes.
     """
-    report = detect_indicator_parents(d, alpha)
+    report = detect_indicator_parents(d, opts.alpha)
     var_weights = {x: ipw_weights(d, x, info["detected_parents"])
                    for x, info in report.items()}
-    scorer = IpwBicScorer(d, var_weights, pseudocount=pseudocount)
+    scorer = IpwBicScorer(d, var_weights, pseudocount=opts.score_pseudocount)
     g, trace = hill_climb(scorer, kb, _initial_graph(d.names, kb),
-                          max_iter=max_iter, max_parents=max_parents)
-    return g, trace, report
+                          max_iter=opts.max_iter, max_parents=opts.max_parents)
+    return Discovery(g, lambda: em_fit(g, d, opts.refit_pseudocount,
+                                       max_iter=opts.em_max_iter, tol=opts.em_tol)[0],
+                     trace, report)
 
 
 # --- the algorithm registry ---
 
 
-@dataclass
-class Discovery:
-    """One run of a search: the graph, the hill-climbing trace and the
-    indicator report where the search makes them, and a function that fits
-    parameters to the graph (only the bootstrap replicates call it)."""
-    graph: Dag
-    refit: Callable[[], ParameterSet]
-    trace: Optional[SearchTrace] = None
-    report: Optional[dict] = None
-
-
 # The searches call the package's functions by their module-level names, so
-# that a wrapper installed on a name is the one that runs.
+# that a wrapper installed on a name is the one that runs. That is why
+# bootstrap-sem's entry is a function of its own and not structural_em.
 
 def _hc_complete(d: CategoricalDataset, kb: KnowledgeBase,
                  opts: SearchOptions) -> Discovery:
@@ -368,26 +365,15 @@ def _hc_complete(d: CategoricalDataset, kb: KnowledgeBase,
 def _bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase,
                    opts: SearchOptions) -> Discovery:
     # one structural-EM run; the resampling is _replicate's
-    g, params = structural_em(d, kb, **opts.sem_options())
+    g, params = structural_em(d, kb, opts)
     return Discovery(g, lambda: params)
 
 
-def _hc_aipw(d: CategoricalDataset, kb: KnowledgeBase,
-             opts: SearchOptions) -> Discovery:
-    g, trace, report = hc_aipw(d, kb, alpha=opts.alpha,
-                               pseudocount=opts.score_pseudocount,
-                               max_iter=opts.max_iter, max_parents=opts.max_parents)
-    # Structure comes from the weighted search; parameters are refit by
-    # EM so that every partially observed row still contributes.
-    return Discovery(g, lambda: em_fit(g, d, opts.refit_pseudocount,
-                                       max_iter=opts.em_max_iter, tol=opts.em_tol)[0],
-                     trace, report)
-
-
-SEARCHES: Dict[str, Callable[..., Discovery]] = {
+SEARCHES: Dict[str, Callable[[CategoricalDataset, KnowledgeBase, SearchOptions],
+                              Discovery]] = {
     "hc-complete": _hc_complete,
     "bootstrap-sem": _bootstrap_sem,
-    "hc-aipw": _hc_aipw,
+    "hc-aipw": hc_aipw,
 }
 ALGORITHMS = tuple(SEARCHES)
 
@@ -504,7 +490,8 @@ def bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase, B: int = 100,
     """Structural EM on B bootstrap resamples (``evaluate``'s replicates of
     ``bootstrap-sem``); consensus graph from edges whose frequency reaches
     the threshold, cycles broken lowest-frequency first, required edges
-    enforced. ``sem_options`` are ``structural_em``'s keywords."""
+    enforced. ``sem_options`` are the keywords of ``_SEM_KEYWORDS``, each of
+    which sets a ``SearchOptions`` field."""
     unknown = sorted(set(sem_options) - set(_SEM_KEYWORDS))
     if unknown:
         raise TypeError(f"bootstrap_sem() got unexpected keyword arguments {unknown}")

@@ -63,11 +63,6 @@ EC_ROLES: Dict[str, str] = {
     "Hospital": "context",
 }
 
-REQUIRED_SURVIVAL_EDGES = (
-    ("Survival1yr", "Survival3yr"),
-    ("Survival3yr", "Survival5yr"),
-)
-
 GROUND_TRUTH_EDGES: List[Tuple[str, str]] = [
     ("Hospital", "PreoperativeGrade"),
     ("Hospital", "Chemotherapy"),

@@ -38,6 +38,14 @@ def checked_number(value, kind, what: str):
     return kind(value)
 
 
+def checked_strings(value, what: str) -> list:
+    """``value`` if it is a JSON list of strings. A string is not taken for
+    a list: Python would read ``"ab"`` as ``["a", "b"]``."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
 # --- graphs ---
 
 class CycleDetected(MissDagError):
@@ -69,10 +77,6 @@ class MalformedCsv(MissDagError):
 
 
 class UnknownState(MissDagError):
-    pass
-
-
-class HeaderMismatch(MissDagError):
     pass
 
 

@@ -25,6 +25,7 @@ from .errors import (
     SchemaMismatch,
     TooManyMissingInRow,
     checked_number,
+    checked_strings,
     json_object,
 )
 from .graphs import Dag
@@ -39,14 +40,13 @@ class ParameterSet:
     """One CPT per variable, indexed by the lexicographic parent-state
     product (first parent most significant)."""
 
-    __slots__ = ("variables", "states", "pseudocount")
+    __slots__ = ("variables", "states")
 
     def __init__(self, variables: Mapping[str, Tuple[Tuple[str, ...], np.ndarray]],
-                 states: Mapping[str, Tuple[str, ...]], pseudocount: float = 0.0):
+                 states: Mapping[str, Tuple[str, ...]]):
         self.variables = {v: (tuple(ps), np.asarray(t, dtype=float))
                           for v, (ps, t) in variables.items()}
         self.states = {v: tuple(s) for v, s in states.items()}
-        self.pseudocount = float(pseudocount)
         for v, (parents, table) in self.variables.items():
             if v not in self.states:
                 raise SchemaMismatch(f"no state labels for {v!r}")
@@ -84,8 +84,11 @@ class ParameterSet:
             for v, spec in doc["variables"].items():
                 table = np.array([[checked_number(x, float, f"CPT cell of {v!r}") for x in row]
                                   for row in spec["table"]])
-                variables[v] = (tuple(spec["parents"]), table)
-                states[v] = tuple(spec.get("states", [str(i) for i in range(table.shape[1])]))
+                variables[v] = (tuple(checked_strings(spec["parents"], f"parents of {v!r}")),
+                                table)
+                states[v] = tuple(checked_strings(
+                    spec.get("states", [str(i) for i in range(table.shape[1])]),
+                    f"states of {v!r}"))
         except KeyError as exc:
             raise ConfigError(f"parameter file lacks field {exc}") from exc
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
@@ -133,7 +136,7 @@ def _weighted_fit(g: Dag, schema, col_of, rows, weights, pseudocount: float) -> 
         table = _normalize_counts(counts, pseudocount)
         variables[v] = (parents, table)
         states[v] = schema[col_of[v]].states
-    return ParameterSet(variables, states, pseudocount)
+    return ParameterSet(variables, states)
 
 
 def _normalize_counts(counts: np.ndarray, pseudocount: float) -> np.ndarray:
@@ -297,14 +300,13 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
     return ScoreValue(log_likelihood=ll)
 
 
-def rescale_ll(values: Sequence, n: int) -> List[float]:
+def rescale_ll(values: Sequence[float], n: int) -> List[float]:
     """Divide by sample size, then by the maximum absolute per-sample value."""
     if not values:
         raise EmptyList("no score values to rescale")
     if n <= 0:
         raise EmptyList("sample size must be positive")
-    raw = [v.log_likelihood if isinstance(v, ScoreValue) else float(v) for v in values]
-    per = [v / n for v in raw]
+    per = [v / n for v in values]
     m = max(abs(v) for v in per)
     if m == 0.0:
         raise AllZero("all per-sample values are zero")

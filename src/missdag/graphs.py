@@ -18,6 +18,7 @@ from .errors import (
     InvalidMGraph,
     OverlappingSets,
     UnknownVertex,
+    checked_strings,
     json_object,
 )
 
@@ -332,23 +333,15 @@ _ROLE_COLORS = {
     "context": "gray",
 }
 
-def export_dot(g: Dag, classes: Optional[Mapping[str, VertexClass]] = None,
-               roles: Optional[Mapping[str, str]] = None) -> str:
+def export_dot(g: Dag, roles: Optional[Mapping[str, str]] = None) -> str:
     """Deterministic DOT text: vertices in declared order, edges sorted."""
     order = {v: i for i, v in enumerate(g.vertices)}
     lines = ["digraph G {"]
     for v in g.vertices:
-        attrs = []
+        body = ""
         if roles and v in roles:
             color = _ROLE_COLORS.get(roles[v], roles[v])
-            attrs.append(f'style=filled fillcolor="{color}"')
-        if classes and classes[v] is VertexClass.LATENT:
-            attrs.append("style=dashed")
-        elif classes and classes[v] is VertexClass.PROXY:
-            attrs.append("shape=box")
-        elif classes and classes[v] is VertexClass.INDICATOR:
-            attrs.append("shape=diamond")
-        body = f' [{" ".join(attrs)}]' if attrs else ""
+            body = f' [style=filled fillcolor="{color}"]'
         lines.append(f'  "{v}"{body};')
     for p, c in sorted(g.edges, key=lambda e: (order[e[0]], order[e[1]])):
         lines.append(f'  "{p}" -> "{c}";')
@@ -356,29 +349,22 @@ def export_dot(g: Dag, classes: Optional[Mapping[str, VertexClass]] = None,
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g: Dag, classes: Optional[Mapping[str, VertexClass]] = None) -> str:
+def graph_to_json(g: Dag) -> str:
     doc = {
         "vertices": list(g.vertices),
         "edges": sorted([list(e) for e in g.edges]),
     }
-    if classes is not None:
-        doc["classes"] = {v: classes[v].value for v in g.vertices}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def graph_from_json(text: str):
-    """Returns (Dag, classes-or-None); a document that is not a graph raises
-    ConfigError."""
+def graph_from_json(text: str) -> Dag:
+    """The graph of a ``graph_to_json`` document; a document that is not a
+    graph raises ConfigError."""
     doc = json_object(text, "graph file")
     try:
-        g = Dag(doc["vertices"], [tuple(e) for e in doc.get("edges", [])])
-        classes = None
-        if "classes" in doc:
-            classes = {v: VertexClass(c) for v, c in doc["classes"].items()}
+        return Dag(checked_strings(doc["vertices"], "graph field 'vertices'"),
+                   [tuple(checked_strings(e, "graph edge")) for e in doc.get("edges", [])])
     except KeyError as exc:
         raise ConfigError(f"graph file lacks field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"graph file is malformed: {exc}") from exc
-    if classes is not None and set(classes) != set(g.vertices):
-        raise InvalidMGraph("classes must cover exactly the vertex set")
-    return g, classes

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: exhaustive path enumeration for
 d-separation, full-joint enumeration for likelihoods, exhaustive DAG
-enumeration for score optima, and one candidate graph per hill-climbing
-move, each move re-scored on every iteration. Slow, obviously correct,
-and independent of the production code paths.
+enumeration for score optima, one candidate graph per hill-climbing
+move, each move re-scored on every iteration, and a conditional G-test
+one stratum at a time. Slow, obviously correct, and independent of the
+production code paths.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import re
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.stats import chi2
 
 from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
 from missdag.errors import CycleDetected, UnknownVertex
@@ -298,6 +300,29 @@ def ipw_family_bic(d, var_weights, child: str, parents: Iterable[str],
     cards = [d.variable(u).cardinality for u in family]
     table = tally_counts(d.rows[kept], [d.index(u) for u in family], cards, weights)
     return _table_bic(table, pseudocount, d.n)
+
+
+# --- G-test of conditional independence, stratum by stratum ---
+
+
+def conditional_g_test(a, b, a_card: int, b_card: int, cond, cond_card: int):
+    """Likelihood-ratio (G) test of a _||_ b given cond: the G statistics of
+    the strata of cond, added up, with (a_card - 1)(b_card - 1) degrees of
+    freedom per stratum, empty strata included. Returns (G, degrees of
+    freedom, p-value)."""
+    a, b, cond = (np.asarray(x, dtype=np.intp) for x in (a, b, cond))
+    g_stat = 0.0
+    for s in range(cond_card):
+        table = np.zeros((a_card, b_card))
+        np.add.at(table, (a[cond == s], b[cond == s]), 1.0)
+        n = table.sum()
+        for i in range(a_card):
+            for j in range(b_card):
+                if table[i, j] > 0:
+                    expected = table[i].sum() * table[:, j].sum() / n
+                    g_stat += 2.0 * table[i, j] * math.log(table[i, j] / expected)
+    df = (a_card - 1) * (b_card - 1) * cond_card
+    return g_stat, df, float(chi2.sf(g_stat, df)) if df > 0 else 1.0
 
 
 # --- exhaustive score optimum ---

@@ -45,6 +45,7 @@ from conftest import record_criterion
 from oracles import (
     all_dags,
     best_score_exhaustive,
+    conditional_g_test,
     dsep_by_path_enumeration,
     joint_log_likelihood,
     legal_moves,
@@ -132,7 +133,7 @@ def test_criterion_2_mechanism_round_trip():
             w, c = a.column("w"), a.column("c")
             p_w = g_test(rx, w, 2, 2)[2]
             p_c = g_test(rx, c, 2, 2)[2]
-            p_c_given_w = g_test(rx, c, 2, 2, cond=w, cond_card=2)[2]
+            p_c_given_w = conditional_g_test(rx, c, 2, 2, w, 2)[2]
             if mechanism == "MCAR":
                 signatures_ok &= p_w > alpha and p_c > alpha
             elif mechanism == "MAR":

@@ -25,9 +25,7 @@ from missdag.errors import (
     ConfigError,
     DriverMissing,
     EmptyDataset,
-    HeaderMismatch,
     MalformedCsv,
-    UnknownState,
 )
 from missdag.estimation import fit_mle
 from missdag.graphs import Dag
@@ -43,6 +41,12 @@ def _schema(*cards):
 def _dataset(cards, rows):
     rows = np.asarray(rows, dtype=np.int16)
     return CategoricalDataset(_schema(*cards), rows)
+
+
+def _labels(d):
+    """Each cell's state label, None where it is missing."""
+    return [[None if d.mask[r, c] else v.states[d.rows[r, c]]
+             for c, v in enumerate(d.schema)] for r in range(d.n)]
 
 
 class TestSchema:
@@ -78,11 +82,13 @@ class TestDataset:
 
 class TestCsv:
     def test_round_trip_with_missing(self, tmp_path):
+        # reading infers the states, so cells are compared by label
         d = _dataset([2, 3], [[0, MISSING], [1, 2], [MISSING, 0]])
         path = tmp_path / "d.csv"
         write_csv(d, path)
-        back = read_csv(path, schema=d.schema)
-        assert back == d
+        back = read_csv(path)
+        assert back.names == d.names
+        assert _labels(back) == _labels(d)
 
     def test_schema_free_read_orders_states_by_appearance(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -90,18 +96,6 @@ class TestCsv:
         d = read_csv(path)
         assert d.variable("x").states == ("high", "low")
         assert d.mask[0, 1]
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("a,b\n0,1\n")
-        with pytest.raises(HeaderMismatch):
-            read_csv(path, schema=_schema(2, 2))
-
-    def test_unknown_state_rejected(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("v0\nbogus\n")
-        with pytest.raises(UnknownState):
-            read_csv(path, schema=_schema(2)[:1])
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -40,6 +40,7 @@ from missdag.stats import g_test
 from oracles import (
     apply_move,
     best_score_exhaustive,
+    conditional_g_test,
     hill_climb_by_rescoring,
     legal_moves,
     random_dag,
@@ -76,15 +77,19 @@ class TestGTest:
         assert p < 1e-10
 
     def test_conditioning_blocks_dependence(self):
+        # the conditional test of criterion 2, an oracle; with one stratum
+        # it is the marginal test
         rng = np.random.default_rng(2)
         z = rng.integers(0, 2, 50000)
         a = (z + (rng.random(50000) < 0.2)) % 2
         b = (z + (rng.random(50000) < 0.2)) % 2
         _, _, p_marg = g_test(a, b, 2, 2)
-        _, df, p_cond = g_test(a, b, 2, 2, cond=z, cond_card=2)
+        _, df, p_cond = conditional_g_test(a, b, 2, 2, z, 2)
         assert p_marg < 1e-10
         assert df == 2
         assert p_cond > 1e-4
+        one = conditional_g_test(a, b, 2, 2, np.zeros_like(z), 1)
+        assert one == pytest.approx(g_test(a, b, 2, 2), rel=1e-12)
 
 
 class TestKnowledgeBase:
@@ -303,7 +308,7 @@ class TestStructuralEm:
     def test_equals_plain_hill_climb_on_complete_data(self):
         _, _, d = _chain_data(seed=7)
         kb = KnowledgeBase()
-        g_sem, _ = structural_em(d, kb, pseudocount=0.0)
+        g_sem, _ = structural_em(d, kb, SearchOptions(refit_pseudocount=0.0))
         g_hc, _ = hill_climb(BicScorer(d.schema, d.rows), kb, Dag(d.names))
         assert g_sem == g_hc
 
@@ -333,7 +338,7 @@ class TestStructuralEm:
         for name in calls:
             monkeypatch.setattr(discovery, name, counting(name))
         d = _mar_amputed(seed=8, n=600)
-        g, params = structural_em(d, KnowledgeBase(), max_outer=max_outer)
+        g, params = structural_em(d, KnowledgeBase(), SearchOptions(sem_max_outer=max_outer))
         # one fit of the start graph and one of each graph a search moved to;
         # the search that returns its start graph (here before max_outer runs
         # out) is not followed by a refit
@@ -349,6 +354,10 @@ class TestStructuralEm:
 
 
 class TestSearches:
+    def test_every_search_takes_data_knowledge_and_options(self):
+        for search in (*SEARCHES.values(), structural_em):
+            assert list(inspect.signature(search).parameters) == ["d", "kb", "opts"]
+
     @pytest.mark.parametrize("name", ALGORITHMS)
     @pytest.mark.parametrize("kind", ["required", "forbidden"])
     def test_knowledge_of_unknown_variable_rejected(self, name, kind):
@@ -385,17 +394,16 @@ class TestBootstrapSem:
         with pytest.raises(ConfigError):
             bootstrap_sem(d, KnowledgeBase(), B=2, threshold=0.0)
 
-    def test_sem_keywords_name_structural_em_parameters(self):
+    def test_sem_keywords_set_their_search_options(self):
         # every SearchOptions default differs from the others, so a keyword
         # mapped to the wrong field shows as a default that does not match
-        defaults = {k: p.default for k, p in
-                    inspect.signature(structural_em).parameters.items()
-                    if p.default is not inspect.Parameter.empty}
-        assert SearchOptions().sem_options() == defaults
+        assert SearchOptions().sem_options() == {
+            "pseudocount": 1.0, "max_outer": 5, "em_max_iter": 30, "em_tol": 1e-3,
+            "max_parents": 4, "max_iter": 500}
         assert len(set(dataclasses.astuple(SearchOptions()))) == len(
             dataclasses.fields(SearchOptions))
 
-    # structural_em's keywords and the SearchOptions fields they set
+    # bootstrap_sem's keywords and the SearchOptions fields they set
     SAME_OPTIONS = [
         ({"max_outer": 1, "em_max_iter": 3}, {"sem_max_outer": 1, "em_max_iter": 3}),
         ({"pseudocount": 2.0, "max_outer": 2, "em_max_iter": 4, "em_tol": 0.0,
@@ -452,17 +460,17 @@ class TestHcAipw:
     def test_reduces_to_plain_hill_climb_on_complete_data(self):
         _, _, d = _chain_data(seed=16)
         kb = KnowledgeBase()
-        g_ipw, _, report = hc_aipw(d, kb)
+        found = hc_aipw(d, kb)
         g_hc, _ = hill_climb(BicScorer(d.schema, d.rows), kb, Dag(d.names))
-        assert g_ipw == g_hc
-        assert report == {}
+        assert found.graph == g_hc
+        assert found.report == {}
 
     def test_recovers_skeleton_under_mar(self):
         d = _mar_amputed(seed=17, n=5000)
-        g, trace, report = hc_aipw(d, KnowledgeBase())
-        skel = {frozenset(e) for e in g.edges}
+        found = hc_aipw(d, KnowledgeBase())
+        skel = {frozenset(e) for e in found.graph.edges}
         assert {frozenset(("a", "b")), frozenset(("b", "c"))} <= skel
-        assert "a" in report["c"]["detected_parents"]
+        assert "a" in found.report["c"]["detected_parents"]
 
 
 class TestEvaluate:
@@ -510,7 +518,7 @@ class TestEvaluate:
         d = _mar_amputed(seed=22, n=300)
         with pytest.raises(TypeError):
             evaluate(["hc-complete"], d, KnowledgeBase(), B=1, seed=0, max_parent=2)
-        # bootstrap_sem takes structural_em's keywords, not the SearchOptions fields
+        # bootstrap_sem takes its own keywords, not the SearchOptions fields
         for option in ({"max_outr": 1}, {"sem_max_outer": 1}):
             with pytest.raises(TypeError):
                 bootstrap_sem(d, KnowledgeBase(), B=1, seed=0, **option)

@@ -21,7 +21,6 @@ from missdag.estimation import (
     BicScorer,
     IpwBicScorer,
     ParameterSet,
-    ScoreValue,
     em_fit,
     expand_completions,
     fit_mle,
@@ -250,8 +249,8 @@ class TestExpandCompletions:
 
 class TestRescale:
     def test_divides_by_n_then_max_abs(self):
-        vals = [ScoreValue(-20.0), ScoreValue(-10.0)]
-        assert rescale_ll(vals, 10) == [-1.0, -0.5]
+        assert rescale_ll([-20.0, -10.0], 10) == [-1.0, -0.5]
+        assert rescale_ll([-6.0, 3.0], 3) == [-1.0, 0.5]
 
     def test_accepts_plain_floats(self):
         assert rescale_ll([-4.0, -2.0], 2) == [-1.0, -0.5]

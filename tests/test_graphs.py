@@ -306,26 +306,9 @@ class TestSerialization:
         text = export_dot(g, roles={"t": "treatment", "o": "outcome"})
         assert 'fillcolor="blue"' in text and 'fillcolor="red"' in text
 
-    def test_dot_classes_style_vertices(self):
-        g = Dag(["x", "R_x", "S_x"], [("x", "S_x"), ("R_x", "S_x")])
-        classes = {"x": VertexClass.PARTIALLY_OBSERVED,
-                   "R_x": VertexClass.INDICATOR,
-                   "S_x": VertexClass.PROXY}
-        text = export_dot(g, classes=classes)
-        assert "shape=box" in text and "shape=diamond" in text
-
     def test_json_round_trip(self):
         g = Dag(["b", "a"], [("b", "a")])
-        g2, classes = graph_from_json(graph_to_json(g))
-        assert g2 == g and classes is None
-
-    def test_json_round_trip_with_classes(self):
-        g = Dag(["x", "R_x", "S_x"], [("x", "S_x"), ("R_x", "S_x")])
-        classes = {"x": VertexClass.PARTIALLY_OBSERVED,
-                   "R_x": VertexClass.INDICATOR,
-                   "S_x": VertexClass.PROXY}
-        g2, classes2 = graph_from_json(graph_to_json(g, classes))
-        assert g2 == g and classes2 == classes
+        assert graph_from_json(graph_to_json(g)) == g
 
     def test_unparseable_dot_rejected(self):
         with pytest.raises(UnknownVertex):
