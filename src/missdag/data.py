@@ -35,6 +35,8 @@ from .graphs import Dag
 
 MISSING = -1
 MISSING_TOKENS = ("", "NA")
+# cells are int16 state indices 0 .. 32767
+MAX_STATES = int(np.iinfo(np.int16).max) + 1
 
 
 def mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:
@@ -43,7 +45,8 @@ def mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> 
     have the given cardinalities."""
     code = np.zeros(rows.shape[0], dtype=np.int64)
     for j, card in zip(cols, cards):
-        code = code * card + rows[:, j]
+        code *= card
+        code += rows[:, j]
     return code
 
 
@@ -148,7 +151,8 @@ class CategoricalDataset:
 def read_csv(path) -> CategoricalDataset:
     """The dataset in a CSV file with a header row. Each column's states are
     its distinct tokens in order of first appearance; empty and ``NA`` cells
-    are missing. A column with fewer than two states is padded to two."""
+    are missing. A column with fewer than two states is padded to two; one
+    with more than ``MAX_STATES`` raises ``MalformedCsv``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -168,6 +172,9 @@ def read_csv(path) -> CategoricalDataset:
             if tok in MISSING_TOKENS:
                 continue
             if tok not in lookup[c]:
+                if len(lookup[c]) == MAX_STATES:
+                    raise MalformedCsv(f"{path}: column {header[c]!r} has more than "
+                                       f"{MAX_STATES} distinct values")
                 lookup[c][tok] = len(lookup[c])
             rows[r, c] = lookup[c][tok]
     schema = []

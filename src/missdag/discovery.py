@@ -401,7 +401,8 @@ def _pmap(fn, jobs, threads):
         return [fn(j) for j in jobs]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(threads, len(jobs))) as pool:
-        return pool.map(fn, jobs)
+        # one job at a time: with chunks, the last chunk can leave a worker idle
+        return pool.map(fn, jobs, chunksize=1)
 
 
 def _replicates(algorithms, d: CategoricalDataset, kb: KnowledgeBase, B: int,

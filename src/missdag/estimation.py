@@ -462,24 +462,34 @@ class IpwBicScorer(BicScorer):
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         self.partial = frozenset(
             v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
+        # by observed set (a family's partially observed variables, in column
+        # order): the rows where all are observed, as indices, and their
+        # normalised weights; at most 2^|partial| entries of 16 bytes a row
+        self._observed: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = {}
 
     def _counts_on(self, child: str, parents: Tuple[str, ...],
                    obs: Tuple[str, ...]):
-        ok = (~self.mask[:, [self._col[v] for v in obs]].any(axis=1)
-              if obs else np.ones(self.rows.shape[0], dtype=bool))
-        w = np.ones(int(ok.sum()))
-        # obs comes in column order; the bits of the weight product depend on it
-        for v in obs:
-            vw = self.var_weights.get(v)
-            if vw is not None:
-                w = w * vw[ok]
-        # Normalise to mean weight one over the usable rows: the weighted
-        # counts then never claim more evidence than the rows actually seen,
-        # which keeps the (fixed) BIC penalty honest across row subsets.
-        total = w.sum()
-        if total > 0:
-            w = w * (ok.sum() / total)
-        return self._counts(self.rows[ok], parents + (child,), w)
+        hit = self._observed.get(obs)
+        if hit is None:
+            idx = (np.flatnonzero(~self.mask[:, [self._col[v] for v in obs]].any(axis=1))
+                   if obs else np.arange(self.rows.shape[0]))
+            w = np.ones(idx.size)
+            # obs comes in column order; the bits of the weight product depend on it
+            for v in obs:
+                vw = self.var_weights.get(v)
+                if vw is not None:
+                    w = w * vw[idx]
+            # Normalise to mean weight one over the usable rows: the weighted
+            # counts then never claim more evidence than the rows actually
+            # seen, which keeps the (fixed) BIC penalty honest across row
+            # subsets.
+            total = w.sum()
+            if total > 0:
+                w = w * (idx.size / total)
+            hit = self._observed[obs] = idx, w
+        idx, w = hit
+        # take() gathers the rows several times faster than fancy indexing
+        return self._counts(self.rows.take(idx, axis=0), parents + (child,), w)
 
     def _score_on(self, child: str, parents: frozenset, obs: frozenset) -> float:
         key = (child, parents, obs)

@@ -333,6 +333,13 @@ _ROLE_COLORS = {
     "context": "gray",
 }
 
+
+def _dot_id(s: str) -> str:
+    """``s`` as a quoted DOT ID: a backslash or double quote is escaped with
+    a backslash, so no name can close the quotes early."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: Dag, roles: Optional[Mapping[str, str]] = None) -> str:
     """Deterministic DOT text: vertices in declared order, edges sorted."""
     order = {v: i for i, v in enumerate(g.vertices)}
@@ -341,10 +348,10 @@ def export_dot(g: Dag, roles: Optional[Mapping[str, str]] = None) -> str:
         body = ""
         if roles and v in roles:
             color = _ROLE_COLORS.get(roles[v], roles[v])
-            body = f' [style=filled fillcolor="{color}"]'
-        lines.append(f'  "{v}"{body};')
+            body = f" [style=filled fillcolor={_dot_id(color)}]"
+        lines.append(f"  {_dot_id(v)}{body};")
     for p, c in sorted(g.edges, key=lambda e: (order[e[0]], order[e[1]])):
-        lines.append(f'  "{p}" -> "{c}";')
+        lines.append(f"  {_dot_id(p)} -> {_dot_id(c)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -235,6 +235,18 @@ def row_completions(g: Dag, params, d):
 # --- family counts and BIC by plain loops ---
 
 
+def mixed_radix_by_loop(rows, cols: Sequence[int], cards: Sequence[int]):
+    """Mixed-radix code of each row, one row and one column at a time in
+    Python integers, the first column most significant."""
+    codes = []
+    for r in range(rows.shape[0]):
+        code = 0
+        for j, k in zip(cols, cards):
+            code = code * k + int(rows[r, j])
+        codes.append(code)
+    return codes
+
+
 def tally_counts(rows, cols: Sequence[int], cards: Sequence[int], weights=None):
     """Family count table, one row at a time: one table row per parent
     configuration (first parent most significant), one column per child
@@ -412,26 +424,33 @@ def hill_climb_by_rescoring(scorer, kb, init: Dag, max_iter: int, max_parents: i
 
 # --- DOT text read back ---
 
-_DOT_NODE = re.compile(r'^\s*"([^"]+)"(?:\s*\[[^\]]*\])?;\s*$')
-_DOT_EDGE = re.compile(r'^\s*"([^"]+)"\s*->\s*"([^"]+)";\s*$')
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_STMT = re.compile(
+    rf'\s*{_DOT_ID}\s*(?:->\s*{_DOT_ID}\s*)?(?:\[(?:[^\]"]|"(?:[^"\\]|\\.)*")*\]\s*)?;',
+    re.DOTALL)
+_DOT_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def parse_dot(text: str) -> Dag:
-    """Read back the DOT dialect emitted by export_dot."""
+    """Read back the DOT dialect emitted by export_dot: a `digraph G { }`
+    of `"v" [attributes];` and `"p" -> "c";` statements, IDs quoted with
+    backslash escapes of backslash and double quote."""
+    body = text.strip()
+    if not (body.startswith("digraph G {") and body.endswith("}")):
+        raise UnknownVertex(f"not a digraph: {text[:40]!r}")
+    body = body[len("digraph G {"):-1]
     verts, edges = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("digraph") or line == "}":
-            continue
-        m = _DOT_EDGE.match(line)
-        if m:
-            edges.append((m.group(1), m.group(2)))
-            continue
-        m = _DOT_NODE.match(line)
-        if m:
-            verts.append(m.group(1))
-            continue
-        raise UnknownVertex(f"unparseable DOT line: {line!r}")
+    pos = 0
+    while body[pos:].strip():
+        m = _DOT_STMT.match(body, pos)
+        if m is None:
+            raise UnknownVertex(f"unparseable DOT at {body[pos:pos + 40]!r}")
+        a, b = (None if x is None else _DOT_ESCAPE.sub(r"\1", x) for x in m.groups())
+        if b is None:
+            verts.append(a)
+        else:
+            edges.append((a, b))
+        pos = m.end()
     return Dag(verts, edges)
 
 

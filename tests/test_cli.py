@@ -388,6 +388,16 @@ class TestDiscover:
         for name in ("graph.json", "graph.dot", "trace.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_column_with_too_many_states_is_refused(self, tmp_path, no_env_seed, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("wide\n" + "".join(f"t{i}\n" for i in range(33000)))
+        cfg = _write_json(tmp_path / "c.json", {"dataset": str(data)})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        _assert_one_diagnostic(err, json_logs=False)
+        assert "'wide'" in err and "32768 distinct values" in err
+
 
 class TestEvaluate:
     def test_writes_report_json_and_csv(self, tmp_path, no_env_seed):
@@ -505,6 +515,14 @@ class TestExportDot:
         assert main(["export-dot", "ec-mar", "--out", str(out)]) == 0
         assert out.read_text() == text
         parse_dot(text)  # emitted DOT is machine-readable
+
+    def test_quote_in_a_name_round_trips(self, tmp_path, capsys):
+        graph = _write_json(tmp_path / "g.json",
+                            {"vertices": ["a\"b", "c"], "edges": [["a\"b", "c"]]})
+        assert main(["export-dot", graph]) == 0
+        text = capsys.readouterr().out
+        assert '"a\\"b" -> "c";' in text
+        assert parse_dot(text) == graph_from_json((tmp_path / "g.json").read_text())
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["export-dot", "/nonexistent/graph.json"]) == 2

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from missdag.data import (
     MISSING,
@@ -15,6 +16,7 @@ from missdag.data import (
     forward_sample,
     impute_mode,
     logit,
+    mixed_radix,
     read_csv,
     split,
     write_csv,
@@ -30,7 +32,7 @@ from missdag.errors import (
 from missdag.estimation import fit_mle
 from missdag.graphs import Dag
 
-from oracles import random_params
+from oracles import mixed_radix_by_loop, random_params
 
 
 def _schema(*cards):
@@ -47,6 +49,24 @@ def _labels(d):
     """Each cell's state label, None where it is missing."""
     return [[None if d.mask[r, c] else v.states[d.rows[r, c]]
              for c, v in enumerate(d.schema)] for r in range(d.n)]
+
+
+class TestMixedRadix:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_loop(self, data):
+        cards = data.draw(st.lists(st.integers(2, 40), min_size=0, max_size=5))
+        n = data.draw(st.integers(0, 20))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        dtype = data.draw(st.sampled_from([np.int16, np.int64]))
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=dtype).reshape(n, len(cards))
+        order = data.draw(st.permutations(range(len(cards))))
+        cols = order[:data.draw(st.integers(0, len(cards)))]
+        ccards = [cards[j] for j in cols]
+        got = mixed_radix(rows, cols, ccards)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        assert got.tolist() == mixed_radix_by_loop(rows, cols, ccards)
 
 
 class TestSchema:

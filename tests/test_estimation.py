@@ -448,6 +448,58 @@ class TestIpwBicScorer:
                 assert s.move_delta(child, old, ps) == scorer.move_delta(child, old, new)
                 assert s.family_score(child, ps) == scorer.family_score(child, new)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_observed_set_memo(self, data):
+        """Queries that share an observed set are served from one memo entry
+        and give the bits a scorer without that entry gives; the values
+        agree with the plain-loop oracle (summation order aside)."""
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(1, 40))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        for v in data.draw(st.sets(st.sampled_from(names[1:]))):
+            missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows[np.array(missing, dtype=bool), names.index(v)] = MISSING
+        d = _dataset(cards, rows)
+        fully = [v for j, v in enumerate(names) if not d.mask[:, j].any()]
+        seen = set(names) - set(fully)
+        # some partially observed variables have no weights
+        var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
+                       for v in sorted(seen) if data.draw(st.booleans())}
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        scorer = IpwBicScorer(d, var_weights, pseudocount)
+
+        def oracle(child, parents, obs):
+            return ipw_family_bic(d, var_weights, child, parents, obs, pseudocount)
+
+        queried = set()
+        for _ in range(data.draw(st.integers(1, 10))):
+            child = data.draw(st.sampled_from(names))
+            others = [v for v in names if v != child]
+            old = data.draw(st.sets(st.sampled_from(others)))
+            fresh = IpwBicScorer(d, var_weights, pseudocount)
+            if data.draw(st.booleans()):
+                obs = seen & (old | {child})
+                got = scorer.family_score(child, old)
+                assert got == fresh.family_score(child, old)
+                want = oracle(child, old, obs)
+                scale = abs(want)
+            else:
+                new = data.draw(st.sets(st.sampled_from(others)))
+                obs = seen & (old | new | {child})
+                got = scorer.move_delta(child, old, new)
+                assert got == fresh.move_delta(child, old, new)
+                want_new, want_old = oracle(child, new, obs), oracle(child, old, obs)
+                want, scale = want_new - want_old, max(abs(want_new), abs(want_old))
+            assert abs(got - want) <= 1e-12 * max(scale, 1.0)
+            queried.add(tuple(sorted(obs, key=names.index)))
+        # one entry per observed set queried, and no other
+        assert set(scorer._observed) == queried
+        assert len(scorer._observed) <= 2 ** len(scorer.partial)
+
     def test_mean_one_normalisation_caps_total_evidence(self):
         rng = np.random.default_rng(4)
         rows = rng.integers(0, 2, (200, 2)).astype(np.int16)

@@ -296,6 +296,13 @@ class TestSerialization:
         g = Dag(["b", "a", "c"], [("b", "a"), ("a", "c")])
         assert parse_dot(export_dot(g)) == g
 
+    @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=50, deadline=None)
+    def test_dot_round_trips_any_name(self, names):
+        # quotes, backslashes and newlines included
+        g = Dag(names, list(zip(names, names[1:])))
+        assert parse_dot(export_dot(g, roles={names[0]: names[-1]})) == g
+
     def test_dot_is_deterministic(self):
         g = Dag(["b", "a", "c"], [("a", "c"), ("b", "a")])
         assert export_dot(g) == export_dot(Dag(["b", "a", "c"],
