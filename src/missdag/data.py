@@ -22,11 +22,8 @@ from .errors import (
     ConfigError,
     DriverMissing,
     EmptyDataset,
-    IncompleteParameters,
     MalformedCsv,
-    NameCollision,
-    UnknownState,
-    UnknownVariable,
+    SchemaMismatch,
     checked_number,
     checked_strings,
     json_object,
@@ -43,8 +40,10 @@ def mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> 
     """Mixed-radix code of each row over the given columns, the first column
     most significant: the flat index of the row's cell in a table whose axes
     have the given cardinalities."""
-    code = np.zeros(rows.shape[0], dtype=np.int64)
-    for j, card in zip(cols, cards):
+    if len(cols) == 0:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    code = rows[:, cols[0]].astype(np.int64)
+    for j, card in zip(cols[1:], cards[1:]):
         code *= card
         code += rows[:, j]
     return code
@@ -69,9 +68,9 @@ class VariableSchema:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 2:
-            raise UnknownState(f"variable {self.name!r} needs >= 2 states")
+            raise SchemaMismatch(f"variable {self.name!r} needs >= 2 states")
         if len(set(self.states)) != len(self.states):
-            raise UnknownState(f"variable {self.name!r} has duplicate state labels")
+            raise SchemaMismatch(f"variable {self.name!r} has duplicate state labels")
 
     @property
     def cardinality(self) -> int:
@@ -96,14 +95,14 @@ class CategoricalDataset:
         for j, var in enumerate(self.schema):
             col = rows[~mask[:, j], j]
             if col.size and (col.min() < 0 or col.max() >= var.cardinality):
-                raise UnknownState(f"state index out of range in column {var.name!r}")
+                raise SchemaMismatch(f"state index out of range in column {var.name!r}")
         rows.setflags(write=False)
         mask.setflags(write=False)
         self.rows = rows
         self.mask = mask
         self._index = {v.name: i for i, v in enumerate(self.schema)}
         if len(self._index) != len(self.schema):
-            raise NameCollision("duplicate variable names in schema")
+            raise SchemaMismatch("duplicate variable names in schema")
         # completion blocks by vertex order, built by estimation on first use
         self._completions = {}
 
@@ -121,7 +120,7 @@ class CategoricalDataset:
 
     def index(self, name: str) -> int:
         if name not in self._index:
-            raise UnknownVariable(f"unknown variable {name!r}")
+            raise SchemaMismatch(f"unknown variable {name!r}")
         return self._index[name]
 
     def variable(self, name: str) -> VariableSchema:
@@ -207,7 +206,7 @@ def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
         raise ConfigError(f"sample size n must be >= 0, got {n}")
     for v in g.vertices:
         if v not in params.variables:
-            raise IncompleteParameters(f"no CPT for {v!r}")
+            raise SchemaMismatch(f"no CPT for {v!r}")
     schema = [VariableSchema(v, params.states[v]) for v in g.vertices]
     col = {v: i for i, v in enumerate(g.vertices)}
     cards = {v: len(params.states[v]) for v in g.vertices}
@@ -216,7 +215,7 @@ def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     for v in g.topological_order():
         parents, table = params.variables[v]
         if set(parents) != set(g.parents(v)):
-            raise IncompleteParameters(f"CPT parents for {v!r} do not match the graph")
+            raise SchemaMismatch(f"CPT parents for {v!r} do not match the graph")
         probs = table[mixed_radix(rows, [col[q] for q in parents],
                                   [cards[q] for q in parents])]
         u = rng.random(n)

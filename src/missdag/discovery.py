@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -160,37 +161,35 @@ def _mean_sd(values) -> Tuple[float, float]:
 # --- hill climbing ---
 
 
-def _moves(g: Dag, kb: KnowledgeBase, max_parents: int):
-    """All single-edge add/delete/reverse moves preserving acyclicity, the
-    knowledge constraints and the parent limit, (parent, child) in declared
-    order. ``reach[i]`` is the bitset of vertex i and its descendants (bit j
-    for the j-th declared vertex), built in one reverse-topological pass."""
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    reach = [0] * len(verts)
+def _descendants(g: Dag, index: Mapping[str, int]) -> List[int]:
+    """``reach[i]``: the bitset of the i-th declared vertex and its
+    descendants (bit j for the j-th), built in one reverse-topological
+    pass."""
+    reach = [0] * len(index)
     for v in reversed(g.topological_order()):
         bits = 1 << index[v]
         for c in g.children(v):
             bits |= reach[index[c]]
         reach[index[v]] = bits
-    room = [len(g.parents(v)) < max_parents for v in verts]
-    moves = []
-    for i, a in enumerate(verts):
-        children = g.children(a)
-        for j, b in enumerate(verts):
-            if i == j:
-                continue
-            if b in children:
-                if (a, b) not in kb.required:
-                    moves.append(("delete", (a, b)))
-                    # cycle iff another directed path a ~> b remains
-                    if (room[i] and (b, a) not in kb.forbidden
-                            and not any(reach[index[c]] >> j & 1
-                                        for c in children if c != b)):
-                        moves.append(("reverse", (a, b)))
-            elif room[j] and not reach[j] >> i & 1 and (a, b) not in kb.forbidden:
-                moves.append(("add", (a, b)))
-    return moves
+    return reach
+
+
+def _legal(op: str, a: str, b: str, g: Dag, kb: KnowledgeBase,
+           index: Mapping[str, int], reach: List[int], room: List[bool]) -> bool:
+    """Whether the move ``op`` on (a, b) keeps ``g`` acyclic, within the
+    knowledge base and the parent limit: "add" on a pair that is not an
+    edge, "delete" and "reverse" on an edge a -> b. ``reach`` is
+    ``_descendants(g, index)``; ``room[i]`` tells whether the i-th vertex
+    may gain a parent."""
+    i, j = index[a], index[b]
+    if op == "add":
+        return room[j] and not reach[j] >> i & 1 and (a, b) not in kb.forbidden
+    if (a, b) in kb.required:
+        return False
+    # a reversal makes a cycle iff another directed path a ~> b remains
+    return op == "delete" or (room[i] and (b, a) not in kb.forbidden
+                              and not any(reach[index[c]] >> j & 1
+                                          for c in g.children(a) if c != b))
 
 
 def _delta(scorer, deltas: dict, g: Dag, child: str, x: str) -> float:
@@ -211,37 +210,78 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     (operation, parent, child) for determinism.
 
     A delta depends only on its child's old and new parent sets, so it is
-    cached per child and re-scored only after a move changes that child's
+    cached per child and computed only after a move changes that child's
     parents: ``b``'s after a move on (a, b), and ``a``'s too after a
-    reversal."""
+    reversal. Each child keeps its improving adds and deletes in key order.
+    An iteration offers all legal adds and deletes of the children the last
+    move changed, and to every other child the adds a cycle blocked until
+    the last move (the bits its descendant set lost); it takes each child's
+    first candidate that is still legal, and scores the reversal of every
+    edge."""
     if not kb.satisfied_by(init):
         raise KnowledgeViolatedByInput("initial graph violates the knowledge base")
     g = init
     trace = SearchTrace(initial_score=scorer.score(init))
     current = trace.initial_score
-    deltas = {v: {} for v in g.vertices}  # child -> {x: delta of toggling x}
-    for it in range(max_iter):
-        best = None  # (key, op, edge, delta)
-        for op, (a, b) in _moves(g, kb, max_parents):
-            delta = _delta(scorer, deltas, g, b, a)
-            if op == "reverse":
-                delta += _delta(scorer, deltas, g, a, b)
+    verts = g.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    deltas = {v: {} for v in verts}   # child -> {x: delta of toggling x}
+    ranked = {v: [] for v in verts}   # child -> sorted [(-delta, op, x)], improving
+    offered = {v: set() for v in verts}  # child -> x whose add/delete was legal
+    room = [False] * len(verts)
+    changed, reach = verts, [0] * len(verts)
+
+    def offer(op, x, b):
+        if _legal(op, x, b, g, kb, index, reach, room):
+            offered[b].add(x)
+            delta = _delta(scorer, deltas, g, b, x)
             if delta > IMPROVEMENT_EPS:
-                key = (-delta, op, a, b)
-                if best is None or key < best[0]:
-                    best = (key, op, (a, b), delta)
+                insort(ranked[b], (-delta, op, x))
+
+    for it in range(max_iter):
+        old_reach, reach = reach, _descendants(g, index)
+        for b in changed:
+            room[index[b]] = len(g.parents(b)) < max_parents
+            deltas[b].clear()
+            ranked[b].clear()
+            offered[b].clear()
+            pb = g.parents(b)
+            for x in verts:
+                if x != b:
+                    offer("delete" if x in pb else "add", x, b)
+        for j, b in enumerate(verts):
+            lost = 0 if b in changed else old_reach[j] & ~reach[j]
+            while lost:
+                low = lost & -lost
+                lost ^= low
+                x = verts[low.bit_length() - 1]
+                if x not in offered[b]:
+                    offer("add", x, b)
+        best = None  # the smallest (-delta, op, a, b)
+        for b in verts:
+            for nd, op, x in ranked[b]:
+                if _legal(op, x, b, g, kb, index, reach, room):
+                    if best is None or (nd, op, x, b) < best:
+                        best = (nd, op, x, b)
+                    break
+        for a, b in g.edges:
+            if _legal("reverse", a, b, g, kb, index, reach, room):
+                delta = _delta(scorer, deltas, g, b, a) + _delta(scorer, deltas, g, a, b)
+                key = (-delta, "reverse", a, b)
+                if delta > IMPROVEMENT_EPS and (best is None or key < best):
+                    best = key
         if best is None:
             trace.iterations = it
             break
-        _, op, (a, b), delta = best
+        nd, op, a, b = best
+        delta = -nd
         edges = g.edges - {(a, b)}
-        deltas[b].clear()
         if op == "add":
             edges |= {(a, b)}
         elif op == "reverse":
             edges |= {(b, a)}
-            deltas[a].clear()
-        g = Dag(g.vertices, edges)
+        g = Dag(verts, edges)
+        changed = (b, a) if op == "reverse" else (b,)
         current += delta
         trace.moves.append((op, (a, b), delta))
     else:

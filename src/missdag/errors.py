@@ -72,27 +72,17 @@ class InvalidMGraph(MissDagError):
 
 # --- data ---
 
+class SchemaMismatch(MissDagError):
+    """A schema, dataset, graph or parameter set that does not fit the
+    others: too few or duplicate states, a state index out of range, an
+    unknown or duplicate variable name, a missing or misshaped CPT."""
+
+
 class MalformedCsv(MissDagError):
     pass
 
 
-class UnknownState(MissDagError):
-    pass
-
-
-class NameCollision(MissDagError):
-    pass
-
-
-class IncompleteParameters(MissDagError):
-    pass
-
-
 class DriverMissing(MissDagError):
-    pass
-
-
-class UnknownVariable(MissDagError):
     pass
 
 
@@ -111,10 +101,6 @@ class BadFraction(ConfigError):
 # --- estimation ---
 
 class MissingCellsPresent(MissDagError):
-    pass
-
-
-class SchemaMismatch(MissDagError):
     pass
 
 

@@ -214,12 +214,14 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     sub = d.rows[:, cols]
     order = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(sizes)
-    blocks = [np.zeros((0, len(cols)), dtype=np.int16)]
+    # column-major, so that a family's counts read contiguous columns
+    block = np.empty((total, len(cols)), dtype=np.int16, order="F")
     complete = np.zeros(0, dtype=np.intp)
     by_count: Dict[int, list] = {}
     start = 0
     for pattern, k, ridx in zip(patterns, counts, np.split(order, bounds[:-1])):
-        block = np.repeat(sub[ridx], k, axis=0)
+        stop = start + ridx.size * k
+        block[start:stop] = np.repeat(sub[ridx], k, axis=0)
         if k == 1:
             complete = ridx
         else:
@@ -227,12 +229,10 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
             completions = np.array(
                 list(itertools.product(*[range(cards[vertices[j]]) for j in miss])),
                 dtype=np.int16)
-            block[:, miss] = np.tile(completions, (ridx.size, 1))
-            pos = start + np.arange(block.shape[0]).reshape(ridx.size, k)
+            block[start:stop, miss] = np.tile(completions, (ridx.size, 1))
+            pos = start + np.arange(stop - start).reshape(ridx.size, k)
             by_count.setdefault(k, []).append((ridx, pos))
-        blocks.append(block)
-        start += block.shape[0]
-    block = np.concatenate(blocks)
+        start = stop
     origin = np.repeat(order, np.asarray(counts, dtype=np.intp)[inverse[order]])
     groups = tuple((np.concatenate([r for r, _ in parts]),
                     np.concatenate([p for _, p in parts]))
@@ -400,7 +400,8 @@ class BicScorer:
                  weights: Optional[np.ndarray] = None, pseudocount: float = 0.0,
                  n_effective: Optional[float] = None):
         self.schema = tuple(schema)
-        self.rows = np.asarray(rows, dtype=np.int16)
+        # column-major (no copy if it already is): a family reads its columns
+        self.rows = np.asfortranarray(rows, dtype=np.int16)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
         self.pseudocount = float(pseudocount)
         if n_effective is None:
@@ -424,12 +425,10 @@ class BicScorer:
         self._cache[key] = val
         return val
 
-    def _counts(self, rows: np.ndarray, family: Tuple[str, ...], weights):
-        return family_counts(rows, [self._col[v] for v in family],
-                             [self._card[v] for v in family], weights)
-
     def _family_counts(self, child: str, parents: Tuple[str, ...]):
-        return self._counts(self.rows, parents + (child,), self.weights)
+        family = parents + (child,)
+        return family_counts(self.rows, [self._col[v] for v in family],
+                             [self._card[v] for v in family], self.weights)
 
     def score(self, g: Dag) -> float:
         return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
@@ -488,8 +487,13 @@ class IpwBicScorer(BicScorer):
                 w = w * (idx.size / total)
             hit = self._observed[obs] = idx, w
         idx, w = hit
-        # take() gathers the rows several times faster than fancy indexing
-        return self._counts(self.rows.take(idx, axis=0), parents + (child,), w)
+        family = parents + (child,)
+        # gather only the family's columns; take() is several times faster
+        # than fancy indexing
+        sub = np.empty((idx.size, len(family)), dtype=np.int16, order="F")
+        for c, v in enumerate(family):
+            self.rows[:, self._col[v]].take(idx, out=sub[:, c])
+        return family_counts(sub, range(len(family)), [self._card[v] for v in family], w)
 
     def _score_on(self, child: str, parents: frozenset, obs: frozenset) -> float:
         key = (child, parents, obs)

@@ -496,6 +496,17 @@ class TestAmputeAndSimulate:
                      "--out", str(tmp_path / "d.csv"), "--seed", "1"]) == 2
         capsys.readouterr()
 
+    def test_params_without_a_cpt_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                                     capsys):
+        (tmp_path / "g.json").write_text(GRAPH)
+        _write_json(tmp_path / "p.json", {"variables": {
+            "a": {"parents": [], "table": [[0.5, 0.5]]}}})
+        monkeypatch.chdir(tmp_path)
+        assert main(SIMULATE) == 1
+        err = capsys.readouterr().err
+        _assert_one_diagnostic(err, json_logs=False)
+        assert err == "error: SchemaMismatch: no CPT for 'b'\n"
+
     def test_ampute_unknown_column_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("x\n0\n1\n")

@@ -20,7 +20,8 @@ from missdag.discovery import (
     SEARCHES,
     KnowledgeBase,
     SearchOptions,
-    _moves,
+    _descendants,
+    _legal,
     bootstrap_sem,
     detect_indicator_parents,
     evaluate,
@@ -160,7 +161,13 @@ class TestLegalMoves:
             required=[e for e in sorted(g.edges) if rng.random() < 0.3],
             forbidden=[e for e in non_edges if rng.random() < 0.3])
         max_parents = int(rng.integers(0, 4))
-        assert set(_moves(g, kb, max_parents)) == set(legal_moves(g, kb, max_parents))
+        index = {v: i for i, v in enumerate(names)}
+        reach = _descendants(g, index)
+        room = [len(g.parents(v)) < max_parents for v in names]
+        allowed = {(op, (a, b)) for a in names for b in names if a != b
+                   for op in (("delete", "reverse") if (a, b) in g.edges else ("add",))
+                   if _legal(op, a, b, g, kb, index, reach, room)}
+        assert allowed == set(legal_moves(g, kb, max_parents))
 
 
 def _search_instance(seed, kind, max_vars=6):
@@ -200,23 +207,69 @@ def _search_instance(seed, kind, max_vars=6):
     return kb, init, lambda: IpwBicScorer(dm, var_weights, pseudocount)
 
 
+class _EdgeScorer:
+    """A decomposable score whose family score is the sum of its edges'
+    weights (-10 for an edge not listed), exact in floating point."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def family_score(self, child, parents):
+        return float(sum(self.weights.get((p, child), -10) for p in parents))
+
+    def score(self, g):
+        return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
+
+    def move_delta(self, child, old_parents, new_parents):
+        return self.family_score(child, new_parents) - self.family_score(child, old_parents)
+
+
 class TestHillClimb:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["bic", "weighted", "ipw"]),
            st.integers(1, 4), st.integers(0, 6) | st.just(SearchOptions.max_iter))
     @settings(max_examples=400, deadline=None)
     def test_equals_search_that_rescores_every_move(self, seed, kind, max_parents,
                                                     max_iter):
-        kb, init, make = _search_instance(seed, kind)
+        kb, init, make = _search_instance(seed, kind, max_vars=10)
         assert hill_climb(make(), kb, init, max_iter, max_parents) == \
             hill_climb_by_rescoring(make(), kb, init, max_iter, max_parents)
 
+    @pytest.mark.parametrize("first, weights", [
+        # deleting a -> b gains 1 and ends the path a -> b -> c
+        (("delete", ("a", "b"), 1.0), {("a", "b"): -1, ("b", "c"): 5, ("c", "a"): 3}),
+        # reversing b -> c gains 2 and ends the path a -> b -> c; the move
+        # changes b and c, not a, the child of the unblocked add
+        (("reverse", ("b", "c"), 2.0),
+         {("a", "b"): 5, ("b", "c"): -1, ("c", "b"): 1, ("c", "a"): 3}),
+    ])
+    def test_takes_an_add_that_a_move_unblocked(self, first, weights):
+        # adding c -> a gains 3, but closes a cycle until the first move
+        init = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        g, trace = hill_climb(_EdgeScorer(weights), KnowledgeBase(), init)
+        assert trace.moves == [first, ("add", ("c", "a"), 3.0)]
+        assert trace.iterations == 2
+        assert (g, trace) == hill_climb_by_rescoring(
+            _EdgeScorer(weights), KnowledgeBase(), init,
+            SearchOptions.max_iter, SearchOptions.max_parents)
+
     def test_rescores_only_the_moves_whose_child_changed(self, monkeypatch):
+        # seven variables, knowledge, 14 moves of all three kinds, 109 of 498
+        # reads computed, 8 of them adds that a move unblocked
+        self._check_rescoring(monkeypatch, seed=3, max_vars=8, unblocked=8)
+
+    def test_rescores_only_the_moves_whose_child_changed_on_ten_variables(
+            self, monkeypatch):
+        # 17 moves of all three kinds, 126 of 743 reads, 9 unblocked adds
+        self._check_rescoring(monkeypatch, seed=20, max_vars=10, unblocked=9)
+
+    @staticmethod
+    def _check_rescoring(monkeypatch, seed, max_vars, unblocked):
         # A delta is computed once per child and parent set: for every
         # candidate of the first iteration, then for the candidates whose
         # child the last move changed (b, and a after a reversal), and for
-        # candidates the child's parent set has not offered before.
-        # seed 3: seven variables, knowledge, and 14 moves of all three kinds
-        kb, init, make = _search_instance(3, "bic", max_vars=8)
+        # candidates the child's parent set has not offered before: an add
+        # that a move unblocked, or a reversal.
+        kb, init, make = _search_instance(seed, "bic", max_vars=max_vars)
         max_iter, max_parents = 500, 3
         calls = []
         move_delta = BicScorer.move_delta
@@ -228,11 +281,14 @@ class TestHillClimb:
         monkeypatch.setattr(BicScorer, "move_delta", counted)
         _, trace = hill_climb(make(), kb, init, max_iter, max_parents)
         h, scored, expected, reads_total = init, {v: set() for v in init.vertices}, 0, 0
+        changed, offered_unblocked = set(init.vertices), 0
         for k in range(len(trace.moves) + 1):
             for op, (a, b) in legal_moves(h, kb, max_parents):
                 # (child, the parent it gains or loses)
                 reads = [(b, a)] + ([(a, b)] if op == "reverse" else [])
                 reads_total += len(reads)
+                if op == "add" and b not in changed and a not in scored[b]:
+                    offered_unblocked += 1
                 for child, x in reads:
                     if x not in scored[child]:
                         scored[child].add(x)
@@ -240,13 +296,14 @@ class TestHillClimb:
             if k < len(trace.moves):
                 op, (a, b), _ = trace.moves[k]
                 h = apply_move(h, op, (a, b))
-                scored[b].clear()
-                if op == "reverse":
-                    scored[a].clear()
+                changed = {b, a} if op == "reverse" else {b}
+                for v in changed:
+                    scored[v].clear()
         assert len(trace.moves) < max_iter
         assert {op for op, _, _ in trace.moves} == {"add", "delete", "reverse"}
+        assert offered_unblocked == unblocked
         assert len(calls) == expected
-        assert expected < reads_total / 4  # 109 of 498 reads
+        assert expected < reads_total / 4
 
     def test_matches_exhaustive_optimum_on_small_instances(self):
         hits = 0

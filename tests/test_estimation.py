@@ -34,6 +34,7 @@ from oracles import (
     bic,
     ipw_family_bic,
     joint_log_likelihood,
+    mixed_radix_by_loop,
     random_dag,
     random_params,
     row_completions,
@@ -245,6 +246,80 @@ class TestExpandCompletions:
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs, equal_nan=True)
             assert np.array_equal(hit, ours, equal_nan=True)
+
+
+class TestColumnLayout:
+    """The completion block and the scorers' rows are column-major, so a
+    family's counts read contiguous columns; the counts do not depend on the
+    layout."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_completion_block_is_column_major(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 12))
+        cells = st.tuples(*[st.integers(MISSING, k - 1) for k in cards])
+        rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+        d = _dataset(cards, np.array(rows, dtype=np.int16).reshape(n, len(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        g = random_dag(rng, data.draw(st.permutations(names)), edge_prob=0.5)
+        params = random_params(rng, g, dict(zip(names, cards)))
+        block = estimation._completion_index(d, g.vertices, dict(zip(names, cards)))[0]
+        assert block.flags.f_contiguous and not block.flags.writeable
+        rebuilt = row_completions(g, params, d)[0]  # row by row, row-major
+        assert rebuilt.flags.c_contiguous and np.array_equal(block, rebuilt)
+        # a scorer takes the block as it is
+        assert BicScorer([d.variable(v) for v in g.vertices], block).rows is block
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_family_counts_on_either_layout(self, data):
+        cards = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=6))
+        n = data.draw(st.integers(0, 40))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        order = data.draw(st.permutations(range(len(cards))))
+        cols = order[:data.draw(st.integers(1, len(cards)))]
+        fcards = [cards[j] for j in cols]
+        weights = data.draw(st.none() | st.lists(
+            st.floats(0, 100, allow_nan=False), min_size=n, max_size=n).map(np.array))
+        size = int(np.prod(fcards))
+        codes = np.array(mixed_radix_by_loop(rows, cols, fcards), dtype=np.int64)
+        want = np.bincount(codes, weights, minlength=size).astype(float)
+        want = want.reshape(size // fcards[-1], fcards[-1])
+        for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows)):
+            assert np.array_equal(family_counts(layout, cols, fcards, weights), want)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ipw_scorer_matches_oracle(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(1, 30))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        # the first column stays fully observed, so IPW weights can use it
+        for v in data.draw(st.sets(st.sampled_from(names[1:]))):
+            missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows[np.array(missing, dtype=bool), names.index(v)] = MISSING
+        d = _dataset(cards, rows)
+        fully = [v for j, v in enumerate(names) if not d.mask[:, j].any()]
+        seen = set(names) - set(fully)
+        var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
+                       for v in sorted(seen) if data.draw(st.booleans())}
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        scorer = IpwBicScorer(d, var_weights, pseudocount)
+        assert scorer.rows.flags.f_contiguous and np.array_equal(scorer.rows, d.rows)
+        for child in names:
+            others = [v for v in names if v != child]
+            parents = data.draw(st.sets(st.sampled_from(others)))
+            want = ipw_family_bic(d, var_weights, child, parents,
+                                  seen & (parents | {child}), pseudocount)
+            got = scorer.family_score(child, parents)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 class TestRescale:
