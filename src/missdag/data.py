@@ -17,11 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import (
-    AllMissingColumn,
-    BadFraction,
     ConfigError,
-    DriverMissing,
-    EmptyDataset,
     MalformedCsv,
     SchemaMismatch,
     checked_number,
@@ -71,6 +67,10 @@ class VariableSchema:
             raise SchemaMismatch(f"variable {self.name!r} needs >= 2 states")
         if len(set(self.states)) != len(self.states):
             raise SchemaMismatch(f"variable {self.name!r} has duplicate state labels")
+        for s in self.states:
+            if s in MISSING_TOKENS:
+                raise SchemaMismatch(f"variable {self.name!r} has state label {s!r}, "
+                                     "which a CSV reads as a missing cell")
 
     @property
     def cardinality(self) -> int:
@@ -84,12 +84,12 @@ class CategoricalDataset:
         self.schema = tuple(schema)
         rows = np.asarray(rows, dtype=np.int16)
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
-            raise MalformedCsv("row matrix shape does not match schema")
+            raise SchemaMismatch("row matrix shape does not match schema")
         if mask is None:
             mask = rows == MISSING
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != rows.shape:
-            raise MalformedCsv("mask shape does not match rows")
+            raise SchemaMismatch("mask shape does not match rows")
         rows = rows.copy()
         rows[mask] = MISSING
         for j, var in enumerate(self.schema):
@@ -247,7 +247,7 @@ class AmputationEntry:
         if self.mechanism not in ("MCAR", "MAR", "MNAR"):
             raise ConfigError(f"unknown amputation mechanism {self.mechanism!r}")
         if self.mechanism == "MCAR" and self.drivers:
-            raise DriverMissing("MCAR entries take no drivers")
+            raise ConfigError("MCAR entries take no drivers")
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ class AmputationSpec:
                 doc["seed"], int, "amputation spec field 'seed'"))
         except KeyError as exc:
             raise ConfigError(f"amputation spec lacks field {exc}") from exc
-        except (AttributeError, DriverMissing, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"amputation spec is malformed: {exc}") from exc
 
     def to_json(self) -> str:
@@ -313,12 +313,12 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
                 raise ConfigError(f"amputation spec references unknown column {name!r}")
         j = d.index(e.target)
         if d.mask[:, j].any():
-            raise DriverMissing(f"target {e.target!r} must be complete before amputation")
+            raise SchemaMismatch(f"target {e.target!r} must be complete before amputation")
         targets.append(j)
         for w in e.drivers:
             jd = d.index(w)
             if d.mask[:, jd].any():
-                raise DriverMissing(f"driver {w!r} has missing cells in the input")
+                raise SchemaMismatch(f"driver {w!r} has missing cells in the input")
     mask = d.mask.copy()
     # one spawned child stream per entry: spawned streams are guaranteed
     # distinct from the root stream of the same seed, so amputation noise
@@ -340,7 +340,7 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
         if e.mechanism == "MAR":
             for w in e.drivers:
                 if out.mask[:, out.index(w)].any():
-                    raise DriverMissing(
+                    raise SchemaMismatch(
                         f"MAR driver {w!r} is not fully observed after amputation")
     return out
 
@@ -354,7 +354,7 @@ def impute_mode(d: CategoricalDataset) -> CategoricalDataset:
             continue
         obs = d.rows[~miss, j]
         if obs.size == 0:
-            raise AllMissingColumn(f"column {var.name!r} has no observed cells")
+            raise SchemaMismatch(f"column {var.name!r} has no observed cells")
         counts = np.bincount(obs, minlength=var.cardinality)
         rows[miss, j] = int(np.argmax(counts))
     return CategoricalDataset(d.schema, rows, np.zeros_like(d.mask))
@@ -362,7 +362,7 @@ def impute_mode(d: CategoricalDataset) -> CategoricalDataset:
 
 def bootstrap(d: CategoricalDataset, seed: int) -> CategoricalDataset:
     if d.n < 1:
-        raise EmptyDataset("cannot resample an empty dataset")
+        raise SchemaMismatch("cannot resample an empty dataset")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, d.n, size=d.n)
     return d.take(idx)
@@ -371,9 +371,9 @@ def bootstrap(d: CategoricalDataset, seed: int) -> CategoricalDataset:
 def split(d: CategoricalDataset, held_out_fraction: float, seed: int):
     """(train, test) with floor(n * fraction) rows held out."""
     if not 0.0 < held_out_fraction < 1.0:
-        raise BadFraction(f"held-out fraction must lie in (0, 1), got {held_out_fraction}")
+        raise ConfigError(f"held-out fraction must lie in (0, 1), got {held_out_fraction}")
     if d.n < 2:
-        raise EmptyDataset("need at least two rows to split")
+        raise SchemaMismatch("need at least two rows to split")
     k = int(math.floor(d.n * held_out_fraction))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d.n)

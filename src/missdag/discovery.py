@@ -25,8 +25,7 @@ from .data import (
 from .errors import (
     ConfigError,
     CycleDetected,
-    KnowledgeInfeasible,
-    KnowledgeViolatedByInput,
+    MissDagError,
     checked_number,
     json_object,
 )
@@ -87,12 +86,12 @@ class KnowledgeBase:
         object.__setattr__(self, "forbidden", frozenset(tuple(e) for e in self.forbidden))
         object.__setattr__(self, "required", frozenset(tuple(e) for e in self.required))
         if self.forbidden & self.required:
-            raise KnowledgeInfeasible("an edge is both forbidden and required")
+            raise ConfigError("an edge is both forbidden and required")
         verts = sorted({v for e in self.required for v in e})
         try:
             Dag(verts, sorted(self.required))
         except CycleDetected as exc:
-            raise KnowledgeInfeasible(f"required edges are cyclic: {exc}") from exc
+            raise ConfigError(f"required edges are cyclic: {exc}") from exc
 
     def satisfied_by(self, g: Dag) -> bool:
         return self.required <= g.edges and not (self.forbidden & g.edges)
@@ -219,7 +218,7 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     first candidate that is still legal, and scores the reversal of every
     edge."""
     if not kb.satisfied_by(init):
-        raise KnowledgeViolatedByInput("initial graph violates the knowledge base")
+        raise ConfigError("initial graph violates the knowledge base")
     g = init
     trace = SearchTrace(initial_score=scorer.score(init))
     current = trace.initial_score
@@ -429,7 +428,7 @@ def _replicate(args):
     found = SEARCHES[name](db, kb, opts)
     g = found.graph
     if not kb.satisfied_by(g):
-        raise KnowledgeViolatedByInput(f"{name} violated the knowledge base")
+        raise MissDagError(f"{name} violated the knowledge base")
     params = found.refit()
     ll_in = log_likelihood(params, g, db).log_likelihood
     ll_out = log_likelihood(params, g, test).log_likelihood
@@ -476,7 +475,7 @@ def _consensus_edges(freq: Mapping[Edge, float], threshold: float,
             cyc_edges = list(zip(cyc, cyc[1:]))
             removable = [e for e in cyc_edges if e not in kb.required]
             if not removable:
-                raise KnowledgeInfeasible("required edges form a cycle") from exc
+                raise ConfigError("required edges form a cycle") from exc
             edges.discard(min(removable, key=lambda e: (freq.get(e, 0.0), e)))
 
 

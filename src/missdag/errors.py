@@ -6,15 +6,43 @@ import numbers
 
 
 class MissDagError(Exception):
-    """Base class for all missdag errors."""
+    """Base class for all missdag errors: the data or the run failed. The
+    command line exits with code 1."""
 
 
 class ConfigError(MissDagError):
     """Malformed user input: a config, knowledge, amputation-spec, graph or
     parameter document, a search option, a run setting (algorithm list,
     replicate count, fraction, threshold, sample size), a seed or an output
-    path. Raised by the function that uses the value. The command line
-    exits with code 2."""
+    path; also a knowledge document whose edges contradict each other, a
+    d-separation query whose sets overlap and a search's initial graph that
+    breaks the knowledge. Raised by the function that uses the value. The
+    command line exits with code 2."""
+
+
+class CycleDetected(MissDagError):
+    """Edges that close a directed cycle; ``cycle`` is the closed walk."""
+
+    def __init__(self, cycle):
+        self.cycle = list(cycle)
+        super().__init__("cycle detected: " + " -> ".join(self.cycle))
+
+
+class SchemaMismatch(MissDagError):
+    """Inputs that do not fit each other or the operation asked of them: a
+    schema, dataset, graph, m-graph or parameter set that does not fit the
+    others (bad states, an unknown or duplicate name or edge, a missing or
+    misshaped CPT), or data too small or too incomplete for the operation
+    (no rows, an unobserved column, missing cells where none may be)."""
+
+
+class MalformedCsv(MissDagError):
+    """A dataset CSV that cannot be read: not UTF-8, empty, ragged, or a
+    column with more states than a cell can hold."""
+
+
+class TooManyMissingInRow(MissDagError):
+    """A completion block of more than ``ENUMERATION_CAP`` rows."""
 
 
 def json_object(text: str, what: str) -> dict:
@@ -44,83 +72,3 @@ def checked_strings(value, what: str) -> list:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigError(f"{what} must be a list of strings, got {value!r}")
     return value
-
-
-# --- graphs ---
-
-class CycleDetected(MissDagError):
-    def __init__(self, cycle):
-        self.cycle = list(cycle)
-        super().__init__("cycle detected: " + " -> ".join(self.cycle))
-
-
-class UnknownVertex(MissDagError):
-    pass
-
-
-class DuplicateEdge(MissDagError):
-    pass
-
-
-class OverlappingSets(ConfigError):
-    pass
-
-
-class InvalidMGraph(MissDagError):
-    pass
-
-
-# --- data ---
-
-class SchemaMismatch(MissDagError):
-    """A schema, dataset, graph or parameter set that does not fit the
-    others: too few or duplicate states, a state index out of range, an
-    unknown or duplicate variable name, a missing or misshaped CPT."""
-
-
-class MalformedCsv(MissDagError):
-    pass
-
-
-class DriverMissing(MissDagError):
-    pass
-
-
-class AllMissingColumn(MissDagError):
-    pass
-
-
-class EmptyDataset(MissDagError):
-    pass
-
-
-class BadFraction(ConfigError):
-    pass
-
-
-# --- estimation ---
-
-class MissingCellsPresent(MissDagError):
-    pass
-
-
-class TooManyMissingInRow(MissDagError):
-    pass
-
-
-class EmptyList(MissDagError):
-    pass
-
-
-class AllZero(MissDagError):
-    pass
-
-
-# --- discovery ---
-
-class KnowledgeViolatedByInput(MissDagError):
-    pass
-
-
-class KnowledgeInfeasible(MissDagError):
-    pass

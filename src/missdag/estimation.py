@@ -18,10 +18,7 @@ import numpy as np
 
 from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix
 from .errors import (
-    AllZero,
     ConfigError,
-    EmptyList,
-    MissingCellsPresent,
     SchemaMismatch,
     TooManyMissingInRow,
     checked_number,
@@ -121,7 +118,7 @@ def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0) -> Paramete
     """Per-family counting estimator; unseen parent configurations with zero
     pseudocount get a uniform row."""
     if d.mask.any():
-        raise MissingCellsPresent("fit_mle requires complete data")
+        raise SchemaMismatch("fit_mle requires complete data")
     _check_coverage(g, d)
     return _weighted_fit(g, d.schema, {n: d.index(n) for n in d.names},
                          d.rows, None, pseudocount)
@@ -303,13 +300,13 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
 def rescale_ll(values: Sequence[float], n: int) -> List[float]:
     """Divide by sample size, then by the maximum absolute per-sample value."""
     if not values:
-        raise EmptyList("no score values to rescale")
+        raise SchemaMismatch("no score values to rescale")
     if n <= 0:
-        raise EmptyList("sample size must be positive")
+        raise SchemaMismatch("sample size must be positive")
     per = [v / n for v in values]
     m = max(abs(v) for v in per)
     if m == 0.0:
-        raise AllZero("all per-sample values are zero")
+        raise SchemaMismatch("all per-sample values are zero")
     return [v / m for v in per]
 
 
@@ -352,7 +349,7 @@ def ipw_weights(d: CategoricalDataset, target: str,
     observed = ~d.mask[:, jt]
     for p, jp in zip(parents, pcols):
         if d.mask[observed, jp].any():
-            raise MissingCellsPresent(
+            raise SchemaMismatch(
                 f"detected parent {p!r} has missing cells where {target!r} is observed")
     cards = [d.variable(p).cardinality for p in parents]
     ncfg = math.prod(cards)
@@ -408,6 +405,8 @@ class BicScorer:
             n_effective = (self.rows.shape[0] if self.weights is None
                            else float(np.sum(self.weights)))
         self.n_effective = float(n_effective)
+        if not self.n_effective > 0:
+            raise SchemaMismatch(f"BIC needs a positive sample size, got {self.n_effective:g}")
         self._col = {v.name: i for i, v in enumerate(self.schema)}
         self._card = {v.name: v.cardinality for v in self.schema}
         self._cache: Dict[tuple, float] = {}

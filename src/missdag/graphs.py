@@ -14,10 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from .errors import (
     ConfigError,
     CycleDetected,
-    DuplicateEdge,
-    InvalidMGraph,
-    OverlappingSets,
-    UnknownVertex,
+    SchemaMismatch,
     checked_strings,
     json_object,
 )
@@ -47,9 +44,9 @@ class Dag:
     def __init__(self, vertices: Sequence[str], edges: Iterable[Edge] = ()):
         verts = tuple(vertices)
         if len(set(verts)) != len(verts):
-            raise UnknownVertex("duplicate vertex names in declaration")
+            raise SchemaMismatch("duplicate vertex names in declaration")
         if any(not v for v in verts):
-            raise UnknownVertex("empty vertex name")
+            raise SchemaMismatch("empty vertex name")
         self._vertices = verts
         self._index = {v: i for i, v in enumerate(verts)}
         parents = {v: set() for v in verts}
@@ -57,13 +54,13 @@ class Dag:
         edge_set = set()
         for p, c in edges:
             if p not in self._index:
-                raise UnknownVertex(f"unknown vertex {p!r}")
+                raise SchemaMismatch(f"unknown vertex {p!r}")
             if c not in self._index:
-                raise UnknownVertex(f"unknown vertex {c!r}")
+                raise SchemaMismatch(f"unknown vertex {c!r}")
             if p == c:
                 raise CycleDetected([p, c])
             if (p, c) in edge_set:
-                raise DuplicateEdge(f"duplicate edge ({p!r}, {c!r})")
+                raise SchemaMismatch(f"duplicate edge ({p!r}, {c!r})")
             edge_set.add((p, c))
             parents[c].add(p)
             children[p].add(c)
@@ -119,7 +116,7 @@ class Dag:
 
     def _check(self, v: str) -> None:
         if v not in self._index:
-            raise UnknownVertex(f"unknown vertex {v!r}")
+            raise SchemaMismatch(f"unknown vertex {v!r}")
 
     def ancestors(self, of: Iterable[str]) -> set:
         """All vertices with a directed path into `of`, plus `of` itself."""
@@ -181,7 +178,7 @@ class MGraph:
     def __init__(self, graph: Dag, classes: Mapping[str, VertexClass],
                  wiring: Mapping[str, Tuple[str, str]]):
         if set(classes) != set(graph.vertices):
-            raise InvalidMGraph("classes must cover exactly the vertex set")
+            raise SchemaMismatch("classes must cover exactly the vertex set")
         self.graph = graph
         self.classes = dict(classes)
         self.wiring = {k: tuple(v) for k, v in wiring.items()}
@@ -195,23 +192,23 @@ class MGraph:
         s = set(self.members(VertexClass.PROXY))
         r = set(self.members(VertexClass.INDICATOR))
         if set(self.wiring) != m:
-            raise InvalidMGraph("wiring keys must be the partially observed set")
+            raise SchemaMismatch("wiring keys must be the partially observed set")
         proxies = [w[0] for w in self.wiring.values()]
         indicators = [w[1] for w in self.wiring.values()]
         if set(proxies) != s or len(set(proxies)) != len(proxies):
-            raise InvalidMGraph("proxy wiring is not a bijection onto S")
+            raise SchemaMismatch("proxy wiring is not a bijection onto S")
         if set(indicators) != r or len(set(indicators)) != len(indicators):
-            raise InvalidMGraph("indicator wiring is not a bijection onto R")
+            raise SchemaMismatch("indicator wiring is not a bijection onto R")
         g = self.graph
         for x, (sx, rx) in self.wiring.items():
             if g.parents(sx) != frozenset({x, rx}):
-                raise InvalidMGraph(f"proxy {sx!r} must have parents {{{x!r}, {rx!r}}}")
+                raise SchemaMismatch(f"proxy {sx!r} must have parents {{{x!r}, {rx!r}}}")
             if g.children(sx):
-                raise InvalidMGraph(f"proxy {sx!r} must have no children")
+                raise SchemaMismatch(f"proxy {sx!r} must have no children")
             if g.parents(rx) & s:
-                raise InvalidMGraph(f"indicator {rx!r} must have no parents in S")
+                raise SchemaMismatch(f"indicator {rx!r} must have no parents in S")
             if g.children(rx) - {sx}:
-                raise InvalidMGraph(f"indicator {rx!r} may only point to {sx!r}")
+                raise SchemaMismatch(f"indicator {rx!r} may only point to {sx!r}")
 
 
 def find_active_path(g: Dag, x: Iterable[str], y: Iterable[str],
@@ -232,7 +229,7 @@ def find_active_path(g: Dag, x: Iterable[str], y: Iterable[str],
     for v in xs | ys | zs:
         g._check(v)
     if xs & ys or xs & zs or ys & zs:
-        raise OverlappingSets("d-separation sets x, y, z must be pairwise disjoint")
+        raise ConfigError("d-separation sets x, y, z must be pairwise disjoint")
     anc_z = g.ancestors(zs)
     rank = g._index.__getitem__
     # a trail leaves each source against the edge direction, as if it had

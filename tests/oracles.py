@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
-from missdag.errors import CycleDetected, UnknownVertex
+from missdag.errors import CycleDetected
 from missdag.graphs import Dag
 
 
@@ -437,14 +437,14 @@ def parse_dot(text: str) -> Dag:
     backslash escapes of backslash and double quote."""
     body = text.strip()
     if not (body.startswith("digraph G {") and body.endswith("}")):
-        raise UnknownVertex(f"not a digraph: {text[:40]!r}")
+        raise ValueError(f"not a digraph: {text[:40]!r}")
     body = body[len("digraph G {"):-1]
     verts, edges = [], []
     pos = 0
     while body[pos:].strip():
         m = _DOT_STMT.match(body, pos)
         if m is None:
-            raise UnknownVertex(f"unparseable DOT at {body[pos:pos + 40]!r}")
+            raise ValueError(f"unparseable DOT at {body[pos:pos + 40]!r}")
         a, b = (None if x is None else _DOT_ESCAPE.sub(r"\1", x) for x in m.groups())
         if b is None:
             verts.append(a)

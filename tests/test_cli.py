@@ -99,6 +99,21 @@ class TestExitCodes:
         _assert_one_diagnostic(err, False)
         assert "TooManyMissingInRow" in err
 
+    @pytest.mark.parametrize("algorithm, from_csv", [("hc-complete", False),
+                                                     ("hc-aipw", False), ("hc-complete", True)])
+    def test_runtime_error_on_a_dataset_without_rows(self, tmp_path, no_env_seed, capsys,
+                                                     algorithm, from_csv):
+        # "dataset_n": 0, or a CSV with a header only
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n")
+        cfg = _demo_config(tmp_path, dataset=str(data) if from_csv else "ec-demo",
+                           dataset_n=0, algorithm=algorithm)
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        _assert_one_diagnostic(err, False)
+        assert err == "error: SchemaMismatch: BIC needs a positive sample size, got 0\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -165,6 +180,13 @@ MALFORMED_INPUTS = {
     "knowledge-forbidden-unknown-variable": ("discover", {"knowledge": "kb.json"},
                                              {"kb.json": {"forbidden": [["Nope", "Age"]]}},
                                              None),
+    # a knowledge file whose edges contradict each other is malformed input
+    "knowledge-cyclic-required-unknown-variables": (
+        "discover", {"knowledge": "kb.json"},
+        {"kb.json": {"required": [["A", "B"], ["B", "A"]]}}, None),
+    "knowledge-forbidden-and-required": (
+        "discover", {"knowledge": "kb.json"},
+        {"kb.json": {"forbidden": [["Age", "LNM"]], "required": [["Age", "LNM"]]}}, None),
     # numbers of the wrong kind are refused, not coerced (int(1.9) would run B=1)
     "B-float": ("discover", {"algorithm": "bootstrap-sem", "B": 1.9}, {}, None),
     "threshold-bool": ("discover", {"algorithm": "bootstrap-sem", "B": 1, "threshold": True},
@@ -506,6 +528,21 @@ class TestAmputeAndSimulate:
         err = capsys.readouterr().err
         _assert_one_diagnostic(err, json_logs=False)
         assert err == "error: SchemaMismatch: no CPT for 'b'\n"
+
+    @pytest.mark.parametrize("token", ["NA", ""])
+    def test_params_with_a_missing_token_state_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                                                  capsys, token):
+        # the sampled CSV would read such cells back as missing
+        (tmp_path / "g.json").write_text(GRAPH)
+        (tmp_path / "p.json").write_text(PARAMS.replace(
+            '"parents": [],', f'"parents": [], "states": ["x", "{token}"],'))
+        monkeypatch.chdir(tmp_path)
+        assert main(SIMULATE) == 1
+        err = capsys.readouterr().err
+        _assert_one_diagnostic(err, json_logs=False)
+        assert err == (f"error: SchemaMismatch: variable 'a' has state label {token!r}, "
+                       "which a CSV reads as a missing cell\n")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_ampute_unknown_column_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from missdag.data import (
     MISSING,
+    MISSING_TOKENS,
     AmputationEntry,
     AmputationSpec,
     CategoricalDataset,
@@ -21,14 +22,7 @@ from missdag.data import (
     split,
     write_csv,
 )
-from missdag.errors import (
-    AllMissingColumn,
-    BadFraction,
-    ConfigError,
-    DriverMissing,
-    EmptyDataset,
-    MalformedCsv,
-)
+from missdag.errors import ConfigError, MalformedCsv, SchemaMismatch
 from missdag.estimation import fit_mle
 from missdag.graphs import Dag
 
@@ -73,6 +67,12 @@ class TestSchema:
     def test_requires_two_states(self):
         with pytest.raises(Exception):
             VariableSchema("x", ("only",))
+
+    @pytest.mark.parametrize("token", MISSING_TOKENS)
+    def test_missing_token_state_rejected(self, token):
+        with pytest.raises(SchemaMismatch,
+                           match=f"variable 'x' has state label {token!r}, which a CSV reads"):
+            VariableSchema("x", ("a", token))
 
     def test_cardinality(self):
         assert VariableSchema("x", ("a", "b", "c")).cardinality == 3
@@ -162,7 +162,7 @@ class TestAmputation:
         assert logit(0.0) == -math.inf and logit(1.0) == math.inf
 
     def test_mcar_entry_forbids_drivers(self):
-        with pytest.raises(DriverMissing):
+        with pytest.raises(ConfigError, match="MCAR entries take no drivers"):
             AmputationEntry("x", "MCAR", drivers=("w",))
 
     def test_unknown_mechanism_rejected(self):
@@ -217,7 +217,7 @@ class TestAmputation:
     def test_incomplete_target_rejected(self):
         d = _dataset([2], [[MISSING], [0]])
         spec = AmputationSpec((AmputationEntry("v0", "MCAR", intercept=0.0),), seed=0)
-        with pytest.raises(DriverMissing):
+        with pytest.raises(SchemaMismatch, match="target 'v0' must be complete before amputation"):
             ampute(d, spec)
 
     def test_mar_driver_amputed_elsewhere_rejected(self):
@@ -226,7 +226,8 @@ class TestAmputation:
             (AmputationEntry("v0", "MCAR", intercept=logit(0.5)),
              AmputationEntry("v1", "MAR", drivers=("v0",), intercept=logit(0.2))),
             seed=4)
-        with pytest.raises(DriverMissing):
+        with pytest.raises(SchemaMismatch,
+                           match="MAR driver 'v0' is not fully observed after amputation"):
             ampute(d, spec)
 
     def test_spec_naming_unknown_column_rejected(self):
@@ -262,7 +263,7 @@ class TestImputeMode:
 
     def test_all_missing_column_rejected(self):
         d = _dataset([2], [[MISSING], [MISSING]])
-        with pytest.raises(AllMissingColumn):
+        with pytest.raises(SchemaMismatch, match="column 'v0' has no observed cells"):
             impute_mode(d)
 
 
@@ -275,7 +276,7 @@ class TestResampling:
 
     def test_bootstrap_empty_rejected(self):
         d = _dataset([2], np.zeros((0, 1), dtype=np.int16))
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(SchemaMismatch, match="cannot resample an empty dataset"):
             bootstrap(d, 0)
 
     def test_split_sizes_and_disjointness(self):
@@ -293,5 +294,5 @@ class TestResampling:
     def test_split_bad_fraction_rejected(self):
         d = _dataset([2], [[0], [1]])
         for f in (0.0, 1.0, -0.1):
-            with pytest.raises(BadFraction):
+            with pytest.raises(ConfigError, match="held-out fraction must lie in"):
                 split(d, f, seed=0)

@@ -9,13 +9,7 @@ from missdag.data import (
     family_counts,
     forward_sample,
 )
-from missdag.errors import (
-    AllZero,
-    EmptyList,
-    MissingCellsPresent,
-    SchemaMismatch,
-    TooManyMissingInRow,
-)
+from missdag.errors import SchemaMismatch, TooManyMissingInRow
 from missdag import estimation
 from missdag.estimation import (
     BicScorer,
@@ -131,7 +125,7 @@ class TestFitMle:
     def test_missing_cells_rejected(self):
         g = Dag(["v0"], [])
         d = _dataset([2], [[MISSING]])
-        with pytest.raises(MissingCellsPresent):
+        with pytest.raises(SchemaMismatch, match="fit_mle requires complete data"):
             fit_mle(g, d)
 
     def test_dataset_must_cover_vertices(self):
@@ -269,8 +263,13 @@ class TestColumnLayout:
         assert block.flags.f_contiguous and not block.flags.writeable
         rebuilt = row_completions(g, params, d)[0]  # row by row, row-major
         assert rebuilt.flags.c_contiguous and np.array_equal(block, rebuilt)
-        # a scorer takes the block as it is
-        assert BicScorer([d.variable(v) for v in g.vertices], block).rows is block
+        # a scorer takes the block as it is, and refuses a block without rows
+        schema = [d.variable(v) for v in g.vertices]
+        if n:
+            assert BicScorer(schema, block).rows is block
+        else:
+            with pytest.raises(SchemaMismatch, match="BIC needs a positive sample size"):
+                BicScorer(schema, block)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -331,13 +330,13 @@ class TestRescale:
         assert rescale_ll([-4.0, -2.0], 2) == [-1.0, -0.5]
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(SchemaMismatch, match="no score values to rescale"):
             rescale_ll([], 5)
-        with pytest.raises(EmptyList):
+        with pytest.raises(SchemaMismatch, match="sample size must be positive"):
             rescale_ll([-1.0], 0)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZero):
+        with pytest.raises(SchemaMismatch, match="all per-sample values are zero"):
             rescale_ll([0.0, 0.0], 3)
 
 
@@ -381,7 +380,8 @@ class TestIpwWeights:
 
     def test_parent_missing_where_target_observed_rejected(self):
         d = _dataset([2, 2], [[MISSING, 0]])
-        with pytest.raises(MissingCellsPresent):
+        with pytest.raises(SchemaMismatch,
+                           match="detected parent 'v0' has missing cells where 'v1' is observed"):
             ipw_weights(d, "v1", ["v0"])
 
 
