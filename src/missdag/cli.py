@@ -105,7 +105,7 @@ def _load_dataset(config: dict, seed: int):
     else:
         d = read_csv(_input_file(_path(ref, "dataset"), "config field 'dataset': file"))
     spec_path = config.get("ampute_spec")
-    if spec_path:
+    if spec_path is not None:
         d = ampute(d, AmputationSpec.from_json(_read_text(
             _path(spec_path, "ampute_spec"), "config field 'ampute_spec': file")))
     return d
@@ -113,7 +113,7 @@ def _load_dataset(config: dict, seed: int):
 
 def _load_knowledge(config: dict) -> KnowledgeBase:
     path = config.get("knowledge")
-    if not path:
+    if path is None:
         return KnowledgeBase()
     return KnowledgeBase.from_json(_read_text(
         _path(path, "knowledge"), "config field 'knowledge': file"))

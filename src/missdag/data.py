@@ -148,10 +148,11 @@ class CategoricalDataset:
 
 
 def read_csv(path) -> CategoricalDataset:
-    """The dataset in a CSV file with a header row. Each column's states are
-    its distinct tokens in order of first appearance; empty and ``NA`` cells
-    are missing. A column with fewer than two states is padded to two; one
-    with more than ``MAX_STATES`` raises ``MalformedCsv``."""
+    """The dataset in a CSV file with a header row, read a column at a time.
+    Each column's states are its distinct tokens in order of first
+    appearance; empty and ``NA`` cells are missing, and a column with fewer
+    than two states is padded to two. A ragged row, a column of more than
+    ``MAX_STATES`` states or an over-long field raises ``MalformedCsv``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -159,45 +160,49 @@ def read_csv(path) -> CategoricalDataset:
             records = list(reader)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise MalformedCsv(f"{path}: empty file")
     p = len(header)
-    lookup = [{} for _ in header]
-    rows = np.full((len(records), p), MISSING, dtype=np.int16)
     for r, rec in enumerate(records):
         if len(rec) != p:
             raise MalformedCsv(f"{path}: row {r + 1} has {len(rec)} fields, expected {p}")
-        for c, tok in enumerate(rec):
-            if tok in MISSING_TOKENS:
-                continue
-            if tok not in lookup[c]:
-                if len(lookup[c]) == MAX_STATES:
-                    raise MalformedCsv(f"{path}: column {header[c]!r} has more than "
-                                       f"{MAX_STATES} distinct values")
-                lookup[c][tok] = len(lookup[c])
-            rows[r, c] = lookup[c][tok]
+    codes = np.empty((p, len(records)), dtype=np.int16)
     schema = []
-    for c, name in enumerate(header):
-        states = list(lookup[c])  # insertion order is state-index order
-        if len(states) < 2:
-            # pad degenerate columns so the schema invariant holds
-            states = states + [f"__pad{k}" for k in range(2 - len(states))]
-        schema.append(VariableSchema(name, tuple(states)))
-    return CategoricalDataset(schema, rows)
+    for c, column in enumerate(zip(*records) if records else [()] * p):
+        states = [t for t in dict.fromkeys(column) if t not in MISSING_TOKENS]
+        if len(states) > MAX_STATES:
+            raise MalformedCsv(f"{path}: column {header[c]!r} has more than "
+                               f"{MAX_STATES} distinct values")
+        code = dict.fromkeys(MISSING_TOKENS, MISSING)
+        code.update(zip(states, range(len(states))))
+        codes[c] = np.fromiter(map(code.__getitem__, column), np.int16, len(column))
+        # pad a degenerate column to two states with labels it does not hold
+        pads = [pad for pad in ("__pad0", "__pad1", "__pad2") if pad not in states]
+        schema.append(VariableSchema(header[c], (states + pads)[:max(2, len(states))]))
+    return CategoricalDataset(schema, codes.T)
+
+
+def _csv_field(token: str) -> str:
+    # quoted if it holds a comma, quote or line break; csv.writer leaves a
+    # lone "\r" bare, and a reader ends the row there
+    if any(c in token for c in ',"\r\n'):
+        return '"' + token.replace('"', '""') + '"'
+    return token
 
 
 def write_csv(d: CategoricalDataset, path) -> None:
+    """``d`` as a CSV file that ``read_csv`` reads back to the same cells."""
+    cells = np.empty((d.n, d.p), dtype=object)
+    for c, var in enumerate(d.schema):
+        # a missing cell holds MISSING (-1), which picks the appended "NA"
+        fields = np.array([*map(_csv_field, var.states), "NA"], dtype=object)
+        cells[:, c] = fields[d.rows[:, c]]
+    # one empty name is quoted, or the header would read as no columns
+    header = '""' if d.names == ("",) else ",".join(map(_csv_field, d.names))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(d.names)
-        for r in range(d.n):
-            rec = []
-            for c, var in enumerate(d.schema):
-                if d.mask[r, c]:
-                    rec.append("NA")
-                else:
-                    rec.append(var.states[d.rows[r, c]])
-            writer.writerow(rec)
+        fh.writelines(line + "\n" for line in [header, *map(",".join, cells.tolist())])
 
 
 def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
@@ -369,12 +374,12 @@ def bootstrap(d: CategoricalDataset, seed: int) -> CategoricalDataset:
 
 
 def split(d: CategoricalDataset, held_out_fraction: float, seed: int):
-    """(train, test) with floor(n * fraction) rows held out."""
+    """(train, test) with floor(n * fraction) > 0 rows held out."""
     if not 0.0 < held_out_fraction < 1.0:
         raise ConfigError(f"held-out fraction must lie in (0, 1), got {held_out_fraction}")
-    if d.n < 2:
-        raise SchemaMismatch("need at least two rows to split")
     k = int(math.floor(d.n * held_out_fraction))
+    if k == 0:
+        raise SchemaMismatch(f"held-out set is empty: floor({d.n} x {held_out_fraction}) = 0")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d.n)
     test_idx = np.sort(perm[:k])

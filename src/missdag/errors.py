@@ -51,6 +51,8 @@ def json_object(text: str, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{what} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return doc

@@ -3,13 +3,14 @@
 Everything here is deliberately naive: exhaustive path enumeration for
 d-separation, full-joint enumeration for likelihoods, exhaustive DAG
 enumeration for score optima, one candidate graph per hill-climbing
-move, each move re-scored on every iteration, and a conditional G-test
-one stratum at a time. Slow, obviously correct, and independent of the
-production code paths.
+move, each move re-scored on every iteration, a conditional G-test
+one stratum at a time and a CSV read one cell at a time. Slow,
+obviously correct, and independent of the production code paths.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import re
@@ -18,8 +19,15 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 from scipy.stats import chi2
 
+from missdag.data import (
+    MAX_STATES,
+    MISSING,
+    MISSING_TOKENS,
+    CategoricalDataset,
+    VariableSchema,
+)
 from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
-from missdag.errors import CycleDetected
+from missdag.errors import CycleDetected, MalformedCsv
 from missdag.graphs import Dag
 
 
@@ -452,6 +460,49 @@ def parse_dot(text: str) -> Dag:
             edges.append((a, b))
         pos = m.end()
     return Dag(verts, edges)
+
+
+# --- CSV read one cell at a time ---
+
+
+def read_csv_by_cell(path) -> CategoricalDataset:
+    """What ``data.read_csv`` returns or raises, by a row-major scan that
+    gives each new token of a column the next state index as it first
+    appears. It does not catch an over-long field, and on a file that is
+    both ragged and over ``MAX_STATES`` it reports whichever it meets first
+    (``read_csv`` reports the ragged row)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            records = list(reader)
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8 text: {exc}") from None
+    if header is None:
+        raise MalformedCsv(f"{path}: empty file")
+    p = len(header)
+    lookup = [{} for _ in header]
+    rows = np.full((len(records), p), MISSING, dtype=np.int16)
+    for r, rec in enumerate(records):
+        if len(rec) != p:
+            raise MalformedCsv(f"{path}: row {r + 1} has {len(rec)} fields, expected {p}")
+        for c, tok in enumerate(rec):
+            if tok in MISSING_TOKENS:
+                continue
+            if tok not in lookup[c]:
+                if len(lookup[c]) == MAX_STATES:
+                    raise MalformedCsv(f"{path}: column {header[c]!r} has more than "
+                                       f"{MAX_STATES} distinct values")
+                lookup[c][tok] = len(lookup[c])
+            rows[r, c] = lookup[c][tok]
+    schema = []
+    for c, name in enumerate(header):
+        states = list(lookup[c])  # insertion order is state-index order
+        if len(states) < 2:
+            pads = [pad for pad in ("__pad0", "__pad1", "__pad2") if pad not in states]
+            states = states + pads[:2 - len(states)]
+        schema.append(VariableSchema(name, tuple(states)))
+    return CategoricalDataset(schema, rows)
 
 
 # --- random instances ---

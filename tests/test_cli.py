@@ -114,6 +114,31 @@ class TestExitCodes:
         _assert_one_diagnostic(err, False)
         assert err == "error: SchemaMismatch: BIC needs a positive sample size, got 0\n"
 
+    def test_runtime_error_on_a_field_over_the_size_limit(self, tmp_path, no_env_seed,
+                                                          capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n0,1\n1," + "x" * 131073 + "\n")
+        cfg = _write_json(tmp_path / "c.json",
+                          {"dataset": str(data), "algorithm": "hc-complete"})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        _assert_one_diagnostic(err, False)
+        assert err.startswith(f"error: MalformedCsv: {data}: line 3: field larger than")
+
+    @pytest.mark.parametrize("command, n", [("discover", 4), ("evaluate", 3),
+                                            ("evaluate", 1)])
+    def test_runtime_error_on_an_empty_held_out_set(self, tmp_path, no_env_seed, capsys,
+                                                    command, n):
+        # 0.2 is the default held-out fraction
+        cfg = _demo_config(tmp_path, dataset_n=n, algorithm="bootstrap-sem", B=2,
+                           algorithms=["hc-complete"])
+        assert main([command, "--config", cfg, "--seed", "1", "--threads", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: SchemaMismatch: held-out set is empty: floor({n} x 0.2) = 0\n")
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -125,6 +150,9 @@ class TestExitCodes:
         doc = json.loads(err)
         assert doc["level"] == "error" and "config" in doc["message"]
 
+
+# a JSON object nested deeper than the parser's recursion limit
+DEEP = '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 # case -> (command, config fields or the config's raw content, other input
 # files, MGD_SEED); the output directory comes from --out unless the config
@@ -198,6 +226,13 @@ MALFORMED_INPUTS = {
     "seed-string": ("discover", {"seed": "5"}, {}, "1"),
     "spec-seed-float": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
         "seed": 1.5, "targets": [{"target": "CA125", "mechanism": "MCAR"}]}}, None),
+    # a path field set to a falsy value is not taken for an unset one
+    "knowledge-false": ("discover", {"knowledge": False}, {}, None),
+    "knowledge-empty-string": ("discover", {"knowledge": ""}, {}, None),
+    "knowledge-empty-list": ("discover", {"knowledge": []}, {}, None),
+    "spec-zero": ("discover", {"ampute_spec": 0}, {}, None),
+    "spec-empty-object": ("discover", {"ampute_spec": {}}, {}, None),
+    "config-nested-too-deeply": ("discover", DEEP, {}, None),
 }
 
 
@@ -251,6 +286,7 @@ MALFORMED_FILES = {
     "dsep-graph-is-a-list": (["dsep", "g.json", "a _||_ b |"], {"g.json": "[]"}),
     "dsep-graph-without-vertices": (["dsep", "g.json", "a _||_ b |"],
                                     {"g.json": '{"edges": []}'}),
+    "dsep-graph-nested-too-deeply": (["dsep", "g.json", "a _||_ b |"], {"g.json": DEEP}),
     "dsep-query-sets-overlap": (["dsep", "ec-mnar", "LNM _||_ LNM |"], {}),
     "dsep-graph-not-utf8": (["dsep", "g.json", "a _||_ b |"],
                             {"g.json": b'{"vertices": ["a", "b\xff"]}'}),

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -22,11 +24,11 @@ from missdag.data import (
     split,
     write_csv,
 )
-from missdag.errors import ConfigError, MalformedCsv, SchemaMismatch
+from missdag.errors import ConfigError, MalformedCsv, MissDagError, SchemaMismatch
 from missdag.estimation import fit_mle
 from missdag.graphs import Dag
 
-from oracles import mixed_radix_by_loop, random_params
+from oracles import mixed_radix_by_loop, random_params, read_csv_by_cell
 
 
 def _schema(*cards):
@@ -100,7 +102,85 @@ class TestDataset:
         assert t.rows[0, 1] == 1
 
 
+# tokens that a CSV cell or header may hold: missing-cell tokens, the pad
+# labels, CSV syntax, line breaks, a lone carriage return and Unicode
+HOSTILE = ["", "NA", "na", " ", "a", "b", "__pad0", "__pad1", 'q"q', '"', "x,y",
+           "line\nbreak", "cr\r", "\r\n", "é", "日本"]
+TOKENS = st.sampled_from(HOSTILE) | st.text(max_size=3)
+
+
+@st.composite
+def csv_texts(draw):
+    """Raw text over CSV syntax characters, or records of a few hostile
+    tokens (so some columns are degenerate) written by ``csv.writer``:
+    0-3 columns, 0-5 rows, some of them ragged, maybe no header."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(alphabet=',"\n\r aNA\u00e9', max_size=30))
+    p = draw(st.integers(0, 3))
+    pool = draw(st.lists(TOKENS, min_size=1, max_size=4))
+    record = (st.lists(st.sampled_from(pool), min_size=p, max_size=p)
+              | st.lists(st.sampled_from(pool), max_size=p + 1))
+    records = draw(st.lists(record, max_size=5))
+    if draw(st.booleans()):
+        records.insert(0, draw(st.lists(TOKENS, min_size=p, max_size=p)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(records)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    """One file that every example of a property test overwrites."""
+    return tmp_path_factory.mktemp("csv") / "d.csv"
+
+
+def _read_outcome(read, path):
+    """The dataset ``read`` returns, or the type and message of the error it
+    raises."""
+    try:
+        d = read(path)
+    except MissDagError as exc:
+        return type(exc), str(exc)
+    return d.schema, d.rows.tolist(), d.mask.tolist()
+
+
 class TestCsv:
+    @given(csv_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_read_matches_cell_by_cell_reader(self, csv_path, text):
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        assert _read_outcome(read_csv, csv_path) == _read_outcome(read_csv_by_cell, csv_path)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_write_then_read_keeps_every_label(self, csv_path, data):
+        names = data.draw(st.lists(TOKENS, max_size=3, unique=True))
+        labels = TOKENS.filter(lambda t: t not in MISSING_TOKENS)
+        schema = [VariableSchema(name, data.draw(st.lists(labels, min_size=2, max_size=4,
+                                                          unique=True)))
+                  for name in names]
+        record = st.tuples(*[st.integers(MISSING, v.cardinality - 1) for v in schema])
+        n = data.draw(st.integers(0, 5))
+        rows = np.array(data.draw(st.lists(record, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(schema))
+        d = CategoricalDataset(schema, rows)
+        write_csv(d, csv_path)
+        back = read_csv(csv_path)
+        assert back.names == d.names
+        assert _labels(back) == _labels(d)
+
+    def test_field_over_the_size_limit_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n0,1\n1," + "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(MalformedCsv, match=r"d\.csv: line 3: field larger than"):
+            read_csv(path)
+
+    def test_ragged_row_reported_before_a_column_with_too_many_states(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "".join(f"t{i},0\n" for i in range(33000)) + "x\n")
+        with pytest.raises(MalformedCsv, match="row 33001 has 1 fields, expected 2"):
+            read_csv(path)
+
     def test_round_trip_with_missing(self, tmp_path):
         # reading infers the states, so cells are compared by label
         d = _dataset([2, 3], [[0, MISSING], [1, 2], [MISSING, 0]])
