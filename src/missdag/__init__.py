@@ -40,7 +40,6 @@ from .graphs import (
     Dag,
     MGraph,
     MechanismClass,
-    VertexClass,
     classify_mechanism,
     d_separated,
     export_dot,

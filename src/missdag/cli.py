@@ -293,8 +293,16 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so that a bad flag
+    or a missing argument prints one diagnostic line, not the usage text."""
+
+    def error(self, message):
+        raise ConfigError(" ".join(f"{self.prog}: {message}".splitlines()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="missdag",
         description="Causal discovery for categorical data with missing values")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -341,12 +349,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    json_logs = "--json-logs" in argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    json_logs = getattr(args, "json_logs", False)
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help
+        return EXIT_OK
+    except ConfigError as exc:
+        _diag(str(exc), json_logs)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

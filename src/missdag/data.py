@@ -1,14 +1,13 @@
 """Categorical datasets with missing values.
 
 Cells are stored as small integer state indices; missing cells carry the
-sentinel -1 and a parallel boolean mask. Datasets are immutable: every
-operation returns a new instance.
+sentinel -1, and the boolean mask of missing cells is read off them.
+Datasets are immutable: every operation returns a new instance.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
@@ -80,18 +79,12 @@ class VariableSchema:
 class CategoricalDataset:
     __slots__ = ("schema", "rows", "mask", "_index", "_completions")
 
-    def __init__(self, schema: Sequence[VariableSchema], rows, mask=None):
+    def __init__(self, schema: Sequence[VariableSchema], rows):
         self.schema = tuple(schema)
-        rows = np.asarray(rows, dtype=np.int16)
+        rows = np.array(rows, dtype=np.int16)
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise SchemaMismatch("row matrix shape does not match schema")
-        if mask is None:
-            mask = rows == MISSING
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != rows.shape:
-            raise SchemaMismatch("mask shape does not match rows")
-        rows = rows.copy()
-        rows[mask] = MISSING
+        mask = rows == MISSING
         for j, var in enumerate(self.schema):
             col = rows[~mask[:, j], j]
             if col.size and (col.min() < 0 or col.max() >= var.cardinality):
@@ -131,7 +124,7 @@ class CategoricalDataset:
 
     def take(self, idx) -> "CategoricalDataset":
         idx = np.asarray(idx, dtype=np.intp)
-        return CategoricalDataset(self.schema, self.rows[idx], self.mask[idx])
+        return CategoricalDataset(self.schema, self.rows[idx])
 
     def is_complete(self) -> bool:
         return not self.mask.any()
@@ -139,9 +132,7 @@ class CategoricalDataset:
     def __eq__(self, other):
         if not isinstance(other, CategoricalDataset):
             return NotImplemented
-        return (self.schema == other.schema
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.mask, other.mask))
+        return self.schema == other.schema and np.array_equal(self.rows, other.rows)
 
     def __repr__(self):
         return f"CategoricalDataset(n={self.n}, p={self.p})"
@@ -151,8 +142,9 @@ def read_csv(path) -> CategoricalDataset:
     """The dataset in a CSV file with a header row, read a column at a time.
     Each column's states are its distinct tokens in order of first
     appearance; empty and ``NA`` cells are missing, and a column with fewer
-    than two states is padded to two. A ragged row, a column of more than
-    ``MAX_STATES`` states or an over-long field raises ``MalformedCsv``."""
+    than two states is padded to two. A repeated column name, a ragged row,
+    a column of more than ``MAX_STATES`` states or an over-long field raises
+    ``MalformedCsv``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -164,6 +156,10 @@ def read_csv(path) -> CategoricalDataset:
         raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise MalformedCsv(f"{path}: empty file")
+    if len(set(header)) != len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise MalformedCsv(f"{path}: column name {name!r} appears more than once "
+                           "in the header")
     p = len(header)
     for r, rec in enumerate(records):
         if len(rec) != p:
@@ -288,21 +284,6 @@ class AmputationSpec:
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"amputation spec is malformed: {exc}") from exc
 
-    def to_json(self) -> str:
-        doc = {
-            "targets": [
-                {
-                    "target": e.target,
-                    "mechanism": e.mechanism,
-                    "drivers": list(e.drivers),
-                    "intercept": e.intercept,
-                    "weights": {k: dict(v) for k, v in e.weights.items()},
-                }
-                for e in self.entries
-            ],
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
@@ -324,7 +305,7 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
             jd = d.index(w)
             if d.mask[:, jd].any():
                 raise SchemaMismatch(f"driver {w!r} has missing cells in the input")
-    mask = d.mask.copy()
+    rows = d.rows.copy()
     # one spawned child stream per entry: spawned streams are guaranteed
     # distinct from the root stream of the same seed, so amputation noise
     # never collides with data sampled from default_rng(seed)
@@ -338,8 +319,8 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
             eta = eta + per_state[d.column(w)]
         prob = expit(eta)
         u = np.random.default_rng(streams[i]).random(d.n)
-        mask[:, targets[i]] |= u < prob
-    out = CategoricalDataset(d.schema, d.rows, mask)
+        rows[u < prob, targets[i]] = MISSING
+    out = CategoricalDataset(d.schema, rows)
     # MAR drivers must remain fully observed after all entries are applied
     for e in spec.entries:
         if e.mechanism == "MAR":
@@ -362,7 +343,7 @@ def impute_mode(d: CategoricalDataset) -> CategoricalDataset:
             raise SchemaMismatch(f"column {var.name!r} has no observed cells")
         counts = np.bincount(obs, minlength=var.cardinality)
         rows[miss, j] = int(np.argmax(counts))
-    return CategoricalDataset(d.schema, rows, np.zeros_like(d.mask))
+    return CategoricalDataset(d.schema, rows)
 
 
 def bootstrap(d: CategoricalDataset, seed: int) -> CategoricalDataset:

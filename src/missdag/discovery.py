@@ -7,7 +7,6 @@ variant for data that are missing not at random.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from bisect import insort
 from collections import Counter
@@ -106,13 +105,6 @@ class KnowledgeBase:
                     for e in pairs):
                 raise ConfigError(f"knowledge field {key!r} must list [parent, child] pairs")
         return KnowledgeBase(**edges)
-
-    def to_json(self) -> str:
-        doc = {
-            "forbidden": sorted([list(e) for e in self.forbidden]),
-            "required": sorted([list(e) for e in self.required]),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -332,6 +324,7 @@ def detect_indicator_parents(d: CategoricalDataset, alpha: float = SearchOptions
     evidence of dependence on other partially observed variables."""
     partial = [v.name for j, v in enumerate(d.schema) if d.mask[:, j].any()]
     fully = [v.name for j, v in enumerate(d.schema) if not d.mask[:, j].any()]
+    base = Dag(list(d.names))
     report = {}
     for x in partial:
         rx = d.mask[:, d.index(x)].astype(np.int16)
@@ -350,11 +343,7 @@ def detect_indicator_parents(d: CategoricalDataset, alpha: float = SearchOptions
                              d.variable(w).cardinality)
             if p < e_corr:
                 evidence.append(w)
-        base = Dag(list(d.names))
-        mg = implied_mgraph(base, partial,
-                            {x: detected + evidence},
-                            latent=())
-        mechanism = classify_mechanism(mg)
+        mechanism = classify_mechanism(implied_mgraph(base, partial, {x: detected + evidence}))
         report[x] = {
             "detected_parents": detected,
             "available_case_mnar_evidence": evidence,

@@ -21,11 +21,13 @@ class ConfigError(MissDagError):
 
 
 class CycleDetected(MissDagError):
-    """Edges that close a directed cycle; ``cycle`` is the closed walk."""
+    """Edges that close a directed cycle; ``cycle`` is the closed walk. The
+    message quotes each name, so a name holding a line break stays on the
+    message's one line."""
 
     def __init__(self, cycle):
         self.cycle = list(cycle)
-        super().__init__("cycle detected: " + " -> ".join(self.cycle))
+        super().__init__("cycle detected: " + " -> ".join(map(repr, self.cycle)))
 
 
 class SchemaMismatch(MissDagError):
@@ -37,8 +39,9 @@ class SchemaMismatch(MissDagError):
 
 
 class MalformedCsv(MissDagError):
-    """A dataset CSV that cannot be read: not UTF-8, empty, ragged, or a
-    column with more states than a cell can hold."""
+    """A dataset CSV that cannot be read: not UTF-8, empty, ragged, a
+    header that names a column twice, or a column with more states than a
+    cell can hold."""
 
 
 class TooManyMissingInRow(MissDagError):
@@ -49,8 +52,13 @@ def json_object(text: str, what: str) -> dict:
     """Parse a JSON document that must be an object."""
     try:
         doc = json.loads(text)
+        # an escape such as \ud800 reads as a lone surrogate, a string that
+        # no output file or stream can encode
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{what} holds a string that is not Unicode text: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{what} is nested too deeply") from None
     if not isinstance(doc, dict):

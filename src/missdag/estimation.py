@@ -9,7 +9,6 @@ are in nats.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -65,13 +64,6 @@ class ParameterSet:
 
     def parents(self, v: str) -> Tuple[str, ...]:
         return self.variables[v][0]
-
-    def to_json(self) -> str:
-        doc = {"variables": {
-            v: {"parents": list(ps), "table": t.tolist(), "states": list(self.states[v])}
-            for v, (ps, t) in self.variables.items()
-        }}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "ParameterSet":

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError,
@@ -20,14 +20,6 @@ from .errors import (
 )
 
 Edge = Tuple[str, str]
-
-
-class VertexClass(Enum):
-    OBSERVED = "observed"
-    LATENT = "latent"
-    PARTIALLY_OBSERVED = "partially_observed"
-    PROXY = "proxy"
-    INDICATOR = "indicator"
 
 
 class MechanismClass(Enum):
@@ -145,13 +137,6 @@ class Dag:
                     ready.append(c)
         return out
 
-    def with_vertices(self, keep: Iterable[str]) -> "Dag":
-        """Induced subgraph on `keep`, preserving the declared order."""
-        keep = set(keep)
-        verts = [v for v in self._vertices if v in keep]
-        edges = [(p, c) for (p, c) in self._edges if p in keep and c in keep]
-        return Dag(verts, edges)
-
     def __eq__(self, other):
         if not isinstance(other, Dag):
             return NotImplemented
@@ -165,50 +150,14 @@ class Dag:
         return f"Dag(vertices={list(self._vertices)!r}, edges={es!r})"
 
 
-class MGraph:
-    """Missingness graph: a DAG plus the five-way vertex partition.
+class MGraph(NamedTuple):
+    """Missingness graph: the substantive DAG plus one indicator vertex per
+    partially observed variable. ``indicators`` maps each partially observed
+    x to its indicator R_x; every other substantive vertex is fully
+    observed."""
 
-    Partially observed variables are wired to a proxy and a missingness
-    indicator; the proxy has exactly the parents {variable, indicator} and
-    no children, and the indicator's only child is its proxy.
-    """
-
-    __slots__ = ("graph", "classes", "wiring")
-
-    def __init__(self, graph: Dag, classes: Mapping[str, VertexClass],
-                 wiring: Mapping[str, Tuple[str, str]]):
-        if set(classes) != set(graph.vertices):
-            raise SchemaMismatch("classes must cover exactly the vertex set")
-        self.graph = graph
-        self.classes = dict(classes)
-        self.wiring = {k: tuple(v) for k, v in wiring.items()}
-        self._validate()
-
-    def members(self, cls: VertexClass) -> list:
-        return [v for v in self.graph.vertices if self.classes[v] is cls]
-
-    def _validate(self) -> None:
-        m = set(self.members(VertexClass.PARTIALLY_OBSERVED))
-        s = set(self.members(VertexClass.PROXY))
-        r = set(self.members(VertexClass.INDICATOR))
-        if set(self.wiring) != m:
-            raise SchemaMismatch("wiring keys must be the partially observed set")
-        proxies = [w[0] for w in self.wiring.values()]
-        indicators = [w[1] for w in self.wiring.values()]
-        if set(proxies) != s or len(set(proxies)) != len(proxies):
-            raise SchemaMismatch("proxy wiring is not a bijection onto S")
-        if set(indicators) != r or len(set(indicators)) != len(indicators):
-            raise SchemaMismatch("indicator wiring is not a bijection onto R")
-        g = self.graph
-        for x, (sx, rx) in self.wiring.items():
-            if g.parents(sx) != frozenset({x, rx}):
-                raise SchemaMismatch(f"proxy {sx!r} must have parents {{{x!r}, {rx!r}}}")
-            if g.children(sx):
-                raise SchemaMismatch(f"proxy {sx!r} must have no children")
-            if g.parents(rx) & s:
-                raise SchemaMismatch(f"indicator {rx!r} must have no parents in S")
-            if g.children(rx) - {sx}:
-                raise SchemaMismatch(f"indicator {rx!r} may only point to {sx!r}")
+    graph: Dag
+    indicators: Mapping[str, str]
 
 
 def find_active_path(g: Dag, x: Iterable[str], y: Iterable[str],
@@ -263,61 +212,37 @@ def d_separated(g: Dag, x: Iterable[str], y: Iterable[str], z: Iterable[str]) ->
 
 
 def classify_mechanism(m: MGraph) -> MechanismClass:
-    """MCAR / MAR / MNAR from the graph alone.
-
-    Proxy vertices (deterministic functions of their parents) are dropped
-    before testing the independence statements, so only the substantive
-    variables and the indicators remain.
-    """
-    o = m.members(VertexClass.OBSERVED)
-    u = m.members(VertexClass.LATENT)
-    mm = m.members(VertexClass.PARTIALLY_OBSERVED)
-    r = m.members(VertexClass.INDICATOR)
-    s = set(m.members(VertexClass.PROXY))
-    stripped = m.graph.with_vertices(set(m.graph.vertices) - s)
+    """MCAR / MAR / MNAR from the graph alone: MCAR if the indicators R are
+    d-separated from every substantive variable, MAR if they are d-separated
+    from the partially observed ones M given the fully observed ones O."""
+    r = list(m.indicators.values())
     if not r:
         return MechanismClass.MCAR
-    if d_separated(stripped, set(o) | set(u) | set(mm), r, set()):
+    rs = set(r)
+    substantive = [v for v in m.graph.vertices if v not in rs]
+    if d_separated(m.graph, substantive, r, ()):
         return MechanismClass.MCAR
-    if d_separated(stripped, set(u) | set(mm), r, o):
+    o = [v for v in substantive if v not in m.indicators]
+    if d_separated(m.graph, m.indicators, r, o):
         return MechanismClass.MAR
     return MechanismClass.MNAR
 
 
 def implied_mgraph(base: Dag, partially_observed: Iterable[str],
-                   indicator_parents: Mapping[str, Iterable[str]],
-                   latent: Iterable[str] = ()) -> MGraph:
-    """Extend a substantive DAG with indicator/proxy wiring.
-
-    `indicator_parents[x]` lists the substantive causes of x's missingness
-    (empty for MCAR); the proxy and indicator vertices are named S_x / R_x.
-    """
+                   indicator_parents: Mapping[str, Iterable[str]]) -> MGraph:
+    """Extend a substantive DAG with an indicator R_x for each partially
+    observed x. ``indicator_parents[x]`` lists the substantive causes of x's
+    missingness (empty for MCAR), each wired into R_x."""
     part = list(partially_observed)
-    lat = set(latent)
-    verts = list(base.vertices)
+    indicators = {x: f"R_{x}" for x in part}
     edges = list(base.edges)
-    wiring = {}
-    for v in part:
-        base._check(v)
-        sx, rx = f"S_{v}", f"R_{v}"
-        verts.extend([rx, sx])
-        edges.append((v, sx))
-        edges.append((rx, sx))
-        for p in indicator_parents.get(v, ()):
-            edges.append((p, rx))
-        wiring[v] = (sx, rx)
-    classes = {}
-    for v in base.vertices:
-        if v in lat:
-            classes[v] = VertexClass.LATENT
-        elif v in wiring:
-            classes[v] = VertexClass.PARTIALLY_OBSERVED
-        else:
-            classes[v] = VertexClass.OBSERVED
-    for v, (sx, rx) in wiring.items():
-        classes[sx] = VertexClass.PROXY
-        classes[rx] = VertexClass.INDICATOR
-    return MGraph(Dag(verts, edges), classes, wiring)
+    for x in part:
+        base._check(x)
+        for p in indicator_parents.get(x, ()):
+            base._check(p)
+            edges.append((p, indicators[x]))
+    # a variable listed twice declares its indicator twice, which Dag refuses
+    return MGraph(Dag([*base.vertices, *(indicators[x] for x in part)], edges), indicators)
 
 
 # --- serialization ---

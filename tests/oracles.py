@@ -1,17 +1,20 @@
 """Brute-force reference implementations used to validate the fast paths.
 
 Everything here is deliberately naive: exhaustive path enumeration for
-d-separation, full-joint enumeration for likelihoods, exhaustive DAG
-enumeration for score optima, one candidate graph per hill-climbing
-move, each move re-scored on every iteration, a conditional G-test
-one stratum at a time and a CSV read one cell at a time. Slow,
-obviously correct, and independent of the production code paths.
+d-separation, missingness mechanisms on an m-graph whose proxy vertices
+are built only to be stripped again, full-joint enumeration for
+likelihoods, exhaustive DAG enumeration for score optima, one candidate
+graph per hill-climbing move, each move re-scored on every iteration, a
+conditional G-test one stratum at a time and a CSV read one cell at a
+time. Slow, obviously correct, and independent of the production code
+paths.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 import re
 from typing import Iterable, List, Sequence, Tuple
@@ -28,7 +31,7 @@ from missdag.data import (
 )
 from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
 from missdag.errors import CycleDetected, MalformedCsv
-from missdag.graphs import Dag
+from missdag.graphs import Dag, MechanismClass, d_separated
 
 
 # --- exhaustive DAG enumeration ---
@@ -154,6 +157,36 @@ def shortest_active_path_length(g: Dag, x: Iterable[str], y: Iterable[str],
     """Number of vertices on the shortest active path from x to y given z,
     or None if there is none."""
     return min((len(p) for p in active_paths(g, x, y, z)), default=None)
+
+
+
+# --- mechanism classification on the m-graph with proxy vertices ---
+
+
+def classify_with_proxies(base: Dag, partially_observed: Sequence[str],
+                          indicator_parents) -> MechanismClass:
+    """The mechanism of the full m-graph of Mohan, Pearl & Tian (2013): each
+    partially observed x also gets a proxy S_x with the parents {x, R_x}.
+    The proxies are stripped again before the two independence statements
+    (R from every substantive variable: MCAR; R from the partially observed
+    M given the fully observed O: MAR) are tested."""
+    part = list(partially_observed)
+    verts, edges = list(base.vertices), list(base.edges)
+    for x in part:
+        sx, rx = f"S_{x}", f"R_{x}"
+        verts += [rx, sx]
+        edges += [(x, sx), (rx, sx)] + [(p, rx) for p in indicator_parents.get(x, ())]
+    full = Dag(verts, edges)
+    proxies = {f"S_{x}" for x in part}
+    stripped = Dag([v for v in full.vertices if v not in proxies],
+                   [(p, c) for p, c in full.edges if p not in proxies and c not in proxies])
+    o = [v for v in base.vertices if v not in part]
+    r = [f"R_{x}" for x in part]
+    if not r or d_separated(stripped, o + part, r, []):
+        return MechanismClass.MCAR
+    if d_separated(stripped, part, r, o):
+        return MechanismClass.MAR
+    return MechanismClass.MNAR
 
 
 # --- full-joint likelihood ---
@@ -480,6 +513,10 @@ def read_csv_by_cell(path) -> CategoricalDataset:
         raise MalformedCsv(f"{path}: not UTF-8 text: {exc}") from None
     if header is None:
         raise MalformedCsv(f"{path}: empty file")
+    if len(set(header)) != len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise MalformedCsv(f"{path}: column name {name!r} appears more than once "
+                           "in the header")
     p = len(header)
     lookup = [{} for _ in header]
     rows = np.full((len(records), p), MISSING, dtype=np.int16)
@@ -503,6 +540,38 @@ def read_csv_by_cell(path) -> CategoricalDataset:
             states = states + pads[:2 - len(states)]
         schema.append(VariableSchema(name, tuple(states)))
     return CategoricalDataset(schema, rows)
+
+
+
+# --- JSON documents the package reads, written back ---
+
+
+def _json_doc(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def amputation_spec_json(spec) -> str:
+    """The document ``AmputationSpec.from_json`` reads ``spec`` back from."""
+    return _json_doc({
+        "targets": [{"target": e.target, "mechanism": e.mechanism,
+                     "drivers": list(e.drivers), "intercept": e.intercept,
+                     "weights": {k: dict(v) for k, v in e.weights.items()}}
+                    for e in spec.entries],
+        "seed": spec.seed,
+    })
+
+
+def knowledge_json(kb) -> str:
+    """The document ``KnowledgeBase.from_json`` reads ``kb`` back from."""
+    return _json_doc({"forbidden": sorted([list(e) for e in kb.forbidden]),
+                      "required": sorted([list(e) for e in kb.required])})
+
+
+def parameter_set_json(params) -> str:
+    """The document ``ParameterSet.from_json`` reads ``params`` back from."""
+    return _json_doc({"variables": {
+        v: {"parents": list(ps), "table": t.tolist(), "states": list(params.states[v])}
+        for v, (ps, t) in params.variables.items()}})
 
 
 # --- random instances ---

@@ -44,6 +44,7 @@ from missdag.stats import g_test
 from conftest import record_criterion
 from oracles import (
     all_dags,
+    amputation_spec_json,
     best_score_exhaustive,
     conditional_g_test,
     dsep_by_path_enumeration,
@@ -290,7 +291,7 @@ def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
     t0 = time.monotonic()
     monkeypatch.delenv("MGD_SEED", raising=False)
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(ecdemo.ec_mnar_amputation(seed=11).to_json())
+    spec_path.write_text(amputation_spec_json(ecdemo.ec_mnar_amputation(seed=11)))
     kb_path = tmp_path / "kb.json"
     kb_path.write_text(ecdemo.ec_knowledge_json())
     base = {"dataset": "ec-demo", "dataset_n": 250,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import missdag
 from missdag import ecdemo, estimation
@@ -12,7 +15,7 @@ from missdag.cli import main
 from missdag.data import read_csv
 from missdag.graphs import graph_from_json
 
-from oracles import parse_dot
+from oracles import amputation_spec_json, parse_dot
 
 
 @pytest.fixture
@@ -125,6 +128,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         _assert_one_diagnostic(err, False)
         assert err.startswith(f"error: MalformedCsv: {data}: line 3: field larger than")
+
+    def test_runtime_error_on_a_cycle_through_a_line_break(self, tmp_path, capsys):
+        graph = _write_json(tmp_path / "g.json", {"vertices": ["a\nb", "c"],
+                                                  "edges": [["a\nb", "c"], ["c", "a\nb"]]})
+        assert main(["dsep", graph, "c _||_ c |"]) == 1
+        assert capsys.readouterr().err == (
+            "error: CycleDetected: cycle detected: 'a\\nb' -> 'c' -> 'a\\nb'\n")
+
+    def test_runtime_error_on_a_repeated_column_name(self, tmp_path, no_env_seed, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,a\n0,1,0\n1,0,1\n")
+        cfg = _write_json(tmp_path / "c.json",
+                          {"dataset": str(data), "algorithm": "hc-complete"})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: MalformedCsv: {data}: column name 'a' appears more than once "
+            "in the header\n")
 
     @pytest.mark.parametrize("command, n", [("discover", 4), ("evaluate", 3),
                                             ("evaluate", 1)])
@@ -339,6 +360,13 @@ MALFORMED_FILES = {
     "ampute-spec-drivers-string": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
         {"seed": 1, "targets": [{"target": "a", "mechanism": "MNAR", "drivers": "ab",
                                  "intercept": 0.0}]})}),
+    # an escaped lone surrogate, which no output file or stream can encode
+    "export-dot-name-lone-surrogate": (["export-dot", "g.json", "--out", "g.dot"],
+                                       {"g.json": '{"vertices": ["\\ud800"]}'}),
+    # argparse errors: one line, not the usage text
+    "dsep-query-read-as-a-flag": (["dsep", "ec-mnar", "-LNM_||_CA125|"], {}),
+    "dsep-extra-argument-with-a-line-break": (["dsep", "ec-mnar", "LNM _||_ CA125 |",
+                                               "x\ny"], {}),
 }
 
 
@@ -405,7 +433,7 @@ class TestDiscover:
     def test_hc_aipw_reports_indicators(self, tmp_path, no_env_seed):
         spec = ecdemo.ec_mnar_amputation(seed=5)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
+        spec_path.write_text(amputation_spec_json(spec))
         cfg = _demo_config(tmp_path, algorithm="hc-aipw",
                            ampute_spec=str(spec_path), dataset_n=300)
         out = tmp_path / "o"
@@ -538,7 +566,7 @@ class TestAmputeAndSimulate:
         assert d.n == 200 and d.is_complete()
 
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(ecdemo.ec_mnar_amputation(seed=3).to_json())
+        spec_path.write_text(amputation_spec_json(ecdemo.ec_mnar_amputation(seed=3)))
         out = tmp_path / "amputed.csv"
         assert main(["ampute", "--data", str(data), "--spec", str(spec_path),
                      "--out", str(out)]) == 0
@@ -611,3 +639,81 @@ class TestExportDot:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["export-dot", "/nonexistent/graph.json"]) == 2
         capsys.readouterr()
+
+
+# graph-file names: query and DOT syntax, a leading "-" that reads as a
+# flag, backslashes, whitespace, line breaks (Unicode ones too), a lone
+# surrogate and any other character
+NAMES = st.text(st.sampled_from(list(' ,|_-"\'\\\t\n\r\x85\u2028\u200b\ud800é日'))
+                | st.characters(), max_size=4)
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | NAMES,
+    _containers, max_leaves=6)
+
+
+@st.composite
+def graph_documents(draw):
+    """A graph file's JSON over hostile names; maybe its vertices, its edges,
+    one edge or the whole document replaced by a JSON value of any type."""
+    names = draw(st.lists(NAMES, max_size=5))
+    pick = st.sampled_from(names or [""])
+    doc = {"vertices": names, "edges": draw(st.lists(st.lists(pick, min_size=2, max_size=2),
+                                                     max_size=5))}
+    spoil = draw(st.sampled_from(["none", "vertices", "edges", "edge", "document"]))
+    if spoil in ("vertices", "edges"):
+        doc[spoil] = draw(JSON_VALUES)
+    elif spoil == "edge" and doc["edges"]:
+        doc["edges"][draw(st.integers(0, len(doc["edges"]) - 1))] = draw(JSON_VALUES)
+    elif spoil == "document":
+        doc = draw(JSON_VALUES)
+    return doc, names
+
+
+@pytest.fixture(scope="module")
+def graph_dir(tmp_path_factory):
+    """One directory whose files every example of a property test overwrites."""
+    return tmp_path_factory.mktemp("graphs")
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_graph_commands_survive_any_graph_file(graph_dir, data):
+    doc, names = data.draw(graph_documents())
+    graph = graph_dir / "g.json"
+    graph.write_text(json.dumps(doc), encoding="utf-8")
+    command = data.draw(st.sampled_from(["dsep", "export-dot", "export-dot --out"]))
+    if command == "dsep":
+        sides = [data.draw(st.lists(st.sampled_from(names), max_size=2)) if names else []
+                 for _ in range(3)]
+        query = data.draw(st.sampled_from(["{} _||_ {} | {}", "{}_||_{}|{}", "{} {} {}"]))
+        query = query.format(*map(",".join, sides))
+        # or any text over the query's syntax
+        query = data.draw(st.just(query) | st.text(st.sampled_from("ab_|,- "), max_size=8))
+        argv = ["dsep", str(graph), query]
+    else:
+        argv = ["export-dot", str(graph)]
+        if command.endswith("--out"):
+            argv += ["--out", str(graph_dir / "g.dot")]
+    json_logs = data.draw(st.booleans())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + (["--json-logs"] if json_logs else []))
+    assert code in (0, 1, 2)
+    err = err.getvalue()
+    if code != 0:
+        # one line, also by Unicode's line breaks
+        assert err.splitlines() == [err[:-1]]
+        _assert_one_diagnostic(err, json_logs)
+        return
+    assert err == ""
+    if command.startswith("export-dot"):
+        # bytes, not read_text: that would turn a "\r" in a name into "\n"
+        text = ((graph_dir / "g.dot").read_bytes().decode("utf-8")
+                if command.endswith("--out") else out.getvalue())
+        assert parse_dot(text) == graph_from_json(graph.read_text(encoding="utf-8"))

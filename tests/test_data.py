@@ -28,7 +28,12 @@ from missdag.errors import ConfigError, MalformedCsv, MissDagError, SchemaMismat
 from missdag.estimation import fit_mle
 from missdag.graphs import Dag
 
-from oracles import mixed_radix_by_loop, random_params, read_csv_by_cell
+from oracles import (
+    amputation_spec_json,
+    mixed_radix_by_loop,
+    random_params,
+    read_csv_by_cell,
+)
 
 
 def _schema(*cards):
@@ -329,7 +334,7 @@ class TestAmputation:
             (AmputationEntry("x", "MNAR", drivers=("x",), intercept=-2.0,
                              weights={"x": {"s1": 1.5}}),),
             seed=42)
-        assert AmputationSpec.from_json(spec.to_json()) == spec
+        assert AmputationSpec.from_json(amputation_spec_json(spec)) == spec
 
 
 class TestImputeMode:

@@ -36,6 +36,7 @@ from missdag.stats import g_test
 
 from oracles import (
     apply_move,
+    knowledge_json,
     best_score_exhaustive,
     conditional_g_test,
     hill_climb_by_rescoring,
@@ -106,7 +107,7 @@ class TestKnowledgeBase:
 
     def test_json_round_trip(self):
         kb = KnowledgeBase(forbidden={("x", "y")}, required={("y", "z")})
-        assert KnowledgeBase.from_json(kb.to_json()) == kb
+        assert KnowledgeBase.from_json(knowledge_json(kb)) == kb
 
 
 class TestLegalMoves:

@@ -8,8 +8,6 @@ from missdag.errors import ConfigError, CycleDetected, SchemaMismatch
 from missdag.graphs import (
     Dag,
     MechanismClass,
-    MGraph,
-    VertexClass,
     classify_mechanism,
     d_separated,
     export_dot,
@@ -21,6 +19,7 @@ from missdag.graphs import (
 
 from oracles import (
     _active,
+    classify_with_proxies,
     dsep_by_path_enumeration,
     find_cycle,
     parse_dot,
@@ -100,12 +99,6 @@ class TestDag:
         g = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert g.ancestors(["c"]) == {"a", "b", "c"}
         assert g.ancestors(["a"]) == {"a"}
-
-    def test_induced_subgraph(self):
-        g = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        h = g.with_vertices({"a", "c"})
-        assert h.vertices == ("a", "c")
-        assert h.edges == frozenset()
 
     def test_equality_and_hash(self):
         g1 = Dag(["a", "b"], [("a", "b")])
@@ -218,43 +211,6 @@ class TestFindActivePath:
                 assert _active(g, path, set(z))
 
 
-class TestMGraph:
-    def _wired(self):
-        g = Dag(["x", "w", "R_x", "S_x"],
-                [("w", "x"), ("x", "S_x"), ("R_x", "S_x"), ("w", "R_x")])
-        classes = {"x": VertexClass.PARTIALLY_OBSERVED,
-                   "w": VertexClass.OBSERVED,
-                   "R_x": VertexClass.INDICATOR,
-                   "S_x": VertexClass.PROXY}
-        return g, classes
-
-    def test_valid_wiring_accepted(self):
-        g, classes = self._wired()
-        m = MGraph(g, classes, {"x": ("S_x", "R_x")})
-        assert m.members(VertexClass.PROXY) == ["S_x"]
-
-    def test_proxy_with_extra_parent_rejected(self):
-        g = Dag(["x", "w", "R_x", "S_x"],
-                [("w", "x"), ("x", "S_x"), ("R_x", "S_x"), ("w", "S_x")])
-        classes = self._wired()[1]
-        with pytest.raises(SchemaMismatch, match=r"proxy 'S_x' must have parents \{'x', 'R_x'\}"):
-            MGraph(g, classes, {"x": ("S_x", "R_x")})
-
-    def test_indicator_with_extra_child_rejected(self):
-        g = Dag(["x", "w", "R_x", "S_x"],
-                [("x", "S_x"), ("R_x", "S_x"), ("R_x", "w")])
-        classes = self._wired()[1]
-        with pytest.raises(SchemaMismatch, match="indicator 'R_x' may only point to 'S_x'"):
-            MGraph(g, classes, {"x": ("S_x", "R_x")})
-
-    def test_classes_must_cover_vertices(self):
-        g, classes = self._wired()
-        classes = dict(classes)
-        del classes["w"]
-        with pytest.raises(SchemaMismatch, match="classes must cover exactly the vertex set"):
-            MGraph(g, classes, {"x": ("S_x", "R_x")})
-
-
 class TestClassifyMechanism:
     def _base(self):
         return Dag(["w", "x", "y"], [("w", "x"), ("x", "y")])
@@ -275,13 +231,31 @@ class TestClassifyMechanism:
         m = implied_mgraph(self._base(), ["x", "y"], {"x": (), "y": ("x",)})
         assert classify_mechanism(m) is MechanismClass.MNAR
 
-    def test_latent_driver_is_mnar(self):
-        m = implied_mgraph(self._base(), ["x"], {"x": ("w",)}, latent=["w"])
-        assert classify_mechanism(m) is MechanismClass.MNAR
-
     def test_no_partially_observed_variables_is_mcar(self):
         m = implied_mgraph(self._base(), [], {})
         assert classify_mechanism(m) is MechanismClass.MCAR
+
+    def test_graph_is_the_dag_plus_one_indicator_per_variable(self):
+        m = implied_mgraph(self._base(), ["y", "x"], {"x": ("w", "x")})
+        assert m.indicators == {"y": "R_y", "x": "R_x"}
+        assert m.graph == Dag(["w", "x", "y", "R_y", "R_x"],
+                              [("w", "x"), ("x", "y"), ("w", "R_x"), ("x", "R_x")])
+
+    def test_unknown_indicator_parent_rejected(self):
+        with pytest.raises(SchemaMismatch, match="unknown vertex 'zz'"):
+            implied_mgraph(self._base(), ["x"], {"x": ("zz",)})
+
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_proxy_wired_mgraph(self, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"v{i}" for i in range(int(rng.integers(1, 8)))]
+        g = random_dag(rng, names, edge_prob=float(rng.uniform(0.1, 0.7)))
+        partial = [v for v in names if rng.random() < 0.5]
+        # a variable may cause its own missingness (self-masking)
+        parents = {x: [v for v in names if rng.random() < 0.3] for x in partial}
+        assert classify_mechanism(implied_mgraph(g, partial, parents)) is \
+            classify_with_proxies(g, partial, parents)
 
 
 class TestSerialization:

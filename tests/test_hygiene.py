@@ -1,7 +1,10 @@
-"""Source hygiene: every name a module imports is used in it, and every
-exception class the package defines is raised or caught somewhere."""
+"""Source hygiene: every name a module imports is used in it, every
+exception class the package defines is raised or caught somewhere, and
+every function, class and method of the package is read somewhere outside
+its own definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,66 @@ def test_scan_finds_an_unused_error_class():
 def test_every_error_class_is_raised_or_caught():
     others = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py") if p.name != "errors.py"]
     assert unused_error_classes((PACKAGE / "errors.py").read_text(encoding="utf-8"), others) == []
+
+
+def _reads(tree) -> Counter:
+    """How often ``tree`` reads each name: as a variable, as an attribute, or
+    as a string that is the name itself (a hook that looks a function up by
+    its name)."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            reads[node.value] += 1
+    return reads
+
+
+def unread_definitions(package_sources, other_sources, exempt=()) -> list:
+    """The module-level functions and classes, and the methods of those
+    classes, that ``package_sources`` (module name -> source) define and no
+    source reads by name outside the definition itself, as ``module.name``
+    or ``module.Class.method``. Dunder methods and ``exempt`` are left
+    out."""
+    trees = {module: ast.parse(source) for module, source in package_sources.items()}
+    reads = sum((_reads(t) for t in [*trees.values(), *map(ast.parse, other_sources)]),
+                Counter())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)):
+                continue
+            defs = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, functions)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+            for qualified, d in defs:
+                if qualified not in exempt and reads[d.name] == _reads(d)[d.name]:
+                    unread.append(qualified)
+    return unread
+
+
+def test_scan_finds_an_unread_definition():
+    package = {
+        "a": "class A:\n    def used(self):\n        return self.used\n"
+             "    def unused(self):\n        return A\n"
+             "def rec(n):\n    return rec(n - 1)\n"
+             "def hooked():\n    pass\n",
+        "b": "from .a import rec\nx = A().unused()\ndef main():\n    pass\n",
+    }
+    others = ["hooks = [('a', 'hooked')]\n"]
+    assert unread_definitions(package, others) == ["a.A.used", "a.rec", "b.main"]
+    assert unread_definitions(package, others, exempt={"b.main"}) == ["a.A.used", "a.rec"]
+
+
+def test_every_definition_is_read_outside_itself():
+    # a name that only tests read is public API that only tests use
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    benchmark = [p.read_text(encoding="utf-8")
+                 for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unread_definitions(package, benchmark, exempt={"cli.main"}) == []
