@@ -25,7 +25,14 @@ from .discovery import (
     bootstrap_sem,
     evaluate,
 )
-from .errors import ConfigError, MissDagError, checked_number, json_object
+from .errors import (
+    ConfigError,
+    MissDagError,
+    checked_number,
+    checked_strings,
+    json_document,
+    json_object,
+)
 from .estimation import ParameterSet
 from .graphs import Dag, export_dot, find_active_path, graph_from_json, graph_to_json
 
@@ -228,18 +235,21 @@ def _load_graph(ref: str) -> Dag:
 
 
 def _parse_dsep_query(query: str):
-    if "_||_" not in query:
+    """The sets X, Y and Z of a query ``X _||_ Y | Z`` whose sets list
+    names by commas, or of a JSON query ``[[X...], [Y...], [Z...]]``, which
+    can name any vertex."""
+    if query.lstrip().startswith("["):
+        doc = json_document(query, "dsep query")
+        if not isinstance(doc, list) or len(doc) != 3:
+            raise ConfigError("a JSON dsep query must be a list of three lists of names")
+        x, y, z = (checked_strings(side, "a set of a JSON dsep query") for side in doc)
+    elif "_||_" not in query:
         raise ConfigError("query must contain '_||_'")
-    lhs, rest = query.split("_||_", 1)
-    if "|" in rest:
-        mid, cond = rest.split("|", 1)
     else:
-        mid, cond = rest, ""
-
-    def names(chunk):
-        return [t.strip() for t in chunk.split(",") if t.strip()]
-
-    x, y, z = names(lhs), names(mid), names(cond)
+        lhs, rest = query.split("_||_", 1)
+        mid, _, cond = rest.partition("|")
+        x, y, z = ([t.strip() for t in chunk.split(",") if t.strip()]
+                   for chunk in (lhs, mid, cond))
     if not x or not y:
         raise ConfigError("query needs nonempty sets on both sides of '_||_'")
     return x, y, z
@@ -319,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dsep", help="d-separation query on a graph file")
     p.add_argument("graph", help="graph.json path or builtin (ec-mnar, ec-mar)")
-    p.add_argument("query", help="e.g. 'LNM _||_ Radiotherapy |'")
+    p.add_argument("query", help="e.g. 'LNM _||_ Radiotherapy |', or as JSON "
+                   "'[[\"LNM\"], [\"Radiotherapy\"], []]'")
     p.add_argument("--json-logs", action="store_true")
     p.set_defaults(func=cmd_dsep)
 

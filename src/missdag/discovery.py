@@ -7,8 +7,8 @@ variant for data that are missing not at random.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -62,8 +62,13 @@ class SearchOptions:
 
     def __post_init__(self):
         for f in fields(self):
-            checked_number(getattr(self, f.name), int if f.type == "int" else float,
-                           f"search option {f.name!r}")
+            what = f"search option {f.name!r}"
+            value = checked_number(getattr(self, f.name), int if f.type == "int" else float,
+                                   what)
+            if f.name == "alpha" and not 0 < value <= 1:
+                raise ConfigError(f"{what} must lie in (0, 1], got {value!r}")
+            if f.name != "alpha" and not 0 <= value < math.inf:
+                raise ConfigError(f"{what} must be finite and >= 0, got {value!r}")
 
     def sem_options(self) -> dict:
         """The options as ``bootstrap_sem``'s keyword arguments."""
@@ -183,32 +188,18 @@ def _legal(op: str, a: str, b: str, g: Dag, kb: KnowledgeBase,
                                           for c in g.children(a) if c != b))
 
 
-def _delta(scorer, deltas: dict, g: Dag, child: str, x: str) -> float:
-    """The delta of adding ``x`` to ``child``'s parents in ``g``, or of
-    removing it if it is one, looked up in or stored to ``deltas[child]``,
-    whose entries hold while ``child``'s parents do."""
-    cache = deltas[child]
-    delta = cache.get(x)
-    if delta is None:
-        pc = g.parents(child)
-        delta = cache[x] = scorer.move_delta(child, pc, pc - {x} if x in pc else pc | {x})
-    return delta
-
-
 def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptions.max_iter,
                max_parents: int = SearchOptions.max_parents) -> Tuple[Dag, SearchTrace]:
     """Greedy best-improvement search; ties break lexicographically by
     (operation, parent, child) for determinism.
 
-    A delta depends only on its child's old and new parent sets, so it is
-    cached per child and computed only after a move changes that child's
-    parents: ``b``'s after a move on (a, b), and ``a``'s too after a
-    reversal. Each child keeps its improving adds and deletes in key order.
-    An iteration offers all legal adds and deletes of the children the last
-    move changed, and to every other child the adds a cycle blocked until
-    the last move (the bits its descendant set lost); it takes each child's
-    first candidate that is still legal, and scores the reversal of every
-    edge."""
+    A delta depends only on its child's old and new parent sets, so a
+    child's deltas are computed when it gets a parent set: for every child
+    first, then for the children the last move changed (``b``, and ``a``
+    too after a reversal). They cover every delete and every add while the
+    child has room, legal or not, and the child ranks its improving ones.
+    An iteration takes each child's first ranked move that is legal now; a
+    reversal adds its two children's cached deltas."""
     if not kb.satisfied_by(init):
         raise ConfigError("initial graph violates the knowledge base")
     g = init
@@ -216,38 +207,19 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     current = trace.initial_score
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    deltas = {v: {} for v in verts}   # child -> {x: delta of toggling x}
-    ranked = {v: [] for v in verts}   # child -> sorted [(-delta, op, x)], improving
-    offered = {v: set() for v in verts}  # child -> x whose add/delete was legal
+    deltas = {}   # child -> {x: delta of toggling x in its parents}
+    ranked = {}   # child -> sorted [(-delta, op, x)], improving
     room = [False] * len(verts)
-    changed, reach = verts, [0] * len(verts)
-
-    def offer(op, x, b):
-        if _legal(op, x, b, g, kb, index, reach, room):
-            offered[b].add(x)
-            delta = _delta(scorer, deltas, g, b, x)
-            if delta > IMPROVEMENT_EPS:
-                insort(ranked[b], (-delta, op, x))
-
+    changed = verts
     for it in range(max_iter):
-        old_reach, reach = reach, _descendants(g, index)
         for b in changed:
-            room[index[b]] = len(g.parents(b)) < max_parents
-            deltas[b].clear()
-            ranked[b].clear()
-            offered[b].clear()
             pb = g.parents(b)
-            for x in verts:
-                if x != b:
-                    offer("delete" if x in pb else "add", x, b)
-        for j, b in enumerate(verts):
-            lost = 0 if b in changed else old_reach[j] & ~reach[j]
-            while lost:
-                low = lost & -lost
-                lost ^= low
-                x = verts[low.bit_length() - 1]
-                if x not in offered[b]:
-                    offer("add", x, b)
+            room[index[b]] = len(pb) < max_parents
+            deltas[b] = {x: scorer.move_delta(b, pb, pb - {x} if x in pb else pb | {x})
+                         for x in verts if x != b and (x in pb or room[index[b]])}
+            ranked[b] = sorted((-delta, "delete" if x in pb else "add", x)
+                               for x, delta in deltas[b].items() if delta > IMPROVEMENT_EPS)
+        reach = _descendants(g, index)
         best = None  # the smallest (-delta, op, a, b)
         for b in verts:
             for nd, op, x in ranked[b]:
@@ -257,7 +229,7 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
                     break
         for a, b in g.edges:
             if _legal("reverse", a, b, g, kb, index, reach, room):
-                delta = _delta(scorer, deltas, g, b, a) + _delta(scorer, deltas, g, a, b)
+                delta = deltas[b][a] + deltas[a][b]
                 key = (-delta, "reverse", a, b)
                 if delta > IMPROVEMENT_EPS and (best is None or key < best):
                     best = key

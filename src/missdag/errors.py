@@ -48,8 +48,8 @@ class TooManyMissingInRow(MissDagError):
     """A completion block of more than ``ENUMERATION_CAP`` rows."""
 
 
-def json_object(text: str, what: str) -> dict:
-    """Parse a JSON document that must be an object."""
+def json_document(text: str, what: str):
+    """Parse a JSON document of any type."""
     try:
         doc = json.loads(text)
         # an escape such as \ud800 reads as a lone surrogate, a string that
@@ -61,6 +61,12 @@ def json_object(text: str, what: str) -> dict:
         raise ConfigError(f"{what} holds a string that is not Unicode text: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{what} is nested too deeply") from None
+    return doc
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse a JSON document that must be an object."""
+    doc = json_document(text, what)
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return doc

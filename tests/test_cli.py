@@ -254,6 +254,22 @@ MALFORMED_INPUTS = {
     "spec-zero": ("discover", {"ampute_spec": 0}, {}, None),
     "spec-empty-object": ("discover", {"ampute_spec": {}}, {}, None),
     "config-nested-too-deeply": ("discover", DEEP, {}, None),
+    # search options out of range (json.dumps writes inf and nan as
+    # Infinity and NaN, which the config reader takes)
+    "max-iter-negative": ("discover", {"max_iter": -5}, {}, None),
+    "max-parents-negative": ("discover", {"max_parents": -1}, {}, None),
+    "em-max-iter-negative": ("discover", {"algorithm": "bootstrap-sem", "B": 1,
+                                          "em_max_iter": -1}, {}, None),
+    "sem-max-outer-negative": ("discover", {"algorithm": "bootstrap-sem", "B": 1,
+                                            "sem_max_outer": -2}, {}, None),
+    "refit-pseudocount-infinite": ("discover", {"refit_pseudocount": float("inf")}, {}, None),
+    "score-pseudocount-negative": ("evaluate", {"algorithms": ["hc-complete"], "B": 1,
+                                                "score_pseudocount": -1.0}, {}, None),
+    "em-tol-nan": ("discover", {"algorithm": "hc-aipw", "em_tol": float("nan")}, {}, None),
+    "alpha-nan": ("discover", {"algorithm": "hc-aipw", "alpha": float("nan")}, {}, None),
+    "alpha-zero": ("discover", {"algorithm": "hc-aipw", "alpha": 0.0}, {}, None),
+    "alpha-above-one": ("evaluate", {"algorithms": ["hc-aipw"], "B": 1, "alpha": 1.5},
+                        {}, None),
 }
 
 
@@ -367,6 +383,15 @@ MALFORMED_FILES = {
     "dsep-query-read-as-a-flag": (["dsep", "ec-mnar", "-LNM_||_CA125|"], {}),
     "dsep-extra-argument-with-a-line-break": (["dsep", "ec-mnar", "LNM _||_ CA125 |",
                                                "x\ny"], {}),
+    # a query whose first non-blank character is "[" is read as JSON
+    "dsep-json-query-not-json": (["dsep", "ec-mnar", ' [["LNM"], ["CA125"]'], {}),
+    "dsep-json-query-of-two-sets": (["dsep", "ec-mnar", '[["LNM"], ["CA125"]]'], {}),
+    "dsep-json-query-set-is-a-string": (["dsep", "ec-mnar", '["LNM", ["CA125"], []]'], {}),
+    "dsep-json-query-name-is-a-number": (["dsep", "ec-mnar", '[["LNM"], [1], []]'], {}),
+    "dsep-json-query-empty-set": (["dsep", "ec-mnar", '[[], ["CA125"], []]'], {}),
+    "dsep-json-query-lone-surrogate": (["dsep", "ec-mnar", '[["\\ud800"], ["CA125"], []]'],
+                                       {}),
+    "dsep-json-query-unknown-vertex": (["dsep", "ec-mnar", '[["LNM "], ["CA125"], []]'], {}),
 }
 
 
@@ -549,6 +574,21 @@ class TestDsep:
         assert main(["dsep", "ec-mnar", "CA125 and Survival5yr"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("query, verdict", [
+        ('[["a,b"], ["c"], []]', "d-separated"),
+        ('[["a,b"], ["c"], [" d"]]', "d-connected (active path: a,b -  d - c)"),
+        ('\n [["e|f"], ["g _||_ h"], []]', "d-connected (active path: e|f - g _||_ h)"),
+        ('[["g _||_ h"], [" d"], ["c", "e|f"]]', "d-separated"),
+    ], ids=["comma", "edge-whitespace", "bar-after-blanks", "separator"])
+    def test_json_query_names_any_vertex(self, tmp_path, capsys, query, verdict):
+        # names holding the text form's ",", "|" and "_||_", and edge
+        # whitespace; a,b -> " d" <- c and e|f -> "g _||_ h"
+        graph = _write_json(tmp_path / "g.json", {
+            "vertices": ["a,b", "c", " d", "e|f", "g _||_ h"],
+            "edges": [["a,b", " d"], ["c", " d"], ["e|f", "g _||_ h"]]})
+        assert main(["dsep", graph, query]) == 0
+        assert capsys.readouterr().out == verdict + "\n"
+
     def test_graph_json_file(self, tmp_path, capsys):
         from missdag.graphs import Dag, graph_to_json
         p = tmp_path / "g.json"
@@ -691,10 +731,12 @@ def test_graph_commands_survive_any_graph_file(graph_dir, data):
     if command == "dsep":
         sides = [data.draw(st.lists(st.sampled_from(names), max_size=2)) if names else []
                  for _ in range(3)]
-        query = data.draw(st.sampled_from(["{} _||_ {} | {}", "{}_||_{}|{}", "{} {} {}"]))
-        query = query.format(*map(",".join, sides))
-        # or any text over the query's syntax
-        query = data.draw(st.just(query) | st.text(st.sampled_from("ab_|,- "), max_size=8))
+        form = data.draw(st.sampled_from(["{} _||_ {} | {}", "{}_||_{}|{}", "{} {} {}", "json"]))
+        query = (json.dumps(sides, ensure_ascii=data.draw(st.booleans())) if form == "json"
+                 else form.format(*map(",".join, sides)))
+        # or any text over the query's syntax, or any JSON value
+        query = data.draw(st.just(query) | st.text(st.sampled_from("ab_|,- "), max_size=8)
+                          | JSON_VALUES.map(json.dumps))
         argv = ["dsep", str(graph), query]
     else:
         argv = ["export-dot", str(graph)]

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -250,22 +251,24 @@ class TestHillClimb:
             SearchOptions.max_iter, SearchOptions.max_parents)
 
     def test_rescores_only_the_moves_whose_child_changed(self, monkeypatch):
-        # seven variables, knowledge, 14 moves of all three kinds, 109 of 498
-        # reads computed, 8 of them adds that a move unblocked
-        self._check_rescoring(monkeypatch, seed=3, max_vars=8, unblocked=8)
+        # seven variables, knowledge, 14 moves of all three kinds, 130 calls
+        # where a search that rescored every legal move would read 498
+        # deltas. It reverses two edges it added (v0 -> v6 and v1 -> v4), so
+        # v6 and v4 get back parent sets they had, and 12 calls repeat.
+        self._check_rescoring(monkeypatch, seed=3, max_vars=8, total=130, distinct=118)
 
     def test_rescores_only_the_moves_whose_child_changed_on_ten_variables(
             self, monkeypatch):
-        # 17 moves of all three kinds, 126 of 743 reads, 9 unblocked adds
-        self._check_rescoring(monkeypatch, seed=20, max_vars=10, unblocked=9)
+        # 17 moves of all three kinds, 216 calls against 743 reads
+        self._check_rescoring(monkeypatch, seed=20, max_vars=10, total=216, distinct=216)
 
     @staticmethod
-    def _check_rescoring(monkeypatch, seed, max_vars, unblocked):
-        # A delta is computed once per child and parent set: for every
-        # candidate of the first iteration, then for the candidates whose
-        # child the last move changed (b, and a after a reversal), and for
-        # candidates the child's parent set has not offered before: an add
-        # that a move unblocked, or a reversal.
+    def _check_rescoring(monkeypatch, seed, max_vars, total, distinct):
+        # A child's deltas are computed when it gets a parent set: for every
+        # child in the first iteration, then only for the children the last
+        # move changed (b, and a after a reversal). Such a child gets one call
+        # per other vertex: every delete, and every add while it has room,
+        # legal or not. The reversal scan makes no call of its own.
         kb, init, make = _search_instance(seed, "bic", max_vars=max_vars)
         max_iter, max_parents = 500, 3
         calls = []
@@ -277,30 +280,24 @@ class TestHillClimb:
 
         monkeypatch.setattr(BicScorer, "move_delta", counted)
         _, trace = hill_climb(make(), kb, init, max_iter, max_parents)
-        h, scored, expected, reads_total = init, {v: set() for v in init.vertices}, 0, 0
-        changed, offered_unblocked = set(init.vertices), 0
+        h, changed, expected, reads_total = init, init.vertices, [], 0
         for k in range(len(trace.moves) + 1):
-            for op, (a, b) in legal_moves(h, kb, max_parents):
-                # (child, the parent it gains or loses)
-                reads = [(b, a)] + ([(a, b)] if op == "reverse" else [])
-                reads_total += len(reads)
-                if op == "add" and b not in changed and a not in scored[b]:
-                    offered_unblocked += 1
-                for child, x in reads:
-                    if x not in scored[child]:
-                        scored[child].add(x)
-                        expected += 1
+            for b in changed:
+                pb = h.parents(b)
+                expected += [(b, pb, pb - {x} if x in pb else pb | {x}) for x in h.vertices
+                             if x != b and (x in pb or len(pb) < max_parents)]
+            # the deltas a search that rescored every legal move would read
+            reads_total += sum(1 + (op == "reverse")
+                               for op, _ in legal_moves(h, kb, max_parents))
             if k < len(trace.moves):
                 op, (a, b), _ = trace.moves[k]
                 h = apply_move(h, op, (a, b))
-                changed = {b, a} if op == "reverse" else {b}
-                for v in changed:
-                    scored[v].clear()
+                changed = (b, a) if op == "reverse" else (b,)
         assert len(trace.moves) < max_iter
         assert {op for op, _, _ in trace.moves} == {"add", "delete", "reverse"}
-        assert offered_unblocked == unblocked
-        assert len(calls) == expected
-        assert expected < reads_total / 4
+        assert Counter(calls) == Counter(expected)
+        assert (len(calls), len(set(calls))) == (total, distinct)
+        assert total < reads_total / 3
 
     def test_matches_exhaustive_optimum_on_small_instances(self):
         hits = 0
@@ -419,6 +416,15 @@ class TestSearches:
         kb = KnowledgeBase(**{kind: {("a", "typo")}})
         with pytest.raises(ConfigError, match="typo"):
             SEARCHES[name](d, kb, SearchOptions())
+
+    def test_options_take_the_ends_of_their_ranges(self):
+        SearchOptions(alpha=1.0, max_parents=0, max_iter=0, refit_pseudocount=0.0,
+                      score_pseudocount=0.0, sem_max_outer=0, em_max_iter=0, em_tol=0.0)
+        for field, value in [("alpha", 0.0), ("alpha", 1.0 + 1e-12), ("max_iter", -1),
+                             ("em_tol", float("inf")), ("refit_pseudocount", -1e-300),
+                             ("score_pseudocount", float("nan"))]:
+            with pytest.raises(ConfigError, match=field):
+                SearchOptions(**{field: value})
 
 
 class TestBootstrapSem:
