@@ -49,17 +49,21 @@ def _diag(message: str, json_logs: bool) -> None:
 
 
 def _resolve_seed(args, config=None):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if config is not None and "seed" in config:
-        return checked_number(config["seed"], int, "config field 'seed'")
     env = os.environ.get("MGD_SEED")
-    if env is not None:
+    if getattr(args, "seed", None) is not None:
+        seed = int(args.seed)
+    elif config is not None and "seed" in config:
+        seed = checked_number(config["seed"], int, "config field 'seed'")
+    elif env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"MGD_SEED must be int, got {env!r}") from None
-    raise ConfigError("no seed given (flag --seed, config field 'seed', or MGD_SEED)")
+    else:
+        raise ConfigError("no seed given (flag --seed, config field 'seed', or MGD_SEED)")
+    if seed < 0:
+        raise ConfigError(f"the seed must be >= 0, got {seed}")
+    return seed
 
 
 def _fields(config: dict, **kinds) -> dict:

@@ -277,12 +277,14 @@ class AmputationSpec:
                 )
                 for t in doc["targets"]
             ]
-            return AmputationSpec(tuple(entries), checked_number(
-                doc["seed"], int, "amputation spec field 'seed'"))
+            seed = checked_number(doc["seed"], int, "amputation spec field 'seed'")
         except KeyError as exc:
             raise ConfigError(f"amputation spec lacks field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"amputation spec is malformed: {exc}") from exc
+        if seed < 0:
+            raise ConfigError(f"amputation spec field 'seed' must be >= 0, got {seed}")
+        return AmputationSpec(tuple(entries), seed)
 
 
 

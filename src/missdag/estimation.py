@@ -8,6 +8,7 @@ are in nats.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -360,20 +361,30 @@ def ipw_weights(d: CategoricalDataset, target: str,
     return weights
 
 
-def _family_bic(counts: np.ndarray, pseudocount: float, n_effective: float) -> float:
-    """BIC of one family from its count table: the log-likelihood of the
-    (smoothed) conditional frequencies minus 1/2 log n per free parameter."""
-    rowsum = counts.sum(axis=1, keepdims=True)
+def _family_bics(counts: np.ndarray, rows_per_table: Sequence[int], pseudocount: float,
+                 n_effective: float) -> List[float]:
+    """BIC of each family whose count table is stacked in ``counts``: table t
+    is the next ``rows_per_table[t]`` rows, and all tables share the child
+    (the columns). A family's BIC is the log-likelihood of its (smoothed)
+    conditional frequencies minus 1/2 log n per free parameter. Every
+    element-wise step runs once over the stack; each table's log-likelihood
+    is one ``sum`` over its own terms, so a family gets the same bits in any
+    stack, alone included (``np.add.reduceat`` would move them)."""
     nz = counts > 0
+    row = nz.nonzero()[0]  # the table row of each term, ascending
+    c = counts[nz]
+    r = counts.sum(axis=1)[row]
+    card = counts.shape[1]
     if pseudocount > 0:
-        probs = (counts + pseudocount) / (rowsum + pseudocount * counts.shape[1])
-        ll = float(np.sum(counts[nz] * np.log(probs[nz])))
+        terms = c * np.log((c + pseudocount) / (r + pseudocount * card))
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = counts / rowsum
-        ll = float(np.sum(counts[nz] * np.log(ratio[nz])))
-    penalty = 0.5 * math.log(n_effective) * (counts.shape[1] - 1) * counts.shape[0]
-    return ll - penalty
+        terms = c * np.log(c / r)
+    per_row = 0.5 * math.log(n_effective) * (card - 1)
+    if len(rows_per_table) == 1:
+        return [float(terms.sum()) - per_row * rows_per_table[0]]
+    ends = np.searchsorted(row, np.cumsum(rows_per_table)).tolist()
+    return [float(terms[start:end].sum()) - per_row * rows
+            for start, end, rows in zip([0] + ends, ends, rows_per_table)]
 
 
 class BicScorer:
@@ -382,7 +393,9 @@ class BicScorer:
     Operates on complete rows, optionally weighted (expected counts from an
     EM completion, or bootstrap weights). A lookup keys the family by the
     parent set as given; only a cache miss puts the parents in column order
-    to count the family.
+    to count the family. An add move that misses scores all of its child's
+    uncached adds to the same parents in one pass (see ``move_delta``), to
+    the bits each would get alone.
     """
 
     def __init__(self, schema: Sequence[VariableSchema], rows: np.ndarray,
@@ -411,9 +424,9 @@ class BicScorer:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = _family_bic(self._family_counts(child, self._canon(key[1])),
-                          self.pseudocount, self.n_effective)
-        self._cache[key] = val
+        counts = self._family_counts(child, self._canon(key[1]))
+        val = self._cache[key] = _family_bics(counts, [counts.shape[0]], self.pseudocount,
+                                              self.n_effective)[0]
         return val
 
     def _family_counts(self, child: str, parents: Tuple[str, ...]):
@@ -421,13 +434,50 @@ class BicScorer:
         return family_counts(self.rows, [self._col[v] for v in family],
                              [self._card[v] for v in family], self.weights)
 
+    def _score_adds(self, child: str, old: frozenset) -> None:
+        """Cache the score of every family that adds one vertex y to the
+        parents ``old`` of ``child``, where it is missing. The code of the
+        parents (column order) followed by the child is taken once; y's
+        counts are one ``bincount`` of that code times y's cardinality plus
+        y, and their table is transposed so that y sits at its column-order
+        place among the parents, as ``family_counts`` would lay it out."""
+        adds = [v.name for v in self.schema if v.name != child and v.name not in old
+                and (child, old | {v.name}) not in self._cache]
+        parents = self._canon(old)
+        pcols = [self._col[v] for v in parents]
+        pcards = [self._card[v] for v in parents]
+        card, ncfg = self._card[child], math.prod(pcards)
+        base = mixed_radix(self.rows, pcols + [self._col[child]], pcards + [card])
+        code = np.empty_like(base)
+        tables, rows_per_table = [], []
+        for y in adds:
+            j, card_y = self._col[y], self._card[y]
+            np.multiply(base, card_y, out=code)
+            code += self.rows[:, j]
+            counts = np.bincount(code, self.weights, minlength=ncfg * card * card_y)
+            # axes (parents before y, parents after y, child, y) -> y in place
+            before = math.prod(pcards[:bisect.bisect(pcols, j)])
+            tables.append(counts.reshape(before, ncfg // before, card, card_y)
+                          .transpose(0, 3, 1, 2).reshape(-1, card))
+            rows_per_table.append(ncfg * card_y)
+        bics = _family_bics(np.concatenate(tables, dtype=float), rows_per_table,
+                            self.pseudocount, self.n_effective)
+        for y, val in zip(adds, bics):
+            self._cache[(child, old | {y})] = val
+
     def score(self, g: Dag) -> float:
         return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
 
     def move_delta(self, child: str, old_parents: Iterable[str],
                    new_parents: Iterable[str]) -> float:
-        return (self.family_score(child, new_parents)
-                - self.family_score(child, old_parents))
+        """The family score of the new parents minus that of the old. An add
+        (one more parent) whose family misses the cache first scores every
+        add to the old parents in one pass: those are the moves a hill climb
+        asks for next."""
+        old, new = frozenset(old_parents), frozenset(new_parents)
+        if old < new and len(new) == len(old) + 1 and (child, new) not in self._cache:
+            self._score_adds(child, old)
+        return self.family_score(child, new) - self.family_score(child, old)
 
 
 class IpwBicScorer(BicScorer):
@@ -491,9 +541,9 @@ class IpwBicScorer(BicScorer):
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        val = _family_bic(self._counts_on(child, self._canon(parents), self._canon(obs)),
-                          self.pseudocount, self.n_effective)
-        self._cache[key] = val
+        counts = self._counts_on(child, self._canon(parents), self._canon(obs))
+        val = self._cache[key] = _family_bics(counts, [counts.shape[0]], self.pseudocount,
+                                              self.n_effective)[0]
         return val
 
     def _family_counts(self, child: str, parents: Tuple[str, ...]):

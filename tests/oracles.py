@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive path enumeration for
 d-separation, missingness mechanisms on an m-graph whose proxy vertices
 are built only to be stripped again, full-joint enumeration for
-likelihoods, exhaustive DAG enumeration for score optima, one candidate
-graph per hill-climbing move, each move re-scored on every iteration, a
+likelihoods, exhaustive DAG enumeration for score optima, a family's BIC
+from its table alone, one candidate graph per hill-climbing move, each
+move re-scored on every iteration, a
 conditional G-test one stratum at a time and a CSV read one cell at a
 time. Slow, obviously correct, and independent of the production code
 paths.
@@ -28,6 +29,7 @@ from missdag.data import (
     MISSING_TOKENS,
     CategoricalDataset,
     VariableSchema,
+    family_counts,
 )
 from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
 from missdag.errors import CycleDetected, MalformedCsv
@@ -326,6 +328,45 @@ def _table_bic(table, pseudocount: float, n: float) -> float:
                 theta = (n_jk + pseudocount) / (n_j + pseudocount * len(row))
                 total += n_jk * math.log(theta)
     return total - 0.5 * math.log(n) * (len(table[0]) - 1) * len(table)
+
+
+def family_bic(counts: np.ndarray, pseudocount: float, n_effective: float) -> float:
+    """BIC of one family from its count table: the log-likelihood of the
+    (smoothed) conditional frequencies minus 1/2 log n per free parameter,
+    the table scored alone. The scorers' stacked kernel must give every
+    family these bits."""
+    rowsum = counts.sum(axis=1, keepdims=True)
+    nz = counts > 0
+    if pseudocount > 0:
+        probs = (counts + pseudocount) / (rowsum + pseudocount * counts.shape[1])
+        ll = float(np.sum(counts[nz] * np.log(probs[nz])))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = counts / rowsum
+        ll = float(np.sum(counts[nz] * np.log(ratio[nz])))
+    penalty = 0.5 * math.log(n_effective) * (counts.shape[1] - 1) * counts.shape[0]
+    return ll - penalty
+
+
+class FamilyByFamilyBic:
+    """The BIC of a ``BicScorer``'s rows, weights, pseudocount and sample
+    size, one family at a time and uncached: ``family_counts`` with the
+    parents in column order, then ``family_bic``."""
+
+    def __init__(self, scorer):
+        self.rows, self.weights = scorer.rows, scorer.weights
+        self.pseudocount, self.n_effective = scorer.pseudocount, scorer.n_effective
+        self.col = {v.name: j for j, v in enumerate(scorer.schema)}
+        self.card = {v.name: v.cardinality for v in scorer.schema}
+
+    def family_score(self, child: str, parents: Iterable[str]) -> float:
+        family = sorted(parents, key=self.col.__getitem__) + [child]
+        counts = family_counts(self.rows, [self.col[v] for v in family],
+                               [self.card[v] for v in family], self.weights)
+        return family_bic(counts, self.pseudocount, self.n_effective)
+
+    def move_delta(self, child: str, old_parents, new_parents) -> float:
+        return self.family_score(child, new_parents) - self.family_score(child, old_parents)
 
 
 def ipw_family_bic(d, var_weights, child: str, parents: Iterable[str],

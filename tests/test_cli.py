@@ -247,6 +247,12 @@ MALFORMED_INPUTS = {
     "seed-string": ("discover", {"seed": "5"}, {}, "1"),
     "spec-seed-float": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
         "seed": 1.5, "targets": [{"target": "CA125", "mechanism": "MCAR"}]}}, None),
+    # numpy refuses a negative seed, so the reader does
+    "evaluate-seed-negative": ("evaluate", {"algorithms": ["hc-complete"], "B": 1,
+                                            "seed": -2}, {}, "1"),
+    "env-seed-negative": ("discover", {}, {}, "-3"),
+    "spec-seed-negative": ("discover", {"ampute_spec": "spec.json"}, {"spec.json": {
+        "seed": -4, "targets": [{"target": "CA125", "mechanism": "MCAR"}]}}, None),
     # a path field set to a falsy value is not taken for an unset one
     "knowledge-false": ("discover", {"knowledge": False}, {}, None),
     "knowledge-empty-string": ("discover", {"knowledge": ""}, {}, None),
@@ -355,6 +361,8 @@ MALFORMED_FILES = {
         {"seed": 1, "targets": [{"target": "a", "mechanism": "NMAR"}]})}),
     "ampute-spec-mcar-with-drivers": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
         {"seed": 1, "targets": [{"target": "a", "mechanism": "MCAR", "drivers": ["b"]}]})}),
+    "ampute-spec-seed-negative": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
+        {"seed": -4, "targets": [{"target": "a", "mechanism": "MCAR", "intercept": 0.0}]})}),
     # numbers of the wrong kind are refused, not coerced
     "ampute-spec-intercept-string": (AMPUTE + ["o.csv"], {"d.csv": DATA, "s.json": json.dumps(
         {"seed": 1, "targets": [{"target": "a", "mechanism": "MAR", "drivers": ["b"],
@@ -440,6 +448,20 @@ class TestSeedResolution:
         assert main(["discover", "--config", cfg, "--out", str(out),
                      "--seed", "9"]) == 0
         assert json.loads((out / "trace.json").read_text())["seed"] == 9
+
+    @pytest.mark.parametrize("command, seed", [
+        (["discover", "--config", "config.json", "--out", "o"], "-1"),
+        (["simulate", "ec-demo", "--n", "5", "--out", "o"], "-7"),
+    ])
+    def test_negative_flag_seed_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                               command, seed):
+        # the flag beats MGD_SEED, which alone would run
+        monkeypatch.setenv("MGD_SEED", "1")
+        monkeypatch.chdir(tmp_path)
+        _demo_config(tmp_path)
+        assert main(command + ["--seed", seed]) == 2
+        assert capsys.readouterr().err == f"error: the seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestDiscover:

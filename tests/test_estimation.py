@@ -26,6 +26,7 @@ from missdag.graphs import Dag
 
 from oracles import (
     bic,
+    family_bic,
     ipw_family_bic,
     joint_log_likelihood,
     mixed_radix_by_loop,
@@ -440,6 +441,59 @@ class TestBicScorer:
         scorer = BicScorer(d.schema, d.rows)
         assert scorer.family_score("v2", ("v0", "v1")) == scorer.family_score(
             "v2", ("v1", "v0"))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_adds_score_as_each_family_alone(self, data):
+        # one move_delta scores every add of the child to the same parents
+        # in one pass; each must have the bits of its table scored alone
+        k = data.draw(st.integers(0, 4))
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=k + 2, max_size=k + 4))
+        n = data.draw(st.integers(1, 40))
+        cells = st.tuples(*[st.integers(0, c - 1) for c in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        weights = data.draw(st.sampled_from([None, "integer", "fractional"]))
+        if weights is not None:
+            values = st.integers(0, 5) if weights == "integer" else st.floats(0.0, 5.0)
+            weights = np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
+                               dtype=float)
+            weights[0] += 1.0  # a positive sample size
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 10.0]))
+        # the column order decides where each added parent lands among the
+        # old ones, from first to last
+        order = data.draw(st.permutations(range(len(cards))))
+        schema = [_schema(*cards)[j] for j in order]
+        rows = rows[:, order]
+        names = [v.name for v in schema]
+        child = data.draw(st.sampled_from(names))
+        others = [v for v in names if v != child]
+        old = frozenset(data.draw(st.lists(st.sampled_from(others), min_size=k,
+                                           max_size=k, unique=True)))
+        adds = [v for v in others if v not in old]
+        scorer = BicScorer(schema, rows, weights, pseudocount)
+        counted, count = [], scorer._family_counts
+
+        def counted_count(*args):
+            counted.append(args)
+            return count(*args)
+
+        scorer._family_counts = counted_count
+        first = data.draw(st.sampled_from(adds))
+        delta = scorer.move_delta(child, old, old | {first})
+        assert counted == [(child, scorer._canon(old))]  # the old family alone
+
+        def oracle(parents):
+            family = sorted(parents, key=names.index) + [child]
+            counts = family_counts(rows, [names.index(v) for v in family],
+                                   [cards[order[names.index(v)]] for v in family], weights)
+            return family_bic(counts, pseudocount, scorer.n_effective)
+
+        assert scorer.family_score(child, old) == oracle(old)
+        assert delta == oracle(old | {first}) - oracle(old)
+        for y in adds:
+            assert scorer.move_delta(child, old, old | {y}) == oracle(old | {y}) - oracle(old)
+        assert len(counted) == 1
 
     def test_bootstrap_weights_equal_duplicated_rows(self):
         d = _dataset([2, 2], [[0, 0], [0, 1], [1, 1]])
