@@ -103,7 +103,7 @@ class EmTrace:
 
 def _check_coverage(g: Dag, d: CategoricalDataset) -> None:
     for v in g.vertices:
-        if v not in d.names:
+        if v not in d._index:
             raise SchemaMismatch(f"dataset has no column for vertex {v!r}")
 
 
@@ -172,6 +172,22 @@ def _block_loglik(families, block: np.ndarray) -> np.ndarray:
     return logp
 
 
+def _mask_patterns(mask: np.ndarray):
+    """The distinct rows of a boolean matrix and the pattern of each row: the
+    result of ``np.unique(mask, axis=0, return_inverse=True)``, found by a 1-D
+    unique over the rows' packed bits, one opaque item per row. Packed bits
+    compare as bytes in the order of the booleans, so the patterns come in
+    the same order."""
+    packed = np.ascontiguousarray(np.packbits(mask, axis=1))
+    if not packed.shape[1]:  # rows of no columns pack to no bytes
+        packed = np.zeros((mask.shape[0], 1), dtype=np.uint8)
+    width = packed.shape[1]
+    keys, inverse = np.unique(packed.view(f"V{width}")[:, 0], return_inverse=True)
+    patterns = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1,
+                             count=mask.shape[1]).astype(bool)
+    return patterns, inverse
+
+
 def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
                       cards: Mapping[str, int]):
     """Every completion of the rows of ``d`` over the vertices' columns,
@@ -191,8 +207,7 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     if index is not None:
         return index
     cols = [d.index(v) for v in vertices]
-    patterns, inverse = np.unique(d.mask[:, cols], axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    patterns, inverse = _mask_patterns(d.mask[:, cols])
     counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
               for pattern in patterns]
     sizes = np.bincount(inverse, minlength=len(patterns))
@@ -369,16 +384,28 @@ def _family_bics(counts: np.ndarray, rows_per_table: Sequence[int], pseudocount:
     conditional frequencies minus 1/2 log n per free parameter. Every
     element-wise step runs once over the stack; each table's log-likelihood
     is one ``sum`` over its own terms, so a family gets the same bits in any
-    stack, alone included (``np.add.reduceat`` would move them)."""
+    stack, alone included (``np.add.reduceat`` would move them). A positive
+    count always gives a finite term, subnormal weights included."""
     nz = counts > 0
     row = nz.nonzero()[0]  # the table row of each term, ascending
     c = counts[nz]
     r = counts.sum(axis=1)[row]
     card = counts.shape[1]
     if pseudocount > 0:
-        terms = c * np.log((c + pseudocount) / (r + pseudocount * card))
+        c_hat, r_hat = c + pseudocount, r + pseudocount * card
     else:
-        terms = c * np.log(c / r)
+        c_hat, r_hat = c, r
+    ratio = c_hat / r_hat
+    if ratio.all():
+        terms = c * np.log(ratio)
+    else:
+        # a subnormal count over a larger row sum underflows to 0: take the
+        # logarithms apart for those terms only, so the others keep their bits
+        under = ratio == 0
+        ratio[under] = 1.0
+        logs = np.log(ratio)
+        logs[under] = np.log(c_hat[under]) - np.log(r_hat[under])
+        terms = c * logs
     per_row = 0.5 * math.log(n_effective) * (card - 1)
     if len(rows_per_table) == 1:
         return [float(terms.sum()) - per_row * rows_per_table[0]]
@@ -434,36 +461,50 @@ class BicScorer:
         return family_counts(self.rows, [self._col[v] for v in family],
                              [self._card[v] for v in family], self.weights)
 
-    def _score_adds(self, child: str, old: frozenset) -> None:
-        """Cache the score of every family that adds one vertex y to the
-        parents ``old`` of ``child``, where it is missing. The code of the
-        parents (column order) followed by the child is taken once; y's
-        counts are one ``bincount`` of that code times y's cardinality plus
-        y, and their table is transposed so that y sits at its column-order
-        place among the parents, as ``family_counts`` would lay it out."""
-        adds = [v.name for v in self.schema if v.name != child and v.name not in old
-                and (child, old | {v.name}) not in self._cache]
-        parents = self._canon(old)
+    def _add_tables(self, base: np.ndarray, idx: Optional[np.ndarray],
+                    weights: Optional[np.ndarray], parents: Tuple[str, ...], child: str,
+                    adds: Sequence[str]) -> List[np.ndarray]:
+        """The count table of each family that adds one vertex y of ``adds``
+        to the ``parents`` (column order) of ``child``, on the rows ``idx``
+        (every row if None) with their ``weights``, where ``base`` codes
+        those rows over the parents followed by the child. y's counts are one
+        ``bincount`` of that code times y's cardinality plus y, and their
+        table is transposed so that y sits at its column-order place among
+        the parents, as ``family_counts`` would lay it out."""
         pcols = [self._col[v] for v in parents]
         pcards = [self._card[v] for v in parents]
         card, ncfg = self._card[child], math.prod(pcards)
-        base = mixed_radix(self.rows, pcols + [self._col[child]], pcards + [card])
         code = np.empty_like(base)
-        tables, rows_per_table = [], []
+        tables = []
         for y in adds:
             j, card_y = self._col[y], self._card[y]
             np.multiply(base, card_y, out=code)
-            code += self.rows[:, j]
-            counts = np.bincount(code, self.weights, minlength=ncfg * card * card_y)
+            code += self.rows[:, j] if idx is None else self.rows[:, j].take(idx)
+            counts = np.bincount(code, weights, minlength=ncfg * card * card_y)
             # axes (parents before y, parents after y, child, y) -> y in place
             before = math.prod(pcards[:bisect.bisect(pcols, j)])
             tables.append(counts.reshape(before, ncfg // before, card, card_y)
                           .transpose(0, 3, 1, 2).reshape(-1, card))
-            rows_per_table.append(ncfg * card_y)
-        bics = _family_bics(np.concatenate(tables, dtype=float), rows_per_table,
+        return tables
+
+    def _cache_scores(self, keys: Sequence[tuple], tables: Sequence[np.ndarray]) -> None:
+        """Score the count tables of one child's families in one stack, each
+        to the bits it gets alone, and cache each under its key."""
+        bics = _family_bics(np.concatenate(tables, dtype=float), [t.shape[0] for t in tables],
                             self.pseudocount, self.n_effective)
-        for y, val in zip(adds, bics):
-            self._cache[(child, old | {y})] = val
+        self._cache.update(zip(keys, bics))
+
+    def _score_adds(self, child: str, old: frozenset) -> None:
+        """Cache the score of every family that adds one vertex y to the
+        parents ``old`` of ``child``, where it is missing, from one code of
+        the parents (column order) followed by the child."""
+        adds = [v.name for v in self.schema if v.name != child and v.name not in old
+                and (child, old | {v.name}) not in self._cache]
+        family = self._canon(old) + (child,)
+        base = mixed_radix(self.rows, [self._col[v] for v in family],
+                           [self._card[v] for v in family])
+        self._cache_scores([(child, old | {y}) for y in adds],
+                           self._add_tables(base, None, self.weights, family[:-1], child, adds))
 
     def score(self, g: Dag) -> float:
         return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
@@ -491,7 +532,10 @@ class IpwBicScorer(BicScorer):
     of their union), otherwise the subpopulation shift between subsets
     would masquerade as signal. Such a score is cached under
     (child, parent set, observed set), a key that cannot meet the
-    (child, parent set) keys of ``family_score``.
+    (child, parent set) keys of ``family_score``. An add move that misses
+    scores all of its child's uncached adds to the same parents in one
+    pass, grouped by observed set (see ``move_delta``), to the bits each
+    would get alone.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
@@ -507,8 +551,9 @@ class IpwBicScorer(BicScorer):
         # normalised weights; at most 2^|partial| entries of 16 bytes a row
         self._observed: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = {}
 
-    def _counts_on(self, child: str, parents: Tuple[str, ...],
-                   obs: Tuple[str, ...]):
+    def _rows_on(self, obs: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows where every variable of ``obs`` (column order) is
+        observed, as indices, and their weights; built once per set."""
         hit = self._observed.get(obs)
         if hit is None:
             idx = (np.flatnonzero(~self.mask[:, [self._col[v] for v in obs]].any(axis=1))
@@ -527,14 +572,22 @@ class IpwBicScorer(BicScorer):
             if total > 0:
                 w = w * (idx.size / total)
             hit = self._observed[obs] = idx, w
-        idx, w = hit
-        family = parents + (child,)
-        # gather only the family's columns; take() is several times faster
-        # than fancy indexing
-        sub = np.empty((idx.size, len(family)), dtype=np.int16, order="F")
-        for c, v in enumerate(family):
+        return hit
+
+    def _gather(self, names: Tuple[str, ...], idx: np.ndarray) -> np.ndarray:
+        """The columns of ``names`` at the rows ``idx``, column-major."""
+        # take() is several times faster than fancy indexing
+        sub = np.empty((idx.size, len(names)), dtype=np.int16, order="F")
+        for c, v in enumerate(names):
             self.rows[:, self._col[v]].take(idx, out=sub[:, c])
-        return family_counts(sub, range(len(family)), [self._card[v] for v in family], w)
+        return sub
+
+    def _counts_on(self, child: str, parents: Tuple[str, ...],
+                   obs: Tuple[str, ...]):
+        idx, w = self._rows_on(obs)
+        family = parents + (child,)
+        return family_counts(self._gather(family, idx), range(len(family)),
+                             [self._card[v] for v in family], w)
 
     def _score_on(self, child: str, parents: frozenset, obs: frozenset) -> float:
         key = (child, parents, obs)
@@ -550,8 +603,44 @@ class IpwBicScorer(BicScorer):
         obs = self.partial & (frozenset(parents) | {child})
         return self._counts_on(child, parents, self._canon(obs))
 
+    def _score_adds(self, child: str, old: frozenset) -> None:
+        """Cache the score of every family that adds one vertex y to the
+        parents ``old`` of ``child``, where it is missing, on the observed
+        set of that move, and the score of ``old`` on each such set. Every
+        fully observed y shares the set of the old family; any other y has
+        its own. Per set, the rows, their weights and their code over the
+        parents (column order) followed by the child are taken once; the old
+        family's counts are one ``bincount`` of that code."""
+        shared = self.partial & (old | {child})
+        groups: Dict[frozenset, list] = {}  # observed set -> the adds counted on it
+        for v in self.schema:
+            y = v.name
+            if y != child and y not in old:
+                obs = shared | {y} if y in self.partial else shared
+                if (child, old | {y}, obs) not in self._cache:
+                    groups.setdefault(obs, []).append(y)
+        family = self._canon(old) + (child,)
+        cards = [self._card[v] for v in family]
+        keys, tables = [], []
+        for obs, adds in groups.items():
+            idx, w = self._rows_on(self._canon(obs))
+            base = mixed_radix(self._gather(family, idx), range(len(family)), cards)
+            if (child, old, obs) not in self._cache:
+                keys.append((child, old, obs))
+                tables.append(np.bincount(base, w, minlength=math.prod(cards))
+                              .reshape(-1, cards[-1]))
+            keys += [(child, old | {y}, obs) for y in adds]
+            tables += self._add_tables(base, idx, w, family[:-1], child, adds)
+        self._cache_scores(keys, tables)
+
     def move_delta(self, child: str, old_parents: Iterable[str],
                    new_parents: Iterable[str]) -> float:
+        """The score of the new family minus that of the old, both on the
+        rows where every member of either is observed. An add whose family
+        misses the cache first scores every add to the old parents in one
+        pass, as ``BicScorer.move_delta`` does."""
         old, new = frozenset(old_parents), frozenset(new_parents)
         obs = self.partial & (old | new | {child})
+        if old < new and len(new) == len(old) + 1 and (child, new, obs) not in self._cache:
+            self._score_adds(child, old)
         return self._score_on(child, new, obs) - self._score_on(child, old, obs)

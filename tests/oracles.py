@@ -334,16 +334,19 @@ def family_bic(counts: np.ndarray, pseudocount: float, n_effective: float) -> fl
     """BIC of one family from its count table: the log-likelihood of the
     (smoothed) conditional frequencies minus 1/2 log n per free parameter,
     the table scored alone. The scorers' stacked kernel must give every
-    family these bits."""
+    family these bits. A subnormal count over a larger row sum has a ratio
+    that underflows to 0; its logarithm is taken apart, log c - log r."""
     rowsum = counts.sum(axis=1, keepdims=True)
     nz = counts > 0
     if pseudocount > 0:
-        probs = (counts + pseudocount) / (rowsum + pseudocount * counts.shape[1])
-        ll = float(np.sum(counts[nz] * np.log(probs[nz])))
+        num, den = counts + pseudocount, rowsum + pseudocount * counts.shape[1]
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = counts / rowsum
-        ll = float(np.sum(counts[nz] * np.log(ratio[nz])))
+        num, den = counts, rowsum
+    den = np.broadcast_to(den, counts.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+        logs = np.where(ratio > 0, np.log(ratio), np.log(num) - np.log(den))
+    ll = float(np.sum(counts[nz] * logs[nz]))
     penalty = 0.5 * math.log(n_effective) * (counts.shape[1] - 1) * counts.shape[0]
     return ll - penalty
 
@@ -367,6 +370,50 @@ class FamilyByFamilyBic:
 
     def move_delta(self, child: str, old_parents, new_parents) -> float:
         return self.family_score(child, new_parents) - self.family_score(child, old_parents)
+
+
+class FamilyByFamilyIpw(FamilyByFamilyBic):
+    """The BIC of an ``IpwBicScorer``'s data, weights, pseudocount and
+    sample size, one family at a time. A family is counted on the rows
+    where every variable of its observed set is observed, each row weighted
+    by the product of those variables' weights in column order, scaled to
+    mean one; then ``family_counts`` with the parents in column order, then
+    ``family_bic``. A move scores both families on the observed set of their
+    union, a lone family on its own. Each family is scored alone once and
+    then remembered, so a search that rescores every move stays quick."""
+
+    def __init__(self, scorer):
+        super().__init__(scorer)
+        self.mask, self.var_weights = scorer.mask, scorer.var_weights
+        self.partial = {v for v, j in self.col.items() if self.mask[:, j].any()}
+        self.scores = {}
+
+    def score_on(self, child: str, parents: Iterable[str], obs: Iterable[str]) -> float:
+        key = (child, frozenset(parents), frozenset(obs))
+        if key not in self.scores:
+            self.scores[key] = self._score_alone(child, parents, obs)
+        return self.scores[key]
+
+    def _score_alone(self, child: str, parents: Iterable[str], obs: Iterable[str]) -> float:
+        obs = sorted(obs, key=self.col.__getitem__)
+        idx = np.flatnonzero(~self.mask[:, [self.col[v] for v in obs]].any(axis=1))
+        w = np.ones(idx.size)
+        for v in obs:
+            if v in self.var_weights:
+                w = w * self.var_weights[v][idx]
+        if w.sum() > 0:
+            w = w * (idx.size / w.sum())
+        family = sorted(parents, key=self.col.__getitem__) + [child]
+        counts = family_counts(self.rows[idx], [self.col[v] for v in family],
+                               [self.card[v] for v in family], w)
+        return family_bic(counts, self.pseudocount, self.n_effective)
+
+    def family_score(self, child: str, parents: Iterable[str]) -> float:
+        return self.score_on(child, parents, self.partial & (set(parents) | {child}))
+
+    def move_delta(self, child: str, old_parents, new_parents) -> float:
+        obs = self.partial & (set(old_parents) | set(new_parents) | {child})
+        return self.score_on(child, new_parents, obs) - self.score_on(child, old_parents, obs)
 
 
 def ipw_family_bic(d, var_weights, child: str, parents: Iterable[str],

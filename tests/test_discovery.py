@@ -37,6 +37,7 @@ from missdag.stats import g_test
 
 from oracles import (
     FamilyByFamilyBic,
+    FamilyByFamilyIpw,
     apply_move,
     knowledge_json,
     best_score_exhaustive,
@@ -232,7 +233,7 @@ class TestHillClimb:
         # the referee scores each BIC family alone, so an add scored in a
         # batch must match it bit for bit, under its own cache key
         kb, init, make = _search_instance(seed, kind, max_vars=10)
-        referee = make() if kind == "ipw" else FamilyByFamilyBic(make())
+        referee = (FamilyByFamilyIpw if kind == "ipw" else FamilyByFamilyBic)(make())
         assert hill_climb(make(), kb, init, max_iter, max_parents) == \
             hill_climb_by_rescoring(referee, kb, init, max_iter, max_parents)
 

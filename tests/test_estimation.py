@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from missdag.data import (
     MISSING,
@@ -25,6 +27,7 @@ from missdag.estimation import (
 from missdag.graphs import Dag
 
 from oracles import (
+    FamilyByFamilyIpw,
     bic,
     family_bic,
     ipw_family_bic,
@@ -243,6 +246,22 @@ class TestExpandCompletions:
             assert np.array_equal(ours, theirs, equal_nan=True)
             assert np.array_equal(hit, ours, equal_nan=True)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mask_patterns_are_those_of_unique_rows(self, data):
+        # more than 64 columns too, where no one integer holds a row's bits
+        p = data.draw(st.integers(0, 80))
+        distinct = data.draw(st.lists(st.lists(st.booleans(), min_size=p, max_size=p),
+                                      min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), max_size=30))
+        mask = np.array(distinct, dtype=bool).reshape(len(distinct), p)[picks]
+        if data.draw(st.booleans()):
+            mask = np.asfortranarray(mask)
+        patterns, inverse = estimation._mask_patterns(mask)
+        want, want_inverse = np.unique(mask, axis=0, return_inverse=True)
+        assert patterns.dtype == bool and np.array_equal(patterns, want)
+        assert np.array_equal(inverse, want_inverse.ravel())
+
 
 class TestColumnLayout:
     """The completion block and the scorers' rows are column-major, so a
@@ -421,6 +440,30 @@ class TestWeightedCountsAndBic:
         assert bic(g, d, pseudocount=2.0) == pytest.approx(smoothed.score(g), abs=1e-9)
 
 
+@st.composite
+def _add_instances(draw):
+    """Cardinalities, rows, row weights (none, integer or fractional), a
+    pseudocount, a column order, a child, its old parents and a first
+    parent to add."""
+    k = draw(st.integers(0, 4))
+    cards = draw(st.lists(st.integers(2, 4), min_size=k + 2, max_size=k + 4))
+    n = draw(st.integers(1, 40))
+    cells = st.tuples(*[st.integers(0, c - 1) for c in cards])
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    weights = draw(st.sampled_from([None, "integer", "fractional"]))
+    if weights is not None:
+        values = st.integers(0, 5) if weights == "integer" else st.floats(0.0, 5.0)
+        weights = draw(st.lists(values, min_size=n, max_size=n))
+    pseudocount = draw(st.sampled_from([0.0, 0.5, 10.0]))
+    order = draw(st.permutations(range(len(cards))))
+    names = [f"v{j}" for j in order]
+    child = draw(st.sampled_from(names))
+    others = [v for v in names if v != child]
+    old = draw(st.lists(st.sampled_from(others), min_size=k, max_size=k, unique=True))
+    first = draw(st.sampled_from([v for v in others if v not in old]))
+    return cards, rows, weights, pseudocount, order, child, old, first
+
+
 class TestBicScorer:
     def test_score_decomposes_over_families(self):
         g, _, d = _random_instance(12, missing=0.0)
@@ -442,35 +485,26 @@ class TestBicScorer:
         assert scorer.family_score("v2", ("v0", "v1")) == scorer.family_score(
             "v2", ("v1", "v0"))
 
-    @given(st.data())
+    @given(instance=_add_instances())
+    @example(instance=(  # a subnormal count's ratio to its row sum underflows
+        [2, 2, 2, 2], [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0)],
+        [0.0, 5e-324, 0.0, 1.0], 0.0, [0, 1, 2, 3], "v3", [], "v0"))
     @settings(max_examples=200, deadline=None)
-    def test_adds_score_as_each_family_alone(self, data):
+    def test_adds_score_as_each_family_alone(self, instance):
         # one move_delta scores every add of the child to the same parents
         # in one pass; each must have the bits of its table scored alone
-        k = data.draw(st.integers(0, 4))
-        cards = data.draw(st.lists(st.integers(2, 4), min_size=k + 2, max_size=k + 4))
-        n = data.draw(st.integers(1, 40))
-        cells = st.tuples(*[st.integers(0, c - 1) for c in cards])
-        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
-                        dtype=np.int16).reshape(n, len(cards))
-        weights = data.draw(st.sampled_from([None, "integer", "fractional"]))
+        cards, rows, weights, pseudocount, order, child, old, first = instance
+        rows = np.array(rows, dtype=np.int16).reshape(len(rows), len(cards))
         if weights is not None:
-            values = st.integers(0, 5) if weights == "integer" else st.floats(0.0, 5.0)
-            weights = np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
-                               dtype=float)
+            weights = np.array(weights, dtype=float)
             weights[0] += 1.0  # a positive sample size
-        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 10.0]))
         # the column order decides where each added parent lands among the
         # old ones, from first to last
-        order = data.draw(st.permutations(range(len(cards))))
         schema = [_schema(*cards)[j] for j in order]
         rows = rows[:, order]
         names = [v.name for v in schema]
-        child = data.draw(st.sampled_from(names))
-        others = [v for v in names if v != child]
-        old = frozenset(data.draw(st.lists(st.sampled_from(others), min_size=k,
-                                           max_size=k, unique=True)))
-        adds = [v for v in others if v not in old]
+        old = frozenset(old)
+        adds = [v for v in names if v != child and v not in old]
         scorer = BicScorer(schema, rows, weights, pseudocount)
         counted, count = [], scorer._family_counts
 
@@ -479,7 +513,6 @@ class TestBicScorer:
             return count(*args)
 
         scorer._family_counts = counted_count
-        first = data.draw(st.sampled_from(adds))
         delta = scorer.move_delta(child, old, old | {first})
         assert counted == [(child, scorer._canon(old))]  # the old family alone
 
@@ -493,6 +526,8 @@ class TestBicScorer:
         assert delta == oracle(old | {first}) - oracle(old)
         for y in adds:
             assert scorer.move_delta(child, old, old | {y}) == oracle(old | {y}) - oracle(old)
+            assert math.isfinite(scorer.family_score(child, old | {y}))
+        assert math.isfinite(scorer.family_score(child, old))
         assert len(counted) == 1
 
     def test_bootstrap_weights_equal_duplicated_rows(self):
@@ -605,30 +640,96 @@ class TestIpwBicScorer:
         def oracle(child, parents, obs):
             return ipw_family_bic(d, var_weights, child, parents, obs, pseudocount)
 
-        queried = set()
+        queried = set()  # the observed sets that the queries touched
         for _ in range(data.draw(st.integers(1, 10))):
             child = data.draw(st.sampled_from(names))
             others = [v for v in names if v != child]
             old = data.draw(st.sets(st.sampled_from(others)))
             fresh = IpwBicScorer(d, var_weights, pseudocount)
-            if data.draw(st.booleans()):
+            query = data.draw(st.sampled_from(["family", "move", "add"]))
+            if query == "family" or old == set(others):
                 obs = seen & (old | {child})
                 got = scorer.family_score(child, old)
                 assert got == fresh.family_score(child, old)
                 want = oracle(child, old, obs)
                 scale = abs(want)
             else:
-                new = data.draw(st.sets(st.sampled_from(others)))
+                if query == "add":
+                    new = old | {data.draw(st.sampled_from(sorted(set(others) - old)))}
+                else:
+                    new = data.draw(st.sets(st.sampled_from(others)))
                 obs = seen & (old | new | {child})
+                # an add that misses the cache scores every add to the same
+                # parents, each on its own observed set
+                if (old < new and len(new) == len(old) + 1
+                        and (child, frozenset(new), frozenset(obs)) not in scorer._cache):
+                    queried |= {tuple(sorted(seen & (old | {child, y}), key=names.index))
+                                for y in others if y not in old}
                 got = scorer.move_delta(child, old, new)
                 assert got == fresh.move_delta(child, old, new)
                 want_new, want_old = oracle(child, new, obs), oracle(child, old, obs)
                 want, scale = want_new - want_old, max(abs(want_new), abs(want_old))
             assert abs(got - want) <= 1e-12 * max(scale, 1.0)
             queried.add(tuple(sorted(obs, key=names.index)))
-        # one entry per observed set queried, and no other
+        # one entry per observed set touched, and no other
         assert set(scorer._observed) == queried
         assert len(scorer._observed) <= 2 ** len(scorer.partial)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_adds_score_as_each_family_alone(self, data):
+        # one move_delta scores every add of the child to the same parents
+        # and the old family on each add's observed set, in one pass; each
+        # must have the bits of its family counted and scored alone
+        k = data.draw(st.integers(0, 3))
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=k + 2, max_size=k + 5))
+        n = data.draw(st.integers(1, 40))
+        cells = st.tuples(*[st.integers(0, c - 1) for c in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        # v0 stays fully observed, so IPW weights can use it
+        for j in data.draw(st.sets(st.integers(1, len(cards) - 1))):
+            missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows[np.array(missing, dtype=bool), j] = MISSING
+        # the column order puts each added parent at every place among the
+        # old ones, and the observed sets' members in any order
+        order = data.draw(st.permutations(range(len(cards))))
+        d = CategoricalDataset([_schema(*cards)[j] for j in order], rows[:, order])
+        names = list(d.names)
+        fully = [v for j, v in enumerate(names) if not d.mask[:, j].any()]
+        seen = set(names) - set(fully)
+        # some partially observed variables have no weights
+        var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
+                       for v in sorted(seen) if data.draw(st.booleans())}
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        scorer = IpwBicScorer(d, var_weights, pseudocount)
+        child = data.draw(st.sampled_from(names))
+        others = [v for v in names if v != child]
+        old = frozenset(data.draw(st.lists(st.sampled_from(others), min_size=k, max_size=k,
+                                           unique=True)))
+        adds = [v for v in others if v not in old]
+        first = data.draw(st.sampled_from(adds))
+        # earlier deletes, and adds scored alone, leave some families cached
+        for y in sorted(old):
+            if data.draw(st.booleans()):
+                scorer.move_delta(child, old, old - {y})
+        for y in adds:
+            if y != first and data.draw(st.booleans()):
+                scorer._score_on(child, old | {y}, frozenset(seen & (old | {child, y})))
+        before = set(scorer._cache)
+        scorer.move_delta(child, old, old | {first})
+        batched = {key: val for key, val in scorer._cache.items() if key not in before}
+        want = set()  # each uncached add, and the old family on its observed set
+        for y in adds:
+            obs = frozenset(seen & (old | {child, y}))
+            if (child, old | {y}, obs) not in before:
+                want |= {(child, old | {y}, obs), (child, old, obs)}
+        assert set(batched) == want - before
+        oracle = FamilyByFamilyIpw(scorer)
+        for (c, parents, obs), val in batched.items():
+            fresh = IpwBicScorer(d, var_weights, pseudocount)
+            assert val == fresh._score_on(c, parents, obs) == oracle.score_on(c, parents, obs)
+            assert math.isfinite(val)
 
     def test_mean_one_normalisation_caps_total_evidence(self):
         rng = np.random.default_rng(4)
