@@ -190,8 +190,11 @@ def _legal(op: str, a: str, b: str, g: Dag, kb: KnowledgeBase,
 
 def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptions.max_iter,
                max_parents: int = SearchOptions.max_parents) -> Tuple[Dag, SearchTrace]:
-    """Greedy best-improvement search; ties break lexicographically by
-    (operation, parent, child) for determinism.
+    """Greedy best-improvement search. Ties break lexicographically by
+    (operation, parent, child), but only among deltas equal as floats: two
+    moves that tie in exact arithmetic (adding a -> b and adding b -> a
+    under a score-equivalent BIC, say) can differ in their last bits, and
+    then the rounding picks.
 
     A delta depends only on its child's old and new parent sets, so a
     child's deltas are computed when it gets a parent set: for every child

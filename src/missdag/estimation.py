@@ -152,23 +152,32 @@ def _check_params(g: Dag, params: ParameterSet, d: CategoricalDataset) -> None:
             raise SchemaMismatch(f"CPT cardinality mismatch for {v!r}")
 
 
-def _log_families(g: Dag, params: ParameterSet, cards) -> list:
-    """Per vertex: log CPT, parent columns, parent cardinalities and own
-    column, the columns indexing a block of the graph's vertices in order."""
-    col = {v: i for i, v in enumerate(g.vertices)}
-    out = []
+def _family_codes(block: np.ndarray, vertices: Sequence[str], parents_of,
+                  cards: Mapping[str, int]) -> List[np.ndarray]:
+    """Per vertex, the flat index of each block row's cell in its CPT: the
+    mixed-radix code of the parents in the order ``parents_of(v)`` gives
+    them, then the vertex, over a block whose columns are ``vertices`` in
+    order. Each code has the narrowest integer type that holds its table:
+    int16 up to 2^15 cells."""
+    col = {v: j for j, v in enumerate(vertices)}
+    codes = []
+    for v in vertices:
+        family = tuple(parents_of(v)) + (v,)
+        fcards = [cards[u] for u in family]
+        size = math.prod(fcards)
+        dtype = np.int16 if size <= 2 ** 15 else np.int32 if size <= 2 ** 31 else np.int64
+        codes.append(mixed_radix(block, [col[u] for u in family], fcards).astype(dtype))
+    return codes
+
+
+def _joint_logp(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray],
+                nrows: int) -> np.ndarray:
+    """Each of ``nrows`` rows' joint log-probability: the log CPT entries
+    its family codes point at, summed in vertex order."""
+    logp = np.zeros(nrows)
     with np.errstate(divide="ignore"):
-        for v in g.vertices:
-            parents = params.parents(v)
-            out.append((np.log(params.table(v)), [col[p] for p in parents],
-                        [cards[p] for p in parents], col[v]))
-    return out
-
-
-def _block_loglik(families, block: np.ndarray) -> np.ndarray:
-    logp = np.zeros(block.shape[0])
-    for log_tab, pcols, pcards, j in families:
-        logp += log_tab[mixed_radix(block, pcols, pcards), block[:, j]]
+        for table, code in zip(tables, codes):
+            logp += np.log(table).ravel().take(code)
     return logp
 
 
@@ -201,47 +210,64 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     completion count k > 1, the original rows with k completions and the
     ``(rows, k)`` block positions of those completions. A block of more than
     ``ENUMERATION_CAP`` rows raises ``TooManyMissingInRow`` before anything
-    is allocated.
+    is allocated. The block is filled a column at a time, with no loop over
+    patterns: each column is gathered through ``origin``, and each missing
+    cell's state is a digit of the completion's number within its row.
     """
     index = d._completions.get(vertices)
     if index is not None:
         return index
     cols = [d.index(v) for v in vertices]
-    patterns, inverse = _mask_patterns(d.mask[:, cols])
-    counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
-              for pattern in patterns]
+    mask = d.mask[:, cols]
+    patterns, inverse = _mask_patterns(mask)
+    card = [cards[v] for v in vertices]
+    counts = [math.prod(c for c, m in zip(card, pattern) if m) for pattern in patterns.tolist()]
     sizes = np.bincount(inverse, minlength=len(patterns))
-    total = sum(k * int(size) for k, size in zip(counts, sizes))
+    total = sum(k * size for k, size in zip(counts, sizes.tolist()))
     if total > ENUMERATION_CAP:
         raise TooManyMissingInRow(
             f"row marginalization needs {total} completed rows, "
             f"more than the budget of {ENUMERATION_CAP}")
-    sub = d.rows[:, cols]
     order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(sizes)
+    pattern_of = inverse[order]
+    k_row = np.asarray(counts, dtype=np.intp)[pattern_of]
+    first = np.cumsum(k_row) - k_row  # block row of each row's first completion
+    origin = np.repeat(order, k_row)
+    # In completion t of its row (counted from 0, in itertools.product
+    # order), the missing cell of column j is (t // stride) % card[j]: the
+    # stride is the product of the cardinalities of the pattern's missing
+    # columns after j. An observed cell, zeroed in `sub`, gets a stride above
+    # any t and so adds 0. Strides, t and digits are below ENUMERATION_CAP,
+    # so int32 temporaries hold them.
+    missing_card = np.where(patterns, np.asarray(card, dtype=np.int64), 1)
+    # the product of the pattern's missing cardinalities from column j on
+    from_j = np.cumprod(missing_card[:, ::-1], axis=1)[:, ::-1]
+    stride = np.where(patterns, from_j // missing_card, np.iinfo(np.int32).max).astype(np.int32)
+    t = np.arange(total, dtype=np.int32)
+    t -= np.repeat(first.astype(np.int32), k_row)
+    block_pattern = np.repeat(pattern_of.astype(np.int32), k_row)
+    digit = np.empty(total, dtype=np.int32)
+    sub = d.rows[:, cols]
+    sub[mask] = 0
     # column-major, so that a family's counts read contiguous columns
     block = np.empty((total, len(cols)), dtype=np.int16, order="F")
-    complete = np.zeros(0, dtype=np.intp)
-    by_count: Dict[int, list] = {}
-    start = 0
-    for pattern, k, ridx in zip(patterns, counts, np.split(order, bounds[:-1])):
-        stop = start + ridx.size * k
-        block[start:stop] = np.repeat(sub[ridx], k, axis=0)
-        if k == 1:
-            complete = ridx
-        else:
-            miss = np.nonzero(pattern)[0]
-            completions = np.array(
-                list(itertools.product(*[range(cards[vertices[j]]) for j in miss])),
-                dtype=np.int16)
-            block[start:stop, miss] = np.tile(completions, (ridx.size, 1))
-            pos = start + np.arange(stop - start).reshape(ridx.size, k)
-            by_count.setdefault(k, []).append((ridx, pos))
-        start = stop
-    origin = np.repeat(order, np.asarray(counts, dtype=np.intp)[inverse[order]])
-    groups = tuple((np.concatenate([r for r, _ in parts]),
-                    np.concatenate([p for _, p in parts]))
-                   for parts in by_count.values())
+    for j, (c, any_missing) in enumerate(zip(card, patterns.any(axis=0).tolist())):
+        sub[:, j].take(origin, out=block[:, j])
+        if any_missing:
+            stride[:, j].take(block_pattern, out=digit)
+            np.floor_divide(t, digit, out=digit)
+            digit %= c
+            block[:, j] += digit
+    del t, block_pattern, digit  # freed before the groups' positions are built
+    # the rows without missing cells have the one pattern of one completion,
+    # the first in np.unique order
+    complete = order[:sizes[0] if counts and counts[0] == 1 else 0]
+    # per count k > 1, in the order k first appears among the patterns
+    groups = []
+    for k in dict.fromkeys(k for k in counts if k > 1):
+        sel = np.flatnonzero(k_row == k)
+        groups.append((order[sel], first[sel, None] + np.arange(k)))
+    groups = tuple(groups)
     for a in (block, origin, complete, *itertools.chain.from_iterable(groups)):
         a.setflags(write=False)
     index = (block, origin, complete, groups)
@@ -267,6 +293,24 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _e_step(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray], index, n: int):
+    """One E-step over a completion index (``_completion_index``) whose
+    block rows the family ``codes`` point into: each completion's posterior
+    weight (summing to 1 per original row) and each original row's
+    observed-data log-likelihood."""
+    block, _, complete, groups = index
+    logp = _joint_logp(tables, codes, block.shape[0])
+    weights = np.ones(block.shape[0])
+    row_ll = np.empty(n)
+    row_ll[complete] = logp[:complete.size]
+    for ridx, pos in groups:
+        a = logp[pos]
+        ll = _logsumexp_rows(a)
+        row_ll[ridx] = ll
+        weights[pos] = np.exp(a - ll[:, None])
+    return weights, row_ll
+
+
 def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset):
     """Exact enumeration of missing-cell completions (graph columns only).
 
@@ -278,16 +322,10 @@ def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset):
     """
     _check_params(g, params, d)
     cards = {v: d.variable(v).cardinality for v in g.vertices}
-    block, origin, complete, groups = _completion_index(d, g.vertices, cards)
-    logp = _block_loglik(_log_families(g, params, cards), block)
-    weights = np.ones(block.shape[0])
-    row_ll = np.empty(d.n)
-    row_ll[complete] = logp[:complete.size]
-    for ridx, pos in groups:
-        a = logp[pos]
-        ll = _logsumexp_rows(a)
-        row_ll[ridx] = ll
-        weights[pos] = np.exp(a - ll[:, None])
+    index = _completion_index(d, g.vertices, cards)
+    block, origin, _, _ = index
+    codes = _family_codes(block, g.vertices, params.parents, cards)
+    weights, row_ll = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
     return block, weights, origin, row_ll
 
 
@@ -296,9 +334,10 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
     exact marginal over all completions."""
     if d.is_complete():
         _check_params(g, params, d)
-        block = np.ascontiguousarray(d.rows[:, [d.index(v) for v in g.vertices]])
+        block = d.rows[:, [d.index(v) for v in g.vertices]]
         cards = {v: d.variable(v).cardinality for v in g.vertices}
-        ll = float(np.sum(_block_loglik(_log_families(g, params, cards), block)))
+        codes = _family_codes(block, g.vertices, params.parents, cards)
+        ll = float(np.sum(_joint_logp([params.table(v) for v in g.vertices], codes, d.n)))
     else:
         _, _, _, row_ll = expand_completions(g, params, d)
         ll = float(np.sum(row_ll))
@@ -321,7 +360,13 @@ def rescale_ll(values: Sequence[float], n: int) -> List[float]:
 def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
            max_iter: int = 100, tol: float = 1e-6) -> Tuple[ParameterSet, EmTrace]:
     """EM with exact E-step enumeration; trace holds the observed-data LL
-    evaluated at the start of each iteration."""
+    evaluated at the start of each iteration.
+
+    Each family is coded over the completion block once per fit (parents
+    in column order, as the fitted CPTs have them); an E-step reads the log
+    CPTs through those codes and an M-step is one weighted ``bincount`` of
+    each code, the counts ``family_counts`` would give.
+    """
     _check_coverage(g, d)
     col_of = {v: i for i, v in enumerate(g.vertices)}
     schema = tuple(d.variable(v) for v in g.vertices)
@@ -330,17 +375,28 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
     sub = d.rows[:, cols][~d.mask[:, cols].any(axis=1)]
     params = _weighted_fit(g, schema, col_of, sub, None, max(pseudocount, 1.0))
     trace: List[float] = []
+    if max_iter <= 0:  # no E-step, so no completion block
+        return params, EmTrace(trace, False)
+    cards = {v: s.cardinality for v, s in zip(g.vertices, schema)}
+    index = _completion_index(d, g.vertices, cards)
+    codes = _family_codes(index[0], g.vertices, params.parents, cards)
     converged = False
     prev = -math.inf
     for _ in range(max_iter):
-        rows, weights, _, row_ll = expand_completions(g, params, d)
+        tables = [params.table(v) for v in g.vertices]
+        weights, row_ll = _e_step(tables, codes, index, d.n)
         ll = float(np.sum(row_ll))
         trace.append(ll)
         if len(trace) > 1 and ll - prev < tol:
             converged = True
             break
         prev = ll
-        params = _weighted_fit(g, schema, col_of, rows, weights, pseudocount)
+        variables = {}
+        for v, code, table in zip(g.vertices, codes, tables):
+            counts = np.bincount(code, weights, minlength=table.size).astype(float)
+            variables[v] = (params.parents(v),
+                            _normalize_counts(counts.reshape(table.shape), pseudocount))
+        params = ParameterSet(variables, params.states)
     return params, EmTrace(trace, converged)
 
 

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: exhaustive path enumeration for
 d-separation, missingness mechanisms on an m-graph whose proxy vertices
 are built only to be stripped again, full-joint enumeration for
-likelihoods, exhaustive DAG enumeration for score optima, a family's BIC
-from its table alone, one candidate graph per hill-climbing move, each
-move re-scored on every iteration, a
+likelihoods, completions filled one missingness pattern at a time, EM
+one row at a time, exhaustive DAG enumeration for score optima, a
+family's BIC from its table alone, every hill-climbing move re-scored on
+every iteration with candidate graphs built until one is legal, a
 conditional G-test one stratum at a time and a CSV read one cell at a
 time. Slow, obviously correct, and independent of the production code
 paths.
@@ -275,6 +276,102 @@ def row_completions(g: Dag, params, d):
             np.array(origin, dtype=np.intp), row_ll)
 
 
+def completion_index_by_pattern(d, vertices: Sequence[str], cards):
+    """The (block, origin, complete, groups) of ``_completion_index``,
+    filled one missingness pattern at a time: the patterns of
+    ``np.unique(mask, axis=0)``, each pattern's rows repeated once per
+    completion of its missing cells (``itertools.product`` order, tiled
+    over the rows); the rows with no missing cell; and per completion count
+    k > 1, in the order k first appears among the patterns, the rows with k
+    completions and their (rows, k) block positions. Every array is
+    read-only. Nothing is kept on the dataset."""
+    cols = [d.index(v) for v in vertices]
+    patterns, inverse = np.unique(d.mask[:, cols], axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    counts = [math.prod(cards[vertices[j]] for j in np.nonzero(pattern)[0])
+              for pattern in patterns]
+    sizes = np.bincount(inverse, minlength=len(patterns))
+    sub = d.rows[:, cols]
+    order = np.argsort(inverse, kind="stable")
+    total = sum(k * int(size) for k, size in zip(counts, sizes))
+    block = np.empty((total, len(cols)), dtype=np.int16, order="F")
+    complete = np.zeros(0, dtype=np.intp)
+    by_count = {}
+    start = 0
+    for pattern, k, ridx in zip(patterns, counts, np.split(order, np.cumsum(sizes)[:-1])):
+        stop = start + ridx.size * k
+        block[start:stop] = np.repeat(sub[ridx], k, axis=0)
+        if k == 1:
+            complete = ridx
+        else:
+            miss = np.nonzero(pattern)[0]
+            completions = np.array(
+                list(itertools.product(*[range(cards[vertices[j]]) for j in miss])),
+                dtype=np.int16)
+            block[start:stop, miss] = np.tile(completions, (ridx.size, 1))
+            pos = start + np.arange(stop - start).reshape(ridx.size, k)
+            by_count.setdefault(k, []).append((ridx, pos))
+        start = stop
+    origin = np.repeat(order, np.asarray(counts, dtype=np.intp)[inverse[order]])
+    groups = tuple((np.concatenate([r for r, _ in parts]),
+                    np.concatenate([p for _, p in parts]))
+                   for parts in by_count.values())
+    for a in (block, origin, complete, *itertools.chain.from_iterable(groups)):
+        a.setflags(write=False)
+    return block, origin, complete, groups
+
+
+# --- EM one row at a time ---
+
+
+def _normalized(counts: np.ndarray, pseudocount: float) -> np.ndarray:
+    """Conditional frequencies of a count table, row by row: (count +
+    pseudocount) / (row sum + pseudocount * columns) with a pseudocount, and
+    with none a uniform row where the row sum is 0."""
+    card = counts.shape[1]
+    rowsum = counts.sum(axis=1, keepdims=True)
+    if pseudocount > 0:
+        return (counts + pseudocount) / (rowsum + pseudocount * card)
+    table = np.full_like(counts, 1.0 / card)
+    seen = rowsum[:, 0] > 0
+    table[seen] = counts[seen] / rowsum[seen]
+    return table
+
+
+def em_fit_by_rows(g: Dag, d, pseudocount: float = 0.0, max_iter: int = 100,
+                   tol: float = 1e-6):
+    """(params, log-likelihoods, converged) of ``em_fit``, with the E-step
+    of ``row_completions`` and an M-step of ``family_counts`` over its rows
+    and weights, parents in graph-vertex order. It starts from the
+    frequencies of the rows with no missing graph cell, smoothed by
+    ``max(pseudocount, 1)``, and stops after the first iteration whose
+    log-likelihood gains less than ``tol``."""
+    from missdag.estimation import ParameterSet
+
+    names = list(g.vertices)
+    cards = [d.variable(v).cardinality for v in names]
+    states = {v: d.variable(v).states for v in names}
+    families = [[names.index(u) for u in sorted(g.parents(v), key=names.index)] + [j]
+                for j, v in enumerate(names)]
+
+    def fit(rows, weights, pc):
+        return ParameterSet({
+            v: (tuple(names[i] for i in fam[:-1]),
+                _normalized(family_counts(rows, fam, [cards[i] for i in fam], weights), pc))
+            for v, fam in zip(names, families)}, states)
+
+    cols = [d.index(v) for v in names]
+    params = fit(d.rows[:, cols][~d.mask[:, cols].any(axis=1)], None, max(pseudocount, 1.0))
+    lls = []
+    for _ in range(max_iter):
+        rows, weights, _, row_ll = row_completions(g, params, d)
+        lls.append(float(np.sum(row_ll)))
+        if len(lls) > 1 and lls[-1] - lls[-2] < tol:
+            return params, lls, True
+        params = fit(rows, weights, pseudocount)
+    return params, lls, False
+
+
 # --- family counts and BIC by plain loops ---
 
 
@@ -353,20 +450,25 @@ def family_bic(counts: np.ndarray, pseudocount: float, n_effective: float) -> fl
 
 class FamilyByFamilyBic:
     """The BIC of a ``BicScorer``'s rows, weights, pseudocount and sample
-    size, one family at a time and uncached: ``family_counts`` with the
-    parents in column order, then ``family_bic``."""
+    size, one family at a time: ``family_counts`` with the parents in
+    column order, then ``family_bic``. Each family is scored alone once and
+    then remembered, so a search that rescores every move stays quick."""
 
     def __init__(self, scorer):
         self.rows, self.weights = scorer.rows, scorer.weights
         self.pseudocount, self.n_effective = scorer.pseudocount, scorer.n_effective
         self.col = {v.name: j for j, v in enumerate(scorer.schema)}
         self.card = {v.name: v.cardinality for v in scorer.schema}
+        self.scores = {}
 
     def family_score(self, child: str, parents: Iterable[str]) -> float:
-        family = sorted(parents, key=self.col.__getitem__) + [child]
-        counts = family_counts(self.rows, [self.col[v] for v in family],
-                               [self.card[v] for v in family], self.weights)
-        return family_bic(counts, self.pseudocount, self.n_effective)
+        key = (child, frozenset(parents))
+        if key not in self.scores:
+            family = sorted(parents, key=self.col.__getitem__) + [child]
+            counts = family_counts(self.rows, [self.col[v] for v in family],
+                                   [self.card[v] for v in family], self.weights)
+            self.scores[key] = family_bic(counts, self.pseudocount, self.n_effective)
+        return self.scores[key]
 
     def move_delta(self, child: str, old_parents, new_parents) -> float:
         return self.family_score(child, new_parents) - self.family_score(child, old_parents)
@@ -379,14 +481,13 @@ class FamilyByFamilyIpw(FamilyByFamilyBic):
     by the product of those variables' weights in column order, scaled to
     mean one; then ``family_counts`` with the parents in column order, then
     ``family_bic``. A move scores both families on the observed set of their
-    union, a lone family on its own. Each family is scored alone once and
-    then remembered, so a search that rescores every move stays quick."""
+    union, a lone family on its own; each is remembered under its observed
+    set too."""
 
     def __init__(self, scorer):
         super().__init__(scorer)
         self.mask, self.var_weights = scorer.mask, scorer.var_weights
         self.partial = {v for v, j in self.col.items() if self.mask[:, j].any()}
-        self.scores = {}
 
     def score_on(self, child: str, parents: Iterable[str], obs: Iterable[str]) -> float:
         key = (child, frozenset(parents), frozenset(obs))
@@ -484,27 +585,40 @@ def best_score_exhaustive(scorer, names: Sequence[str],
 # --- hill-climbing moves by building every candidate graph ---
 
 
+def _moves(g: Dag):
+    """Every single-edge move (op, parent, child): for each (parent, child)
+    pair in declared order, "delete" and "reverse" of an edge, "add" of a
+    non-edge."""
+    for a, b in itertools.permutations(g.vertices, 2):
+        if (a, b) in g.edges:
+            yield "delete", a, b
+            yield "reverse", a, b
+        else:
+            yield "add", a, b
+
+
+def legal_move(g: Dag, kb, max_parents: int, op: str, a: str, b: str):
+    """The graph after the move ``op`` on (a, b), built as a new ``Dag``, if
+    it is a DAG that satisfies the knowledge base and grows no parent set
+    past ``max_parents``; otherwise None."""
+    rest = g.edges - {(a, b)}
+    edges = {"add": g.edges | {(a, b)}, "delete": rest, "reverse": rest | {(b, a)}}[op]
+    try:
+        h = Dag(g.vertices, edges)
+    except CycleDetected:
+        return None
+    if kb.satisfied_by(h) and all(len(h.parents(v)) <= max(max_parents, len(g.parents(v)))
+                                  for v in h.vertices):
+        return h
+    return None
+
+
 def legal_moves(g: Dag, kb, max_parents: int) -> List[Tuple[str, Tuple[str, str]]]:
     """Every single-edge add/delete/reverse move, (parent, child) in
     declared order, whose result is a DAG that satisfies the knowledge base
     and grows no parent set past ``max_parents``."""
-    moves = []
-    for a, b in itertools.permutations(g.vertices, 2):
-        rest = g.edges - {(a, b)}
-        if (a, b) in g.edges:
-            candidates = [("delete", rest), ("reverse", rest | {(b, a)})]
-        else:
-            candidates = [("add", g.edges | {(a, b)})]
-        for op, edges in candidates:
-            try:
-                h = Dag(g.vertices, edges)
-            except CycleDetected:
-                continue
-            if kb.satisfied_by(h) and all(
-                    len(h.parents(v)) <= max(max_parents, len(g.parents(v)))
-                    for v in h.vertices):
-                moves.append((op, (a, b)))
-    return moves
+    return [(op, (a, b)) for op, a, b in _moves(g)
+            if legal_move(g, kb, max_parents, op, a, b) is not None]
 
 
 def apply_move(g: Dag, op: str, edge: Tuple[str, str]) -> Dag:
@@ -520,31 +634,34 @@ def apply_move(g: Dag, op: str, edge: Tuple[str, str]) -> Dag:
 
 def hill_climb_by_rescoring(scorer, kb, init: Dag, max_iter: int, max_parents: int):
     """Greedy best-improvement search with no delta cache: every iteration
-    builds each candidate graph of ``legal_moves`` and scores the move
-    afresh with ``scorer.move_delta``, from the parents of the child in the
-    current and the candidate graph (for a reversal, the child's delta plus
-    the parent's). The best move has the smallest (-delta, operation,
-    parent, child) among those improving the score by more than
-    ``IMPROVEMENT_EPS``. Returns the graph and its ``SearchTrace``."""
+    scores every move afresh with ``scorer.move_delta``, from the change it
+    makes to its child's parents (for a reversal, the child's delta plus
+    the parent's). It walks the moves that improve the score by more than
+    ``IMPROVEMENT_EPS`` in ascending (-delta, operation, parent, child) and
+    takes the first whose graph ``legal_move`` builds. Returns the graph
+    and its ``SearchTrace``."""
     g = init
     trace = SearchTrace(initial_score=sum(scorer.family_score(v, g.parents(v))
                                           for v in g.vertices))
     current = trace.initial_score
     for it in range(max_iter):
-        best = None
-        for op, (a, b) in legal_moves(g, kb, max_parents):
-            h = apply_move(g, op, (a, b))
-            delta = scorer.move_delta(b, g.parents(b), h.parents(b))
+        improving = []
+        for op, a, b in _moves(g):
+            pb = g.parents(b)
+            delta = scorer.move_delta(b, pb, pb | {a} if op == "add" else pb - {a})
             if op == "reverse":
-                delta += scorer.move_delta(a, g.parents(a), h.parents(a))
-            if delta > IMPROVEMENT_EPS and (best is None or (-delta, op, a, b) < best[0]):
-                best = ((-delta, op, a, b), delta, h)
+                pa = g.parents(a)
+                delta += scorer.move_delta(a, pa, pa | {b})
+            if delta > IMPROVEMENT_EPS:
+                improving.append((-delta, op, a, b))
+        picks = ((key, legal_move(g, kb, max_parents, *key[1:])) for key in sorted(improving))
+        best = next(((key, h) for key, h in picks if h is not None), None)
         if best is None:
             trace.iterations = it
             break
-        (_, op, a, b), delta, g = best
-        current += delta
-        trace.moves.append((op, (a, b), delta))
+        (nd, op, a, b), g = best
+        current += -nd
+        trace.moves.append((op, (a, b), -nd))
     else:
         trace.iterations = max_iter
     trace.final_score = current

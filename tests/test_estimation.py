@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from missdag.graphs import Dag
 from oracles import (
     FamilyByFamilyIpw,
     bic,
+    completion_index_by_pattern,
+    em_fit_by_rows,
     family_bic,
     ipw_family_bic,
     joint_log_likelihood,
@@ -248,6 +251,27 @@ class TestExpandCompletions:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
+    def test_index_matches_per_pattern_fill(self, data):
+        cards = data.draw(st.lists(st.integers(2, 5), max_size=6))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 40))
+        cells = st.tuples(*[st.integers(MISSING, k - 1) for k in cards])
+        rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+        d = _dataset(cards, np.array(rows, dtype=np.int16).reshape(n, len(cards)))
+        # a subset of the columns, in another order than the dataset's
+        vertices = tuple(data.draw(st.permutations(names))[:data.draw(st.integers(0, len(names)))])
+        want = completion_index_by_pattern(d, vertices, dict(zip(names, cards)))
+        got = estimation._completion_index(d, vertices, dict(zip(names, cards)))
+        assert got[0].flags.f_contiguous
+        assert len(got[3]) == len(want[3])  # one group per count, in the same order
+        for ours, theirs in zip(itertools.chain(got[:3], *got[3]),
+                                itertools.chain(want[:3], *want[3])):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+            assert not ours.flags.writeable
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
     def test_mask_patterns_are_those_of_unique_rows(self, data):
         # more than 64 columns too, where no one integer holds a row's bits
         p = data.draw(st.integers(0, 80))
@@ -381,6 +405,50 @@ class TestEmFit:
         _, trace = em_fit(g, d, max_iter=100, tol=1e-6)
         assert trace.converged
         assert trace.iterations <= 100
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_by_row_em(self, data):
+        cards = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 10))
+        cells = st.tuples(*[st.integers(MISSING, k - 1) for k in cards])
+        rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            rows.append((MISSING,) * len(cards))
+        d = _dataset(cards, np.array(rows, dtype=np.int16).reshape(len(rows), len(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # graph columns in another order than the dataset's
+        g = random_dag(rng, data.draw(st.permutations(names)), edge_prob=0.6)
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        tol = data.draw(st.sampled_from([0.0, 1e-6]))
+        max_iter = data.draw(st.integers(0, 6))
+        params, trace = em_fit(g, d, pseudocount, max_iter, tol)
+        want, lls, converged = em_fit_by_rows(g, d, pseudocount, max_iter, tol)
+        assert trace.log_likelihoods == lls and trace.converged == converged
+        for v in g.vertices:
+            assert params.parents(v) == want.parents(v)
+            assert np.array_equal(params.table(v), want.table(v))
+
+    def test_codes_each_family_once_per_fit(self, monkeypatch):
+        # the family codes over the completion block are computed once per
+        # fit, not once per iteration (four vertices, five edges)
+        g, _, d = _random_instance(204, missing=0.35)
+        calls = []
+        mixed_radix = estimation.mixed_radix
+
+        def counted(*args):
+            calls.append(args)
+            return mixed_radix(*args)
+
+        monkeypatch.setattr(estimation, "mixed_radix", counted)
+        per_fit = []
+        for max_iter in (3, 12):
+            calls.clear()
+            _, trace = em_fit(g, d, max_iter=max_iter, tol=0.0)
+            assert trace.iterations == max_iter
+            per_fit.append(len(calls))
+        assert per_fit == [len(g.vertices)] * 2
 
 
 class TestIpwWeights:
