@@ -32,6 +32,7 @@ from .errors import (
     checked_strings,
     json_document,
     json_object,
+    json_text,
 )
 from .estimation import ParameterSet
 from .graphs import Dag, export_dot, find_active_path, graph_from_json, graph_to_json
@@ -43,7 +44,8 @@ EXIT_USAGE = 2
 
 def _diag(message: str, json_logs: bool) -> None:
     if json_logs:
-        sys.stderr.write(json.dumps({"level": "error", "message": message}) + "\n")
+        sys.stderr.write(json.dumps({"level": "error", "message": message},
+                                    allow_nan=False) + "\n")
     else:
         sys.stderr.write(f"error: {message}\n")
 
@@ -204,11 +206,14 @@ def cmd_discover(args) -> int:
         trace_doc.update(dataclasses.asdict(found.trace))
         if found.report is not None:
             trace_doc["indicator_report"] = found.report
-    _write(out / "graph.json", graph_to_json(g))
-    _write(out / "graph.dot", _dot(g))
-    _write(out / "trace.json", json.dumps(trace_doc, indent=2, sort_keys=True) + "\n")
+    # every text is built before the first file is written, so an artifact
+    # that cannot be built (json_text refuses NaN) leaves no file behind
+    files = {"graph.json": graph_to_json(g), "graph.dot": _dot(g),
+             "trace.json": json_text(trace_doc)}
     if summary_doc is not None:
-        _write(out / "summary.json", json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+        files["summary.json"] = json_text(summary_doc)
+    for name, text in files.items():
+        _write(out / name, text)
     return EXIT_OK
 
 
@@ -220,7 +225,8 @@ def cmd_evaluate(args) -> int:
     report = evaluate(algorithms, d, kb, seed=seed, threads=args.threads or 1,
                       **dataclasses.asdict(opts),
                       **_fields(config, B=int, held_out_fraction=float))
-    _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # report.json first: json_text refuses NaN before any file is written
+    _write(out / "report.json", json_text(report))
     with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["algorithm", "replicate", "ll_in", "ll_out",

@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     CycleDetected,
     MissDagError,
+    SchemaMismatch,
     checked_number,
     json_object,
 )
@@ -202,7 +203,8 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     too after a reversal). They cover every delete and every add while the
     child has room, legal or not, and the child ranks its improving ones.
     An iteration takes each child's first ranked move that is legal now; a
-    reversal adds its two children's cached deltas."""
+    reversal adds its two children's cached deltas. So the search takes the
+    moves a search that rescored every legal move would take."""
     if not kb.satisfied_by(init):
         raise ConfigError("initial graph violates the knowledge base")
     g = init
@@ -214,7 +216,7 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     ranked = {}   # child -> sorted [(-delta, op, x)], improving
     room = [False] * len(verts)
     changed = verts
-    for it in range(max_iter):
+    for _ in range(max_iter):
         for b in changed:
             pb = g.parents(b)
             room[index[b]] = len(pb) < max_parents
@@ -237,7 +239,6 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
                 if delta > IMPROVEMENT_EPS and (best is None or key < best):
                     best = key
         if best is None:
-            trace.iterations = it
             break
         nd, op, a, b = best
         delta = -nd
@@ -250,8 +251,7 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
         changed = (b, a) if op == "reverse" else (b,)
         current += delta
         trace.moves.append((op, (a, b), delta))
-    else:
-        trace.iterations = max_iter
+    trace.iterations = len(trace.moves)
     trace.final_score = current
     return g, trace
 
@@ -396,6 +396,14 @@ def _replicate(args):
     params = found.refit()
     ll_in = log_likelihood(params, g, db).log_likelihood
     ll_out = log_likelihood(params, g, test).log_likelihood
+    for which, ll in (("in-sample", ll_in), ("held-out", ll_out)):
+        if not math.isfinite(ll):
+            # a row of probability 0 under the refit parameters: no report
+            # can hold the value, nor any rescaling or mean of it
+            raise SchemaMismatch(
+                f"{name} replicate {b}: the {which} log-likelihood is {ll!r}, as a row has "
+                f"probability 0 under parameters refit with refit_pseudocount "
+                f"{opts.refit_pseudocount!r}")
     return name, b, sorted(g.edges), ll_in, ll_out
 
 

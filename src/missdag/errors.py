@@ -34,8 +34,11 @@ class SchemaMismatch(MissDagError):
     """Inputs that do not fit each other or the operation asked of them: a
     schema, dataset, graph, m-graph or parameter set that does not fit the
     others (bad states, an unknown or duplicate name or edge, a missing or
-    misshaped CPT), or data too small or too incomplete for the operation
-    (no rows, an unobserved column, missing cells where none may be)."""
+    misshaped CPT), data too small or too incomplete for the operation (no
+    rows, an unobserved column, missing cells where none may be), or a
+    result that is not a finite number (a log-likelihood of a row the fit
+    gives probability 0, a score that overflows), which no artifact can
+    hold."""
 
 
 class MalformedCsv(MissDagError):
@@ -62,6 +65,16 @@ def json_document(text: str, what: str):
     except RecursionError:
         raise ConfigError(f"{what} is nested too deeply") from None
     return doc
+
+
+def json_text(doc) -> str:
+    """The text of a JSON artifact. NaN and infinities are not JSON: a
+    document holding one raises SchemaMismatch instead of writing a file
+    that strict parsers refuse."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SchemaMismatch(f"an artifact holds a number JSON cannot hold: {exc}") from None
 
 
 def json_object(text: str, what: str) -> dict:

@@ -113,16 +113,15 @@ def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0) -> Paramete
     if d.mask.any():
         raise SchemaMismatch("fit_mle requires complete data")
     _check_coverage(g, d)
-    return _weighted_fit(g, d.schema, {n: d.index(n) for n in d.names},
-                         d.rows, None, pseudocount)
+    return _weighted_fit(g, d.schema, {n: d.index(n) for n in d.names}, d.rows, pseudocount)
 
 
-def _weighted_fit(g: Dag, schema, col_of, rows, weights, pseudocount: float) -> ParameterSet:
+def _weighted_fit(g: Dag, schema, col_of, rows, pseudocount: float) -> ParameterSet:
     variables, states = {}, {}
     for v in g.vertices:
         parents = tuple(sorted(g.parents(v), key=col_of.__getitem__))
         cols = [col_of[u] for u in parents + (v,)]
-        counts = family_counts(rows, cols, [schema[j].cardinality for j in cols], weights)
+        counts = family_counts(rows, cols, [schema[j].cardinality for j in cols])
         table = _normalize_counts(counts, pseudocount)
         variables[v] = (parents, table)
         states[v] = schema[col_of[v]].states
@@ -213,6 +212,11 @@ def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
     is allocated. The block is filled a column at a time, with no loop over
     patterns: each column is gathered through ``origin``, and each missing
     cell's state is a digit of the completion's number within its row.
+
+    Memory: block rows is the sum over rows of the product of the
+    cardinalities of their missing cells. The block takes block rows × p ×
+    2 bytes, and ``origin`` and the groups' positions up to 16 bytes more
+    per block row.
     """
     index = d._completions.get(vertices)
     if index is not None:
@@ -297,7 +301,8 @@ def _e_step(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray], index, n:
     """One E-step over a completion index (``_completion_index``) whose
     block rows the family ``codes`` point into: each completion's posterior
     weight (summing to 1 per original row) and each original row's
-    observed-data log-likelihood."""
+    observed-data log-likelihood. A row of probability 0 (log-likelihood
+    -inf, which EM's own rows never reach) gets NaN weights."""
     block, _, complete, groups = index
     logp = _joint_logp(tables, codes, block.shape[0])
     weights = np.ones(block.shape[0])
@@ -307,7 +312,8 @@ def _e_step(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray], index, n:
         a = logp[pos]
         ll = _logsumexp_rows(a)
         row_ll[ridx] = ll
-        weights[pos] = np.exp(a - ll[:, None])
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            weights[pos] = np.exp(a - ll[:, None])
     return weights, row_ll
 
 
@@ -373,7 +379,7 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
     # available-case init, smoothed so every completion has positive mass
     cols = [d.index(v) for v in g.vertices]
     sub = d.rows[:, cols][~d.mask[:, cols].any(axis=1)]
-    params = _weighted_fit(g, schema, col_of, sub, None, max(pseudocount, 1.0))
+    params = _weighted_fit(g, schema, col_of, sub, max(pseudocount, 1.0))
     trace: List[float] = []
     if max_iter <= 0:  # no E-step, so no completion block
         return params, EmTrace(trace, False)
@@ -387,7 +393,7 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
         weights, row_ll = _e_step(tables, codes, index, d.n)
         ll = float(np.sum(row_ll))
         trace.append(ll)
-        if len(trace) > 1 and ll - prev < tol:
+        if ll - prev < tol:
             converged = True
             break
         prev = ll
@@ -405,7 +411,7 @@ def ipw_weights(d: CategoricalDataset, target: str,
     """Per-row inverse-probability weights for the target's observation.
 
     Stratum observation rates use pseudocount 1; rows with the target
-    missing get weight 0; empty strata default to weight 1.
+    missing get weight 0.
     """
     jt = d.index(target)
     parents = sorted(set(detected_parents), key=d.index)
@@ -417,15 +423,12 @@ def ipw_weights(d: CategoricalDataset, target: str,
                 f"detected parent {p!r} has missing cells where {target!r} is observed")
     cards = [d.variable(p).cardinality for p in parents]
     ncfg = math.prod(cards)
-    usable = ~d.mask[:, pcols].any(axis=1) if pcols else np.ones(d.n, dtype=bool)
+    usable = ~d.mask[:, pcols].any(axis=1)
     # codes of rows outside `usable` read missing cells and are never used
     code = mixed_radix(d.rows, pcols, cards)
     total = np.bincount(code[usable], minlength=ncfg).astype(float)
     obs = np.bincount(code[usable & observed], minlength=ncfg).astype(float)
     phat = (obs + 1.0) / (total + 2.0)
-    # strata with no usable rows default to rate 1 (weight 1); they cannot
-    # occur among the data's own rows but keep the estimator total
-    phat[total == 0] = 1.0
     weights = np.zeros(d.n)
     sel = observed & usable
     weights[sel] = 1.0 / phat[code[sel]]
@@ -474,11 +477,12 @@ class BicScorer:
     """Decomposable BIC with a (child, parent-set) family-score cache.
 
     Operates on complete rows, optionally weighted (expected counts from an
-    EM completion, or bootstrap weights). A lookup keys the family by the
-    parent set as given; only a cache miss puts the parents in column order
-    to count the family. An add move that misses scores all of its child's
-    uncached adds to the same parents in one pass (see ``move_delta``), to
-    the bits each would get alone.
+    EM completion); the penalty's sample size ``n_effective`` is the row
+    count unless given. A lookup keys the family by the parent set as
+    given; only a cache miss puts the parents in column order to count the
+    family. An add move that misses scores all of its child's uncached adds
+    to the same parents in one pass (see ``move_delta``), to the bits each
+    would get alone.
     """
 
     def __init__(self, schema: Sequence[VariableSchema], rows: np.ndarray,
@@ -489,10 +493,7 @@ class BicScorer:
         self.rows = np.asfortranarray(rows, dtype=np.int16)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
         self.pseudocount = float(pseudocount)
-        if n_effective is None:
-            n_effective = (self.rows.shape[0] if self.weights is None
-                           else float(np.sum(self.weights)))
-        self.n_effective = float(n_effective)
+        self.n_effective = float(self.rows.shape[0] if n_effective is None else n_effective)
         if not self.n_effective > 0:
             raise SchemaMismatch(f"BIC needs a positive sample size, got {self.n_effective:g}")
         self._col = {v.name: i for i, v in enumerate(self.schema)}
@@ -586,9 +587,9 @@ class IpwBicScorer(BicScorer):
     counts never claim more evidence than the rows actually seen. Move
     deltas evaluate the old and the new family on the same row subset (that
     of their union), otherwise the subpopulation shift between subsets
-    would masquerade as signal. Such a score is cached under
-    (child, parent set, observed set), a key that cannot meet the
-    (child, parent set) keys of ``family_score``. An add move that misses
+    would masquerade as signal. Every score is cached under
+    (child, parent set, observed set); ``family_score`` scores a family on
+    its own observed set, under the same key. An add move that misses
     scores all of its child's uncached adds to the same parents in one
     pass, grouped by observed set (see ``move_delta``), to the bits each
     would get alone.
@@ -596,8 +597,7 @@ class IpwBicScorer(BicScorer):
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
                  pseudocount: float = 0.0):
-        super().__init__(d.schema, d.rows, weights=None, pseudocount=pseudocount,
-                         n_effective=float(d.n))
+        super().__init__(d.schema, d.rows, pseudocount=pseudocount)
         self.mask = d.mask
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         self.partial = frozenset(
@@ -612,8 +612,7 @@ class IpwBicScorer(BicScorer):
         observed, as indices, and their weights; built once per set."""
         hit = self._observed.get(obs)
         if hit is None:
-            idx = (np.flatnonzero(~self.mask[:, [self._col[v] for v in obs]].any(axis=1))
-                   if obs else np.arange(self.rows.shape[0]))
+            idx = np.flatnonzero(~self.mask[:, [self._col[v] for v in obs]].any(axis=1))
             w = np.ones(idx.size)
             # obs comes in column order; the bits of the weight product depend on it
             for v in obs:
@@ -645,6 +644,10 @@ class IpwBicScorer(BicScorer):
         return family_counts(self._gather(family, idx), range(len(family)),
                              [self._card[v] for v in family], w)
 
+    def family_score(self, child: str, parents: Iterable[str]) -> float:
+        parents = frozenset(parents)
+        return self._score_on(child, parents, self.partial & (parents | {child}))
+
     def _score_on(self, child: str, parents: frozenset, obs: frozenset) -> float:
         key = (child, parents, obs)
         hit = self._cache.get(key)
@@ -654,10 +657,6 @@ class IpwBicScorer(BicScorer):
         val = self._cache[key] = _family_bics(counts, [counts.shape[0]], self.pseudocount,
                                               self.n_effective)[0]
         return val
-
-    def _family_counts(self, child: str, parents: Tuple[str, ...]):
-        obs = self.partial & (frozenset(parents) | {child})
-        return self._counts_on(child, parents, self._canon(obs))
 
     def _score_adds(self, child: str, old: frozenset) -> None:
         """Cache the score of every family that adds one vertex y to the

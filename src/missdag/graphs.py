@@ -6,7 +6,6 @@ be shared freely across worker processes.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -17,6 +16,7 @@ from .errors import (
     SchemaMismatch,
     checked_strings,
     json_object,
+    json_text,
 )
 
 Edge = Tuple[str, str]
@@ -216,8 +216,6 @@ def classify_mechanism(m: MGraph) -> MechanismClass:
     d-separated from every substantive variable, MAR if they are d-separated
     from the partially observed ones M given the fully observed ones O."""
     r = list(m.indicators.values())
-    if not r:
-        return MechanismClass.MCAR
     rs = set(r)
     substantive = [v for v in m.graph.vertices if v not in rs]
     if d_separated(m.graph, substantive, r, ()):
@@ -283,7 +281,7 @@ def graph_to_json(g: Dag) -> str:
         "vertices": list(g.vertices),
         "edges": sorted([list(e) for e in g.edges]),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def graph_from_json(text: str) -> Dag:

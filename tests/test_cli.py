@@ -2,17 +2,20 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import missdag
 from missdag import ecdemo, estimation
 from missdag.cli import main
 from missdag.data import read_csv
+from missdag.discovery import ALGORITHMS
 from missdag.graphs import graph_from_json
 
 from oracles import amputation_spec_json, parse_dot
@@ -159,6 +162,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: SchemaMismatch: held-out set is empty: floor({n} x 0.2) = 0\n")
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, algorithm", [("evaluate", "hc-complete"),
+                                                    ("discover", "bootstrap-sem")])
+    def test_runtime_error_on_a_held_out_row_of_probability_zero(
+            self, tmp_path, no_env_seed, capsys, command, algorithm):
+        # refit with pseudocount 0, a held-out row has probability 0: its
+        # log-likelihood -inf would reach the artifacts as -Infinity and NaN
+        cfg = _demo_config(tmp_path, dataset_n=60, B=2, refit_pseudocount=0.0,
+                           algorithm=algorithm, algorithms=[algorithm])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--seed", "1", "--threads", "1",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            f"error: SchemaMismatch: {algorithm} replicate 0: the held-out log-likelihood "
+            "is -inf, as a row has probability 0 under parameters refit with "
+            "refit_pseudocount 0.0\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_runtime_error_on_a_score_that_json_cannot_hold(self, tmp_path, no_env_seed,
+                                                            capsys):
+        cfg = _demo_config(tmp_path, dataset_n=60, score_pseudocount=1e308)
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: SchemaMismatch: an artifact holds a number JSON cannot hold: "
+            "Out of range float values are not JSON compliant: -inf\n")
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -781,3 +813,139 @@ def test_graph_commands_survive_any_graph_file(graph_dir, data):
         text = ((graph_dir / "g.dot").read_bytes().decode("utf-8")
                 if command.endswith("--out") else out.getvalue())
         assert parse_dot(text) == graph_from_json(graph.read_text(encoding="utf-8"))
+
+
+# A config field's pool of JSON values, any of which a spoiled field takes
+POOL = [None, False, True, 0, 1, -1, 2 ** 70, 0.5, 1e308, float("nan"), float("inf"),
+        float("-inf"), "", "x", "ec-demo", "hc-complete", [], {}]
+# each config field's valid values; "@name" is the path of the file `name`
+# in the test's directory
+VALID = {
+    "dataset": ["ec-demo"],
+    "dataset_n": [5, 30, 60],
+    "algorithm": list(ALGORITHMS),
+    "algorithms": [[name] for name in ALGORITHMS] + [list(ALGORITHMS)],
+    "B": [1, 2],
+    "seed": [3],
+    "knowledge": ["@knowledge.json"],
+    "ampute_spec": ["@spec.json"],
+    "out": ["@out"],
+    "held_out_fraction": [0.2, 0.5],
+    "threshold": [0.5, 1],
+    "alpha": [0.01, 0.5],
+    "max_parents": [1, 4],
+    "max_iter": [3],
+    "refit_pseudocount": [0, 1.0],
+    "score_pseudocount": [0.0, 10],
+    "em_max_iter": [2],
+    "em_tol": [0.0, 1e-3],
+    "sem_max_outer": [1, 2],
+}
+# Fields that a config always sets unless they are spoiled. Left out, a
+# count or an iteration limit would take its default (763 rows, B = 100, 30
+# EM iterations, ...), so a spoiled one is never absent and draws no integer
+# beyond 1: every run stays small.
+SMALL = {"dataset_n", "B", "max_iter", "em_max_iter", "sem_max_outer"}
+ALWAYS = SMALL | {"dataset", "seed", "algorithm", "algorithms", "out"}
+ABSENT = object()
+
+
+@st.composite
+def run_configs(draw):
+    """A command, a config and the flags beside it. Up to two config fields
+    are spoiled: left out or given a value of the pool. Each other field
+    takes a valid value, or is left out if it may be."""
+    command = draw(st.sampled_from(["discover", "evaluate"]))
+    spoiled = draw(st.sets(st.sampled_from(sorted(VALID)), max_size=2))
+    config = {}
+    for key in sorted(VALID):
+        if key in spoiled:
+            value = draw(st.sampled_from(
+                [v for v in POOL if not isinstance(v, int) or isinstance(v, bool) or abs(v) <= 1]
+                if key in SMALL else [ABSENT, *POOL]))
+        elif key in ALWAYS or draw(st.booleans()):
+            value = draw(st.sampled_from(VALID[key]))
+        else:
+            value = ABSENT
+        if value is not ABSENT:
+            config[key] = value
+    flags = ["--threads", "1"]
+    if draw(st.booleans()):
+        flags += ["--seed", "1"]
+    if draw(st.booleans()):
+        flags += ["--out", "@out"]
+    return command, config, flags
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# the files of the config fuzzer's directory that outlive an example
+CONFIG_INPUTS = {"knowledge.json", "spec.json"}
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    """The working directory of a property test, with a knowledge file and
+    an amputation spec, so that a relative output path lands in it; no
+    MGD_SEED."""
+    root = tmp_path_factory.mktemp("configs")
+    (root / "knowledge.json").write_text(ecdemo.ec_knowledge_json())
+    (root / "spec.json").write_text(amputation_spec_json(ecdemo.ec_mnar_amputation(seed=5)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("MGD_SEED", raising=False)
+        mp.chdir(root)
+        yield root
+
+
+# a held-out row of probability 0 under parameters refit with pseudocount 0
+ZERO_PROBABILITY = {"dataset": "ec-demo", "dataset_n": 60, "B": 2, "refit_pseudocount": 0.0}
+
+
+@given(case=run_configs())
+@example(case=("evaluate", {**ZERO_PROBABILITY, "algorithms": ["hc-complete"]},
+               ["--seed", "1", "--out", "@out", "--threads", "1"]))
+@example(case=("discover", {**ZERO_PROBABILITY, "algorithm": "bootstrap-sem"},
+               ["--seed", "1", "--out", "@out", "--threads", "1"]))
+@example(case=("discover", {"dataset": "ec-demo", "dataset_n": 60,
+                            "algorithm": "hc-complete", "score_pseudocount": 1e308},
+               ["--seed", "1", "--out", "@out", "--threads", "1"]))
+@settings(max_examples=100, deadline=None)
+def test_run_commands_survive_any_config(config_dir, case):
+    command, config, flags = case
+
+    def place(value):
+        if isinstance(value, str) and value.startswith("@"):
+            return str(config_dir / value[1:])
+        return value
+
+    for path in config_dir.iterdir():  # the last example's config and output
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.name not in CONFIG_INPUTS:
+            path.unlink()
+    cfg = config_dir / "config.json"
+    cfg.write_text(json.dumps({k: place(v) for k, v in config.items()}), encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg)] + [place(f) for f in flags])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    err = err.getvalue()
+    assert "Traceback" not in err and "Warning" not in err
+    if code != 0:
+        assert err.splitlines() == [err[:-1]]
+        _assert_one_diagnostic(err, json_logs=False)
+    else:
+        assert err == ""
+    # the artifacts, wherever a relative output path put them
+    for path in config_dir.glob("*/**/*.json"):
+        text = path.read_text(encoding="utf-8")
+        doc = _strict_json(text)
+        if path.name == "graph.json":
+            g = graph_from_json(text)
+            assert doc == {"vertices": list(g.vertices), "edges": sorted(map(list, g.edges))}

@@ -601,22 +601,37 @@ class TestBicScorer:
     def test_bootstrap_weights_equal_duplicated_rows(self):
         d = _dataset([2, 2], [[0, 0], [0, 1], [1, 1]])
         dup = np.repeat(d.rows, [2, 1, 3], axis=0)
-        weighted = BicScorer(d.schema, d.rows, weights=np.array([2.0, 1.0, 3.0]))
+        weighted = BicScorer(d.schema, d.rows, weights=np.array([2.0, 1.0, 3.0]),
+                             n_effective=6.0)
         plain = BicScorer(d.schema, dup)
         g = Dag(["v0", "v1"], [("v0", "v1")])
         assert weighted.score(g) == pytest.approx(plain.score(g), abs=1e-9)
 
 
 class TestIpwBicScorer:
-    def test_reduces_to_plain_bic_on_complete_data(self):
-        g, _, d = _random_instance(13, missing=0.0)
-        names = [v.name for v in d.schema]
-        plain = BicScorer(d.schema, d.rows)
-        ipw = IpwBicScorer(d, {})
-        assert ipw.score(g) == pytest.approx(plain.score(g), abs=1e-9)
-        delta_args = (names[0], (), (names[1],))
-        assert ipw.move_delta(*delta_args) == pytest.approx(
-            plain.move_delta(*delta_args), abs=1e-9)
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduces_to_plain_bic_on_complete_data(self, data):
+        # with no partially observed variable every observed set is empty:
+        # all rows, weight one, so every value has plain BIC's bits
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=6))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(1, 60))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        d = _dataset(cards, data.draw(st.lists(cells, min_size=n, max_size=n)))
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 10.0]))
+        plain = BicScorer(d.schema, d.rows, pseudocount=pseudocount)
+        ipw = IpwBicScorer(d, {}, pseudocount)
+        for _ in range(data.draw(st.integers(0, 25))):
+            child = data.draw(st.sampled_from(names))
+            others = [v for v in names if v != child]
+            old = frozenset(data.draw(st.sets(st.sampled_from(others))))
+            new = old ^ {data.draw(st.sampled_from(others))}
+            assert ipw.move_delta(child, old, new) == plain.move_delta(child, old, new)
+            assert ipw.family_score(child, new) == plain.family_score(child, new)
+        g = random_dag(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                       names, edge_prob=0.5)
+        assert ipw.score(g) == plain.score(g)
 
     def test_move_delta_is_antisymmetric(self):
         rng = np.random.default_rng(3)
@@ -632,7 +647,7 @@ class TestIpwBicScorer:
     def test_family_counts_use_family_complete_rows_only(self):
         d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
         scorer = IpwBicScorer(d, {"v1": np.array([1.0, 0.0, 1.0])})
-        counts = scorer._family_counts("v1", ("v0",))
+        counts = scorer._counts_on("v1", ("v0",), ("v1",))
         # the row with v1 missing contributes nothing
         assert counts.sum() == pytest.approx(2.0)
 
@@ -806,6 +821,6 @@ class TestIpwBicScorer:
         d = _dataset([2, 2], rows)
         w = ipw_weights(d, "v1", ["v0"])
         scorer = IpwBicScorer(d, {"v1": w})
-        counts = scorer._family_counts("v1", ("v0",))
+        counts = scorer._counts_on("v1", ("v0",), ("v1",))
         n_seen = (~d.mask[:, 1]).sum()
         assert counts.sum() == pytest.approx(float(n_seen))

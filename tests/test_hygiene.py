@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, every
-exception class the package defines is raised or caught somewhere, and
-every function, class and method of the package is read somewhere outside
-its own definition."""
+exception class the package defines is raised or caught somewhere, every
+function, class and method of the package is read somewhere outside its
+own definition, and every JSON text the package writes refuses NaN and
+infinities."""
 
 import ast
 from collections import Counter
@@ -155,3 +156,44 @@ def test_every_definition_is_read_outside_itself():
     benchmark = [p.read_text(encoding="utf-8")
                  for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unread_definitions(package, benchmark, exempt={"cli.main"}) == []
+
+
+def nan_permitting_dumps(source: str) -> list:
+    """The ``(function, line)`` of each ``json.dumps`` (or bare ``dumps``)
+    call in ``source`` that does not pass ``allow_nan=False``; a call
+    outside any function is in ``"<module>"``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                or isinstance(node.func, ast.Name) and node.func.id == "dumps"):
+            if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in node.keywords):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_a_dumps_that_permits_nan():
+    source = ("import json\nfrom json import dumps\n"
+              "def f(x):\n    return json.dumps(x, indent=2)\n"
+              "def g(x):\n    return json.dumps(x, allow_nan=False)\n"
+              "def h(x):\n    def inner():\n        return dumps(x, allow_nan=True)\n"
+              "    return inner\n"
+              "text = json.dumps({})\n")
+    assert nan_permitting_dumps(source) == [("f", 4), ("inner", 9), ("<module>", 11)]
+
+
+def test_every_json_text_refuses_nan():
+    # NaN and infinities are not JSON: a strict parser refuses a file that
+    # holds one. The exception re-encodes a parsed input only to find lone
+    # surrogates; a NaN in it is the input's, refused by whoever reads it.
+    found = {(p.stem, function) for p in sorted(PACKAGE.glob("*.py"))
+             for function, _ in nan_permitting_dumps(p.read_text(encoding="utf-8"))}
+    assert found == {("errors", "json_document")}
