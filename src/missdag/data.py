@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -288,8 +287,19 @@ class AmputationSpec:
 
 
 
+def logistic(x: float) -> float:
+    """1 / (1 + e^-x), with libm's exp as ``scipy.special.expit`` computes
+    it, so the two agree bit for bit. An e^-x that overflows gives 0.0, and
+    NaN stays NaN."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
-    """Mask cells per row with the entry's logistic probability.
+    """Mask cells per row with the entry's logistic probability, computed by
+    ``logistic`` once per distinct value of the entry's linear predictor.
 
     Driver states are read from the pre-amputation data, so MNAR entries may
     reference the target itself (self-masking) or other amputation targets.
@@ -319,7 +329,8 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
             states = d.variable(w).states
             per_state = np.array([float(wmap.get(s, 0.0)) for s in states])
             eta = eta + per_state[d.column(w)]
-        prob = expit(eta)
+        values, where = np.unique(eta, return_inverse=True)
+        prob = np.array([logistic(v) for v in values])[where]
         u = np.random.default_rng(streams[i]).random(d.n)
         rows[u < prob, targets[i]] = MISSING
     out = CategoricalDataset(d.schema, rows)

@@ -204,11 +204,18 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     child has room, legal or not, and the child ranks its improving ones.
     An iteration takes each child's first ranked move that is legal now; a
     reversal adds its two children's cached deltas. So the search takes the
-    moves a search that rescored every legal move would take."""
+    moves a search that rescored every legal move would take.
+
+    A non-finite initial score is refused: every delta from it is NaN, so
+    the search would stop at once and report the initial graph."""
     if not kb.satisfied_by(init):
         raise ConfigError("initial graph violates the knowledge base")
     g = init
     trace = SearchTrace(initial_score=scorer.score(init))
+    if not math.isfinite(trace.initial_score):
+        raise SchemaMismatch(
+            f"the initial graph scores {trace.initial_score!r}, and hill climbing needs a "
+            "finite score (a score_pseudocount so large that the counts overflow gives this)")
     current = trace.initial_score
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}

@@ -7,9 +7,9 @@ likelihoods, completions filled one missingness pattern at a time, EM
 one row at a time, exhaustive DAG enumeration for score optima, a
 family's BIC from its table alone, every hill-climbing move re-scored on
 every iteration with candidate graphs built until one is legal, a
-conditional G-test one stratum at a time and a CSV read one cell at a
-time. Slow, obviously correct, and independent of the production code
-paths.
+conditional G-test one stratum at a time, a CSV read one cell at a time,
+and scipy's logistic and chi-square survival function. Slow, obviously
+correct, and independent of the production code paths.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import re
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.special import chdtrc, expit
 from scipy.stats import chi2
 
 from missdag.data import (
@@ -565,6 +566,20 @@ def conditional_g_test(a, b, a_card: int, b_card: int, cond, cond_card: int):
                     g_stat += 2.0 * table[i, j] * math.log(table[i, j] / expected)
     df = (a_card - 1) * (b_card - 1) * cond_card
     return g_stat, df, float(chi2.sf(g_stat, df)) if df > 0 else 1.0
+
+
+# --- scipy's logistic and chi-square survival function ---
+
+
+def logistic_by_scipy(x: float) -> float:
+    """``scipy.special.expit``, the referee of ``data.logistic``."""
+    return float(expit(x))
+
+
+def chi2_sf_by_scipy(x: float, df: int) -> float:
+    """``scipy.special.chdtrc``, the referee of ``stats.chi2_sf`` (same
+    argument order as that function)."""
+    return float(chdtrc(df, x))
 
 
 # --- exhaustive score optimum ---

@@ -45,6 +45,11 @@ def _write_input(path, content):
     return str(path)
 
 
+INITIAL_SCORE_OVERFLOWS = (
+    "error: SchemaMismatch: the initial graph scores -inf, and hill climbing needs a "
+    "finite score (a score_pseudocount so large that the counts overflow gives this)\n")
+
+
 def _demo_config(tmp_path, **extra):
     doc = {"dataset": "ec-demo", "dataset_n": 120, "algorithm": "hc-complete",
            "max_parents": 2}
@@ -187,9 +192,18 @@ class TestExitCodes:
         cfg = _demo_config(tmp_path, dataset_n=60, score_pseudocount=1e308)
         assert main(["discover", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            "error: SchemaMismatch: an artifact holds a number JSON cannot hold: "
-            "Out of range float values are not JSON compliant: -inf\n")
+        assert capsys.readouterr().err == INITIAL_SCORE_OVERFLOWS
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_runtime_error_on_a_score_pseudocount_that_overflows_in_evaluate(
+            self, tmp_path, no_env_seed, capsys):
+        # every family scores -inf, so no move improves on the empty graph:
+        # without the check, evaluate reported the empty graph and exited 0
+        cfg = _demo_config(tmp_path, dataset_n=60, B=2, score_pseudocount=1e308,
+                           algorithms=["hc-complete", "hc-aipw"])
+        assert main(["evaluate", "--config", cfg, "--seed", "1", "--threads", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == INITIAL_SCORE_OVERFLOWS
         assert list((tmp_path / "o").iterdir()) == []
 
     def test_help_exits_zero(self, capsys):
@@ -456,12 +470,16 @@ def test_well_formed_graph_and_params_simulate(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone takes most of the import time of the package
+    # the package needs no scipy at run time, and importing it would take
+    # most of the import time of the package (scipy.stats alone more than
+    # half of it)
     env = dict(os.environ, PYTHONPATH=str(Path(missdag.__file__).parents[1]))
-    probe = "import sys, missdag; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    for module in ("missdag", "missdag.cli"):
+        probe = (f"import sys, {module}; print('scipy.stats' in sys.modules, "
+                 "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "False []", module
 
 
 class TestSeedResolution:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from missdag.data import (
     MISSING,
@@ -18,6 +18,7 @@ from missdag.data import (
     bootstrap,
     forward_sample,
     impute_mode,
+    logistic,
     logit,
     mixed_radix,
     read_csv,
@@ -30,6 +31,7 @@ from missdag.graphs import Dag
 
 from oracles import (
     amputation_spec_json,
+    logistic_by_scipy,
     mixed_radix_by_loop,
     random_params,
     read_csv_by_cell,
@@ -245,6 +247,42 @@ class TestAmputation:
     def test_logit_inverts_expit(self):
         assert logit(0.5) == 0.0
         assert logit(0.0) == -math.inf and logit(1.0) == math.inf
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats())
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(709.8)
+    @example(-709.8)
+    @example(745.0)
+    @example(-745.0)
+    @example(800.0)
+    @example(-800.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2.2250738585072014e-308)
+    @example(-1e-310)
+    def test_logistic_is_scipy_expit_bit_for_bit(self, x):
+        ours, ref = logistic(x), logistic_by_scipy(x)
+        assert ours == ref or (math.isnan(ours) and math.isnan(ref))
+
+    def test_ampute_masks_the_cells_scipy_expit_would(self, monkeypatch):
+        # intercepts and weights far enough out that the logistic rounds to
+        # 0 or 1, or overflows, next to ordinary ones
+        g = Dag(["a", "b", "c"], [("a", "b")])
+        d = forward_sample(g, random_params(np.random.default_rng(0), g,
+                                            {"a": 3, "b": 2, "c": 2}), 3000, seed=0)
+        spec = AmputationSpec((
+            AmputationEntry("b", "MNAR", drivers=("a",), intercept=-1.3,
+                            weights={"a": {"s1": 745.0, "s2": -0.7}}),
+            AmputationEntry("c", "MNAR", drivers=("a", "c"), intercept=0.4,
+                            weights={"a": {"s0": -800.0}, "c": {"s1": 2.1}}),
+            AmputationEntry("a", "MCAR", intercept=logit(0.25)),
+        ), seed=3)
+        ours = ampute(d, spec)
+        monkeypatch.setattr("missdag.data.logistic", logistic_by_scipy)
+        assert np.array_equal(ours.rows, ampute(d, spec).rows)
 
     def test_mcar_entry_forbids_drivers(self):
         with pytest.raises(ConfigError, match="MCAR entries take no drivers"):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from missdag.data import (
     MISSING,
@@ -12,10 +12,12 @@ from missdag.data import (
     AmputationSpec,
     CategoricalDataset,
     ampute,
+    bootstrap,
     forward_sample,
     logit,
+    split,
 )
-from missdag import discovery
+from missdag import discovery, ecdemo, stats
 from missdag.discovery import (
     ALGORITHMS,
     SEARCHES,
@@ -33,7 +35,7 @@ from missdag.discovery import (
 from missdag.errors import ConfigError
 from missdag.estimation import BicScorer, IpwBicScorer, em_fit, ipw_weights
 from missdag.graphs import Dag
-from missdag.stats import g_test
+from missdag.stats import chi2_sf, g_test
 
 from oracles import (
     FamilyByFamilyBic,
@@ -41,6 +43,7 @@ from oracles import (
     apply_move,
     knowledge_json,
     best_score_exhaustive,
+    chi2_sf_by_scipy,
     conditional_g_test,
     hill_climb_by_rescoring,
     legal_moves,
@@ -91,6 +94,26 @@ class TestGTest:
         assert p_cond > 1e-4
         one = conditional_g_test(a, b, 2, 2, np.zeros_like(z), 1)
         assert one == pytest.approx(g_test(a, b, 2, 2), rel=1e-12)
+
+    # largest relative difference measured on df 1-1000 and x in [0, 1e4]
+    # where the p-value is at least 1e-300: 1.4e-12 (about 200,000 points)
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 1000), st.floats(0.0, 1e4))
+    @example(1, 1e-300)
+    @example(1, 1300.0)
+    @example(2, 1370.0)
+    @example(3, 5e-324)
+    @example(901, 2061.0)
+    @example(1000, 1000.0)
+    @example(1000, 2400.0)
+    def test_chi2_sf_matches_scipy_chdtrc(self, df, x):
+        ref = chi2_sf_by_scipy(x, df)
+        assume(ref >= 1e-300)
+        assert chi2_sf(x, df) == pytest.approx(ref, rel=5e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 1000])
+    def test_chi2_sf_is_one_at_and_below_zero(self, df):
+        assert chi2_sf(0.0, df) == chi2_sf(-1e-15, df) == 1.0
 
 
 class TestKnowledgeBase:
@@ -519,6 +542,27 @@ class TestDetectIndicatorParents:
         report = detect_indicator_parents(ampute(d, spec))
         assert "a" in report["c"]["available_case_mnar_evidence"]
         assert report["c"]["mechanism"] == "MNAR"
+
+
+    def test_scipy_p_values_give_the_same_report(self, monkeypatch):
+        # 20 resamples of criterion 5's seed-11 MNAR train set, drawn as
+        # evaluate draws its replicates; with chdtrc's p-values a decision
+        # changes only if a p-value lies within about 1e-12 (relative) of its
+        # Bonferroni threshold
+        train, _ = split(ecdemo.ec_demo_dataset(n=763, seed=763), 0.2, 11)
+        amputed = ampute(train, ecdemo.ec_mnar_amputation(11))
+        streams = np.random.SeedSequence(11).spawn(2)[1].spawn(20)
+        resamples = [bootstrap(amputed, s) for s in streams]
+        ours = [detect_indicator_parents(db) for db in resamples]
+        refereed = []
+
+        def referee(x, df):
+            refereed.append(x)
+            return chi2_sf_by_scipy(x, df)
+
+        monkeypatch.setattr(stats, "chi2_sf", referee)
+        assert [detect_indicator_parents(db) for db in resamples] == ours
+        assert refereed
 
 
 class TestHcAipw:
