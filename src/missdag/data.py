@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     MalformedCsv,
     SchemaMismatch,
+    checked_keys,
     checked_number,
     checked_strings,
     json_object,
@@ -260,22 +261,28 @@ class AmputationSpec:
 
     @staticmethod
     def from_json(text: str) -> "AmputationSpec":
-        doc = json_object(text, "amputation spec")
+        """The spec a JSON document gives. A key it does not read, and a
+        non-finite intercept or weight, are refused: JSON readers take NaN,
+        and a NaN probability amputes no cell. An omitted intercept is -inf,
+        which amputes none either."""
+        doc = checked_keys(json_object(text, "amputation spec"), ("seed", "targets"),
+                           "amputation spec")
         try:
-            entries = [
-                AmputationEntry(
+            entries = []
+            for t in doc["targets"]:
+                checked_keys(t, ("target", "mechanism", "drivers", "intercept", "weights"),
+                             "amputation spec entry")
+                entries.append(AmputationEntry(
                     target=t["target"],
                     mechanism=t["mechanism"],
                     drivers=tuple(checked_strings(t.get("drivers", []),
                                                   "amputation spec field 'drivers'")),
-                    intercept=checked_number(t.get("intercept", -math.inf), float,
-                                             "amputation spec field 'intercept'"),
-                    weights={k: {s: checked_number(w, float, "amputation spec weight")
+                    intercept=(_finite(t["intercept"], "amputation spec field 'intercept'")
+                               if "intercept" in t else -math.inf),
+                    weights={k: {s: _finite(w, "amputation spec weight")
                                  for s, w in v.items()}
                              for k, v in t.get("weights", {}).items()},
-                )
-                for t in doc["targets"]
-            ]
+                ))
             seed = checked_number(doc["seed"], int, "amputation spec field 'seed'")
         except KeyError as exc:
             raise ConfigError(f"amputation spec lacks field {exc}") from exc
@@ -285,6 +292,12 @@ class AmputationSpec:
             raise ConfigError(f"amputation spec field 'seed' must be >= 0, got {seed}")
         return AmputationSpec(tuple(entries), seed)
 
+
+def _finite(value, what: str) -> float:
+    value = checked_number(value, float, what)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def logistic(x: float) -> float:
@@ -305,10 +318,18 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
     reference the target itself (self-masking) or other amputation targets.
     """
     targets = []
-    for e in spec.entries:
+    for i, e in enumerate(spec.entries):
         for name in (e.target,) + e.drivers:
             if name not in d.names:
                 raise ConfigError(f"amputation spec references unknown column {name!r}")
+        # a weight that matches no driver state would be dropped unseen
+        entry = f"amputation spec entry {i} (target {e.target!r})"
+        for w, wmap in e.weights.items():
+            if w not in e.drivers:
+                raise ConfigError(f"{entry} weights {w!r}, which is not one of its drivers")
+            lacking = sorted(set(wmap) - set(d.variable(w).states), key=repr)
+            if lacking:
+                raise ConfigError(f"{entry} weights states {lacking} that driver {w!r} lacks")
         j = d.index(e.target)
         if d.mask[:, j].any():
             raise SchemaMismatch(f"target {e.target!r} must be complete before amputation")

@@ -26,6 +26,7 @@ from .errors import (
     CycleDetected,
     MissDagError,
     SchemaMismatch,
+    checked_keys,
     checked_number,
     json_object,
 )
@@ -35,7 +36,6 @@ from .estimation import (
     ParameterSet,
     ScoreValue,
     em_fit,
-    expand_completions,
     fit_mle,
     ipw_weights,
     log_likelihood,
@@ -103,8 +103,9 @@ class KnowledgeBase:
 
     @staticmethod
     def from_json(text: str) -> "KnowledgeBase":
-        doc = json_object(text, "knowledge")
-        edges = {key: doc.get(key, []) for key in ("forbidden", "required")}
+        keys = ("forbidden", "required")
+        doc = checked_keys(json_object(text, "knowledge"), keys, "knowledge")
+        edges = {key: doc.get(key, []) for key in keys}
         for key, pairs in edges.items():
             if not isinstance(pairs, list) or not all(
                     isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
@@ -279,21 +280,20 @@ def _initial_graph(names, kb: KnowledgeBase) -> Dag:
 def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
                   opts: SearchOptions = SearchOptions()) -> Tuple[Dag, ParameterSet]:
     """Alternates parameter EM with hill climbing on expected family counts
-    (soft completion) until the graph stabilizes."""
+    (soft completion) until the graph stabilizes. Each search scores the
+    E-step that ``em_fit`` hands back at the parameters it returns."""
     g = _initial_graph(d.names, kb)
-    params, _ = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
+    params, _, e_step = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
     schema = [d.variable(v) for v in g.vertices]
     for _ in range(opts.sem_max_outer):
-        rows, weights, _, _ = expand_completions(g, params, d)
-        scorer = BicScorer(schema, rows, weights, pseudocount=0.0,
-                           n_effective=float(d.n))
+        scorer = BicScorer(schema, *e_step, pseudocount=0.0, n_effective=float(d.n))
         g2, _ = hill_climb(scorer, kb, init=g, max_iter=opts.max_iter,
                            max_parents=opts.max_parents)
         if g2 == g:
             # params are already em_fit(g): EM is deterministic
             break
         g = g2
-        params, _ = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
+        params, _, e_step = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
     return g, params
 
 

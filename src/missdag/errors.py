@@ -85,6 +85,18 @@ def json_object(text: str, what: str) -> dict:
     return doc
 
 
+def checked_keys(doc, keys, what: str) -> dict:
+    """``doc`` if it is a JSON object whose keys are all among ``keys``. A
+    key nothing reads (a misspelt one, say) is refused, not dropped unseen."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"{what} has keys it does not read: {unknown}; "
+                          f"it reads {sorted(keys)}")
+    return doc
+
+
 def checked_number(value, kind, what: str):
     """``value`` as ``kind``: an int field takes a non-bool integer, a float
     field a non-bool int or float (converted with ``kind``). Nothing else is

@@ -363,10 +363,18 @@ def rescale_ll(values: Sequence[float], n: int) -> List[float]:
     return [v / m for v in per]
 
 
-def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
-           max_iter: int = 100, tol: float = 1e-6) -> Tuple[ParameterSet, EmTrace]:
+def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0, max_iter: int = 100,
+           tol: float = 1e-6) -> Tuple[ParameterSet, EmTrace, Tuple[np.ndarray, np.ndarray]]:
     """EM with exact E-step enumeration; trace holds the observed-data LL
     evaluated at the start of each iteration.
+
+    Returns (params, trace, (block, weights)): the fitted parameters, the
+    trace, and the E-step at those parameters, which is the completion block
+    (read-only) and each completion's posterior weight, as
+    ``expand_completions`` gives them. A fit that converged hands back its
+    last E-step; one that stopped at ``max_iter`` runs one more E-step at
+    the parameters of its last M-step. So ``max_iter`` 0 builds the block
+    and runs one E-step at the available-case start.
 
     Each family is coded over the completion block once per fit (parents
     in column order, as the fitted CPTs have them); an E-step reads the log
@@ -381,8 +389,6 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
     sub = d.rows[:, cols][~d.mask[:, cols].any(axis=1)]
     params = _weighted_fit(g, schema, col_of, sub, max(pseudocount, 1.0))
     trace: List[float] = []
-    if max_iter <= 0:  # no E-step, so no completion block
-        return params, EmTrace(trace, False)
     cards = {v: s.cardinality for v, s in zip(g.vertices, schema)}
     index = _completion_index(d, g.vertices, cards)
     codes = _family_codes(index[0], g.vertices, params.parents, cards)
@@ -403,7 +409,9 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0,
             variables[v] = (params.parents(v),
                             _normalize_counts(counts.reshape(table.shape), pseudocount))
         params = ParameterSet(variables, params.states)
-    return params, EmTrace(trace, converged)
+    if not converged:  # params came from the last M-step (or the start)
+        weights, _ = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
+    return params, EmTrace(trace, converged), (index[0], weights)
 
 
 def ipw_weights(d: CategoricalDataset, target: str,

@@ -773,8 +773,10 @@ def _json_doc(doc) -> str:
 def amputation_spec_json(spec) -> str:
     """The document ``AmputationSpec.from_json`` reads ``spec`` back from."""
     return _json_doc({
+        # an intercept of -inf (never amputate) is the one a spec leaves out
         "targets": [{"target": e.target, "mechanism": e.mechanism,
-                     "drivers": list(e.drivers), "intercept": e.intercept,
+                     "drivers": list(e.drivers),
+                     **({"intercept": e.intercept} if e.intercept > -math.inf else {}),
                      "weights": {k: dict(v) for k, v in e.weights.items()}}
                     for e in spec.entries],
         "seed": spec.seed,

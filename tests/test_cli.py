@@ -325,6 +325,58 @@ MALFORMED_INPUTS = {
 }
 
 
+def _spec(entry, **extra):
+    return {"ampute_spec": "spec.json"}, {"spec.json": {"seed": 1, "targets": [entry], **extra}}
+
+
+SELF_MASKED = {"target": "CA125", "mechanism": "MNAR", "drivers": ["CA125"], "intercept": -2.0}
+
+# case -> (config fields, input files, the one stderr line): input that was
+# dropped or read as "amputate nothing" is refused, and the line names it
+UNREAD_INPUTS = {
+    "knowledge-misspelt-key": (
+        {"knowledge": "kb.json"}, {"kb.json": {"forbiden": [["Survival5yr", "Hospital"]]}},
+        "knowledge has keys it does not read: ['forbiden']; it reads ['forbidden', 'required']"),
+    "spec-misspelt-key": (
+        *_spec({"target": "CA125", "mechanism": "MCAR", "intercept": 0.0}, sed=2),
+        "amputation spec has keys it does not read: ['sed']; it reads ['seed', 'targets']"),
+    "spec-entry-misspelt-key": (
+        *_spec({"target": "CA125", "mechanism": "MCAR", "intercpt": 0.0}),
+        "amputation spec entry has keys it does not read: ['intercpt']; it reads "
+        "['drivers', 'intercept', 'mechanism', 'target', 'weights']"),
+    "spec-entry-is-a-list": (
+        *_spec(["CA125", "MCAR"]), "amputation spec entry must be a JSON object"),
+    # json.dumps writes nan and inf as NaN and Infinity, which the reader takes
+    "spec-intercept-nan": (
+        *_spec({**SELF_MASKED, "intercept": float("nan")}),
+        "amputation spec field 'intercept' must be finite, got nan"),
+    "spec-intercept-infinite": (
+        *_spec({**SELF_MASKED, "intercept": float("-inf")}),
+        "amputation spec field 'intercept' must be finite, got -inf"),
+    "spec-weight-nan": (
+        *_spec({**SELF_MASKED, "weights": {"CA125": {"elevated": float("nan")}}}),
+        "amputation spec weight must be finite, got nan"),
+    "spec-weight-not-a-driver": (
+        *_spec({**SELF_MASKED, "weights": {"p53": {"overexpressed": 1.5}}}),
+        "amputation spec entry 0 (target 'CA125') weights 'p53', which is not one of its "
+        "drivers"),
+    "spec-weight-unknown-state": (
+        *_spec({**SELF_MASKED, "weights": {"CA125": {"nope": 3}}}),
+        "amputation spec entry 0 (target 'CA125') weights states ['nope'] that driver "
+        "'CA125' lacks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_INPUTS))
+def test_input_the_run_would_not_read_is_usage_error(tmp_path, no_env_seed, capsys, case):
+    fields, files, line = UNREAD_INPUTS[case]
+    for name, doc in files.items():
+        _write_input(tmp_path / name, doc)
+    cfg = _demo_config(tmp_path, **{k: str(tmp_path / v) for k, v in fields.items()})
+    assert main(["discover", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 @pytest.mark.parametrize("json_logs", [False, True])
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, case, json_logs):

@@ -362,7 +362,11 @@ class TestAmputation:
 
     @pytest.mark.parametrize("target", [
         {"target": "x", "mechanism": "NMAR"},
-        {"target": "x", "mechanism": "MCAR", "drivers": ["w"]}])
+        {"target": "x", "mechanism": "MCAR", "drivers": ["w"]},
+        {"target": "x", "mechanism": "MCAR", "drvers": []},
+        {"target": "x", "mechanism": "MCAR", "intercept": float("inf")},
+        {"target": "x", "mechanism": "MAR", "drivers": ["w"], "intercept": 0.0,
+         "weights": {"w": {"s1": float("-inf")}}}])
     def test_malformed_entry_in_json_rejected(self, target):
         with pytest.raises(ConfigError):
             AmputationSpec.from_json(json.dumps({"seed": 0, "targets": [target]}))
@@ -370,9 +374,27 @@ class TestAmputation:
     def test_json_round_trip(self):
         spec = AmputationSpec(
             (AmputationEntry("x", "MNAR", drivers=("x",), intercept=-2.0,
-                             weights={"x": {"s1": 1.5}}),),
+                             weights={"x": {"s1": 1.5}}),
+             AmputationEntry("y", "MCAR")),
             seed=42)
         assert AmputationSpec.from_json(amputation_spec_json(spec)) == spec
+
+    def test_omitted_intercept_amputes_nothing(self):
+        spec = AmputationSpec.from_json(json.dumps(
+            {"seed": 0, "targets": [{"target": "v0", "mechanism": "MCAR"}]}))
+        assert spec.entries[0].intercept == -math.inf
+        d = _dataset([2], np.zeros((500, 1), dtype=np.int16))
+        assert not ampute(d, spec).mask.any()
+
+    @pytest.mark.parametrize("weights, match", [
+        ({"v0": {"s1": 1.0}}, r"entry 0 \(target 'v1'\) weights 'v0', which is not one of"),
+        ({"v1": {"s9": 1.0}}, r"entry 0 \(target 'v1'\) weights states \['s9'\] that driver"),
+    ])
+    def test_weights_that_match_nothing_rejected(self, weights, match):
+        d = _dataset([2, 2], np.zeros((10, 2), dtype=np.int16))
+        entry = AmputationEntry("v1", "MNAR", drivers=("v1",), intercept=0.0, weights=weights)
+        with pytest.raises(ConfigError, match=match):
+            ampute(d, AmputationSpec((entry,), seed=0))
 
 
 class TestImputeMode:

@@ -17,7 +17,7 @@ from missdag.data import (
     logit,
     split,
 )
-from missdag import discovery, ecdemo, stats
+from missdag import discovery, ecdemo, estimation, stats
 from missdag.discovery import (
     ALGORITHMS,
     SEARCHES,
@@ -424,12 +424,38 @@ class TestStructuralEm:
         assert calls["hill_climb"] < max(max_outer, 1)
         assert calls["em_fit"] == max(calls["hill_climb"], 1)
         assert (max_outer == 0) == (g == Dag(d.names))
-        fresh, _ = em_fit(g, d, SearchOptions.refit_pseudocount, SearchOptions.em_max_iter,
+        fresh, _, _ = em_fit(g, d, SearchOptions.refit_pseudocount, SearchOptions.em_max_iter,
                           SearchOptions.em_tol)
         assert params.variables.keys() == fresh.variables.keys()
         for v, (parents, table) in fresh.variables.items():
             assert params.parents(v) == parents
             assert np.array_equal(params.table(v), table)
+
+    @pytest.mark.parametrize("em_max_iter", [0, 2, 30])
+    def test_runs_no_e_step_beyond_its_em_fits(self, monkeypatch, em_max_iter):
+        # each search scores the E-step em_fit hands back; a fit that converged
+        # runs no E-step past its trace, one stopped at em_max_iter runs one
+        e_steps, fits = [0], []
+        e_step, fit = estimation._e_step, discovery.em_fit
+
+        def counted_e_step(*args):
+            e_steps[0] += 1
+            return e_step(*args)
+
+        def counted_fit(*args):
+            before = e_steps[0]
+            result = fit(*args)
+            trace = result[1]
+            assert e_steps[0] - before == trace.iterations + (not trace.converged)
+            fits.append(e_steps[0] - before)
+            return result
+
+        monkeypatch.setattr(estimation, "_e_step", counted_e_step)
+        monkeypatch.setattr(discovery, "em_fit", counted_fit)
+        d = _mar_amputed(seed=8, n=600)
+        structural_em(d, KnowledgeBase(), SearchOptions(em_max_iter=em_max_iter))
+        assert len(fits) >= 2
+        assert e_steps[0] == sum(fits)
 
 
 class TestSearches:

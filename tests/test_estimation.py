@@ -389,20 +389,20 @@ class TestEmFit:
     def test_trace_is_monotone(self):
         for seed in range(8):
             g, _, d = _random_instance(200 + seed, missing=0.35)
-            _, trace = em_fit(g, d, max_iter=40)
+            _, trace, _ = em_fit(g, d, max_iter=40)
             diffs = np.diff(trace.log_likelihoods)
             assert (diffs >= -1e-9).all()
 
     def test_matches_mle_on_complete_data(self):
         g, params, d = _random_instance(9, missing=0.0)
-        fitted, trace = em_fit(g, d, max_iter=10)
+        fitted, _, _ = em_fit(g, d, max_iter=10)
         plain = fit_mle(g, d)
         for v in g.vertices:
             assert np.allclose(fitted.table(v), plain.table(v))
 
     def test_reports_convergence(self):
         g, _, d = _random_instance(10, missing=0.3)
-        _, trace = em_fit(g, d, max_iter=100, tol=1e-6)
+        _, trace, _ = em_fit(g, d, max_iter=100, tol=1e-6)
         assert trace.converged
         assert trace.iterations <= 100
 
@@ -423,12 +423,17 @@ class TestEmFit:
         pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         tol = data.draw(st.sampled_from([0.0, 1e-6]))
         max_iter = data.draw(st.integers(0, 6))
-        params, trace = em_fit(g, d, pseudocount, max_iter, tol)
+        params, trace, (block, weights) = em_fit(g, d, pseudocount, max_iter, tol)
         want, lls, converged = em_fit_by_rows(g, d, pseudocount, max_iter, tol)
         assert trace.log_likelihoods == lls and trace.converged == converged
         for v in g.vertices:
             assert params.parents(v) == want.parents(v)
             assert np.array_equal(params.table(v), want.table(v))
+        # the handed-back E-step is the one at the returned parameters, whether
+        # the fit converged or stopped at max_iter (0 included)
+        rows, expected, _, _ = expand_completions(g, params, d)
+        assert np.array_equal(block, rows)
+        assert np.array_equal(weights, expected)
 
     def test_codes_each_family_once_per_fit(self, monkeypatch):
         # the family codes over the completion block are computed once per
@@ -445,7 +450,7 @@ class TestEmFit:
         per_fit = []
         for max_iter in (3, 12):
             calls.clear()
-            _, trace = em_fit(g, d, max_iter=max_iter, tol=0.0)
+            _, trace, _ = em_fit(g, d, max_iter=max_iter, tol=0.0)
             assert trace.iterations == max_iter
             per_fit.append(len(calls))
         assert per_fit == [len(g.vertices)] * 2

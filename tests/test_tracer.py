@@ -35,3 +35,6 @@ def test_traced_evaluate_records_every_layer():
     for layer in ("discovery.structural_em", "discovery.hill_climb", "estimation.em_fit",
                   "stats.g_test", "graphs.classify_mechanism"):
         assert metrics[f"{layer}.calls"] > 0, layer
+    # the tracer reads the trace at index 1 of em_fit's result
+    assert metrics["estimation.em_fit.iterations"] > 0
+    assert metrics["estimation.em_fit.converged_ratio"] > 0
