@@ -28,6 +28,7 @@ from .discovery import (
 from .errors import (
     ConfigError,
     MissDagError,
+    checked_keys,
     checked_number,
     checked_strings,
     json_document,
@@ -102,10 +103,18 @@ def _read_text(path, what: str) -> str:
         raise ConfigError(f"{what} is not UTF-8 text: {p}: {exc}") from None
 
 
+# what discover or evaluate reads; each command takes a key only the other
+# reads (threshold under evaluate, say), so one config serves both
+CONFIG_KEYS = ("dataset", "dataset_n", "ampute_spec", "knowledge", "out", "seed", "algorithm",
+               "algorithms", "B", "threshold", "held_out_fraction",
+               *(f.name for f in dataclasses.fields(SearchOptions)))
+
+
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("missing required flag --config")
-    return json_object(_read_text(path, "config file"), "config")
+    return checked_keys(json_object(_read_text(path, "config file"), "config"), CONFIG_KEYS,
+                        "config")
 
 
 def _load_dataset(config: dict, seed: int):
@@ -326,44 +335,41 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="missdag",
         description="Causal discovery for categorical data with missing values")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags of every command
+    common.add_argument("--json-logs", action="store_true")
 
     for name, func, text in (("discover", cmd_discover, "run one discovery algorithm"),
                              ("evaluate", cmd_evaluate, "in/out-of-sample LL benchmark")):
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, parents=[common])
         p.add_argument("--config", required=False)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=os.cpu_count())
-        p.add_argument("--json-logs", action="store_true")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("dsep", help="d-separation query on a graph file")
+    p = sub.add_parser("dsep", help="d-separation query on a graph file", parents=[common])
     p.add_argument("graph", help="graph.json path or builtin (ec-mnar, ec-mar)")
     p.add_argument("query", help="e.g. 'LNM _||_ Radiotherapy |', or as JSON "
                    "'[[\"LNM\"], [\"Radiotherapy\"], []]'")
-    p.add_argument("--json-logs", action="store_true")
     p.set_defaults(func=cmd_dsep)
 
-    p = sub.add_parser("ampute", help="inject missing values into a CSV")
+    p = sub.add_parser("ampute", help="inject missing values into a CSV", parents=[common])
     p.add_argument("--data", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--json-logs", action="store_true")
     p.set_defaults(func=cmd_ampute)
 
-    p = sub.add_parser("simulate", help="forward-sample a model to CSV")
+    p = sub.add_parser("simulate", help="forward-sample a model to CSV", parents=[common])
     p.add_argument("model", help="'ec-demo' or a graph.json path")
     p.add_argument("--params", default=None, help="ParameterSet JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json-logs", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("export-dot", help="graph.json to DOT text")
+    p = sub.add_parser("export-dot", help="graph.json to DOT text", parents=[common])
     p.add_argument("graph")
     p.add_argument("--out", default=None)
-    p.add_argument("--json-logs", action="store_true")
     p.set_defaults(func=cmd_export_dot)
 
     return parser
@@ -374,13 +380,9 @@ def main(argv=None) -> int:
     json_logs = "--json-logs" in argv
     try:
         args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit:  # --help
         return EXIT_OK
-    except ConfigError as exc:
-        _diag(str(exc), json_logs)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
     except ConfigError as exc:
         _diag(str(exc), json_logs)
         return EXIT_USAGE

@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     SchemaMismatch,
     TooManyMissingInRow,
+    checked_keys,
     checked_number,
     checked_strings,
     json_object,
@@ -68,10 +69,11 @@ class ParameterSet:
 
     @staticmethod
     def from_json(text: str) -> "ParameterSet":
-        doc = json_object(text, "parameter file")
+        doc = checked_keys(json_object(text, "parameter file"), ("variables",), "parameter file")
         variables, states = {}, {}
         try:
             for v, spec in doc["variables"].items():
+                checked_keys(spec, ("parents", "table", "states"), f"parameter file entry {v!r}")
                 table = np.array([[checked_number(x, float, f"CPT cell of {v!r}") for x in row]
                                   for row in spec["table"]])
                 variables[v] = (tuple(checked_strings(spec["parents"], f"parents of {v!r}")),
@@ -108,35 +110,46 @@ def _check_coverage(g: Dag, d: CategoricalDataset) -> None:
 
 
 def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0) -> ParameterSet:
-    """Per-family counting estimator; unseen parent configurations with zero
-    pseudocount get a uniform row."""
+    """Per-family counting estimator, each vertex's parents in the dataset's
+    column order; unseen parent configurations with zero pseudocount get a
+    uniform row."""
     if d.mask.any():
         raise SchemaMismatch("fit_mle requires complete data")
     _check_coverage(g, d)
-    return _weighted_fit(g, d.schema, {n: d.index(n) for n in d.names}, d.rows, pseudocount)
+    block = d.rows[:, [d.index(v) for v in g.vertices]]
+    return _m_step(d, *_coded_families(g, d, block, d.index), None, pseudocount)
 
 
-def _weighted_fit(g: Dag, schema, col_of, rows, pseudocount: float) -> ParameterSet:
-    variables, states = {}, {}
-    for v in g.vertices:
-        parents = tuple(sorted(g.parents(v), key=col_of.__getitem__))
-        cols = [col_of[u] for u in parents + (v,)]
-        counts = family_counts(rows, cols, [schema[j].cardinality for j in cols])
-        table = _normalize_counts(counts, pseudocount)
-        variables[v] = (parents, table)
-        states[v] = schema[col_of[v]].states
-    return ParameterSet(variables, states)
+def _coded_families(g: Dag, d: CategoricalDataset, block: np.ndarray, position):
+    """The families of ``g`` over ``block``, whose columns are the vertices
+    in order: each vertex's parents sorted by ``position``, each CPT's
+    shape, and each family's code (``_family_codes``)."""
+    cards = {v: d.variable(v).cardinality for v in g.vertices}
+    parents = {v: tuple(sorted(g.parents(v), key=position)) for v in g.vertices}
+    shapes = [(math.prod(cards[u] for u in ps), cards[v]) for v, ps in parents.items()]
+    return parents, shapes, _family_codes(block, g.vertices, parents.__getitem__, cards)
 
 
-def _normalize_counts(counts: np.ndarray, pseudocount: float) -> np.ndarray:
-    card = counts.shape[1]
-    rowsum = counts.sum(axis=1, keepdims=True)
-    if pseudocount > 0:
-        return (counts + pseudocount) / (rowsum + pseudocount * card)
-    table = np.full_like(counts, 1.0 / card)
-    seen = rowsum[:, 0] > 0
-    table[seen] = counts[seen] / rowsum[seen]
-    return table
+def _m_step(d: CategoricalDataset, parents: Mapping[str, Tuple[str, ...]],
+            shapes: Sequence[Tuple[int, int]], codes: Sequence[np.ndarray],
+            weights: Optional[np.ndarray], pseudocount: float) -> ParameterSet:
+    """The CPTs of the families that ``_coded_families`` gives: each is one
+    weighted ``bincount`` of the family's code, the table ``family_counts``
+    would give, normalised row by row with the pseudocount; with none, a
+    parent configuration never seen gets a uniform row."""
+    variables = {}
+    for (v, ps), shape, code in zip(parents.items(), shapes, codes):
+        counts = np.bincount(code, weights, minlength=math.prod(shape)).astype(float)
+        counts = counts.reshape(shape)
+        rowsum = counts.sum(axis=1, keepdims=True)
+        if pseudocount > 0:
+            table = (counts + pseudocount) / (rowsum + pseudocount * shape[1])
+        else:
+            table = np.full_like(counts, 1.0 / shape[1])
+            seen = rowsum[:, 0] > 0
+            table[seen] = counts[seen] / rowsum[seen]
+        variables[v] = ps, table
+    return ParameterSet(variables, {v: d.variable(v).states for v in parents})
 
 
 def _check_params(g: Dag, params: ParameterSet, d: CategoricalDataset) -> None:
@@ -378,37 +391,28 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0, max_iter: in
 
     Each family is coded over the completion block once per fit (parents
     in column order, as the fitted CPTs have them); an E-step reads the log
-    CPTs through those codes and an M-step is one weighted ``bincount`` of
-    each code, the counts ``family_counts`` would give.
+    CPTs through those codes, and ``_m_step`` counts them, over the
+    complete rows alone for the start.
     """
     _check_coverage(g, d)
-    col_of = {v: i for i, v in enumerate(g.vertices)}
-    schema = tuple(d.variable(v) for v in g.vertices)
-    # available-case init, smoothed so every completion has positive mass
-    cols = [d.index(v) for v in g.vertices]
-    sub = d.rows[:, cols][~d.mask[:, cols].any(axis=1)]
-    params = _weighted_fit(g, schema, col_of, sub, max(pseudocount, 1.0))
+    index = _completion_index(d, g.vertices, {v: d.variable(v).cardinality for v in g.vertices})
+    parents, shapes, codes = _coded_families(g, d, index[0], g.vertices.index)
+    # available-case start: the rows without missing cells, which are the
+    # block's first rows, smoothed so every completion has positive mass
+    params = _m_step(d, parents, shapes, [code[:index[2].size] for code in codes], None,
+                     max(pseudocount, 1.0))
     trace: List[float] = []
-    cards = {v: s.cardinality for v, s in zip(g.vertices, schema)}
-    index = _completion_index(d, g.vertices, cards)
-    codes = _family_codes(index[0], g.vertices, params.parents, cards)
     converged = False
     prev = -math.inf
     for _ in range(max_iter):
-        tables = [params.table(v) for v in g.vertices]
-        weights, row_ll = _e_step(tables, codes, index, d.n)
+        weights, row_ll = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
         ll = float(np.sum(row_ll))
         trace.append(ll)
         if ll - prev < tol:
             converged = True
             break
         prev = ll
-        variables = {}
-        for v, code, table in zip(g.vertices, codes, tables):
-            counts = np.bincount(code, weights, minlength=table.size).astype(float)
-            variables[v] = (params.parents(v),
-                            _normalize_counts(counts.reshape(table.shape), pseudocount))
-        params = ParameterSet(variables, params.states)
+        params = _m_step(d, parents, shapes, codes, weights, pseudocount)
     if not converged:  # params came from the last M-step (or the start)
         weights, _ = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
     return params, EmTrace(trace, converged), (index[0], weights)
@@ -516,10 +520,7 @@ class BicScorer:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        counts = self._family_counts(child, self._canon(key[1]))
-        val = self._cache[key] = _family_bics(counts, [counts.shape[0]], self.pseudocount,
-                                              self.n_effective)[0]
-        return val
+        return self._cache_scores([key], [self._family_counts(child, self._canon(key[1]))])[0]
 
     def _family_counts(self, child: str, parents: Tuple[str, ...]):
         family = parents + (child,)
@@ -552,12 +553,14 @@ class BicScorer:
                           .transpose(0, 3, 1, 2).reshape(-1, card))
         return tables
 
-    def _cache_scores(self, keys: Sequence[tuple], tables: Sequence[np.ndarray]) -> None:
+    def _cache_scores(self, keys: Sequence[tuple], tables: Sequence[np.ndarray]) -> List[float]:
         """Score the count tables of one child's families in one stack, each
-        to the bits it gets alone, and cache each under its key."""
+        to the bits it gets alone, cache each under its key and return the
+        scores."""
         bics = _family_bics(np.concatenate(tables, dtype=float), [t.shape[0] for t in tables],
                             self.pseudocount, self.n_effective)
         self._cache.update(zip(keys, bics))
+        return bics
 
     def _score_adds(self, child: str, old: frozenset) -> None:
         """Cache the score of every family that adds one vertex y to the
@@ -662,9 +665,7 @@ class IpwBicScorer(BicScorer):
         if hit is not None:
             return hit
         counts = self._counts_on(child, self._canon(parents), self._canon(obs))
-        val = self._cache[key] = _family_bics(counts, [counts.shape[0]], self.pseudocount,
-                                              self.n_effective)[0]
-        return val
+        return self._cache_scores([key], [counts])[0]
 
     def _score_adds(self, child: str, old: frozenset) -> None:
         """Cache the score of every family that adds one vertex y to the

@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     CycleDetected,
     SchemaMismatch,
+    checked_keys,
     checked_strings,
     json_object,
     json_text,
@@ -287,7 +288,7 @@ def graph_to_json(g: Dag) -> str:
 def graph_from_json(text: str) -> Dag:
     """The graph of a ``graph_to_json`` document; a document that is not a
     graph raises ConfigError."""
-    doc = json_object(text, "graph file")
+    doc = checked_keys(json_object(text, "graph file"), ("vertices", "edges"), "graph file")
     try:
         return Dag(checked_strings(doc["vertices"], "graph field 'vertices'"),
                    [tuple(checked_strings(e, "graph edge")) for e in doc.get("edges", [])])

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import missdag
 from missdag import ecdemo, estimation
-from missdag.cli import main
+from missdag.cli import CONFIG_KEYS, main
 from missdag.data import read_csv
 from missdag.discovery import ALGORITHMS
 from missdag.graphs import graph_from_json
@@ -332,8 +332,18 @@ def _spec(entry, **extra):
 SELF_MASKED = {"target": "CA125", "mechanism": "MNAR", "drivers": ["CA125"], "intercept": -2.0}
 
 # case -> (config fields, input files, the one stderr line): input that was
-# dropped or read as "amputate nothing" is refused, and the line names it
+# dropped or read as "amputate nothing" is refused, and the line names it; a
+# field that names a file gets its path
 UNREAD_INPUTS = {
+    # an evaluate config whose misspelt keys ran on the defaults (n_test 12)
+    "config-misspelt-keys": (
+        {"dataset_n": 60, "algorithms": ["hc-complete"], "B": 1, "score_pseudocont": 10.0,
+         "held_out_fracton": 0.5}, {},
+        "config has keys it does not read: ['held_out_fracton', 'score_pseudocont']; it "
+        "reads ['B', 'algorithm', 'algorithms', 'alpha', 'ampute_spec', 'dataset', "
+        "'dataset_n', 'em_max_iter', 'em_tol', 'held_out_fraction', 'knowledge', 'max_iter', "
+        "'max_parents', 'out', 'refit_pseudocount', 'score_pseudocount', 'seed', "
+        "'sem_max_outer', 'threshold']"),
     "knowledge-misspelt-key": (
         {"knowledge": "kb.json"}, {"kb.json": {"forbiden": [["Survival5yr", "Hospital"]]}},
         "knowledge has keys it does not read: ['forbiden']; it reads ['forbidden', 'required']"),
@@ -372,9 +382,18 @@ def test_input_the_run_would_not_read_is_usage_error(tmp_path, no_env_seed, caps
     fields, files, line = UNREAD_INPUTS[case]
     for name, doc in files.items():
         _write_input(tmp_path / name, doc)
-    cfg = _demo_config(tmp_path, **{k: str(tmp_path / v) for k, v in fields.items()})
-    assert main(["discover", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: {line}\n"
+    cfg = _demo_config(tmp_path, **{
+        k: str(tmp_path / v) if isinstance(v, str) and v in files else v
+        for k, v in fields.items()})
+    # the config holds what either command reads, and each refuses the input
+    for command in ("discover", "evaluate"):
+        assert main([command, "--config", cfg, "--seed", "1", "--out",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_the_config_fuzzer_draws_every_key_a_config_may_hold():
+    assert sorted(VALID) == sorted(CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("json_logs", [False, True])
@@ -442,6 +461,14 @@ MALFORMED_FILES = {
     "simulate-params-is-a-list": (SIMULATE, {"g.json": GRAPH, "p.json": "[]"}),
     "simulate-params-without-parents": (SIMULATE, {"g.json": GRAPH, "p.json": json.dumps(
         {"variables": {"a": {"table": [[0.5, 0.5]]}}})}),
+    # a key nothing reads is refused, not dropped: a graph without its edges,
+    # states that default to "0", "1"
+    "dsep-graph-misspelt-key": (["dsep", "g.json", "a _||_ b |"], {"g.json": GRAPH.replace(
+        '"edges"', '"edgse"')}),
+    "simulate-params-misspelt-key": (SIMULATE, {"g.json": GRAPH, "p.json": PARAMS.replace(
+        '"parents": [],', '"parents": [], "stats": ["x", "y"],')}),
+    "simulate-params-unknown-key": (SIMULATE, {"g.json": GRAPH, "p.json": PARAMS.replace(
+        '{"variables"', '{"seed": 1, "variables"')}),
     "export-dot-graph-is-a-directory": (["export-dot", "g"], {"g": None}),
     "ampute-data-is-a-directory": (["ampute", "--data", "d", "--spec", "s.json",
                                     "--out", "o.csv"], {"d": None, "s.json": "{}"}),

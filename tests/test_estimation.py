@@ -29,6 +29,7 @@ from missdag.graphs import Dag
 
 from oracles import (
     FamilyByFamilyIpw,
+    _normalized,
     bic,
     completion_index_by_pattern,
     em_fit_by_rows,
@@ -129,6 +130,30 @@ class TestFitMle:
         d = _dataset([2], [[0], [0], [0]])
         params = fit_mle(g, d, pseudocount=1.0)
         assert np.allclose(params.table("v0"), [[4 / 5, 1 / 5]])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_by_row_counts(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 30))
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1) for k in cards]),
+                                  min_size=n, max_size=n))
+        d = _dataset(cards, np.array(rows, dtype=np.int16).reshape(n, len(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # graph vertices in another order than the dataset's columns
+        g = random_dag(rng, data.draw(st.permutations(names)), edge_prob=0.5)
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 10.0]))
+        params = fit_mle(g, d, pseudocount)
+        assert list(params.variables) == list(g.vertices)
+        for v in g.vertices:
+            # each vertex's parents in the dataset's column order
+            parents = tuple(sorted(g.parents(v), key=names.index))
+            family = [names.index(u) for u in parents + (v,)]
+            counts = tally_counts(d.rows, family, [cards[j] for j in family])
+            assert params.parents(v) == parents
+            assert params.states[v] == d.variable(v).states
+            assert np.array_equal(params.table(v), _normalized(counts, pseudocount))
 
     def test_missing_cells_rejected(self):
         g = Dag(["v0"], [])

@@ -2,9 +2,18 @@
 exception class the package defines is raised or caught somewhere, every
 function, class and method of the package is read somewhere outside its
 own definition, and every JSON text the package writes refuses NaN and
-infinities."""
+infinities.
+
+Run as a script, it prints the code lines of each package module and their
+total (``code_lines``), the count a change's size is reported in:
+
+    python3 tests/test_hygiene.py
+"""
 
 import ast
+import io
+import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -197,3 +206,52 @@ def test_every_json_text_refuses_nan():
     found = {(p.stem, function) for p in sorted(PACKAGE.glob("*.py"))
              for function, _ in nan_permitting_dumps(p.read_text(encoding="utf-8"))}
     assert found == {("errors", "json_document")}
+
+
+# tokens that are not code: layout, comments and the stream's ends
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold a token that is not a comment and
+    not part of a docstring (the string that opens a module, class or
+    function); a token over several lines counts on each of them."""
+    docstrings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant) \
+                and isinstance(node.body[0].value.value, str):
+            doc = node.body[0]
+            docstrings.append(((doc.lineno, doc.col_offset), doc.end_lineno))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in NOT_CODE or tok.type == tokenize.STRING and any(
+                start <= tok.start and tok.end[0] <= end for start, end in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = ('"""Module\ndocstring."""\n'
+              "import os  # a comment\n"
+              "\n"
+              "# a comment line\n"
+              "def f(x):\n"
+              "    '''Docstring.'''\n"
+              "    s = '''a string\n"
+              "over two lines'''\n"
+              "    return (x,\n"
+              "            s)\n"
+              "class C: 'one-line docstring'\n")
+    # import, def, the string's two lines, the return's two lines, class
+    assert code_lines(source) == 7
+
+
+if __name__ == "__main__":
+    counts = {p.name: code_lines(p.read_text(encoding="utf-8"))
+              for p in sorted(PACKAGE.glob("*.py"))}
+    sys.stdout.write("".join(f"{name:16} {n:5}\n" for name, n in counts.items())
+                     + f"{'src/missdag':16} {sum(counts.values()):5}\n")
