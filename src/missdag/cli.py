@@ -324,7 +324,13 @@ def cmd_export_dot(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise ConfigError, so that a bad flag
-    or a missing argument prints one diagnostic line, not the usage text."""
+    or a missing argument prints one diagnostic line, not the usage text.
+    Flags must be spelt out in full (the command parsers are of this class
+    too): ``main`` picks the diagnostic format by finding ``--json-logs``
+    in the arguments, so ``--json`` must not be read as that flag."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(" ".join(f"{self.prog}: {message}".splitlines()))

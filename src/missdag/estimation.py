@@ -109,7 +109,7 @@ def _check_coverage(g: Dag, d: CategoricalDataset) -> None:
             raise SchemaMismatch(f"dataset has no column for vertex {v!r}")
 
 
-def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0) -> ParameterSet:
+def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float) -> ParameterSet:
     """Per-family counting estimator, each vertex's parents in the dataset's
     column order; unseen parent configurations with zero pseudocount get a
     uniform row."""
@@ -310,13 +310,20 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _e_step(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray], index, n: int):
-    """One E-step over a completion index (``_completion_index``) whose
-    block rows the family ``codes`` point into: each completion's posterior
-    weight (summing to 1 per original row) and each original row's
-    observed-data log-likelihood. A row of probability 0 (log-likelihood
-    -inf, which EM's own rows never reach) gets NaN weights."""
-    block, _, complete, groups = index
+def expand_completions(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray], index,
+                       n: int):
+    """The E-step: exact enumeration of the missing-cell completions of a
+    completion index (``_completion_index``) under the CPTs ``tables``
+    (vertex order), read through the family ``codes`` over its block rows.
+
+    Returns (rows, weights, origin, row_ll): the completed row block and the
+    original row of each block row, both the index's own and read-only; the
+    posterior weight of each completion (summing to 1 per original row); and
+    each of the ``n`` original rows' observed-data log-likelihood. A row of
+    probability 0 (log-likelihood -inf, which EM's own rows never reach)
+    gets NaN weights.
+    """
+    block, origin, complete, groups = index
     logp = _joint_logp(tables, codes, block.shape[0])
     weights = np.ones(block.shape[0])
     row_ll = np.empty(n)
@@ -327,40 +334,23 @@ def _e_step(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray], index, n:
         row_ll[ridx] = ll
         with np.errstate(invalid="ignore"):  # -inf - -inf
             weights[pos] = np.exp(a - ll[:, None])
-    return weights, row_ll
-
-
-def expand_completions(g: Dag, params: ParameterSet, d: CategoricalDataset):
-    """Exact enumeration of missing-cell completions (graph columns only).
-
-    Returns (rows, weights, origin, row_ll): completed row block, posterior
-    weight of each completion (summing to 1 per original row), the original
-    row index of each block row, and the observed-data log-likelihood per
-    original row. The block and origins are built once per dataset and
-    vertex order and are read-only.
-    """
-    _check_params(g, params, d)
-    cards = {v: d.variable(v).cardinality for v in g.vertices}
-    index = _completion_index(d, g.vertices, cards)
-    block, origin, _, _ = index
-    codes = _family_codes(block, g.vertices, params.parents, cards)
-    weights, row_ll = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
     return block, weights, origin, row_ll
 
 
 def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> ScoreValue:
     """Sum of per-row log-likelihoods; rows with missing cells contribute the
-    exact marginal over all completions."""
+    exact marginal over all completions (one ``expand_completions``)."""
+    _check_params(g, params, d)
+    tables = [params.table(v) for v in g.vertices]
+    cards = {v: d.variable(v).cardinality for v in g.vertices}
     if d.is_complete():
-        _check_params(g, params, d)
         block = d.rows[:, [d.index(v) for v in g.vertices]]
-        cards = {v: d.variable(v).cardinality for v in g.vertices}
-        codes = _family_codes(block, g.vertices, params.parents, cards)
-        ll = float(np.sum(_joint_logp([params.table(v) for v in g.vertices], codes, d.n)))
+        row_ll = _joint_logp(tables, _family_codes(block, g.vertices, params.parents, cards), d.n)
     else:
-        _, _, _, row_ll = expand_completions(g, params, d)
-        ll = float(np.sum(row_ll))
-    return ScoreValue(log_likelihood=ll)
+        index = _completion_index(d, g.vertices, cards)
+        codes = _family_codes(index[0], g.vertices, params.parents, cards)
+        row_ll = expand_completions(tables, codes, index, d.n)[3]
+    return ScoreValue(log_likelihood=float(np.sum(row_ll)))
 
 
 def rescale_ll(values: Sequence[float], n: int) -> List[float]:
@@ -376,23 +366,23 @@ def rescale_ll(values: Sequence[float], n: int) -> List[float]:
     return [v / m for v in per]
 
 
-def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0, max_iter: int = 100,
-           tol: float = 1e-6) -> Tuple[ParameterSet, EmTrace, Tuple[np.ndarray, np.ndarray]]:
+def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float, max_iter: int,
+           tol: float) -> Tuple[ParameterSet, EmTrace, Tuple[np.ndarray, np.ndarray]]:
     """EM with exact E-step enumeration; trace holds the observed-data LL
     evaluated at the start of each iteration.
 
     Returns (params, trace, (block, weights)): the fitted parameters, the
     trace, and the E-step at those parameters, which is the completion block
-    (read-only) and each completion's posterior weight, as
-    ``expand_completions`` gives them. A fit that converged hands back its
-    last E-step; one that stopped at ``max_iter`` runs one more E-step at
-    the parameters of its last M-step. So ``max_iter`` 0 builds the block
-    and runs one E-step at the available-case start.
+    (read-only) and each completion's posterior weight. A fit that converged
+    hands back its last E-step; one that stopped at ``max_iter`` runs one
+    more E-step at the parameters of its last M-step. So ``max_iter`` 0
+    builds the block and runs one E-step at the available-case start.
 
     Each family is coded over the completion block once per fit (parents
-    in column order, as the fitted CPTs have them); an E-step reads the log
-    CPTs through those codes, and ``_m_step`` counts them, over the
-    complete rows alone for the start.
+    in column order, as the fitted CPTs have them). Each E-step is one
+    ``expand_completions`` call, which reads the log CPTs through those
+    codes, and ``_m_step`` counts them, over the complete rows alone for
+    the start.
     """
     _check_coverage(g, d)
     index = _completion_index(d, g.vertices, {v: d.variable(v).cardinality for v in g.vertices})
@@ -405,7 +395,8 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0, max_iter: in
     converged = False
     prev = -math.inf
     for _ in range(max_iter):
-        weights, row_ll = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
+        _, weights, _, row_ll = expand_completions([params.table(v) for v in g.vertices], codes,
+                                                   index, d.n)
         ll = float(np.sum(row_ll))
         trace.append(ll)
         if ll - prev < tol:
@@ -414,7 +405,7 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float = 0.0, max_iter: in
         prev = ll
         params = _m_step(d, parents, shapes, codes, weights, pseudocount)
     if not converged:  # params came from the last M-step (or the start)
-        weights, _ = _e_step([params.table(v) for v in g.vertices], codes, index, d.n)
+        weights = expand_completions([params.table(v) for v in g.vertices], codes, index, d.n)[1]
     return params, EmTrace(trace, converged), (index[0], weights)
 
 

@@ -277,6 +277,23 @@ def row_completions(g: Dag, params, d):
             np.array(origin, dtype=np.intp), row_ll)
 
 
+def e_step_at(g: Dag, params, d):
+    """The (rows, weights, origin, row_ll) of ``estimation.expand_completions``
+    at the parameters ``params``, set up as ``log_likelihood`` sets it up: the
+    parameters checked against the graph and the dataset, the completion
+    index over the graph's columns, and each family's code over its block,
+    parents in the CPTs' order. Not an oracle: the E-step it runs is the
+    package's, which ``row_completions`` referees."""
+    from missdag import estimation
+
+    estimation._check_params(g, params, d)
+    cards = {v: d.variable(v).cardinality for v in g.vertices}
+    index = estimation._completion_index(d, g.vertices, cards)
+    codes = estimation._family_codes(index[0], g.vertices, params.parents, cards)
+    return estimation.expand_completions([params.table(v) for v in g.vertices], codes,
+                                         index, d.n)
+
+
 def completion_index_by_pattern(d, vertices: Sequence[str], cards):
     """The (block, origin, complete, groups) of ``_completion_index``,
     filled one missingness pattern at a time: the patterns of

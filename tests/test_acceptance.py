@@ -165,7 +165,7 @@ def test_criterion_3_em_monotone():
         rows = d.rows.copy()
         rows[holes] = MISSING
         d = CategoricalDataset(d.schema, rows)
-        _, trace, _ = em_fit(g, d, max_iter=60)
+        _, trace, _ = em_fit(g, d, pseudocount=0.0, max_iter=60, tol=1e-6)
         if len(trace.log_likelihoods) > 1:
             worst = min(worst, float(np.min(np.diff(trace.log_likelihoods))))
         assert all(b - a >= -1e-9 for a, b in

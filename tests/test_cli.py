@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import missdag
 from missdag import ecdemo, estimation
 from missdag.cli import CONFIG_KEYS, main
-from missdag.data import read_csv
+from missdag.data import MAX_STATES, MISSING, MISSING_TOKENS, read_csv
 from missdag.discovery import ALGORITHMS
 from missdag.graphs import graph_from_json
 
@@ -216,6 +218,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         doc = json.loads(err)
         assert doc["level"] == "error" and "config" in doc["message"]
+
+    def test_abbreviated_json_logs_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the parser and the diagnostic format agree: --json is no --json-logs
+        monkeypatch.chdir(tmp_path)
+        assert main(["export-dot", "missing.json", "--json"]) == 2
+        assert capsys.readouterr().err == "error: missdag: unrecognized arguments: --json\n"
+
+    def test_abbreviated_flag_is_refused(self, tmp_path, no_env_seed, capsys):
+        cfg = _demo_config(tmp_path)
+        assert main(["discover", "--conf", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: missdag: unrecognized arguments: --conf {cfg}\n"
+        assert not (tmp_path / "o").exists()
 
 
 # a JSON object nested deeper than the parser's recursion limit
@@ -848,6 +864,28 @@ JSON_VALUES = st.recursive(
     _containers, max_leaves=6)
 
 
+def _survives(argv, json_logs=False):
+    """Run the CLI on ``argv`` (with ``--json-logs`` if asked) and check its
+    contract: exit 0, 1 or 2, no warning, and on stderr nothing after a
+    success and one diagnostic line (by Unicode's line breaks too) after a
+    failure, so no traceback. Returns the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + (["--json-logs"] if json_logs else []))
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    err = err.getvalue()
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.splitlines() == [err[:-1]]
+        _assert_one_diagnostic(err, json_logs)
+    return code, out.getvalue()
+
+
 @st.composite
 def graph_documents(draw):
     """A graph file's JSON over hostile names; maybe its vertices, its edges,
@@ -893,22 +931,11 @@ def test_graph_commands_survive_any_graph_file(graph_dir, data):
         argv = ["export-dot", str(graph)]
         if command.endswith("--out"):
             argv += ["--out", str(graph_dir / "g.dot")]
-    json_logs = data.draw(st.booleans())
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + (["--json-logs"] if json_logs else []))
-    assert code in (0, 1, 2)
-    err = err.getvalue()
-    if code != 0:
-        # one line, also by Unicode's line breaks
-        assert err.splitlines() == [err[:-1]]
-        _assert_one_diagnostic(err, json_logs)
-        return
-    assert err == ""
-    if command.startswith("export-dot"):
+    code, out = _survives(argv, data.draw(st.booleans()))
+    if code == 0 and command.startswith("export-dot"):
         # bytes, not read_text: that would turn a "\r" in a name into "\n"
         text = ((graph_dir / "g.dot").read_bytes().decode("utf-8")
-                if command.endswith("--out") else out.getvalue())
+                if command.endswith("--out") else out)
         assert parse_dot(text) == graph_from_json(graph.read_text(encoding="utf-8"))
 
 
@@ -980,6 +1007,31 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def _empty(root, keep=()):
+    """Delete what ``root`` holds but the files named in ``keep``."""
+    for path in root.iterdir():
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.name not in keep:
+            path.unlink()
+
+
+def _assert_artifacts_read_back(root):
+    """Every artifact in the directories under ``root`` reads back: each
+    JSON file is strict JSON, each graph.json is a graph written in
+    ``graph_to_json``'s order and the graph its graph.dot draws, and each
+    report.csv holds one row per replicate of its report.json."""
+    for path in root.glob("*/**/*.json"):
+        text = path.read_text(encoding="utf-8")
+        doc = _strict_json(text)
+        if path.name == "graph.json":
+            g = graph_from_json(text)
+            assert doc == {"vertices": list(g.vertices), "edges": sorted(map(list, g.edges))}
+            assert parse_dot((path.parent / "graph.dot").read_bytes().decode("utf-8")) == g
+        elif path.name == "report.json":
+            assert read_csv(path.parent / "report.csv").n == len(doc["replicates"])
+
+
 # the files of the config fuzzer's directory that outlive an example
 CONFIG_INPUTS = {"knowledge.json", "spec.json"}
 
@@ -1019,30 +1071,288 @@ def test_run_commands_survive_any_config(config_dir, case):
             return str(config_dir / value[1:])
         return value
 
-    for path in config_dir.iterdir():  # the last example's config and output
-        if path.is_dir():
-            shutil.rmtree(path)
-        elif path.name not in CONFIG_INPUTS:
-            path.unlink()
+    _empty(config_dir, keep=CONFIG_INPUTS)  # the last example's config and output
     cfg = config_dir / "config.json"
     cfg.write_text(json.dumps({k: place(v) for k, v in config.items()}), encoding="utf-8")
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main([command, "--config", str(cfg)] + [place(f) for f in flags])
-    assert [str(w.message) for w in caught] == []
-    assert code in (0, 1, 2)
-    err = err.getvalue()
-    assert "Traceback" not in err and "Warning" not in err
-    if code != 0:
-        assert err.splitlines() == [err[:-1]]
-        _assert_one_diagnostic(err, json_logs=False)
-    else:
-        assert err == ""
+    _survives([command, "--config", str(cfg)] + [place(f) for f in flags])
     # the artifacts, wherever a relative output path put them
-    for path in config_dir.glob("*/**/*.json"):
-        text = path.read_text(encoding="utf-8")
-        doc = _strict_json(text)
-        if path.name == "graph.json":
-            g = graph_from_json(text)
-            assert doc == {"vertices": list(g.vertices), "edges": sorted(map(list, g.edges))}
+    _assert_artifacts_read_back(config_dir)
+
+
+# --- every input file: CSV datasets, amputation specs, knowledge, parameters ---
+
+def _encodable(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
+
+
+# a CSV column name or label: a hostile name that a UTF-8 file can hold
+# (tests of read_csv cover files that are not UTF-8)
+CSV_NAMES = NAMES.filter(_encodable)
+# a CSV cell: such a label or a token read as missing
+CELLS = CSV_NAMES | st.sampled_from(MISSING_TOKENS)
+# floats an amputation spec may hold, JSON's NaN and infinities included
+SPEC_FLOATS = st.floats(-6, 6) | st.sampled_from([math.nan, math.inf, -math.inf, 1e308])
+# what the fuzzers' runs may take: one bootstrap replicate, three moves, ...
+RUN_BUDGET = {"B": 1, "max_iter": 3, "em_max_iter": 2, "sem_max_outer": 1, "max_parents": 2,
+              "held_out_fraction": 0.5}
+
+
+def _spoil(draw, doc):
+    """``doc`` as it is half the time; else ``doc`` replaced by a JSON value
+    of any type, or one part of it replaced so, left out, or joined in its
+    object by a key that nothing reads."""
+    parts, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node)) \
+            if isinstance(node, list) else ()
+        for key in keys:
+            parts.append((node, key))
+            stack.append(node[key])
+    how = draw(st.sampled_from(["none"] * 4 + ["document", "replace", "drop", "extra"]))
+    if how == "document":
+        return draw(JSON_VALUES)
+    if how in ("replace", "drop") and parts:
+        node, key = draw(st.sampled_from(parts))
+        if how == "replace":
+            node[key] = draw(JSON_VALUES)
+        else:
+            del node[key]
+    elif how == "extra":
+        objects = [doc] + [node[key] for node, key in parts if isinstance(node[key], dict)]
+        draw(st.sampled_from(objects))[draw(NAMES)] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def csv_tables(draw, max_rows=6):
+    """Distinct column names (``CSV_NAMES``) and each column's cells:
+    up to four labels and missing tokens, or (each a sixth of the time) one
+    label throughout or missing tokens only."""
+    names = draw(st.lists(CSV_NAMES, max_size=4, unique=True))
+    n = draw(st.integers(0, max_rows))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(["constant", "missing"] + ["few"] * 4))
+        if kind == "constant":
+            pool = [draw(CSV_NAMES)]
+        elif kind == "missing":
+            pool = list(MISSING_TOKENS)
+        else:
+            pool = draw(st.lists(CELLS, min_size=1, max_size=4))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return names, columns
+
+
+def _labels(names, columns):
+    """Each column's labels: its distinct cells that are not missing tokens."""
+    return {name: [t for t in dict.fromkeys(column) if t not in MISSING_TOKENS]
+            for name, column in zip(names, columns)}
+
+
+def _write_table(path, names, columns):
+    """The table as CSV with every field quoted, so that a line break stays
+    in its name or label."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(names)
+    writer.writerows(zip(*columns))
+    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+
+
+def _cells(d):
+    """Each row's cells as state labels, None where a cell is missing."""
+    return [[None if c == MISSING else var.states[c] for var, c in zip(d.schema, row)]
+            for row in d.rows.tolist()]
+
+
+@st.composite
+def amputation_specs(draw, labels):
+    """An amputation spec over the columns of ``labels`` (name -> labels):
+    up to three entries of any mechanism, whose target and drivers (none
+    for MCAR) are columns, with an intercept and a driver's weights of its
+    labels or hostile ones, each maybe left out; then maybe spoiled
+    (``_spoil``)."""
+    column = st.sampled_from(list(labels) or [""])
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        entry = {"target": draw(column), "mechanism": draw(st.sampled_from(["MCAR", "MAR",
+                                                                          "MNAR"]))}
+        if entry["mechanism"] != "MCAR":
+            entry["drivers"] = draw(st.lists(column, max_size=2))
+        if draw(st.booleans()):
+            entry["intercept"] = draw(SPEC_FLOATS)
+        weighted = [w for w in entry.get("drivers", []) if labels.get(w)]
+        if weighted and draw(st.booleans()):
+            w = draw(st.sampled_from(weighted))
+            states = draw(st.lists(st.sampled_from(labels[w]) | NAMES, max_size=2))
+            entry["weights"] = {w: {state: draw(SPEC_FLOATS) for state in states}}
+        entries.append(entry)
+    return _spoil(draw, {"seed": draw(st.integers(0, 2 ** 64)), "targets": entries})
+
+
+@st.composite
+def knowledge_documents(draw, names):
+    """A knowledge file whose edges join ``names``, each list maybe left
+    out; then maybe spoiled (``_spoil``)."""
+    vertex = st.sampled_from(names or [""])
+    edges = st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=3)
+    return _spoil(draw, {key: draw(edges) for key in ("forbidden", "required")
+                         if draw(st.booleans())})
+
+
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    """One directory whose files every example of a property test rewrites."""
+    return tmp_path_factory.mktemp("files")
+
+
+@st.composite
+def ampute_cases(draw):
+    """A CSV table (``csv_tables``) and an amputation spec over its columns."""
+    names, columns = draw(csv_tables())
+    return names, columns, draw(amputation_specs(_labels(names, columns)))
+
+
+LABELS = [f"s{i}" for i in range(MAX_STATES + 1)]
+
+
+@given(case=ampute_cases())
+# the most states a column may have, one of them weighted, and one state more
+@example(case=(["x", "y"], [LABELS[:-1], ["a"] * MAX_STATES],
+               {"seed": 1, "targets": [{"target": "y", "mechanism": "MAR", "drivers": ["x"],
+                                        "intercept": 0.0, "weights": {"x": {"s0": 2.0}}}]}))
+@example(case=(["x"], [LABELS], {"seed": 1, "targets": []}))
+@settings(max_examples=60, deadline=None)
+def test_ampute_survives_any_dataset_and_spec(files_dir, case):
+    names, columns, spec = case
+    _empty(files_dir)
+    data, spec_path, out = (files_dir / name for name in ("d.csv", "s.json", "o.csv"))
+    _write_table(data, names, columns)
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _ = _survives(["ampute", "--data", str(data), "--spec", str(spec_path),
+                         "--out", str(out)])
+    if code == 0:
+        before, after = read_csv(data), read_csv(out)
+        assert after.names == before.names and after.n == before.n
+        # amputation only blanks cells
+        for old, new in zip(_cells(before), _cells(after)):
+            assert all(b in (a, None) for a, b in zip(old, new))
+
+
+@st.composite
+def simulate_cases(draw):
+    """A graph over distinct, nonempty ``CSV_NAMES`` with edges that follow
+    their order, a parameter file for it, one of the two maybe spoiled
+    (``_spoil``), and a sample size. A vertex has two or three distinct
+    ``CSV_NAMES`` as state labels, or up to three cells that may be missing tokens,
+    and a CPT over its graph parents whose rows are drawn positive weights
+    over their sum."""
+    names = draw(st.lists(CSV_NAMES.filter(len), max_size=4, unique=True))
+    edges = [[a, b] for i, a in enumerate(names) for b in names[i + 1:] if draw(st.booleans())]
+    states = {v: draw(st.lists(CSV_NAMES, min_size=2, max_size=3, unique=True)
+                      | st.lists(CELLS, max_size=3))
+              for v in names}
+    variables = {}
+    for v in names:
+        parents = [a for a, b in edges if b == v]
+        table = []
+        for _ in range(math.prod(len(states[u]) for u in parents)):
+            weights = draw(st.lists(st.integers(1, 9), min_size=len(states[v]),
+                                    max_size=len(states[v])))
+            table.append([w / sum(weights) for w in weights])
+        variables[v] = {"parents": parents, "table": table, "states": states[v]}
+    docs = [{"vertices": names, "edges": edges}, {"variables": variables}]
+    which = draw(st.integers(0, 1))
+    docs[which] = _spoil(draw, docs[which])
+    return (*docs, draw(st.sampled_from([0, 1, 7])))
+
+
+@given(case=simulate_cases())
+@settings(max_examples=60, deadline=None)
+def test_simulate_survives_any_graph_and_parameter_file(files_dir, case):
+    graph, params, n = case
+    _empty(files_dir)
+    for name, doc in (("g.json", graph), ("p.json", params)):
+        (files_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+    out = files_dir / "d.csv"
+    code, _ = _survives(["simulate", str(files_dir / "g.json"), "--params",
+                         str(files_dir / "p.json"), "--n", str(n), "--out", str(out),
+                         "--seed", "1"])
+    if code == 0:
+        d = read_csv(out)
+        assert d.names == tuple(graph["vertices"]) and d.n == n
+        states = {v: spec.get("states", [str(i) for i in range(len(spec["table"][0]))])
+                  for v, spec in params["variables"].items()}
+        for row in _cells(d):
+            assert all(label in states[v] for v, label in zip(d.names, row))
+
+
+@st.composite
+def run_inputs(draw):
+    """A discover or evaluate run of one algorithm within ``RUN_BUDGET``, on
+    ec-demo or on a CSV table (``csv_tables``), with a knowledge file and
+    an amputation spec over the dataset's columns, each maybe absent."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    config = {"algorithm": algorithm, "algorithms": [algorithm], **RUN_BUDGET}
+    if draw(st.booleans()):
+        config.update(dataset="ec-demo", dataset_n=30)
+        table = None
+        labels = {v: list(s) for v, s in ecdemo.ec_ground_truth()[1].states.items()}
+    else:
+        table = draw(csv_tables(max_rows=10))
+        labels = _labels(*table)
+    files = {}
+    if draw(st.booleans()):
+        files["kb.json"] = draw(knowledge_documents(list(labels)))
+    if draw(st.booleans()):
+        files["spec.json"] = draw(amputation_specs(labels))
+    return draw(st.sampled_from(["discover", "evaluate"])), config, table, files
+
+
+def _unread_input(name):
+    """The case of ``UNREAD_INPUTS`` named ``name`` as a ``run_inputs``
+    case: an evaluate run on ec-demo."""
+    fields, files, _ = UNREAD_INPUTS[name]
+    config = {"dataset": "ec-demo", "dataset_n": 30, "algorithm": "hc-complete",
+              "algorithms": ["hc-complete"], **RUN_BUDGET}
+    config.update((k, v) for k, v in fields.items() if k not in ("knowledge", "ampute_spec"))
+    return "evaluate", config, None, files
+
+
+def _pinned(cases):
+    """Pin each of ``cases`` as an example of the property test."""
+    def pin(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return pin
+
+
+@given(case=run_inputs())
+@_pinned([_unread_input(name) for name in sorted(UNREAD_INPUTS)])
+@settings(max_examples=60, deadline=None)
+def test_run_commands_survive_any_input_file(files_dir, case):
+    command, config, table, files = case
+    _empty(files_dir)
+    config = dict(config)
+    if table is not None:
+        _write_table(files_dir / "data.csv", *table)
+        config["dataset"] = str(files_dir / "data.csv")
+    for name, key in (("kb.json", "knowledge"), ("spec.json", "ampute_spec")):
+        if name in files:
+            (files_dir / name).write_text(json.dumps(files[name]), encoding="utf-8")
+            config[key] = str(files_dir / name)
+    (files_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    code, _ = _survives([command, "--config", str(files_dir / "config.json"), "--seed", "1",
+                         "--out", str(files_dir / "out"), "--threads", "1"])
+    _assert_artifacts_read_back(files_dir)
+    if code == 0 and command == "discover":
+        names = (read_csv(files_dir / "data.csv").names if table is not None
+                 else tuple(ecdemo.ec_ground_truth()[1].states))
+        graph = graph_from_json((files_dir / "out" / "graph.json").read_text(encoding="utf-8"))
+        assert graph.vertices == names

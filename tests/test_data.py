@@ -231,7 +231,7 @@ class TestForwardSample:
         d1 = forward_sample(g, params, 20000, seed=9)
         d2 = forward_sample(g, params, 20000, seed=9)
         assert d1 == d2
-        fitted = fit_mle(g, d1)
+        fitted = fit_mle(g, d1, pseudocount=0.0)
         assert np.abs(fitted.table("a") - params.table("a")).max() < 0.02
         assert np.abs(fitted.table("b") - params.table("b")).max() < 0.05
 

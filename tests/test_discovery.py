@@ -436,7 +436,7 @@ class TestStructuralEm:
         # each search scores the E-step em_fit hands back; a fit that converged
         # runs no E-step past its trace, one stopped at em_max_iter runs one
         e_steps, fits = [0], []
-        e_step, fit = estimation._e_step, discovery.em_fit
+        e_step, fit = estimation.expand_completions, discovery.em_fit
 
         def counted_e_step(*args):
             e_steps[0] += 1
@@ -450,7 +450,7 @@ class TestStructuralEm:
             fits.append(e_steps[0] - before)
             return result
 
-        monkeypatch.setattr(estimation, "_e_step", counted_e_step)
+        monkeypatch.setattr(estimation, "expand_completions", counted_e_step)
         monkeypatch.setattr(discovery, "em_fit", counted_fit)
         d = _mar_amputed(seed=8, n=600)
         structural_em(d, KnowledgeBase(), SearchOptions(em_max_iter=em_max_iter))

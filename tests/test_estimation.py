@@ -19,7 +19,6 @@ from missdag.estimation import (
     IpwBicScorer,
     ParameterSet,
     em_fit,
-    expand_completions,
     fit_mle,
     ipw_weights,
     log_likelihood,
@@ -32,6 +31,7 @@ from oracles import (
     _normalized,
     bic,
     completion_index_by_pattern,
+    e_step_at,
     em_fit_by_rows,
     family_bic,
     ipw_family_bic,
@@ -115,14 +115,14 @@ class TestFitMle:
     def test_hand_counts(self):
         g = Dag(["v0", "v1"], [("v0", "v1")])
         d = _dataset([2, 2], [[0, 0], [0, 0], [0, 1], [1, 1]])
-        params = fit_mle(g, d)
+        params = fit_mle(g, d, pseudocount=0.0)
         assert np.allclose(params.table("v0"), [[0.75, 0.25]])
         assert np.allclose(params.table("v1"), [[2 / 3, 1 / 3], [0.0, 1.0]])
 
     def test_unseen_parent_row_is_uniform(self):
         g = Dag(["v0", "v1"], [("v0", "v1")])
         d = _dataset([2, 3], [[0, 0], [0, 2]])
-        params = fit_mle(g, d)
+        params = fit_mle(g, d, pseudocount=0.0)
         assert np.allclose(params.table("v1")[1], [1 / 3, 1 / 3, 1 / 3])
 
     def test_pseudocount_smooths_counts(self):
@@ -159,13 +159,13 @@ class TestFitMle:
         g = Dag(["v0"], [])
         d = _dataset([2], [[MISSING]])
         with pytest.raises(SchemaMismatch, match="fit_mle requires complete data"):
-            fit_mle(g, d)
+            fit_mle(g, d, pseudocount=0.0)
 
     def test_dataset_must_cover_vertices(self):
         g = Dag(["v0", "zz"], [])
         d = _dataset([2], [[0]])
         with pytest.raises(SchemaMismatch):
-            fit_mle(g, d)
+            fit_mle(g, d, pseudocount=0.0)
 
 
 class TestLogLikelihood:
@@ -193,9 +193,10 @@ class TestLogLikelihood:
 
 
 class TestExpandCompletions:
+    # expand_completions at given parameters, set up by e_step_at
     def test_weights_sum_to_one_per_origin(self):
         g, params, d = _random_instance(7, missing=0.4)
-        rows, weights, origin, row_ll = expand_completions(g, params, d)
+        rows, weights, origin, row_ll = e_step_at(g, params, d)
         sums = np.bincount(origin, weights=weights, minlength=d.n)
         assert np.allclose(sums, 1.0)
         assert rows.shape[0] == weights.size == origin.size
@@ -203,7 +204,7 @@ class TestExpandCompletions:
 
     def test_completed_rows_have_no_sentinel(self):
         g, params, d = _random_instance(8, missing=0.5)
-        rows, _, _, _ = expand_completions(g, params, d)
+        rows, _, _, _ = e_step_at(g, params, d)
         assert (rows >= 0).all()
 
     def test_cap_guards_row_blowup(self, monkeypatch):
@@ -213,9 +214,9 @@ class TestExpandCompletions:
         d = _dataset([2, 2, 2], [[MISSING, MISSING, MISSING]])
         monkeypatch.setattr(estimation, "ENUMERATION_CAP", 4)
         with pytest.raises(TooManyMissingInRow):
-            expand_completions(g, params, d)
+            e_step_at(g, params, d)
         monkeypatch.setattr(estimation, "ENUMERATION_CAP", 8)
-        assert expand_completions(g, params, d)[0].shape == (8, 3)
+        assert e_step_at(g, params, d)[0].shape == (8, 3)
 
     def test_cap_bounds_the_whole_block(self, monkeypatch):
         # no row has more than 8 completions, but the block would have 12
@@ -226,15 +227,15 @@ class TestExpandCompletions:
                                  [MISSING, 1, MISSING]])
         monkeypatch.setattr(estimation, "ENUMERATION_CAP", 8)
         with pytest.raises(TooManyMissingInRow):
-            expand_completions(g, params, d)
+            e_step_at(g, params, d)
         assert d._completions == {}
         monkeypatch.setattr(estimation, "ENUMERATION_CAP", 12)
-        assert expand_completions(g, params, d)[0].shape == (12, 3)
+        assert e_step_at(g, params, d)[0].shape == (12, 3)
 
     def test_block_is_built_once_and_read_only(self):
         g, params, d = _random_instance(7, missing=0.4)
-        rows, weights, origin, row_ll = expand_completions(g, params, d)
-        again = expand_completions(g, params, d)
+        rows, weights, origin, row_ll = e_step_at(g, params, d)
+        again = e_step_at(g, params, d)
         assert again[0] is rows and again[2] is origin
         assert not rows.flags.writeable and not origin.flags.writeable
         with pytest.raises(ValueError):
@@ -267,8 +268,8 @@ class TestExpandCompletions:
                 variables[v] = (parents, table / table.sum(axis=1, keepdims=True))
             params = ParameterSet(variables, params.states)
         with np.errstate(invalid="ignore"):
-            got = expand_completions(g, params, d)
-            again = expand_completions(g, params, d)
+            got = e_step_at(g, params, d)
+            again = e_step_at(g, params, d)
         for ours, theirs, hit in zip(got, row_completions(g, params, d), again):
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs, equal_nan=True)
@@ -414,20 +415,20 @@ class TestEmFit:
     def test_trace_is_monotone(self):
         for seed in range(8):
             g, _, d = _random_instance(200 + seed, missing=0.35)
-            _, trace, _ = em_fit(g, d, max_iter=40)
+            _, trace, _ = em_fit(g, d, pseudocount=0.0, max_iter=40, tol=1e-6)
             diffs = np.diff(trace.log_likelihoods)
             assert (diffs >= -1e-9).all()
 
     def test_matches_mle_on_complete_data(self):
         g, params, d = _random_instance(9, missing=0.0)
-        fitted, _, _ = em_fit(g, d, max_iter=10)
-        plain = fit_mle(g, d)
+        fitted, _, _ = em_fit(g, d, pseudocount=0.0, max_iter=10, tol=1e-6)
+        plain = fit_mle(g, d, pseudocount=0.0)
         for v in g.vertices:
             assert np.allclose(fitted.table(v), plain.table(v))
 
     def test_reports_convergence(self):
         g, _, d = _random_instance(10, missing=0.3)
-        _, trace, _ = em_fit(g, d, max_iter=100, tol=1e-6)
+        _, trace, _ = em_fit(g, d, pseudocount=0.0, max_iter=100, tol=1e-6)
         assert trace.converged
         assert trace.iterations <= 100
 
@@ -456,7 +457,7 @@ class TestEmFit:
             assert np.array_equal(params.table(v), want.table(v))
         # the handed-back E-step is the one at the returned parameters, whether
         # the fit converged or stopped at max_iter (0 included)
-        rows, expected, _, _ = expand_completions(g, params, d)
+        rows, expected, _, _ = e_step_at(g, params, d)
         assert np.array_equal(block, rows)
         assert np.array_equal(weights, expected)
 
@@ -475,7 +476,7 @@ class TestEmFit:
         per_fit = []
         for max_iter in (3, 12):
             calls.clear()
-            _, trace, _ = em_fit(g, d, max_iter=max_iter, tol=0.0)
+            _, trace, _ = em_fit(g, d, pseudocount=0.0, max_iter=max_iter, tol=0.0)
             assert trace.iterations == max_iter
             per_fit.append(len(calls))
         assert per_fit == [len(g.vertices)] * 2

@@ -38,3 +38,7 @@ def test_traced_evaluate_records_every_layer():
     # the tracer reads the trace at index 1 of em_fit's result
     assert metrics["estimation.em_fit.iterations"] > 0
     assert metrics["estimation.em_fit.converged_ratio"] > 0
+    # EM runs each of its E-steps through expand_completions, so the E-step
+    # layer sees at least one call per EM iteration
+    assert metrics["estimation.expand_completions.calls"] >= \
+        metrics["estimation.em_fit.iterations"]
