@@ -8,7 +8,6 @@ Every command is a pure function of (input files, flags, seed).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -16,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import ecdemo
-from .data import AmputationSpec, ampute, forward_sample, read_csv, write_csv
+from .data import AmputationSpec, ampute, csv_line, forward_sample, read_csv, write_csv
 from .discovery import (
     ALGORITHMS,
     SEARCHES,
@@ -24,11 +23,11 @@ from .discovery import (
     SearchOptions,
     bootstrap_sem,
     evaluate,
+    mean_sd,
 )
 from .errors import (
     ConfigError,
     MissDagError,
-    checked_keys,
     checked_number,
     checked_strings,
     json_document,
@@ -113,8 +112,7 @@ CONFIG_KEYS = ("dataset", "dataset_n", "ampute_spec", "knowledge", "out", "seed"
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("missing required flag --config")
-    return checked_keys(json_object(_read_text(path, "config file"), "config"), CONFIG_KEYS,
-                        "config")
+    return json_object(_read_text(path, "config file"), "config", CONFIG_KEYS)
 
 
 def _load_dataset(config: dict, seed: int):
@@ -197,14 +195,15 @@ def cmd_discover(args) -> int:
         g, summary = bootstrap_sem(
             d, kb, seed=seed, threads=args.threads or 1, **opts.sem_options(),
             **_fields(config, B=int, threshold=float, held_out_fraction=float))
-        in_mean, in_sd = summary.in_sample_mean_sd
-        out_mean, out_sd = summary.out_of_sample_mean_sd
+        in_sample = [s.log_likelihood for s in summary.in_sample]
+        out_of_sample = [s.log_likelihood for s in summary.out_of_sample]
+        in_mean, in_sd = mean_sd(in_sample)
+        out_mean, out_sd = mean_sd(out_of_sample)
         summary_doc = {
             "B": summary.replicates,
             "edge_frequency": {f"{p}->{c}": f
                                for (p, c), f in sorted(summary.edge_frequency.items())},
-            "in_sample": [s.log_likelihood for s in summary.in_sample],
-            "out_of_sample": [s.log_likelihood for s in summary.out_of_sample],
+            "in_sample": in_sample, "out_of_sample": out_of_sample,
             "in_sample_mean": in_mean, "in_sample_sd": in_sd,
             "out_of_sample_mean": out_mean, "out_of_sample_sd": out_sd,
         }
@@ -236,14 +235,12 @@ def cmd_evaluate(args) -> int:
                       **_fields(config, B=int, held_out_fraction=float))
     # report.json first: json_text refuses NaN before any file is written
     _write(out / "report.json", json_text(report))
-    with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "replicate", "ll_in", "ll_out",
-                         "ll_in_rescaled", "ll_out_rescaled"])
-        for row in report["replicates"]:
-            writer.writerow([row["algorithm"], row["replicate"],
-                             repr(row["ll_in"]), repr(row["ll_out"]),
-                             repr(row["ll_in_rescaled"]), repr(row["ll_out_rescaled"])])
+    columns = ["ll_in", "ll_out", "ll_in_rescaled", "ll_out_rescaled"]
+    lines = [csv_line(["algorithm", "replicate", *columns])]
+    for row in report["replicates"]:
+        lines.append(csv_line([row["algorithm"], str(row["replicate"]),
+                               *(repr(row[c]) for c in columns)]))
+    _write(out / "report.csv", "".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -395,8 +392,10 @@ def main(argv=None) -> int:
     except MissDagError as exc:
         _diag(f"{type(exc).__name__}: {exc}", json_logs)
         return EXIT_RUNTIME
-    except OSError as exc:
-        _diag(str(exc), json_logs)
+    except (MemoryError, OSError) as exc:
+        # numpy's MemoryError says how much it failed to allocate; a bare one
+        # says nothing, so its class name stands in
+        _diag(str(exc) or type(exc).__name__, json_logs)
         return EXIT_RUNTIME
 
 

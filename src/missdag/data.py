@@ -22,6 +22,7 @@ from .errors import (
     checked_number,
     checked_strings,
     json_object,
+    reading,
 )
 from .graphs import Dag
 
@@ -64,6 +65,9 @@ class VariableSchema:
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 2:
             raise SchemaMismatch(f"variable {self.name!r} needs >= 2 states")
+        if len(self.states) > MAX_STATES:
+            raise SchemaMismatch(f"variable {self.name!r} has {len(self.states)} states, "
+                                 f"more than the {MAX_STATES} a cell can hold")
         if len(set(self.states)) != len(self.states):
             raise SchemaMismatch(f"variable {self.name!r} has duplicate state labels")
         for s in self.states:
@@ -188,6 +192,13 @@ def _csv_field(token: str) -> str:
     return token
 
 
+def csv_line(fields: Sequence[str]) -> str:
+    """One CSV record, without its line end, that ``csv.reader`` reads back
+    to ``fields``. A record of one empty field is quoted, or it would read
+    as no fields."""
+    return '""' if tuple(fields) == ("",) else ",".join(map(_csv_field, fields))
+
+
 def write_csv(d: CategoricalDataset, path) -> None:
     """``d`` as a CSV file that ``read_csv`` reads back to the same cells."""
     cells = np.empty((d.n, d.p), dtype=object)
@@ -195,19 +206,16 @@ def write_csv(d: CategoricalDataset, path) -> None:
         # a missing cell holds MISSING (-1), which picks the appended "NA"
         fields = np.array([*map(_csv_field, var.states), "NA"], dtype=object)
         cells[:, c] = fields[d.rows[:, c]]
-    # one empty name is quoted, or the header would read as no columns
-    header = '""' if d.names == ("",) else ",".join(map(_csv_field, d.names))
+    lines = [csv_line(d.names), *map(",".join, cells.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in [header, *map(",".join, cells.tolist())])
+        fh.writelines(line + "\n" for line in lines)
 
 
 def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     """Ancestral sampling: n i.i.d. rows, deterministic given seed."""
     if n < 0:
         raise ConfigError(f"sample size n must be >= 0, got {n}")
-    for v in g.vertices:
-        if v not in params.variables:
-            raise SchemaMismatch(f"no CPT for {v!r}")
+    params.check_graph(g)
     schema = [VariableSchema(v, params.states[v]) for v in g.vertices]
     col = {v: i for i, v in enumerate(g.vertices)}
     cards = {v: len(params.states[v]) for v in g.vertices}
@@ -215,8 +223,6 @@ def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     rows = np.zeros((n, len(schema)), dtype=np.int16)
     for v in g.topological_order():
         parents, table = params.variables[v]
-        if set(parents) != set(g.parents(v)):
-            raise SchemaMismatch(f"CPT parents for {v!r} do not match the graph")
         probs = table[mixed_radix(rows, [col[q] for q in parents],
                                   [cards[q] for q in parents])]
         u = rng.random(n)
@@ -265,9 +271,8 @@ class AmputationSpec:
         non-finite intercept or weight, are refused: JSON readers take NaN,
         and a NaN probability amputes no cell. An omitted intercept is -inf,
         which amputes none either."""
-        doc = checked_keys(json_object(text, "amputation spec"), ("seed", "targets"),
-                           "amputation spec")
-        try:
+        doc = json_object(text, "amputation spec", ("seed", "targets"))
+        with reading("amputation spec"):
             entries = []
             for t in doc["targets"]:
                 checked_keys(t, ("target", "mechanism", "drivers", "intercept", "weights"),
@@ -284,10 +289,6 @@ class AmputationSpec:
                              for k, v in t.get("weights", {}).items()},
                 ))
             seed = checked_number(doc["seed"], int, "amputation spec field 'seed'")
-        except KeyError as exc:
-            raise ConfigError(f"amputation spec lacks field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"amputation spec is malformed: {exc}") from exc
         if seed < 0:
             raise ConfigError(f"amputation spec field 'seed' must be >= 0, got {seed}")
         return AmputationSpec(tuple(entries), seed)

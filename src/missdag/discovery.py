@@ -26,7 +26,6 @@ from .errors import (
     CycleDetected,
     MissDagError,
     SchemaMismatch,
-    checked_keys,
     checked_number,
     json_object,
 )
@@ -104,7 +103,7 @@ class KnowledgeBase:
     @staticmethod
     def from_json(text: str) -> "KnowledgeBase":
         keys = ("forbidden", "required")
-        doc = checked_keys(json_object(text, "knowledge"), keys, "knowledge")
+        doc = json_object(text, "knowledge", keys)
         edges = {key: doc.get(key, []) for key in keys}
         for key, pairs in edges.items():
             if not isinstance(pairs, list) or not all(
@@ -140,16 +139,8 @@ class BootstrapSummary:
     in_sample: List[ScoreValue]
     out_of_sample: List[ScoreValue]
 
-    @property
-    def in_sample_mean_sd(self):
-        return _mean_sd([v.log_likelihood for v in self.in_sample])
 
-    @property
-    def out_of_sample_mean_sd(self):
-        return _mean_sd([v.log_likelihood for v in self.out_of_sample])
-
-
-def _mean_sd(values) -> Tuple[float, float]:
+def mean_sd(values) -> Tuple[float, float]:
     """Mean and sample standard deviation (0 for a single value)."""
     arr = np.array(values)
     sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
@@ -488,7 +479,7 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
         rows = [r for r in replicates if r["algorithm"] == name]
         summary[name] = {}
         for key in ("ll_in", "ll_out", "ll_in_rescaled", "ll_out_rescaled"):
-            mean, sd = _mean_sd([r[key] for r in rows])
+            mean, sd = mean_sd([r[key] for r in rows])
             summary[name][f"{key}_mean"] = mean
             summary[name][f"{key}_sd"] = sd
     return {

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all missdag modules, and the parser of the
 JSON documents they read from users."""
 
+import contextlib
 import json
 import numbers
 
@@ -77,12 +78,23 @@ def json_text(doc) -> str:
         raise SchemaMismatch(f"an artifact holds a number JSON cannot hold: {exc}") from None
 
 
-def json_object(text: str, what: str) -> dict:
-    """Parse a JSON document that must be an object."""
-    doc = json_document(text, what)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    return doc
+def json_object(text: str, what: str, keys) -> dict:
+    """Parse a JSON document that must be an object whose keys are all among
+    ``keys`` (``checked_keys``)."""
+    return checked_keys(json_document(text, what), keys, what)
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """Read the fields of the document ``what``: a field it lacks
+    (``KeyError``) or one of the wrong shape or type raises ConfigError
+    naming the document. A MissDagError passes through."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what} lacks field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} is malformed: {exc}") from exc
 
 
 def checked_keys(doc, keys, what: str) -> dict:

