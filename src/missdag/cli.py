@@ -245,9 +245,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_graph(ref: str) -> Dag:
-    if ref in ecdemo.BUILTIN_GRAPHS:
-        return ecdemo.BUILTIN_GRAPHS[ref]()
-    return graph_from_json(_read_text(ref, "graph file"))
+    return graph_from_json(_read_text(ecdemo.BUILTIN_GRAPHS.get(ref, ref), "graph file"))
 
 
 def _parse_dsep_query(query: str):

@@ -6,45 +6,47 @@ hand-written ground-truth network over the same 19 clinical variables
 graph encodings ("ec-mnar", "ec-mar") used for d-separation queries. The
 encodings are constrained by the documented independence statements, not by
 any published edge list.
+
+Each part is a JSON document in ``demo/``, read by the reader a user's file
+of that kind goes through:
+
+- ``ground-truth.json``, a ``--params`` document: the CPTs, their parents
+  (the graph's only edge list) and state labels, variables in vertex order;
+- ``ec-mnar.json`` and ``ec-mar.json``, graph files;
+- ``mnar-spec.json``, an amputation spec (``ec_mnar_amputation``);
+- ``knowledge.json``, the required survival chain.
+
+How the CPTs were derived (a binary table holds 1 - p, p for P(yes) = p,
+computed in float64, so a row may read 0.44999999999999996 for 1 - .55):
+
+- Hospital has its own marginal. Three practice profiles are cycled over the
+  ten hospitals, hospital i taking profile i mod 3: PreoperativeGrade
+  (.55 .30 .15 / .45 .35 .20 / .35 .40 .25), Chemotherapy .15/.25/.30 and
+  Radiotherapy .40/.30/.50.
+- P(LNM) = clip(.08/.18/.32 by postoperative grade + .18 LVSI - .06 chemo,
+  .02, .95).
+- P(Recurrence) = .06/.12/.22 by postoperative grade + .25 LNM.
+- P(Survival1yr) = .95 - .25 Recurrence - .15 LNM.
+- Every other table is one hand-set row per parent state.
+
+Both encodings add a vertex MyometrialInvasion and its edge into
+Radiotherapy to the ground truth. "ec-mnar", the MNAR-recovered graph,
+drops Hospital -> Radiotherapy, so radiotherapy depends on myometrial
+invasion only and the biomarkers stay effects of LNM. "ec-mar", the
+MAR-recovered graph, hangs CA125, p53 and L1CAM off PostoperativeGrade in
+place of LNM, and adds a spurious Radiotherapy -> LNM.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, Tuple
 
-import numpy as np
-
-from .data import (
-    AmputationEntry,
-    AmputationSpec,
-    CategoricalDataset,
-    forward_sample,
-)
+from .data import AmputationSpec, CategoricalDataset, forward_sample
 from .estimation import ParameterSet
 from .graphs import Dag
 
-EC_VARIABLES: List[Tuple[str, Tuple[str, ...]]] = [
-    ("CervicalCytology", ("normal", "abnormal")),
-    ("PreoperativeGrade", ("grade1", "grade2", "grade3")),
-    ("PostoperativeGrade", ("grade1", "grade2", "grade3")),
-    ("Chemotherapy", ("no", "yes")),
-    ("Radiotherapy", ("no", "yes")),
-    ("LVSI", ("no", "yes")),
-    ("ER", ("negative", "positive")),
-    ("PR", ("negative", "positive")),
-    ("Imaging", ("negative", "positive")),
-    ("CA125", ("normal", "elevated")),
-    ("L1CAM", ("negative", "positive")),
-    ("p53", ("wildtype", "overexpressed")),
-    ("Platelets", ("normal", "elevated")),
-    ("LNM", ("no", "yes")),
-    ("Recurrence", ("no", "yes")),
-    ("Survival1yr", ("no", "yes")),
-    ("Survival3yr", ("no", "yes")),
-    ("Survival5yr", ("no", "yes")),
-    ("Hospital", tuple(f"h{i:02d}" for i in range(1, 11))),
-]
+DEMO = Path(__file__).with_name("demo")
 
 EC_ROLES: Dict[str, str] = {
     "Chemotherapy": "treatment",
@@ -63,100 +65,21 @@ EC_ROLES: Dict[str, str] = {
     "Hospital": "context",
 }
 
-GROUND_TRUTH_EDGES: List[Tuple[str, str]] = [
-    ("Hospital", "PreoperativeGrade"),
-    ("Hospital", "Chemotherapy"),
-    ("Hospital", "Radiotherapy"),
-    ("PreoperativeGrade", "PostoperativeGrade"),
-    ("PreoperativeGrade", "CervicalCytology"),
-    ("PostoperativeGrade", "LVSI"),
-    ("PostoperativeGrade", "ER"),
-    ("ER", "PR"),
-    ("PostoperativeGrade", "LNM"),
-    ("LVSI", "LNM"),
-    ("Chemotherapy", "LNM"),
-    ("LNM", "Imaging"),
-    ("LNM", "CA125"),
-    ("LNM", "p53"),
-    ("LNM", "L1CAM"),
-    ("CA125", "Platelets"),
-    ("LNM", "Recurrence"),
-    ("PostoperativeGrade", "Recurrence"),
-    ("Recurrence", "Survival1yr"),
-    ("LNM", "Survival1yr"),
-    ("Survival1yr", "Survival3yr"),
-    ("Survival3yr", "Survival5yr"),
-]
+BUILTIN_GRAPHS: Dict[str, Path] = {name: DEMO / f"{name}.json" for name in ("ec-mnar", "ec-mar")}
+
+
+def _text(name: str) -> str:
+    return (DEMO / name).read_text(encoding="utf-8")
 
 
 def ec_knowledge_json() -> str:
-    return (
-        '{\n  "forbidden": [],\n  "required": '
-        '[["Survival1yr", "Survival3yr"], ["Survival3yr", "Survival5yr"]]\n}\n'
-    )
-
-
-def _binary_rows(probs_yes):
-    return [[1.0 - p, p] for p in probs_yes]
+    return _text("knowledge.json")
 
 
 def ec_ground_truth() -> Tuple[Dag, ParameterSet]:
-    names = [name for name, _ in EC_VARIABLES]
-    g = Dag(names, GROUND_TRUTH_EDGES)
-    states = {name: st for name, st in EC_VARIABLES}
-
-    # cycle three practice profiles over the ten hospitals
-    grade_profiles = [[0.55, 0.30, 0.15], [0.45, 0.35, 0.20], [0.35, 0.40, 0.25]]
-    chemo_profiles = [0.15, 0.25, 0.30]
-    radio_profiles = [0.40, 0.30, 0.50]
-
-    lnm_rows = []
-    for g_, l, c in product(range(3), range(2), range(2)):
-        p = [0.08, 0.18, 0.32][g_] + 0.18 * l - 0.06 * c
-        lnm_rows.append(min(max(p, 0.02), 0.95))
-    rec_rows = []
-    for g_, m in product(range(3), range(2)):
-        rec_rows.append([0.06, 0.12, 0.22][g_] + 0.25 * m)
-    surv1_rows = []
-    for r, m in product(range(2), range(2)):
-        surv1_rows.append(0.95 - 0.25 * r - 0.15 * m)
-
-    variables = {
-        "Hospital": ((), [[0.14, 0.12, 0.12, 0.11, 0.10,
-                           0.10, 0.09, 0.08, 0.07, 0.07]]),
-        "PreoperativeGrade": (("Hospital",),
-                              [grade_profiles[i % 3] for i in range(10)]),
-        "CervicalCytology": (("PreoperativeGrade",),
-                             [[0.90, 0.10], [0.80, 0.20], [0.65, 0.35]]),
-        "PostoperativeGrade": (("PreoperativeGrade",),
-                               [[0.75, 0.20, 0.05],
-                                [0.20, 0.60, 0.20],
-                                [0.05, 0.25, 0.70]]),
-        "Chemotherapy": (("Hospital",),
-                         _binary_rows([chemo_profiles[i % 3] for i in range(10)])),
-        "Radiotherapy": (("Hospital",),
-                         _binary_rows([radio_profiles[i % 3] for i in range(10)])),
-        "LVSI": (("PostoperativeGrade",),
-                 _binary_rows([0.15, 0.30, 0.55])),
-        "ER": (("PostoperativeGrade",),
-               _binary_rows([0.75, 0.60, 0.40])),
-        "PR": (("ER",), _binary_rows([0.20, 0.75])),
-        "LNM": (("PostoperativeGrade", "LVSI", "Chemotherapy"),
-                _binary_rows(lnm_rows)),
-        "Imaging": (("LNM",), _binary_rows([0.12, 0.70])),
-        "CA125": (("LNM",), _binary_rows([0.15, 0.75])),
-        "p53": (("LNM",), _binary_rows([0.20, 0.70])),
-        "L1CAM": (("LNM",), _binary_rows([0.15, 0.65])),
-        "Platelets": (("CA125",), _binary_rows([0.20, 0.55])),
-        "Recurrence": (("PostoperativeGrade", "LNM"),
-                       _binary_rows(rec_rows)),
-        "Survival1yr": (("Recurrence", "LNM"), _binary_rows(surv1_rows)),
-        "Survival3yr": (("Survival1yr",), _binary_rows([0.02, 0.80])),
-        "Survival5yr": (("Survival3yr",), _binary_rows([0.02, 0.70])),
-    }
-    params = ParameterSet(
-        {v: (ps, np.asarray(t, dtype=float)) for v, (ps, t) in variables.items()},
-        states)
+    params = ParameterSet.from_json(_text("ground-truth.json"))
+    g = Dag(list(params.variables),
+            [(p, v) for v in params.variables for p in params.parents(v)])
     return g, params
 
 
@@ -170,55 +93,4 @@ def ec_mnar_amputation(seed: int = 0) -> AmputationSpec:
     p53, L1CAM and Recurrence is driven by another biomarker that is itself
     partially observed — a chain no fully-observed stratification can
     explain away, so the mechanism is genuinely MNAR."""
-    entries = (
-        AmputationEntry("CA125", "MNAR", ("CA125",), -2.0,
-                        {"CA125": {"elevated": 1.8}}),
-        AmputationEntry("p53", "MNAR", ("CA125",), -2.0,
-                        {"CA125": {"elevated": 1.5}}),
-        AmputationEntry("L1CAM", "MNAR", ("p53",), -2.0,
-                        {"p53": {"overexpressed": 1.5}}),
-        AmputationEntry("Recurrence", "MNAR", ("p53",), -2.2,
-                        {"p53": {"overexpressed": 1.6}}),
-    )
-    return AmputationSpec(entries, seed)
-
-
-def _with_myometrial_invasion(edges, drop=(), add=()):
-    names = [name for name, _ in EC_VARIABLES] + ["MyometrialInvasion"]
-    out = [e for e in edges if e not in set(drop)] + list(add)
-    return Dag(names, out)
-
-
-def ec_mnar_graph() -> Dag:
-    """Illustrative encoding of the MNAR-recovered graph: biomarkers are
-    effects of LNM; radiotherapy depends on myometrial invasion only."""
-    return _with_myometrial_invasion(
-        GROUND_TRUTH_EDGES,
-        drop=[("Hospital", "Radiotherapy")],
-        add=[("MyometrialInvasion", "Radiotherapy")],
-    )
-
-
-def ec_mar_graph() -> Dag:
-    """Illustrative encoding of the MAR-recovered graph: biomarkers hang off
-    the postoperative grade and radiotherapy picks up a spurious edge into
-    LNM."""
-    drop = [
-        ("LNM", "CA125"),
-        ("LNM", "p53"),
-        ("LNM", "L1CAM"),
-    ]
-    add = [
-        ("PostoperativeGrade", "CA125"),
-        ("PostoperativeGrade", "p53"),
-        ("PostoperativeGrade", "L1CAM"),
-        ("Radiotherapy", "LNM"),
-        ("MyometrialInvasion", "Radiotherapy"),
-    ]
-    return _with_myometrial_invasion(GROUND_TRUTH_EDGES, drop=drop, add=add)
-
-
-BUILTIN_GRAPHS = {
-    "ec-mnar": ec_mnar_graph,
-    "ec-mar": ec_mar_graph,
-}
+    return AmputationSpec(AmputationSpec.from_json(_text("mnar-spec.json")).entries, seed)

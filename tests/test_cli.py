@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from missdag.cli import CONFIG_KEYS, main
 from missdag.data import MAX_STATES, MISSING, MISSING_TOKENS, read_csv
 from missdag.discovery import ALGORITHMS
 from missdag.errors import ConfigError, SchemaMismatch, reading
-from missdag.graphs import graph_from_json
+from missdag.graphs import graph_from_json, graph_to_json
 
 from oracles import amputation_spec_json, parse_dot
 
@@ -698,7 +699,7 @@ class TestDiscover:
         assert main(["discover", "--config", cfg, "--seed", "3",
                      "--out", str(out)]) == 0
         g = graph_from_json((out / "graph.json").read_text())
-        assert set(g.vertices) == {name for name, _ in ecdemo.EC_VARIABLES}
+        assert set(g.vertices) == set(ecdemo.ec_ground_truth()[1].states)
         assert parse_dot((out / "graph.dot").read_text()) == g
         trace = json.loads((out / "trace.json").read_text())
         assert trace["algorithm"] == "hc-complete"
@@ -839,7 +840,7 @@ class TestDsep:
         assert capsys.readouterr().out == verdict + "\n"
 
     def test_graph_json_file(self, tmp_path, capsys):
-        from missdag.graphs import Dag, graph_to_json
+        from missdag.graphs import Dag
         p = tmp_path / "g.json"
         p.write_text(graph_to_json(Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])))
         assert main(["dsep", str(p), "a _||_ c | b"]) == 0
@@ -863,8 +864,22 @@ class TestAmputeAndSimulate:
         assert not a.is_complete()
         assert a.mask[:, a.index("CA125")].any()
 
+    def test_simulate_ec_demo_writes_the_pinned_csv(self, tmp_path, no_env_seed):
+        # forward_sample draws with rng.random, cumsum and comparisons only,
+        # so no float log/exp kernel reaches these bytes on any CPU
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "ec-demo", "--n", "763", "--seed", "763",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "b3c63a54f89c175ac756b198beacdf9d1a53c7bdc1311ea7a98d6eadef506903"
+
+    @pytest.mark.parametrize("name", sorted(ecdemo.BUILTIN_GRAPHS))
+    def test_builtin_graph_files_are_as_graph_to_json_writes_them(self, name):
+        text = ecdemo.BUILTIN_GRAPHS[name].read_text(encoding="utf-8")
+        assert graph_to_json(graph_from_json(text)) == text
+
     def test_simulate_custom_model_needs_params(self, tmp_path, no_env_seed, capsys):
-        from missdag.graphs import Dag, graph_to_json
+        from missdag.graphs import Dag
         p = tmp_path / "g.json"
         p.write_text(graph_to_json(Dag(["a"], [])))
         assert main(["simulate", str(p), "--n", "5",

@@ -11,6 +11,7 @@ from missdag.data import (
     AmputationEntry,
     AmputationSpec,
     CategoricalDataset,
+    VariableSchema,
     ampute,
     bootstrap,
     forward_sample,
@@ -23,6 +24,7 @@ from missdag.discovery import (
     SEARCHES,
     KnowledgeBase,
     SearchOptions,
+    _consensus_edges,
     _descendants,
     _legal,
     bootstrap_sem,
@@ -328,6 +330,17 @@ class TestHillClimb:
         assert (len(calls), len(set(calls))) == (total, distinct)
         assert total < reads_total / 3
 
+    @pytest.mark.parametrize("gain, moves", [
+        (5e-10, []),
+        (2e-9, [("add", ("a", "b"), 2e-9)]),
+    ])
+    def test_moves_only_on_a_gain_above_the_improvement_threshold(self, gain, moves):
+        # a gain of at most IMPROVEMENT_EPS (1e-9) is rounding, not a better graph
+        init = Dag(["a", "b"])
+        g, trace = hill_climb(_EdgeScorer({("a", "b"): gain}), KnowledgeBase(), init)
+        assert trace.moves == moves
+        assert g.edges == {e for _, e, _ in moves}
+
     def test_matches_exhaustive_optimum_on_small_instances(self):
         hits = 0
         for seed in range(20):
@@ -494,6 +507,11 @@ class TestBootstrapSem:
         mean_out, _ = mean_sd([v.log_likelihood for v in summary.out_of_sample])
         assert mean_in < 0.0 and mean_out < 0.0 and sd_in >= 0.0
 
+    def test_consensus_keeps_an_edge_at_the_threshold(self):
+        freq = {("a", "b"): 0.5, ("b", "c"): 0.25, ("c", "a"): 0.75}
+        g = _consensus_edges(freq, 0.5, KnowledgeBase(), ["a", "b", "c"])
+        assert g.edges == {("a", "b"), ("c", "a")}
+
     def test_threads_do_not_change_the_result(self):
         d = _mar_amputed(seed=11, n=600)
         kb = KnowledgeBase()
@@ -570,6 +588,23 @@ class TestDetectIndicatorParents:
         assert "a" in report["c"]["available_case_mnar_evidence"]
         assert report["c"]["mechanism"] == "MNAR"
 
+
+    def test_tests_each_candidate_at_the_bonferroni_level(self):
+        # x is missing in 11 of the 100 rows with w = s0 and in 22 of the
+        # 100 with w = s1; v alternates and is nearly independent of that
+        missing = np.zeros(200, dtype=bool)
+        missing[:11] = missing[100:122] = True
+        w = np.repeat([0, 1], 100)
+        v = np.arange(200) % 2
+        rows = np.column_stack([np.where(missing, MISSING, 0), w, v])
+        d = CategoricalDataset([VariableSchema(name, ("s0", "s1")) for name in "xwv"], rows)
+        # two fully observed candidates: the level is alpha / 2
+        p = g_test(missing.astype(np.int16), w, 2, 2)[2]
+        assert 0.05 / 2 < p < 0.05
+        report = detect_indicator_parents(d, alpha=0.05)
+        assert report["x"]["detected_parents"] == []
+        assert report["x"]["mechanism"] == "MCAR"
+        assert detect_indicator_parents(d, alpha=0.1)["x"]["detected_parents"] == ["w"]
 
     def test_scipy_p_values_give_the_same_report(self, monkeypatch):
         # 20 resamples of criterion 5's seed-11 MNAR train set, drawn as

@@ -250,6 +250,18 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
     assert code_lines(source) == 7
 
 
+def test_every_packaged_demo_file_is_package_data():
+    # a wheel holds a package's non-Python files only if a glob of
+    # [tool.setuptools.package-data], taken from the package directory,
+    # matches them
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["missdag"]
+    shipped = {p for pattern in globs for p in PACKAGE.glob(pattern)}
+    demo = {p for p in (PACKAGE / "demo").rglob("*") if p.is_file()}
+    assert demo and demo <= shipped
+
+
 if __name__ == "__main__":
     counts = {p.name: code_lines(p.read_text(encoding="utf-8"))
               for p in sorted(PACKAGE.glob("*.py"))}
