@@ -178,6 +178,8 @@ def _search_options(config: dict) -> SearchOptions:
 def _load_run(args):
     """The config, seed, search options, dataset, knowledge base and output
     directory of a ``discover`` or ``evaluate`` run."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     return (config, seed, _search_options(config), _load_dataset(config, seed),
@@ -193,7 +195,7 @@ def cmd_discover(args) -> int:
     summary_doc = None
     if algorithm == "bootstrap-sem":
         g, summary = bootstrap_sem(
-            d, kb, seed=seed, threads=args.threads or 1, **opts.sem_options(),
+            d, kb, seed=seed, threads=args.threads, **opts.sem_options(),
             **_fields(config, B=int, threshold=float, held_out_fraction=float))
         in_sample = [s.log_likelihood for s in summary.in_sample]
         out_of_sample = [s.log_likelihood for s in summary.out_of_sample]
@@ -230,7 +232,7 @@ def cmd_evaluate(args) -> int:
     algorithms = config.get("algorithms")
     if not isinstance(algorithms, list):
         raise ConfigError("config field 'algorithms' must be a list of algorithm names")
-    report = evaluate(algorithms, d, kb, seed=seed, threads=args.threads or 1,
+    report = evaluate(algorithms, d, kb, seed=seed, threads=args.threads,
                       **dataclasses.asdict(opts),
                       **_fields(config, B=int, held_out_fraction=float))
     # report.json first: json_text refuses NaN before any file is written
@@ -345,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=False)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count())
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.set_defaults(func=func)
 
     p = sub.add_parser("dsep", help="d-separation query on a graph file", parents=[common])

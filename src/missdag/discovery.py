@@ -163,24 +163,6 @@ def _descendants(g: Dag, index: Mapping[str, int]) -> List[int]:
     return reach
 
 
-def _legal(op: str, a: str, b: str, g: Dag, kb: KnowledgeBase,
-           index: Mapping[str, int], reach: List[int], room: List[bool]) -> bool:
-    """Whether the move ``op`` on (a, b) keeps ``g`` acyclic, within the
-    knowledge base and the parent limit: "add" on a pair that is not an
-    edge, "delete" and "reverse" on an edge a -> b. ``reach`` is
-    ``_descendants(g, index)``; ``room[i]`` tells whether the i-th vertex
-    may gain a parent."""
-    i, j = index[a], index[b]
-    if op == "add":
-        return room[j] and not reach[j] >> i & 1 and (a, b) not in kb.forbidden
-    if (a, b) in kb.required:
-        return False
-    # a reversal makes a cycle iff another directed path a ~> b remains
-    return op == "delete" or (room[i] and (b, a) not in kb.forbidden
-                              and not any(reach[index[c]] >> j & 1
-                                          for c in g.children(a) if c != b))
-
-
 def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptions.max_iter,
                max_parents: int = SearchOptions.max_parents) -> Tuple[Dag, SearchTrace]:
     """Greedy best-improvement search. Ties break lexicographically by
@@ -192,11 +174,15 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     A delta depends only on its child's old and new parent sets, so a
     child's deltas are computed when it gets a parent set: for every child
     first, then for the children the last move changed (``b``, and ``a``
-    too after a reversal). They cover every delete and every add while the
-    child has room, legal or not, and the child ranks its improving ones.
-    An iteration takes each child's first ranked move that is legal now; a
-    reversal adds its two children's cached deltas. So the search takes the
-    moves a search that rescored every legal move would take.
+    too after a reversal). They cover the moves the knowledge base and the
+    parent limit allow: every delete of a parent that is not required, and
+    every add that is not forbidden while the child has room. The child
+    ranks its improving ones. An iteration takes each child's first ranked
+    move that keeps the graph acyclic now. A reversal a -> b is a
+    candidate iff its delete of a and its add of b are both listed, and
+    scores the sum of those two cached deltas. A pick tests acyclicity
+    only. So the search takes the moves a search that rescored every legal
+    move would take.
 
     A non-finite initial score is refused: every delta from it is NaN, so
     the search would stop at once and report the initial graph."""
@@ -211,28 +197,31 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     current = trace.initial_score
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    deltas = {}   # child -> {x: delta of toggling x in its parents}
+    deltas = {}   # child -> {x: delta of toggling x in its parents}, the allowed moves
     ranked = {}   # child -> sorted [(-delta, op, x)], improving
-    room = [False] * len(verts)
     changed = verts
     for _ in range(max_iter):
         for b in changed:
             pb = g.parents(b)
-            room[index[b]] = len(pb) < max_parents
             deltas[b] = {x: scorer.move_delta(b, pb, pb - {x} if x in pb else pb | {x})
-                         for x in verts if x != b and (x in pb or room[index[b]])}
+                         for x in verts if x != b and ((x, b) not in kb.required if x in pb
+                                                       else len(pb) < max_parents
+                                                       and (x, b) not in kb.forbidden)}
             ranked[b] = sorted((-delta, "delete" if x in pb else "add", x)
                                for x, delta in deltas[b].items() if delta > IMPROVEMENT_EPS)
         reach = _descendants(g, index)
         best = None  # the smallest (-delta, op, a, b)
         for b in verts:
             for nd, op, x in ranked[b]:
-                if _legal(op, x, b, g, kb, index, reach, room):
+                # an add x -> b makes a cycle iff b reaches x
+                if op == "delete" or not reach[index[b]] >> index[x] & 1:
                     if best is None or (nd, op, x, b) < best:
                         best = (nd, op, x, b)
                     break
         for a, b in g.edges:
-            if _legal("reverse", a, b, g, kb, index, reach, room):
+            # a reversal makes a cycle iff another directed path a ~> b remains
+            if a in deltas[b] and b in deltas[a] and not any(
+                    reach[index[c]] >> index[b] & 1 for c in g.children(a) if c != b):
                 delta = deltas[b][a] + deltas[a][b]
                 key = (-delta, "reverse", a, b)
                 if delta > IMPROVEMENT_EPS and (best is None or key < best):
@@ -275,9 +264,8 @@ def structural_em(d: CategoricalDataset, kb: KnowledgeBase,
     E-step that ``em_fit`` hands back at the parameters it returns."""
     g = _initial_graph(d.names, kb)
     params, _, e_step = em_fit(g, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
-    schema = [d.variable(v) for v in g.vertices]
     for _ in range(opts.sem_max_outer):
-        scorer = BicScorer(schema, *e_step, pseudocount=0.0, n_effective=float(d.n))
+        scorer = BicScorer(d.schema, *e_step, pseudocount=0.0, n_effective=float(d.n))
         g2, _ = hill_climb(scorer, kb, init=g, max_iter=opts.max_iter,
                            max_parents=opts.max_parents)
         if g2 == g:
@@ -442,11 +430,10 @@ def _consensus_edges(freq: Mapping[Edge, float], threshold: float,
             return Dag(vertices, sorted(edges))
         except CycleDetected as exc:
             cyc = exc.cycle
-            cyc_edges = list(zip(cyc, cyc[1:]))
-            removable = [e for e in cyc_edges if e not in kb.required]
-            if not removable:
-                raise ConfigError("required edges form a cycle") from exc
-            edges.discard(min(removable, key=lambda e: (freq.get(e, 0.0), e)))
+            # KnowledgeBase refuses cyclic required edges, so every cycle holds an
+            # edge that is not required
+            edges.discard(min((e for e in zip(cyc, cyc[1:]) if e not in kb.required),
+                              key=lambda e: (freq.get(e, 0.0), e)))
 
 
 def evaluate(algorithms: Sequence[str], d: CategoricalDataset,

@@ -1,0 +1,102 @@
+"""Mutation probe: one-line wrong edits of the package, each with the tier-1
+test that must fail on it (DeMillo, Lipton & Sayward, IEEE Computer 1978).
+
+    python3 tests/mutants.py
+
+It copies ``src/`` and ``tests/`` to a temporary directory and checks that
+the unmutated copy passes every listed test. Then it applies each
+replacement alone, runs that mutant's test and prints ``killed`` or
+``survived``. It exits 1 if a mutant survives, a replacement no longer
+matches its file exactly once, or the unmutated copy fails. pytest does not
+collect this file, as its name does not start with ``test_``; the probe
+takes about a minute.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DISCOVERY, ESTIMATION = "src/missdag/discovery.py", "src/missdag/estimation.py"
+LEGALITY = "tests/test_discovery.py::TestLegalMoves::test_search_moves_match_candidate_graphs"
+
+# (file, old text, new text, the test that must fail)
+MUTANTS = [
+    # the BIC penalty
+    (ESTIMATION, "per_row = 0.5 * math.log(n_effective)", "per_row = math.log(n_effective)",
+     "tests/test_estimation.py::TestWeightedCountsAndBic::test_bic_matches_scorer"),
+    # IPW weights not normalised to mean one
+    (ESTIMATION, "w = w * (idx.size / total)", "w = w * 1.0",
+     "tests/test_estimation.py::TestIpwBicScorer::"
+     "test_mean_one_normalisation_caps_total_evidence"),
+    # the log-sum-exp of a row that ties at its maximum counts the tie once
+    (ESTIMATION, "m = ismax.sum(axis=1, keepdims=True, dtype=float)", "m = np.ones_like(amax)",
+     "tests/test_estimation.py::TestEmFit::test_matches_row_by_row_em"),
+    # the G-test's degrees of freedom
+    ("src/missdag/stats.py", "df = (a_card - 1) * (b_card - 1)", "df = a_card * b_card - 1",
+     "tests/test_discovery.py::TestGTest::test_independent_columns_give_large_p"),
+    # structural EM on the completion block with every weight 1
+    (DISCOVERY, "BicScorer(d.schema, *e_step,", "BicScorer(d.schema, e_step[0],",
+     "tests/test_discovery.py::TestStructuralEm::"
+     "test_searches_the_expected_counts_at_the_fitted_parameters"),
+    # indicator detection without its Bonferroni correction
+    (DISCOVERY, "a_corr = alpha / max(1, len(fully))", "a_corr = alpha",
+     "tests/test_discovery.py::TestDetectIndicatorParents::"
+     "test_tests_each_candidate_at_the_bonferroni_level"),
+    # a rounding-sized gain taken as a better graph
+    (DISCOVERY, "deltas[b].items() if delta > IMPROVEMENT_EPS", "deltas[b].items() if delta > 0",
+     "tests/test_discovery.py::TestHillClimb::"
+     "test_moves_only_on_a_gain_above_the_improvement_threshold"),
+    # the consensus drops an edge whose frequency is the threshold
+    (DISCOVERY, "if f >= threshold}", "if f > threshold}",
+     "tests/test_discovery.py::TestBootstrapSem::test_consensus_keeps_an_edge_at_the_threshold"),
+    # a reversal that leaves another path a ~> b
+    (DISCOVERY, "reach[index[c]] >> index[b] & 1 for c in g.children(a) if c != b",
+     "False for c in g.children(a)", LEGALITY),
+    # forbidden adds listed
+    (DISCOVERY, "and (x, b) not in kb.forbidden)}", ")}", LEGALITY),
+    # the reversal of a required edge
+    (DISCOVERY, "if a in deltas[b] and b in deltas[a]", "if b in deltas[a]", LEGALITY),
+    # an add that closes a cycle
+    (DISCOVERY, 'if op == "delete" or not reach[index[b]] >> index[x] & 1:', "if True:",
+     LEGALITY),
+]
+
+
+def passes(copy: Path, tests) -> bool:
+    """Whether the copy passes every test of ``tests``."""
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *tests], cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        if not passes(copy, sorted({test for *_, test in MUTANTS})):
+            print("the unmutated copy fails a listed test")
+            return 1
+        failed = 0
+        for path, old, new, test in MUTANTS:
+            target = copy / path
+            source = target.read_text(encoding="utf-8")
+            if source.count(old) != 1:
+                verdict = f"stale ({source.count(old)} matches)"
+            else:
+                target.write_text(source.replace(old, new), encoding="utf-8")
+                verdict = "survived" if passes(copy, [test]) else "killed"
+                target.write_text(source, encoding="utf-8")
+            failed += verdict != "killed"
+            print(f"{verdict:9} {path}: {old!r} -> {new!r}\n          {test}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -84,6 +84,16 @@ class TestExitCodes:
         assert main(["discover", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, threads", [("discover", "0"), ("evaluate", "-3")])
+    def test_usage_error_on_threads_below_one(self, tmp_path, no_env_seed, capsys,
+                                              command, threads):
+        # refused before any input is read or the output directory is made
+        cfg = _demo_config(tmp_path, algorithms=["hc-complete"], B=1)
+        assert main([command, "--config", cfg, "--seed", "1", "--threads", threads,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_on_malformed_dataset(self, tmp_path, no_env_seed):
         data = tmp_path / "bad.csv"
         data.write_text("a,b\n0\n")  # ragged row -> MissDagError at runtime

@@ -25,8 +25,6 @@ from missdag.discovery import (
     KnowledgeBase,
     SearchOptions,
     _consensus_edges,
-    _descendants,
-    _legal,
     bootstrap_sem,
     detect_indicator_parents,
     evaluate,
@@ -52,6 +50,7 @@ from oracles import (
     legal_moves,
     random_dag,
     random_params,
+    row_completions,
 )
 
 
@@ -178,6 +177,10 @@ class TestLegalMoves:
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=300, deadline=None)
     def test_search_moves_match_candidate_graphs(self, seed):
+        # For each candidate move, a score under which only that move gains
+        # 100: the search's first move is that one iff legal_moves lists it.
+        # The graph's edges weigh 0 and any other edge -10, so a delete gains
+        # nothing and an add or reversal loses unless it touches the move.
         rng = np.random.default_rng(seed)
         names = [f"v{i}" for i in range(rng.integers(2, 8))]
         g = random_dag(rng, names, edge_prob=rng.uniform(0.1, 0.8))
@@ -187,13 +190,25 @@ class TestLegalMoves:
             required=[e for e in sorted(g.edges) if rng.random() < 0.3],
             forbidden=[e for e in non_edges if rng.random() < 0.3])
         max_parents = int(rng.integers(0, 4))
-        index = {v: i for i, v in enumerate(names)}
-        reach = _descendants(g, index)
-        room = [len(g.parents(v)) < max_parents for v in names]
-        allowed = {(op, (a, b)) for a in names for b in names if a != b
-                   for op in (("delete", "reverse") if (a, b) in g.edges else ("add",))
-                   if _legal(op, a, b, g, kb, index, reach, room)}
-        assert allowed == set(legal_moves(g, kb, max_parents))
+        legal = set(legal_moves(g, kb, max_parents))
+        for a in names:
+            for b in names:
+                if a == b:
+                    continue
+                for op in ("delete", "reverse") if (a, b) in g.edges else ("add",):
+                    weights = dict.fromkeys(g.edges, 0.0)
+                    if op == "delete":
+                        # its reversal gains 90, and is illegal where the delete is
+                        weights[(a, b)] = -100.0
+                    else:
+                        weights[(a, b) if op == "add" else (b, a)] = 100.0
+                    expect = [(op, (a, b), 100.0)] if (op, (a, b)) in legal else []
+                    if op == "add" and ("reverse", (b, a)) in legal:
+                        # the add closes a cycle with b -> a; reversing b -> a
+                        # takes the gain instead
+                        expect = [("reverse", (b, a), 100.0)]
+                    _, trace = hill_climb(_EdgeScorer(weights), kb, g, 1, max_parents)
+                    assert trace.moves == expect, (op, (a, b))
 
 
 def _search_instance(seed, kind, max_vars=6):
@@ -282,24 +297,26 @@ class TestHillClimb:
             SearchOptions.max_iter, SearchOptions.max_parents)
 
     def test_rescores_only_the_moves_whose_child_changed(self, monkeypatch):
-        # seven variables, knowledge, 14 moves of all three kinds, 130 calls
+        # seven variables, knowledge, 14 moves of all three kinds, 114 calls
         # where a search that rescored every legal move would read 498
         # deltas. It reverses two edges it added (v0 -> v6 and v1 -> v4), so
-        # v6 and v4 get back parent sets they had, and 12 calls repeat.
-        self._check_rescoring(monkeypatch, seed=3, max_vars=8, total=130, distinct=118)
+        # v6 and v4 get back parent sets they had, and 10 calls repeat.
+        self._check_rescoring(monkeypatch, seed=3, max_vars=8, total=114, distinct=104)
 
     def test_rescores_only_the_moves_whose_child_changed_on_ten_variables(
             self, monkeypatch):
-        # 17 moves of all three kinds, 216 calls against 743 reads
-        self._check_rescoring(monkeypatch, seed=20, max_vars=10, total=216, distinct=216)
+        # 17 moves of all three kinds, 168 calls against 743 reads
+        self._check_rescoring(monkeypatch, seed=20, max_vars=10, total=168, distinct=168)
 
     @staticmethod
     def _check_rescoring(monkeypatch, seed, max_vars, total, distinct):
         # A child's deltas are computed when it gets a parent set: for every
         # child in the first iteration, then only for the children the last
         # move changed (b, and a after a reversal). Such a child gets one call
-        # per other vertex: every delete, and every add while it has room,
-        # legal or not. The reversal scan makes no call of its own.
+        # per move the knowledge base and the parent limit allow: every delete
+        # of a parent that is not required, and every add that is not
+        # forbidden while it has room, whether or not it closes a cycle. The
+        # reversal scan makes no call of its own.
         kb, init, make = _search_instance(seed, "bic", max_vars=max_vars)
         max_iter, max_parents = 500, 3
         calls = []
@@ -316,7 +333,9 @@ class TestHillClimb:
             for b in changed:
                 pb = h.parents(b)
                 expected += [(b, pb, pb - {x} if x in pb else pb | {x}) for x in h.vertices
-                             if x != b and (x in pb or len(pb) < max_parents)]
+                             if x != b and ((x, b) not in kb.required if x in pb else
+                                            len(pb) < max_parents
+                                            and (x, b) not in kb.forbidden)]
             # the deltas a search that rescored every legal move would read
             reads_total += sum(1 + (op == "reverse")
                                for op, _ in legal_moves(h, kb, max_parents))
@@ -404,6 +423,31 @@ class TestStructuralEm:
         g_sem, _ = structural_em(d, kb, SearchOptions(refit_pseudocount=0.0))
         g_hc, _ = hill_climb(BicScorer(d.schema, d.rows), kb, Dag(d.names))
         assert g_sem == g_hc
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_searches_the_expected_counts_at_the_fitted_parameters(self, seed):
+        # one round finds the graph that hill climbing finds from the start
+        # graph on the completion block weighted by its posterior at em_fit's
+        # parameters, both built row by row by the oracle
+        rng = np.random.default_rng(seed)
+        names = [f"v{i}" for i in range(rng.integers(2, 6))]
+        cards = {v: int(rng.integers(2, 4)) for v in names}
+        truth = random_dag(rng, names, edge_prob=0.6)
+        d = forward_sample(truth, random_params(rng, truth, cards), int(rng.integers(20, 120)),
+                           seed=int(rng.integers(2 ** 31)))
+        rows = d.rows.copy()
+        rows[rng.random(rows.shape) < rng.uniform(0.05, 0.3)] = MISSING
+        d = CategoricalDataset(d.schema, rows)
+        kb = KnowledgeBase(required=[e for e in sorted(truth.edges) if rng.random() < 0.2])
+        opts = SearchOptions(sem_max_outer=1)
+        init = Dag(d.names, sorted(kb.required))
+        params, _, _ = em_fit(init, d, opts.refit_pseudocount, opts.em_max_iter, opts.em_tol)
+        block, weights, _, _ = row_completions(init, params, d)
+        want, _ = hill_climb(BicScorer(d.schema, block, weights, pseudocount=0.0,
+                                       n_effective=d.n), kb, init, opts.max_iter,
+                             opts.max_parents)
+        assert structural_em(d, kb, opts)[0] == want
 
     def test_recovers_skeleton_under_mar(self):
         d = _mar_amputed(seed=8)
