@@ -410,6 +410,8 @@ def _replicates(algorithms, d: CategoricalDataset, kb: KnowledgeBase, B: int,
     Every algorithm sees the same B resamples."""
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
     if test is None:
         train, test = split(d, held_out_fraction, split_ss)

@@ -37,7 +37,9 @@ ROW_SUM_TOL = 1e-9 + 1e-5
 
 class ParameterSet:
     """One CPT per variable, indexed by the lexicographic parent-state
-    product (first parent most significant)."""
+    product (first parent most significant). Building a set only stores
+    it: ``check_graph`` checks the CPTs against the graph they are used on,
+    and every use calls it."""
 
     __slots__ = ("variables", "states")
 
@@ -46,21 +48,6 @@ class ParameterSet:
         self.variables = {v: (tuple(ps), np.asarray(t, dtype=float))
                           for v, (ps, t) in variables.items()}
         self.states = {v: tuple(s) for v, s in states.items()}
-        for v, (parents, table) in self.variables.items():
-            if v not in self.states:
-                raise SchemaMismatch(f"no state labels for {v!r}")
-            card = len(self.states[v])
-            ncfg = 1
-            for p in parents:
-                if p not in self.states:
-                    raise SchemaMismatch(f"no state labels for parent {p!r} of {v!r}")
-                ncfg *= len(self.states[p])
-            if table.shape != (ncfg, card):
-                raise SchemaMismatch(
-                    f"CPT for {v!r} has shape {table.shape}, expected {(ncfg, card)}")
-            # NaN and +-inf sums fail the comparison
-            if not (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
-                raise SchemaMismatch(f"CPT rows for {v!r} do not sum to 1")
 
     def table(self, v: str) -> np.ndarray:
         return self.variables[v][1]
@@ -69,13 +56,31 @@ class ParameterSet:
         return self.variables[v][0]
 
     def check_graph(self, g: Dag) -> None:
-        """Refuse a graph these CPTs do not fit: a vertex without a CPT, or
-        a CPT whose parents are not the vertex's parents in ``g``."""
+        """Refuse CPTs that do not fit ``g``: a CPT for a variable ``g``
+        lacks, a vertex without a CPT or state labels, parents other than
+        the vertex's parents in ``g``, each listed once, a table whose shape
+        is not (product of the parents' cardinalities, cardinality), or a
+        row whose sum is more than ``ROW_SUM_TOL`` from 1. The package's own
+        fits pass by construction, and are not checked until they are
+        used."""
+        extra = sorted(set(self.variables) - set(g.vertices))
+        if extra:
+            raise SchemaMismatch(f"CPTs for variables the graph lacks: {extra}")
         for v in g.vertices:
             if v not in self.variables:
                 raise SchemaMismatch(f"no CPT for {v!r}")
-            if set(self.parents(v)) != set(g.parents(v)):
+            if v not in self.states:
+                raise SchemaMismatch(f"no state labels for {v!r}")
+        for v in g.vertices:
+            parents, table = self.variables[v]
+            if sorted(parents) != sorted(g.parents(v)):
                 raise SchemaMismatch(f"CPT parents for {v!r} do not match the graph")
+            shape = (math.prod(len(self.states[p]) for p in parents), len(self.states[v]))
+            if table.shape != shape:
+                raise SchemaMismatch(f"CPT for {v!r} has shape {table.shape}, expected {shape}")
+            # NaN and +-inf sums fail the comparison
+            if not (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
+                raise SchemaMismatch(f"CPT rows for {v!r} do not sum to 1")
 
     @staticmethod
     def from_json(text: str) -> "ParameterSet":
@@ -168,14 +173,6 @@ def _m_step(d: CategoricalDataset, parents: Mapping[str, Tuple[str, ...]],
             table[seen] = counts[seen] / rowsum[seen]
         variables[v] = ps, table
     return ParameterSet(variables, {v: d.variable(v).states for v in parents})
-
-
-def _check_params(g: Dag, params: ParameterSet, d: CategoricalDataset) -> None:
-    _check_coverage(g, d)
-    params.check_graph(g)
-    for v in g.vertices:
-        if params.table(v).shape[1] != d.variable(v).cardinality:
-            raise SchemaMismatch(f"CPT cardinality mismatch for {v!r}")
 
 
 def _family_codes(block: np.ndarray, vertices: Sequence[str], parents_of,
@@ -353,7 +350,11 @@ def expand_completions(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray]
 def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> ScoreValue:
     """Sum of per-row log-likelihoods; rows with missing cells contribute the
     exact marginal over all completions (one ``expand_completions``)."""
-    _check_params(g, params, d)
+    _check_coverage(g, d)
+    params.check_graph(g)
+    for v in g.vertices:
+        if params.table(v).shape[1] != d.variable(v).cardinality:
+            raise SchemaMismatch(f"CPT cardinality mismatch for {v!r}")
     tables = [params.table(v) for v in g.vertices]
     cards = {v: d.variable(v).cardinality for v in g.vertices}
     if d.is_complete():

@@ -9,7 +9,8 @@ replacement alone, runs that mutant's test and prints ``killed`` or
 ``survived``. It exits 1 if a mutant survives, a replacement no longer
 matches its file exactly once, or the unmutated copy fails. pytest does not
 collect this file, as its name does not start with ``test_``; the probe
-takes about a minute.
+takes about a minute. ``tests/test_hygiene.py`` checks, without running the
+probe, that every replacement still matches once and every test exists.
 """
 
 import os
@@ -63,6 +64,15 @@ MUTANTS = [
     # an add that closes a cycle
     (DISCOVERY, 'if op == "delete" or not reach[index[b]] >> index[x] & 1:', "if True:",
      LEGALITY),
+    # CPT rows summed down the columns
+    (ESTIMATION, "np.abs(table.sum(axis=1) - 1.0)", "np.abs(table.sum(axis=0) - 1.0)",
+     "tests/test_estimation.py::TestParameterSet::test_row_sum_tolerance_is_that_of_allclose"),
+    # a CPT checked by its cardinality alone
+    (ESTIMATION, "if table.shape != shape:", "if table.shape[1] != shape[1]:",
+     "tests/test_estimation.py::TestParameterSet::test_shape_must_match_parent_product"),
+    # a parent configuration never seen gets a row that does not sum to 1
+    (ESTIMATION, "np.full_like(counts, 1.0 / shape[1])", "np.full_like(counts, 1.0 / shape[0])",
+     "tests/test_estimation.py::TestFittedCpts::test_every_fit_passes_check_graph"),
 ]
 
 

@@ -280,13 +280,13 @@ def row_completions(g: Dag, params, d):
 def e_step_at(g: Dag, params, d):
     """The (rows, weights, origin, row_ll) of ``estimation.expand_completions``
     at the parameters ``params``, set up as ``log_likelihood`` sets it up: the
-    parameters checked against the graph and the dataset, the completion
-    index over the graph's columns, and each family's code over its block,
-    parents in the CPTs' order. Not an oracle: the E-step it runs is the
-    package's, which ``row_completions`` referees."""
+    parameters checked against the graph, the completion index over the
+    graph's columns, and each family's code over its block, parents in the
+    CPTs' order. Not an oracle: the E-step it runs is the package's, which
+    ``row_completions`` referees."""
     from missdag import estimation
 
-    estimation._check_params(g, params, d)
+    params.check_graph(g)
     cards = {v: d.variable(v).cardinality for v in g.vertices}
     index = estimation._completion_index(d, g.vertices, cards)
     codes = estimation._family_codes(index[0], g.vertices, params.parents, cards)

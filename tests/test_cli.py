@@ -907,6 +907,28 @@ class TestAmputeAndSimulate:
         _assert_one_diagnostic(err, json_logs=False)
         assert err == "error: SchemaMismatch: no CPT for 'b'\n"
 
+    @pytest.mark.parametrize("variables, line", [
+        # a well-formed CPT the graph does not read is refused, not dropped
+        ({"c": {"parents": [], "table": [[0.5, 0.5]]}},
+         "CPTs for variables the graph lacks: ['c']"),
+        ({"b": {"parents": ["a"], "table": [[0.9, 0.1]]}},
+         "CPT for 'b' has shape (1, 2), expected (2, 2)"),
+        # a table for a parent listed twice has rows no sample reads
+        ({"b": {"parents": ["a", "a"], "table": [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5],
+                                                 [0.2, 0.8]]}},
+         "CPT parents for 'b' do not match the graph"),
+    ], ids=["extra-cpt", "misshaped-cpt", "parent-listed-twice"])
+    def test_params_that_do_not_fit_the_graph_is_a_runtime_error(
+            self, tmp_path, monkeypatch, capsys, variables, line):
+        (tmp_path / "g.json").write_text(GRAPH)
+        doc = json.loads(PARAMS)
+        doc["variables"].update(variables)
+        _write_json(tmp_path / "p.json", doc)
+        monkeypatch.chdir(tmp_path)
+        assert main(SIMULATE) == 1
+        assert capsys.readouterr().err == f"error: SchemaMismatch: {line}\n"
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("mass", ["uniform", "on the last state"])
     def test_params_with_more_states_than_a_cell_holds_is_a_runtime_error(
             self, tmp_path, monkeypatch, capsys, mass):

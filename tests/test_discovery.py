@@ -571,6 +571,14 @@ class TestBootstrapSem:
         with pytest.raises(ConfigError):
             bootstrap_sem(d, KnowledgeBase(), B=2, threshold=0.0)
 
+    def test_threads_below_one_rejected(self):
+        # refused, not run serially
+        d = _mar_amputed(seed=12, n=300)
+        with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
+            bootstrap_sem(d, KnowledgeBase(), B=2, threads=0)
+        with pytest.raises(ConfigError, match="threads must be >= 1, got -3"):
+            evaluate(["hc-complete"], d, KnowledgeBase(), B=2, threads=-3)
+
     def test_sem_keywords_set_their_search_options(self):
         # every SearchOptions default differs from the others, so a keyword
         # mapped to the wrong field shows as a default that does not match

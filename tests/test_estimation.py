@@ -74,9 +74,11 @@ def _random_instance(seed, max_vars=4, missing=0.3):
 
 
 class TestParameterSet:
+    # building a set checks nothing: check_graph refuses what does not fit
     def test_rows_must_sum_to_one(self):
-        with pytest.raises(SchemaMismatch):
-            ParameterSet({"a": ((), np.array([[0.5, 0.4]]))}, {"a": ("s0", "s1")})
+        params = ParameterSet({"a": ((), np.array([[0.5, 0.4]]))}, {"a": ("s0", "s1")})
+        with pytest.raises(SchemaMismatch, match="CPT rows for 'a' do not sum to 1"):
+            params.check_graph(Dag(["a"]))
 
     EDGE = 1.0 + (1e-9 + 1e-5)
 
@@ -88,19 +90,31 @@ class TestParameterSet:
     def test_row_sum_tolerance_is_that_of_allclose(self, row_sum):
         table = np.array([[row_sum, 0.0]])
         accepted = np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
+        params = ParameterSet({"a": ((), table)}, {"a": ("s0", "s1")})
         try:
-            ParameterSet({"a": ((), table)}, {"a": ("s0", "s1")})
+            params.check_graph(Dag(["a"]))
         except SchemaMismatch:
             assert not accepted
         else:
             assert accepted
 
     def test_shape_must_match_parent_product(self):
-        with pytest.raises(SchemaMismatch):
-            ParameterSet(
-                {"a": ((), np.array([[0.5, 0.5]])),
-                 "b": (("a",), np.array([[0.5, 0.5]]))},
-                {"a": ("s0", "s1"), "b": ("s0", "s1")})
+        params = ParameterSet({"a": ((), np.array([[0.5, 0.5]])),
+                               "b": (("a",), np.array([[0.5, 0.5]]))},
+                              {"a": ("s0", "s1"), "b": ("s0", "s1")})
+        with pytest.raises(SchemaMismatch,
+                           match=re.escape("CPT for 'b' has shape (1, 2), expected (2, 2)")):
+            params.check_graph(Dag(["a", "b"], [("a", "b")]))
+
+    def test_refuses_a_cpt_the_graph_lacks(self):
+        g = Dag(["a", "b"], [("a", "b")])
+        params = random_params(np.random.default_rng(0), Dag(["a", "b", "c"], [("a", "b")]),
+                               {"a": 2, "b": 2, "c": 3})
+        with pytest.raises(SchemaMismatch,
+                           match=re.escape("CPTs for variables the graph lacks: ['c']")):
+            params.check_graph(g)
+        del params.variables["c"]
+        params.check_graph(g)
 
     def test_json_round_trip(self):
         g = Dag(["a", "b"], [("a", "b")])
@@ -110,6 +124,30 @@ class TestParameterSet:
             assert back.parents(v) == params.parents(v)
             assert np.allclose(back.table(v), params.table(v))
             assert back.states[v] == params.states[v]
+
+
+class TestFittedCpts:
+    # a fit is stored unchecked, and checked where it is used: every fit the
+    # package makes must pass check_graph on its own graph
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_fit_passes_check_graph(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 12))
+        lowest = data.draw(st.sampled_from([MISSING, 0]))
+        cells = st.tuples(*[st.integers(lowest, k - 1) for k in cards])
+        rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+        d = _dataset(cards, np.array(rows, dtype=np.int16).reshape(n, len(cards)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        g = random_dag(rng, data.draw(st.permutations(names)), edge_prob=0.6)
+        # at pseudocount 0, a parent configuration the rows never show gets a
+        # uniform row
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 10.0]))
+        if d.is_complete():
+            fit_mle(g, d, pseudocount).check_graph(g)
+        max_iter = data.draw(st.integers(0, 4))
+        em_fit(g, d, pseudocount, max_iter, tol=0.0)[0].check_graph(g)
 
 
 class TestFitMle:

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in it, every
 exception class the package defines is raised or caught somewhere, every
 function, class and method of the package is read somewhere outside its
-own definition, and every JSON text the package writes refuses NaN and
-infinities.
+own definition, every JSON text the package writes refuses NaN and
+infinities, and every entry of the mutation probe (``tests/mutants.py``)
+still applies to its file and names a test that exists.
 
 Run as a script, it prints the code lines of each package module and their
 total (``code_lines``), the count a change's size is reported in:
@@ -18,6 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "missdag"
@@ -260,6 +263,19 @@ def test_every_packaged_demo_file_is_package_data():
     shipped = {p for pattern in globs for p in PACKAGE.glob(pattern)}
     demo = {p for p in (PACKAGE / "demo").rglob("*") if p.is_file()}
     assert demo and demo <= shipped
+
+
+@pytest.mark.parametrize("path, old, new, test", MUTANTS, ids=map(str, range(len(MUTANTS))))
+def test_every_mutant_applies_once_and_names_a_test(path, old, new, test):
+    # a probe entry gone stale shows here, not only when the probe runs
+    assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1
+    file, *names = test.split("::")
+    body = ast.parse((ROOT / file).read_text(encoding="utf-8")).body
+    for name in names:
+        found = [node for node in body
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name]
+        assert found, f"{test}: no {name} in {file}"
+        body = found[0].body
 
 
 if __name__ == "__main__":
