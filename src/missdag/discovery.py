@@ -184,32 +184,40 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     only. So the search takes the moves a search that rescored every legal
     move would take.
 
+    The search keeps its own parent sets, child sets, edge set and ``reach``
+    bitsets (``_descendants``). After an add a -> b, every vertex that
+    reaches a ORs in what b reaches; a delete or a reversal, which are
+    rare, recomputes them from a ``Dag``. The ``Dag`` it returns is built
+    at the end, so acyclicity is checked once.
+
     A non-finite initial score is refused: every delta from it is NaN, so
     the search would stop at once and report the initial graph."""
     if not kb.satisfied_by(init):
         raise ConfigError("initial graph violates the knowledge base")
-    g = init
     trace = SearchTrace(initial_score=scorer.score(init))
     if not math.isfinite(trace.initial_score):
         raise SchemaMismatch(
             f"the initial graph scores {trace.initial_score!r}, and hill climbing needs a "
             "finite score (a score_pseudocount so large that the counts overflow gives this)")
     current = trace.initial_score
-    verts = g.vertices
+    verts = init.vertices
     index = {v: i for i, v in enumerate(verts)}
+    parents = {v: init.parents(v) for v in verts}
+    children = {v: init.children(v) for v in verts}
+    edges = init.edges
+    reach = _descendants(init, index)
     deltas = {}   # child -> {x: delta of toggling x in its parents}, the allowed moves
     ranked = {}   # child -> sorted [(-delta, op, x)], improving
     changed = verts
     for _ in range(max_iter):
         for b in changed:
-            pb = g.parents(b)
+            pb = parents[b]
             deltas[b] = {x: scorer.move_delta(b, pb, pb - {x} if x in pb else pb | {x})
                          for x in verts if x != b and ((x, b) not in kb.required if x in pb
                                                        else len(pb) < max_parents
                                                        and (x, b) not in kb.forbidden)}
             ranked[b] = sorted((-delta, "delete" if x in pb else "add", x)
                                for x, delta in deltas[b].items() if delta > IMPROVEMENT_EPS)
-        reach = _descendants(g, index)
         best = None  # the smallest (-delta, op, a, b)
         for b in verts:
             for nd, op, x in ranked[b]:
@@ -218,10 +226,10 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
                     if best is None or (nd, op, x, b) < best:
                         best = (nd, op, x, b)
                     break
-        for a, b in g.edges:
+        for a, b in edges:
             # a reversal makes a cycle iff another directed path a ~> b remains
             if a in deltas[b] and b in deltas[a] and not any(
-                    reach[index[c]] >> index[b] & 1 for c in g.children(a) if c != b):
+                    reach[index[c]] >> index[b] & 1 for c in children[a] if c != b):
                 delta = deltas[b][a] + deltas[a][b]
                 key = (-delta, "reverse", a, b)
                 if delta > IMPROVEMENT_EPS and (best is None or key < best):
@@ -230,18 +238,22 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
             break
         nd, op, a, b = best
         delta = -nd
-        edges = g.edges - {(a, b)}
+        for p, c in [(a, b), (b, a)] if op == "reverse" else [(a, b)]:
+            parents[c] ^= {p}
+            children[p] ^= {c}
+            edges ^= {(p, c)}
         if op == "add":
-            edges |= {(a, b)}
-        elif op == "reverse":
-            edges |= {(b, a)}
-        g = Dag(verts, edges)
+            # the vertices that reach a now reach all that b reaches
+            bit, below = 1 << index[a], reach[index[b]]
+            reach = [r | below if r & bit else r for r in reach]
+        else:
+            reach = _descendants(Dag(verts, edges), index)
         changed = (b, a) if op == "reverse" else (b,)
         current += delta
         trace.moves.append((op, (a, b), delta))
     trace.iterations = len(trace.moves)
     trace.final_score = current
-    return g, trace
+    return Dag(verts, edges), trace
 
 
 # --- structural EM ---

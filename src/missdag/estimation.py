@@ -500,7 +500,10 @@ class BicScorer:
     given; only a cache miss puts the parents in column order to count the
     family. An add move that misses scores all of its child's uncached adds
     to the same parents in one pass (see ``move_delta``), to the bits each
-    would get alone.
+    would get alone. On an empty parent set that pass also scores each
+    reverse family (y | {child}) from the same tables, transposed, so the
+    first sweep of a hill climb from the empty graph counts each pair of
+    variables once.
     """
 
     def __init__(self, schema: Sequence[VariableSchema], rows: np.ndarray,
@@ -572,7 +575,14 @@ class BicScorer:
     def _score_adds(self, child: str, old: frozenset) -> None:
         """Cache the score of every family that adds one vertex y to the
         parents ``old`` of ``child``, where it is missing, from one code of
-        the parents (column order) followed by the child."""
+        the parents (column order) followed by the child.
+
+        With ``old`` empty it also caches each reverse family (y | {child}).
+        Its table is the transpose of (child | {y}): the same bins, filled by
+        the same rows in the same order, so it gets the bits that
+        ``family_counts`` would give. A sweep from the empty graph thus
+        counts each pair of variables once. The reverse tables are stacked
+        by y's cardinality, as a stack shares its child's columns."""
         adds = [v.name for v in self.schema if v.name != child and v.name not in old
                 and (child, old | {v.name}) not in self._cache]
         family = self._canon(old) + (child,)
@@ -580,8 +590,14 @@ class BicScorer:
         _check_cells(math.prod(cards) * sum(self._card[y] for y in adds),
                      "scoring the parent additions of", child)
         base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
-        self._cache_scores([(child, old | {y}) for y in adds],
-                           self._add_tables(base, None, self.weights, family[:-1], child, adds))
+        tables = self._add_tables(base, None, self.weights, family[:-1], child, adds)
+        self._cache_scores([(child, old | {y}) for y in adds], tables)
+        if not old:
+            reverse: Dict[int, list] = {}  # y's cardinality -> [(key, table)]
+            for y, t in zip(adds, tables):
+                reverse.setdefault(self._card[y], []).append(((y, frozenset({child})), t.T))
+            for stack in reverse.values():
+                self._cache_scores(*zip(*stack))
 
     def score(self, g: Dag) -> float:
         return sum(self.family_score(v, g.parents(v)) for v in g.vertices)

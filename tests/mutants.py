@@ -55,8 +55,8 @@ MUTANTS = [
     (DISCOVERY, "if f >= threshold}", "if f > threshold}",
      "tests/test_discovery.py::TestBootstrapSem::test_consensus_keeps_an_edge_at_the_threshold"),
     # a reversal that leaves another path a ~> b
-    (DISCOVERY, "reach[index[c]] >> index[b] & 1 for c in g.children(a) if c != b",
-     "False for c in g.children(a)", LEGALITY),
+    (DISCOVERY, "reach[index[c]] >> index[b] & 1 for c in children[a] if c != b",
+     "False for c in children[a]", LEGALITY),
     # forbidden adds listed
     (DISCOVERY, "and (x, b) not in kb.forbidden)}", ")}", LEGALITY),
     # the reversal of a required edge
@@ -73,6 +73,14 @@ MUTANTS = [
     # a parent configuration never seen gets a row that does not sum to 1
     (ESTIMATION, "np.full_like(counts, 1.0 / shape[1])", "np.full_like(counts, 1.0 / shape[0])",
      "tests/test_estimation.py::TestFittedCpts::test_every_fit_passes_check_graph"),
+    # after an add a -> b, every vertex, not only those that reach a, reaches
+    # all that b reaches
+    (DISCOVERY, "[r | below if r & bit else r for r in reach]", "[r | below for r in reach]",
+     "tests/test_discovery.py::TestHillClimb::test_equals_search_that_rescores_every_move"),
+    # a reverse family (y | {child}) scored on the (child | {y}) table untransposed
+    (ESTIMATION, "frozenset({child})), t.T))", "frozenset({child})), t))",
+     "tests/test_estimation.py::TestBicScorer::"
+     "test_reverse_families_score_as_each_family_alone"),
 ]
 
 

@@ -349,6 +349,23 @@ class TestHillClimb:
         assert (len(calls), len(set(calls))) == (total, distinct)
         assert total < reads_total / 3
 
+    def test_first_sweep_counts_each_pair_once(self, monkeypatch):
+        # from the empty graph, the first sweep counts (b | {a}) and reads
+        # (a | {b}) from the same table: p(p - 1) / 2 tables, not p(p - 1)
+        names = [f"v{i}" for i in range(8)]
+        d = CategoricalDataset([VariableSchema(v, ("s0", "s1", "s2")) for v in names],
+                               np.random.default_rng(5).integers(0, 3, (200, 8)))
+        counted = []
+        add_tables = BicScorer._add_tables
+
+        def counting(self, *args):
+            counted.append(len(args[-1]))
+            return add_tables(self, *args)
+
+        monkeypatch.setattr(BicScorer, "_add_tables", counting)
+        hill_climb(BicScorer(d.schema, d.rows), KnowledgeBase(), Dag(names), max_iter=1)
+        assert sum(counted) == 8 * 7 // 2
+
     @pytest.mark.parametrize("gain, moves", [
         (5e-10, []),
         (2e-9, [("add", ("a", "b"), 2e-9)]),

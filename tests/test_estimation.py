@@ -706,6 +706,30 @@ class TestBicScorer:
         assert math.isfinite(scorer.family_score(child, old))
         assert len(counted) == 1
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reverse_families_score_as_each_family_alone(self, data):
+        # an add to an empty parent set also scores each reverse family
+        # (y | {child}) from the transpose of the (child | {y}) table; with
+        # cardinalities 2-5 most of those tables are not square
+        cards = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=5))
+        n = data.draw(st.integers(1, 40))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        weights = data.draw(st.none() | st.lists(st.floats(1e-3, 5.0), min_size=n,
+                                                 max_size=n).map(np.array))
+        pseudocount = data.draw(st.just(0.0) | st.floats(0.01, 10.0))
+        schema = _schema(*cards)
+        names = [v.name for v in schema]
+        pairs = [(child, y) for child in names for y in names if y != child]
+        scorer = BicScorer(schema, rows, weights, pseudocount)
+        for child, y in pairs:
+            scorer.move_delta(child, (), {y})
+        for child, y in pairs:
+            fresh = BicScorer(schema, rows, weights, pseudocount)
+            assert scorer.family_score(y, {child}) == fresh.family_score(y, {child})
+
     def test_bootstrap_weights_equal_duplicated_rows(self):
         d = _dataset([2, 2], [[0, 0], [0, 1], [1, 1]])
         dup = np.repeat(d.rows, [2, 1, 3], axis=0)
