@@ -350,7 +350,9 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
             wmap = e.weights.get(w, {})
             states = d.variable(w).states
             per_state = np.array([float(wmap.get(s, 0.0)) for s in states])
-            eta = eta + per_state[d.column(w)]
+            # a sum past the float range is +/-inf, where the logistic is 1 or 0
+            with np.errstate(over="ignore"):
+                eta = eta + per_state[d.column(w)]
         values, where = np.unique(eta, return_inverse=True)
         prob = np.array([logistic(v) for v in values])[where]
         u = np.random.default_rng(streams[i]).random(d.n)

@@ -537,13 +537,13 @@ class BicScorer:
         _check_cells(math.prod(cards), "the counts of", child)
         return family_counts(self.rows, [self._col[v] for v in family], cards, self.weights)
 
-    def _add_tables(self, base: np.ndarray, idx: Optional[np.ndarray],
-                    weights: Optional[np.ndarray], parents: Tuple[str, ...], child: str,
+    def _add_tables(self, base: np.ndarray, weights: Optional[np.ndarray],
+                    parents: Tuple[str, ...], child: str,
                     adds: Sequence[str]) -> List[np.ndarray]:
         """The count table of each family that adds one vertex y of ``adds``
-        to the ``parents`` (column order) of ``child``, on the rows ``idx``
-        (every row if None) with their ``weights``, where ``base`` codes
-        those rows over the parents followed by the child. y's counts are one
+        to the ``parents`` (column order) of ``child``, over every row with
+        its weight in ``weights`` (one each if None), where ``base`` codes
+        the rows over the parents followed by the child. y's counts are one
         ``bincount`` of that code times y's cardinality plus y, and their
         table is transposed so that y sits at its column-order place among
         the parents, as ``family_counts`` would lay it out."""
@@ -555,7 +555,7 @@ class BicScorer:
         for y in adds:
             j, card_y = self._col[y], self._card[y]
             np.multiply(base, card_y, out=code)
-            code += self.rows[:, j] if idx is None else self.rows[:, j].take(idx)
+            code += self.rows[:, j]
             counts = np.bincount(code, weights, minlength=ncfg * card * card_y)
             # axes (parents before y, parents after y, child, y) -> y in place
             before = math.prod(pcards[:bisect.bisect(pcols, j)])
@@ -590,7 +590,7 @@ class BicScorer:
         _check_cells(math.prod(cards) * sum(self._card[y] for y in adds),
                      "scoring the parent additions of", child)
         base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
-        tables = self._add_tables(base, None, self.weights, family[:-1], child, adds)
+        tables = self._add_tables(base, self.weights, family[:-1], child, adds)
         self._cache_scores([(child, old | {y}) for y in adds], tables)
         if not old:
             reverse: Dict[int, list] = {}  # y's cardinality -> [(key, table)]
@@ -629,57 +629,58 @@ class IpwBicScorer(BicScorer):
     scores all of its child's uncached adds to the same parents in one
     pass, grouped by observed set (see ``move_delta``), to the bits each
     would get alone.
+
+    An observed set is one weight per dataset row, exactly 0.0 on the rows
+    where a variable of the set is missing, and every count is a weighted
+    ``bincount`` over all rows, with missing cells read as state 0: a row of
+    weight 0.0 adds nothing to a bin, and the others are added in row order,
+    so the counts have the bits of a count over the set's rows alone.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
                  pseudocount: float = 0.0):
-        super().__init__(d.schema, d.rows, pseudocount=pseudocount)
+        super().__init__(d.schema, np.maximum(d.rows, 0), pseudocount=pseudocount)
         self.mask = d.mask
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         self.partial = frozenset(
             v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
         # by observed set (a family's partially observed variables, in column
-        # order): the rows where all are observed, as indices, and their
-        # normalised weights; at most 2^|partial| entries of 16 bytes a row
-        self._observed: Dict[Tuple[str, ...], Tuple[np.ndarray, np.ndarray]] = {}
+        # order): its weight vector; at most 2^|partial| entries of n x 8 bytes
+        self._observed: Dict[Tuple[str, ...], np.ndarray] = {}
 
-    def _rows_on(self, obs: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        """The rows where every variable of ``obs`` (column order) is
-        observed, as indices, and their weights; built once per set."""
-        hit = self._observed.get(obs)
-        if hit is None:
-            idx = np.flatnonzero(~self.mask[:, [self._col[v] for v in obs]].any(axis=1))
-            w = np.ones(idx.size)
+    def _weights_on(self, obs: Tuple[str, ...]) -> np.ndarray:
+        """One weight per row for the observed set ``obs`` (column order):
+        normalised to mean one over the rows where every variable of ``obs``
+        is observed, and 0.0 on the others; built once per set."""
+        w = self._observed.get(obs)
+        if w is None:
+            seen = ~self.mask[:, [self._col[v] for v in obs]].any(axis=1)
+            w = np.ones(seen.size)
             # obs comes in column order; the bits of the weight product depend on it
             for v in obs:
                 vw = self.var_weights.get(v)
                 if vw is not None:
-                    w = w * vw[idx]
+                    w = w * vw
             # Normalise to mean weight one over the usable rows: the weighted
             # counts then never claim more evidence than the rows actually
             # seen, which keeps the (fixed) BIC penalty honest across row
-            # subsets.
-            total = w.sum()
+            # subsets. The sum runs over those rows alone: one over all n rows
+            # would add in other pairwise blocks and move the bits.
+            total = w[seen].sum()
             if total > 0:
-                w = w * (idx.size / total)
-            hit = self._observed[obs] = idx, w
-        return hit
-
-    def _gather(self, names: Tuple[str, ...], idx: np.ndarray) -> np.ndarray:
-        """The columns of ``names`` at the rows ``idx``, column-major."""
-        # take() is several times faster than fancy indexing
-        sub = np.empty((idx.size, len(names)), dtype=np.int16, order="F")
-        for c, v in enumerate(names):
-            self.rows[:, self._col[v]].take(idx, out=sub[:, c])
-        return sub
+                w = w * (np.count_nonzero(seen) / total)
+            # the other rows' weights may be anything, inf or nan included
+            w[~seen] = 0.0
+            self._observed[obs] = w
+        return w
 
     def _counts_on(self, child: str, parents: Tuple[str, ...],
                    obs: Tuple[str, ...]):
         family = parents + (child,)
         cards = [self._card[v] for v in family]
         _check_cells(math.prod(cards), "the counts of", child)
-        idx, w = self._rows_on(obs)
-        return family_counts(self._gather(family, idx), range(len(family)), cards, w)
+        return family_counts(self.rows, [self._col[v] for v in family], cards,
+                             self._weights_on(obs))
 
     def family_score(self, child: str, parents: Iterable[str]) -> float:
         parents = frozenset(parents)
@@ -698,9 +699,9 @@ class IpwBicScorer(BicScorer):
         parents ``old`` of ``child``, where it is missing, on the observed
         set of that move, and the score of ``old`` on each such set. Every
         fully observed y shares the set of the old family; any other y has
-        its own. Per set, the rows, their weights and their code over the
-        parents (column order) followed by the child are taken once; the old
-        family's counts are one ``bincount`` of that code."""
+        its own. The rows are coded once over the parents (column order)
+        followed by the child; per set, the old family's counts are one
+        ``bincount`` of that code with the set's weights."""
         shared = self.partial & (old | {child})
         groups: Dict[frozenset, list] = {}  # observed set -> the adds counted on it
         for v in self.schema:
@@ -717,16 +718,16 @@ class IpwBicScorer(BicScorer):
         widths = sum(self._card[y] for ys in groups.values() for y in ys)
         _check_cells(math.prod(cards) * (olds + widths),
                      "scoring the parent additions of", child)
+        base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
         keys, tables = [], []
         for obs, adds in groups.items():
-            idx, w = self._rows_on(self._canon(obs))
-            base = mixed_radix(self._gather(family, idx), range(len(family)), cards)
+            w = self._weights_on(self._canon(obs))
             if (child, old, obs) not in self._cache:
                 keys.append((child, old, obs))
                 tables.append(np.bincount(base, w, minlength=math.prod(cards))
                               .reshape(-1, cards[-1]))
             keys += [(child, old | {y}, obs) for y in adds]
-            tables += self._add_tables(base, idx, w, family[:-1], child, adds)
+            tables += self._add_tables(base, w, family[:-1], child, adds)
         self._cache_scores(keys, tables)
 
     def move_delta(self, child: str, old_parents: Iterable[str],

@@ -30,9 +30,13 @@ MUTANTS = [
     (ESTIMATION, "per_row = 0.5 * math.log(n_effective)", "per_row = math.log(n_effective)",
      "tests/test_estimation.py::TestWeightedCountsAndBic::test_bic_matches_scorer"),
     # IPW weights not normalised to mean one
-    (ESTIMATION, "w = w * (idx.size / total)", "w = w * 1.0",
+    (ESTIMATION, "w = w * (np.count_nonzero(seen) / total)", "w = w * 1.0",
      "tests/test_estimation.py::TestIpwBicScorer::"
      "test_mean_one_normalisation_caps_total_evidence"),
+    # an observed set's weights left as the product on the rows outside it
+    (ESTIMATION, "w[~seen] = 0.0", "w = w",
+     "tests/test_estimation.py::TestIpwBicScorer::"
+     "test_weights_where_the_variable_is_missing_are_never_read"),
     # the log-sum-exp of a row that ties at its maximum counts the tie once
     (ESTIMATION, "m = ismax.sum(axis=1, keepdims=True, dtype=float)", "m = np.ones_like(amax)",
      "tests/test_estimation.py::TestEmFit::test_matches_row_by_row_em"),
@@ -47,6 +51,16 @@ MUTANTS = [
     (DISCOVERY, "a_corr = alpha / max(1, len(fully))", "a_corr = alpha",
      "tests/test_discovery.py::TestDetectIndicatorParents::"
      "test_tests_each_candidate_at_the_bonferroni_level"),
+    # indicator detection at alpha / 2 with one fully observed candidate
+    (DISCOVERY, "a_corr = alpha / max(1, len(fully))", "a_corr = alpha / max(2, len(fully))",
+     "tests/test_discovery.py::TestDetectIndicatorParents::"
+     "test_tests_each_candidate_at_the_bonferroni_level"),
+    # evaluate's default replicate count
+    (DISCOVERY, "B: int = 100, held_out_fraction", "B: int = 101, held_out_fraction",
+     "tests/test_discovery.py::TestEvaluate::test_default_runs_100_replicates"),
+    # a one-row dataset refused as if empty
+    ("src/missdag/data.py", "if d.n < 1:", "if d.n < 2:",
+     "tests/test_data.py::TestResampling::test_bootstrap_of_one_row_is_that_row"),
     # a rounding-sized gain taken as a better graph
     (DISCOVERY, "deltas[b].items() if delta > IMPROVEMENT_EPS", "deltas[b].items() if delta > 0",
      "tests/test_discovery.py::TestHillClimb::"

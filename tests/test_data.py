@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,16 @@ class TestAmputation:
             seed=42)
         assert AmputationSpec.from_json(amputation_spec_json(spec)) == spec
 
+    def test_predictor_past_the_float_range_saturates_without_a_warning(self):
+        # 1e308 + 1e308 overflows to inf, whose logistic is 1, as is that of
+        # 1e308: every cell goes missing
+        spec = AmputationSpec((AmputationEntry("v0", "MNAR", drivers=("v0",), intercept=1e308,
+                                               weights={"v0": {"s1": 1e308}}),), seed=0)
+        d = _dataset([2], np.arange(100, dtype=np.int16).reshape(-1, 1) % 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ampute(d, spec).mask.all()
+
     def test_omitted_intercept_amputes_nothing(self):
         spec = AmputationSpec.from_json(json.dumps(
             {"seed": 0, "targets": [{"target": "v0", "mechanism": "MCAR"}]}))
@@ -435,10 +446,15 @@ class TestImputeMode:
 
 class TestResampling:
     def test_bootstrap_same_size_and_deterministic(self):
-        d = _dataset([2], [[0], [1], [1], [0]])
+        d = _dataset([4], [[0], [1], [2], [3]])
         b1, b2 = bootstrap(d, 5), bootstrap(d, 5)
         assert b1.n == d.n and b1 == b2
-        assert b1 != bootstrap(d, 6) or True  # different seed may coincide
+        # two seeds may draw the same resample, but not ten of them
+        assert len({bootstrap(d, seed).rows.tobytes() for seed in range(10)}) > 1
+
+    def test_bootstrap_of_one_row_is_that_row(self):
+        d = _dataset([3], [[2]])
+        assert bootstrap(d, 0) == d
 
     def test_bootstrap_empty_rejected(self):
         d = _dataset([2], np.zeros((0, 1), dtype=np.int16))

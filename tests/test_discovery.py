@@ -674,6 +674,9 @@ class TestDetectIndicatorParents:
         assert report["x"]["detected_parents"] == []
         assert report["x"]["mechanism"] == "MCAR"
         assert detect_indicator_parents(d, alpha=0.1)["x"]["detected_parents"] == ["w"]
+        # one fully observed candidate: the level is alpha itself
+        alone = detect_indicator_parents(CategoricalDataset(d.schema[:2], rows[:, :2]), 0.05)
+        assert alone["x"]["detected_parents"] == ["w"]
 
     def test_scipy_p_values_give_the_same_report(self, monkeypatch):
         # 20 resamples of criterion 5's seed-11 MNAR train set, drawn as
@@ -738,6 +741,11 @@ class TestEvaluate:
         serial = self._run(threads=1, B=5)
         assert len(serial["replicates"]) > 2 * 2
         assert self._run(threads=2, B=5) == serial
+
+    def test_default_runs_100_replicates(self):
+        _, _, d = _chain_data(n=40, seed=23)
+        report = evaluate(["hc-complete"], d, KnowledgeBase(), seed=0)
+        assert report["B"] == 100 and len(report["replicates"]) == 100
 
     def test_external_test_set_is_used(self):
         d = _mar_amputed(seed=20, n=400)

@@ -421,7 +421,10 @@ class TestColumnLayout:
                        for v in sorted(seen) if data.draw(st.booleans())}
         pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         scorer = IpwBicScorer(d, var_weights, pseudocount)
-        assert scorer.rows.flags.f_contiguous and np.array_equal(scorer.rows, d.rows)
+        # missing cells read as state 0: their rows have weight 0.0 on any
+        # observed set that holds the variable
+        assert scorer.rows.flags.f_contiguous
+        assert np.array_equal(scorer.rows, np.maximum(d.rows, 0))
         for child in names:
             others = [v for v in names if v != child]
             parents = data.draw(st.sets(st.sampled_from(others)))
@@ -889,6 +892,11 @@ class TestIpwBicScorer:
         # one entry per observed set touched, and no other
         assert set(scorer._observed) == queried
         assert len(scorer._observed) <= 2 ** len(scorer.partial)
+        # each entry is one weight per row, exactly 0.0 off its set
+        for obs, w in scorer._observed.items():
+            off = d.mask[:, [names.index(v) for v in obs]].any(axis=1)
+            assert w.dtype == np.float64 and w.shape == (d.n,)
+            assert (w[off] == 0.0).all()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -945,6 +953,27 @@ class TestIpwBicScorer:
             fresh = IpwBicScorer(d, var_weights, pseudocount)
             assert val == fresh._score_on(c, parents, obs) == oracle.score_on(c, parents, obs)
             assert math.isfinite(val)
+
+    @pytest.mark.parametrize("junk", [np.nan, np.inf])
+    def test_weights_where_the_variable_is_missing_are_never_read(self, junk):
+        # a row where v is missing lies outside every observed set that holds
+        # v, so v's weight there, whatever it is, gives the bits of 0.0
+        rng = np.random.default_rng(6)
+        rows = rng.integers(0, 3, (150, 4)).astype(np.int16)
+        for j in (1, 2, 3):
+            rows[rng.random(150) < 0.3, j] = MISSING
+        d = _dataset([3, 3, 3, 3], rows)
+        zero = {v: ipw_weights(d, v, ["v0"]) for v in ("v1", "v2", "v3")}
+        dirty = {v: np.where(d.mask[:, d.index(v)], junk, w) for v, w in zero.items()}
+        a, b = IpwBicScorer(d, zero), IpwBicScorer(d, dirty)
+        for child in d.names:
+            others = [v for v in d.names if v != child]
+            for old in itertools.chain.from_iterable(
+                    itertools.combinations(others, k) for k in range(3)):
+                for y in others:
+                    new = set(old) ^ {y}
+                    assert a.move_delta(child, old, new) == b.move_delta(child, old, new)
+                assert a.family_score(child, old) == b.family_score(child, old)
 
     def test_mean_one_normalisation_caps_total_evidence(self):
         rng = np.random.default_rng(4)
