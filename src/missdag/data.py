@@ -216,13 +216,13 @@ def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     if n < 0:
         raise ConfigError(f"sample size n must be >= 0, got {n}")
     params.check_graph(g)
-    schema = [VariableSchema(v, params.states[v]) for v in g.vertices]
+    schema = [VariableSchema(v, params.states(v)) for v in g.vertices]
     col = {v: i for i, v in enumerate(g.vertices)}
-    cards = {v: len(params.states[v]) for v in g.vertices}
+    cards = {v: len(params.states(v)) for v in g.vertices}
     rng = np.random.default_rng(seed)
     rows = np.zeros((n, len(schema)), dtype=np.int16)
     for v in g.topological_order():
-        parents, table = params.variables[v]
+        parents, table, _ = params.variables[v]
         probs = table[mixed_radix(rows, [col[q] for q in parents],
                                   [cards[q] for q in parents])]
         u = rng.random(n)

@@ -419,16 +419,16 @@ def _replicates(algorithms, d: CategoricalDataset, kb: KnowledgeBase, B: int,
                 test: Optional[CategoricalDataset] = None):
     """The train and test sets, and the rows ``(name, b, edges, ll_in,
     ll_out)`` of B replicates of each algorithm, in (algorithm, b) order.
-    Every algorithm sees the same B resamples."""
+    Every algorithm sees the same B resamples. A test set given must have
+    the train set's schema: its variables and their states, in order."""
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
-    if test is None:
-        train, test = split(d, held_out_fraction, split_ss)
-    else:
-        train = d
+    train, test = split(d, held_out_fraction, split_ss) if test is None else (d, test)
+    if test.schema != train.schema:
+        raise SchemaMismatch("the test set's variables or states differ from the train set's")
     streams = boot_ss.spawn(B)
     jobs = [(name, train, test, kb, streams[b], b, opts)
             for name in algorithms for b in range(B)]
@@ -456,8 +456,9 @@ def evaluate(algorithms: Sequence[str], d: CategoricalDataset,
              test: Optional[CategoricalDataset] = None,
              **options) -> Dict:
     """Per-replicate in/out-of-sample log-likelihood for each algorithm on a
-    shared held-out split, raw and rescaled. ``options`` are the fields of
-    ``SearchOptions``."""
+    shared held-out split, raw and rescaled. A ``test`` set given is the
+    held-out set, and ``d`` all of the train set; it must have ``d``'s
+    schema. ``options`` are the fields of ``SearchOptions``."""
     opts = SearchOptions(**options)
     if not algorithms:
         raise ConfigError("no algorithm to evaluate")

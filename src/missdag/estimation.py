@@ -36,30 +36,33 @@ ROW_SUM_TOL = 1e-9 + 1e-5
 
 
 class ParameterSet:
-    """One CPT per variable, indexed by the lexicographic parent-state
-    product (first parent most significant). Building a set only stores
-    it: ``check_graph`` checks the CPTs against the graph they are used on,
-    and every use calls it."""
+    """One entry per variable, ``(parents, table, states)``: the CPT is
+    indexed by the lexicographic parent-state product (first parent most
+    significant), and its columns are the states. Building a set only
+    stores it: ``check_graph`` checks the CPTs against the graph they are
+    used on, and every use calls it."""
 
-    __slots__ = ("variables", "states")
+    __slots__ = ("variables",)
 
-    def __init__(self, variables: Mapping[str, Tuple[Tuple[str, ...], np.ndarray]],
-                 states: Mapping[str, Tuple[str, ...]]):
-        self.variables = {v: (tuple(ps), np.asarray(t, dtype=float))
-                          for v, (ps, t) in variables.items()}
-        self.states = {v: tuple(s) for v, s in states.items()}
-
-    def table(self, v: str) -> np.ndarray:
-        return self.variables[v][1]
+    def __init__(self, variables: Mapping[str, Tuple[Tuple[str, ...], np.ndarray,
+                                                     Tuple[str, ...]]]):
+        self.variables = {v: (tuple(ps), np.asarray(t, dtype=float), tuple(s))
+                          for v, (ps, t, s) in variables.items()}
 
     def parents(self, v: str) -> Tuple[str, ...]:
         return self.variables[v][0]
 
+    def table(self, v: str) -> np.ndarray:
+        return self.variables[v][1]
+
+    def states(self, v: str) -> Tuple[str, ...]:
+        return self.variables[v][2]
+
     def check_graph(self, g: Dag) -> None:
         """Refuse CPTs that do not fit ``g``: a CPT for a variable ``g``
-        lacks, a vertex without a CPT or state labels, parents other than
-        the vertex's parents in ``g``, each listed once, a table whose shape
-        is not (product of the parents' cardinalities, cardinality), or a
+        lacks, a vertex without a CPT, parents other than the vertex's
+        parents in ``g``, each listed once, a table whose shape is not
+        (product of the parents' numbers of states, number of states), or a
         row whose sum is more than ``ROW_SUM_TOL`` from 1. The package's own
         fits pass by construction, and are not checked until they are
         used."""
@@ -69,13 +72,11 @@ class ParameterSet:
         for v in g.vertices:
             if v not in self.variables:
                 raise SchemaMismatch(f"no CPT for {v!r}")
-            if v not in self.states:
-                raise SchemaMismatch(f"no state labels for {v!r}")
         for v in g.vertices:
-            parents, table = self.variables[v]
+            parents, table, states = self.variables[v]
             if sorted(parents) != sorted(g.parents(v)):
                 raise SchemaMismatch(f"CPT parents for {v!r} do not match the graph")
-            shape = (math.prod(len(self.states[p]) for p in parents), len(self.states[v]))
+            shape = (math.prod(len(self.states(p)) for p in parents), len(states))
             if table.shape != shape:
                 raise SchemaMismatch(f"CPT for {v!r} has shape {table.shape}, expected {shape}")
             # NaN and +-inf sums fail the comparison
@@ -85,18 +86,16 @@ class ParameterSet:
     @staticmethod
     def from_json(text: str) -> "ParameterSet":
         doc = json_object(text, "parameter file", ("variables",))
-        variables, states = {}, {}
+        variables = {}
         with reading("parameter file"):
             for v, spec in doc["variables"].items():
                 checked_keys(spec, ("parents", "table", "states"), f"parameter file entry {v!r}")
                 table = np.array([[checked_number(x, float, f"CPT cell of {v!r}") for x in row]
                                   for row in spec["table"]])
-                variables[v] = (tuple(checked_strings(spec["parents"], f"parents of {v!r}")),
-                                table)
-                states[v] = tuple(checked_strings(
-                    spec.get("states", [str(i) for i in range(table.shape[1])]),
-                    f"states of {v!r}"))
-        return ParameterSet(variables, states)
+                states = spec.get("states", [str(i) for i in range(table.shape[1])])
+                variables[v] = (checked_strings(spec["parents"], f"parents of {v!r}"), table,
+                                checked_strings(states, f"states of {v!r}"))
+        return ParameterSet(variables)
 
 
 @dataclass(frozen=True)
@@ -171,8 +170,8 @@ def _m_step(d: CategoricalDataset, parents: Mapping[str, Tuple[str, ...]],
             table = np.full_like(counts, 1.0 / shape[1])
             seen = rowsum[:, 0] > 0
             table[seen] = counts[seen] / rowsum[seen]
-        variables[v] = ps, table
-    return ParameterSet(variables, {v: d.variable(v).states for v in parents})
+        variables[v] = ps, table, d.variable(v).states
+    return ParameterSet(variables)
 
 
 def _family_codes(block: np.ndarray, vertices: Sequence[str], parents_of,
@@ -382,15 +381,15 @@ def rescale_ll(values: Sequence[float], n: int) -> List[float]:
 
 def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float, max_iter: int,
            tol: float) -> Tuple[ParameterSet, EmTrace, Tuple[np.ndarray, np.ndarray]]:
-    """EM with exact E-step enumeration; trace holds the observed-data LL
-    evaluated at the start of each iteration.
+    """EM with exact E-step enumeration: one E-step at the start, then per
+    iteration the convergence test, an M-step and an E-step. The trace
+    holds the observed-data LL of the E-step each iteration tests.
 
     Returns (params, trace, (block, weights)): the fitted parameters, the
-    trace, and the E-step at those parameters, which is the completion block
-    (read-only) and each completion's posterior weight. A fit that converged
-    hands back its last E-step; one that stopped at ``max_iter`` runs one
-    more E-step at the parameters of its last M-step. So ``max_iter`` 0
-    builds the block and runs one E-step at the available-case start.
+    trace, and the E-step at those parameters, the last one it ran, which
+    is the completion block (read-only) and each completion's posterior
+    weight. So ``max_iter`` 0 builds the block and runs one E-step at the
+    available-case start.
 
     Each family is coded over the completion block once per fit (parents
     in column order, as the fitted CPTs have them). Each E-step is one
@@ -405,12 +404,12 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float, max_iter: int,
     # block's first rows, smoothed so every completion has positive mass
     params = _m_step(d, parents, shapes, [code[:index[2].size] for code in codes], None,
                      max(pseudocount, 1.0))
+    _, weights, _, row_ll = expand_completions([params.table(v) for v in g.vertices], codes,
+                                               index, d.n)
     trace: List[float] = []
     converged = False
     prev = -math.inf
     for _ in range(max_iter):
-        _, weights, _, row_ll = expand_completions([params.table(v) for v in g.vertices], codes,
-                                                   index, d.n)
         ll = float(np.sum(row_ll))
         trace.append(ll)
         if ll - prev < tol:
@@ -418,8 +417,8 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float, max_iter: int,
             break
         prev = ll
         params = _m_step(d, parents, shapes, codes, weights, pseudocount)
-    if not converged:  # params came from the last M-step (or the start)
-        weights = expand_completions([params.table(v) for v in g.vertices], codes, index, d.n)[1]
+        _, weights, _, row_ll = expand_completions([params.table(v) for v in g.vertices], codes,
+                                                   index, d.n)
     return params, EmTrace(trace, converged), (index[0], weights)
 
 
@@ -427,29 +426,26 @@ def ipw_weights(d: CategoricalDataset, target: str,
                 detected_parents: Iterable[str]) -> np.ndarray:
     """Per-row inverse-probability weights for the target's observation.
 
+    The strata are the states of the detected parents, which must be fully
+    observed (``hc_aipw`` detects them among the fully observed columns).
     Stratum observation rates use pseudocount 1; rows with the target
     missing get weight 0.
     """
-    jt = d.index(target)
     parents = sorted(set(detected_parents), key=d.index)
     pcols = [d.index(p) for p in parents]
-    observed = ~d.mask[:, jt]
     for p, jp in zip(parents, pcols):
-        if d.mask[observed, jp].any():
-            raise SchemaMismatch(
-                f"detected parent {p!r} has missing cells where {target!r} is observed")
+        if d.mask[:, jp].any():
+            raise SchemaMismatch(f"detected parent {p!r} of {target!r} has missing cells")
     cards = [d.variable(p).cardinality for p in parents]
     ncfg = math.prod(cards)
     _check_cells(ncfg, "the IPW strata of", target)
-    usable = ~d.mask[:, pcols].any(axis=1)
-    # codes of rows outside `usable` read missing cells and are never used
+    observed = ~d.mask[:, d.index(target)]
     code = mixed_radix(d.rows, pcols, cards)
-    total = np.bincount(code[usable], minlength=ncfg).astype(float)
-    obs = np.bincount(code[usable & observed], minlength=ncfg).astype(float)
+    total = np.bincount(code, minlength=ncfg).astype(float)
+    obs = np.bincount(code[observed], minlength=ncfg).astype(float)
     phat = (obs + 1.0) / (total + 2.0)
     weights = np.zeros(d.n)
-    sel = observed & usable
-    weights[sel] = 1.0 / phat[code[sel]]
+    weights[observed] = 1.0 / phat[code[observed]]
     return weights
 
 
@@ -623,18 +619,19 @@ class IpwBicScorer(BicScorer):
     counts never claim more evidence than the rows actually seen. Move
     deltas evaluate the old and the new family on the same row subset (that
     of their union), otherwise the subpopulation shift between subsets
-    would masquerade as signal. Every score is cached under
-    (child, parent set, observed set); ``family_score`` scores a family on
-    its own observed set, under the same key. An add move that misses
-    scores all of its child's uncached adds to the same parents in one
-    pass, grouped by observed set (see ``move_delta``), to the bits each
+    would masquerade as signal. Every score is cached under (child, parent
+    set, observed set), both sets frozensets; ``family_score`` scores a
+    family on its own observed set, under the same key. An add move that
+    misses scores all of its child's uncached adds to the same parents in
+    one pass, grouped by observed set (see ``move_delta``), to the bits each
     would get alone.
 
-    An observed set is one weight per dataset row, exactly 0.0 on the rows
-    where a variable of the set is missing, and every count is a weighted
-    ``bincount`` over all rows, with missing cells read as state 0: a row of
-    weight 0.0 adds nothing to a bin, and the others are added in row order,
-    so the counts have the bits of a count over the set's rows alone.
+    An observed set is kept, under the same frozenset, as one weight per
+    dataset row, exactly 0.0 on the rows where a variable of the set is
+    missing, and every count is a weighted ``bincount`` over all rows, with
+    missing cells read as state 0: a row of weight 0.0 adds nothing to a
+    bin, and the others are added in row order, so the counts have the bits
+    of a count over the set's rows alone.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
@@ -644,20 +641,22 @@ class IpwBicScorer(BicScorer):
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         self.partial = frozenset(
             v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
-        # by observed set (a family's partially observed variables, in column
-        # order): its weight vector; at most 2^|partial| entries of n x 8 bytes
-        self._observed: Dict[Tuple[str, ...], np.ndarray] = {}
+        # by observed set (a family's partially observed variables, the
+        # frozenset of the score cache's keys): its weight vector; at most
+        # 2^|partial| entries of n x 8 bytes
+        self._observed: Dict[frozenset, np.ndarray] = {}
 
-    def _weights_on(self, obs: Tuple[str, ...]) -> np.ndarray:
-        """One weight per row for the observed set ``obs`` (column order):
-        normalised to mean one over the rows where every variable of ``obs``
-        is observed, and 0.0 on the others; built once per set."""
+    def _weights_on(self, obs: frozenset) -> np.ndarray:
+        """One weight per row for the observed set ``obs``: the product of
+        its variables' weights, normalised to mean one over the rows where
+        every variable of ``obs`` is observed, and 0.0 on the others; built
+        once per set."""
         w = self._observed.get(obs)
         if w is None:
             seen = ~self.mask[:, [self._col[v] for v in obs]].any(axis=1)
             w = np.ones(seen.size)
-            # obs comes in column order; the bits of the weight product depend on it
-            for v in obs:
+            # in column order: the bits of the weight product depend on it
+            for v in self._canon(obs):
                 vw = self.var_weights.get(v)
                 if vw is not None:
                     w = w * vw
@@ -674,8 +673,7 @@ class IpwBicScorer(BicScorer):
             self._observed[obs] = w
         return w
 
-    def _counts_on(self, child: str, parents: Tuple[str, ...],
-                   obs: Tuple[str, ...]):
+    def _counts_on(self, child: str, parents: Tuple[str, ...], obs: frozenset):
         family = parents + (child,)
         cards = [self._card[v] for v in family]
         _check_cells(math.prod(cards), "the counts of", child)
@@ -691,7 +689,7 @@ class IpwBicScorer(BicScorer):
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        counts = self._counts_on(child, self._canon(parents), self._canon(obs))
+        counts = self._counts_on(child, self._canon(parents), obs)
         return self._cache_scores([key], [counts])[0]
 
     def _score_adds(self, child: str, old: frozenset) -> None:
@@ -721,7 +719,7 @@ class IpwBicScorer(BicScorer):
         base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
         keys, tables = [], []
         for obs, adds in groups.items():
-            w = self._weights_on(self._canon(obs))
+            w = self._weights_on(obs)
             if (child, old, obs) not in self._cache:
                 keys.append((child, old, obs))
                 tables.append(np.bincount(base, w, minlength=math.prod(cards))

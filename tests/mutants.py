@@ -91,6 +91,20 @@ MUTANTS = [
     # all that b reaches
     (DISCOVERY, "[r | below if r & bit else r for r in reach]", "[r | below for r in reach]",
      "tests/test_discovery.py::TestHillClimb::test_equals_search_that_rescores_every_move"),
+    # EM runs no E-step after its M-step: it tests and hands back the start's
+    (ESTIMATION, "        params = _m_step(d, parents, shapes, codes, weights, pseudocount)\n"
+     "        _, weights, _, row_ll = expand_completions(",
+     "        params = _m_step(d, parents, shapes, codes, weights, pseudocount)\n"
+     "        _ = expand_completions(",
+     "tests/test_estimation.py::TestEmFit::test_matches_row_by_row_em"),
+    # an IPW stratum parent with missing cells taken as observed
+    (ESTIMATION, "if d.mask[:, jp].any():", "if False:",
+     "tests/test_estimation.py::TestIpwWeights::"
+     "test_parent_missing_where_target_missing_rejected"),
+    # a stratum's observation rate counting the rows where the target is missing
+    (ESTIMATION, "obs = np.bincount(code[observed], minlength=ncfg)",
+     "obs = np.bincount(code, minlength=ncfg)",
+     "tests/test_estimation.py::TestIpwWeights::test_matches_row_by_row_oracle"),
     # a reverse family (y | {child}) scored on the (child | {y}) table untransposed
     (ESTIMATION, "frozenset({child})), t.T))", "frozenset({child})), t))",
      "tests/test_estimation.py::TestBicScorer::"

@@ -5,11 +5,12 @@ d-separation, missingness mechanisms on an m-graph whose proxy vertices
 are built only to be stripped again, full-joint enumeration for
 likelihoods, completions filled one missingness pattern at a time, EM
 one row at a time, exhaustive DAG enumeration for score optima, a
-family's BIC from its table alone, every hill-climbing move re-scored on
-every iteration with candidate graphs built until one is legal, a
-conditional G-test one stratum at a time, a CSV read one cell at a time,
-and scipy's logistic and chi-square survival function. Slow, obviously
-correct, and independent of the production code paths.
+family's BIC from its table alone, IPW weights one row at a time, every
+hill-climbing move re-scored on every iteration with candidate graphs
+built until one is legal, a conditional G-test one stratum at a time, a
+CSV read one cell at a time, and scipy's logistic and chi-square survival
+function. Slow, obviously correct, and independent of the production code
+paths.
 """
 
 from __future__ import annotations
@@ -198,13 +199,13 @@ def classify_with_proxies(base: Dag, partially_observed: Sequence[str],
 
 def joint_log_likelihood(params, g: Dag, d) -> float:
     """Sum the joint probability over every completion of every row."""
-    cards = {v: len(params.states[v]) for v in g.vertices}
+    cards = {v: len(params.states(v)) for v in g.vertices}
     cols = {v: d.index(v) for v in g.vertices}
 
     def joint_prob(assign):
         p = 1.0
         for v in g.vertices:
-            parents, table = params.variables[v]
+            parents, table, _ = params.variables[v]
             cfg = 0
             for q in parents:
                 cfg = cfg * cards[q] + assign[q]
@@ -238,7 +239,7 @@ def row_completions(g: Dag, params, d):
     from scipy.special import logsumexp
 
     names = list(g.vertices)
-    cards = {v: len(params.states[v]) for v in names}
+    cards = {v: len(params.states(v)) for v in names}
     cols = [d.index(v) for v in names]
     with np.errstate(divide="ignore"):
         log_tables = {v: np.log(params.variables[v][1]) for v in names}
@@ -368,15 +369,15 @@ def em_fit_by_rows(g: Dag, d, pseudocount: float = 0.0, max_iter: int = 100,
 
     names = list(g.vertices)
     cards = [d.variable(v).cardinality for v in names]
-    states = {v: d.variable(v).states for v in names}
     families = [[names.index(u) for u in sorted(g.parents(v), key=names.index)] + [j]
                 for j, v in enumerate(names)]
 
     def fit(rows, weights, pc):
         return ParameterSet({
             v: (tuple(names[i] for i in fam[:-1]),
-                _normalized(family_counts(rows, fam, [cards[i] for i in fam], weights), pc))
-            for v, fam in zip(names, families)}, states)
+                _normalized(family_counts(rows, fam, [cards[i] for i in fam], weights), pc),
+                d.variable(v).states)
+            for v, fam in zip(names, families)})
 
     cols = [d.index(v) for v in names]
     params = fit(d.rows[:, cols][~d.mask[:, cols].any(axis=1)], None, max(pseudocount, 1.0))
@@ -533,6 +534,26 @@ class FamilyByFamilyIpw(FamilyByFamilyBic):
     def move_delta(self, child: str, old_parents, new_parents) -> float:
         obs = self.partial & (set(old_parents) | set(new_parents) | {child})
         return self.score_on(child, new_parents, obs) - self.score_on(child, old_parents, obs)
+
+
+def ipw_weights_by_loop(d, target: str, parents: Iterable[str]) -> np.ndarray:
+    """``ipw_weights`` for fully observed ``parents``, one row at a time: a
+    row's stratum is its tuple of parent states, a stratum's observation
+    rate is (rows with the target observed + 1) / (rows + 2), and a row
+    with the target observed weighs one over its stratum's rate, any other
+    row 0."""
+    jt = d.index(target)
+    cols = [d.index(p) for p in set(parents)]
+    strata = [tuple(int(d.rows[r, j]) for j in cols) for r in range(d.n)]
+    rows, seen = {}, {}
+    for r, key in enumerate(strata):
+        rows[key] = rows.get(key, 0) + 1
+        seen[key] = seen.get(key, 0) + (not d.mask[r, jt])
+    weights = np.zeros(d.n)
+    for r, key in enumerate(strata):
+        if not d.mask[r, jt]:
+            weights[r] = 1.0 / ((seen[key] + 1.0) / (rows[key] + 2.0))
+    return weights
 
 
 def ipw_family_bic(d, var_weights, child: str, parents: Iterable[str],
@@ -809,8 +830,8 @@ def knowledge_json(kb) -> str:
 def parameter_set_json(params) -> str:
     """The document ``ParameterSet.from_json`` reads ``params`` back from."""
     return _json_doc({"variables": {
-        v: {"parents": list(ps), "table": t.tolist(), "states": list(params.states[v])}
-        for v, (ps, t) in params.variables.items()}})
+        v: {"parents": list(ps), "table": t.tolist(), "states": list(states)}
+        for v, (ps, t, states) in params.variables.items()}})
 
 
 # --- random instances ---
@@ -837,7 +858,7 @@ def joint_distribution(g: Dag, params, cards):
         a = dict(zip(names, assign))
         p = 1.0
         for v in names:
-            parents, table = params.variables[v]
+            parents, table, _ = params.variables[v]
             cfg = 0
             for q in parents:
                 cfg = cfg * cards[q] + a[q]
@@ -871,7 +892,7 @@ def random_params(rng: np.random.Generator, g: Dag, cards,
     CPT with parents differs by at least that much in total variation."""
     from missdag.estimation import ParameterSet
 
-    variables, states = {}, {}
+    variables = {}
     for v in g.vertices:
         parents = tuple(sorted(g.parents(v), key=list(g.vertices).index))
         ncfg = int(np.prod([cards[p] for p in parents])) if parents else 1
@@ -883,6 +904,5 @@ def random_params(rng: np.random.Generator, g: Dag, cards,
                      for i in range(ncfg) for j in range(i + 1, ncfg))
             if tv >= min_tv:
                 break
-        variables[v] = (parents, table)
-        states[v] = tuple(f"s{k}" for k in range(cards[v]))
-    return ParameterSet(variables, states)
+        variables[v] = (parents, table, tuple(f"s{k}" for k in range(cards[v])))
+    return ParameterSet(variables)

@@ -98,10 +98,9 @@ def test_criterion_1_dsep_oracle_equivalence():
 def _mechanism_instance(mechanism, seed):
     g = Dag(["w", "x", "c"], [("w", "x"), ("x", "c")])
     params = ParameterSet(
-        {"w": ((), np.array([[0.5, 0.5]])),
-         "x": (("w",), np.array([[0.85, 0.15], [0.2, 0.8]])),
-         "c": (("x",), np.array([[0.9, 0.1], [0.15, 0.85]]))},
-        {v: ("s0", "s1") for v in g.vertices})
+        {"w": ((), np.array([[0.5, 0.5]]), ("s0", "s1")),
+         "x": (("w",), np.array([[0.85, 0.15], [0.2, 0.8]]), ("s0", "s1")),
+         "c": (("x",), np.array([[0.9, 0.1], [0.15, 0.85]]), ("s0", "s1"))})
     d = forward_sample(g, params, 100000, seed=seed)
     if mechanism == "MCAR":
         entry = AmputationEntry("x", "MCAR", intercept=logit(0.3))

@@ -709,7 +709,7 @@ class TestDiscover:
         assert main(["discover", "--config", cfg, "--seed", "3",
                      "--out", str(out)]) == 0
         g = graph_from_json((out / "graph.json").read_text())
-        assert set(g.vertices) == set(ecdemo.ec_ground_truth()[1].states)
+        assert set(g.vertices) == set(ecdemo.ec_ground_truth()[1].variables)
         assert parse_dot((out / "graph.dot").read_text()) == g
         trace = json.loads((out / "trace.json").read_text())
         assert trace["algorithm"] == "hc-complete"
@@ -1448,7 +1448,7 @@ def run_inputs(draw):
     if draw(st.booleans()):
         config.update(dataset="ec-demo", dataset_n=30)
         table = None
-        labels = {v: list(s) for v, s in ecdemo.ec_ground_truth()[1].states.items()}
+        labels = {v: list(s) for v, (_, _, s) in ecdemo.ec_ground_truth()[1].variables.items()}
     else:
         table = draw(csv_tables(max_rows=10))
         labels = _labels(*table)
@@ -1499,6 +1499,6 @@ def test_run_commands_survive_any_input_file(files_dir, case):
     _assert_artifacts_read_back(files_dir)
     if code == 0 and command == "discover":
         names = (read_csv(files_dir / "data.csv").names if table is not None
-                 else tuple(ecdemo.ec_ground_truth()[1].states))
+                 else tuple(ecdemo.ec_ground_truth()[1].variables))
         graph = graph_from_json((files_dir / "out" / "graph.json").read_text(encoding="utf-8"))
         assert graph.vertices == names

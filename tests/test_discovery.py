@@ -33,7 +33,7 @@ from missdag.discovery import (
     mean_sd,
     structural_em,
 )
-from missdag.errors import ConfigError
+from missdag.errors import ConfigError, SchemaMismatch
 from missdag.estimation import BicScorer, IpwBicScorer, em_fit, ipw_weights
 from missdag.graphs import Dag
 from missdag.stats import chi2_sf, g_test
@@ -57,12 +57,12 @@ from oracles import (
 def _chain_data(n=2000, seed=0):
     g = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
     tables = {
-        "a": ((), np.array([[0.6, 0.4]])),
-        "b": (("a",), np.array([[0.85, 0.15], [0.2, 0.8]])),
-        "c": (("b",), np.array([[0.9, 0.1], [0.25, 0.75]])),
+        "a": ((), np.array([[0.6, 0.4]]), ("s0", "s1")),
+        "b": (("a",), np.array([[0.85, 0.15], [0.2, 0.8]]), ("s0", "s1")),
+        "c": (("b",), np.array([[0.9, 0.1], [0.25, 0.75]]), ("s0", "s1")),
     }
     from missdag.estimation import ParameterSet
-    params = ParameterSet(tables, {v: ("s0", "s1") for v in g.vertices})
+    params = ParameterSet(tables)
     return g, params, forward_sample(g, params, n, seed=seed)
 
 
@@ -502,7 +502,7 @@ class TestStructuralEm:
         fresh, _, _ = em_fit(g, d, SearchOptions.refit_pseudocount, SearchOptions.em_max_iter,
                           SearchOptions.em_tol)
         assert params.variables.keys() == fresh.variables.keys()
-        for v, (parents, table) in fresh.variables.items():
+        for v, (parents, table, _) in fresh.variables.items():
             assert params.parents(v) == parents
             assert np.array_equal(params.table(v), table)
 
@@ -753,6 +753,18 @@ class TestEvaluate:
         report = evaluate(["hc-complete"], d, KnowledgeBase(), B=2, seed=1,
                           test=test)
         assert report["n_train"] == 400 and report["n_test"] == 100
+
+    def test_external_test_set_of_another_schema_rejected(self):
+        _, _, d = _chain_data(n=200, seed=21)
+        a, b, c = d.schema
+        flipped = [VariableSchema(v.name, v.states[::-1]) for v in d.schema]
+        wider = [a, b, VariableSchema("c", c.states + ("s2",))]
+        # labels flipped, one state more, columns reordered: each refused before a search
+        for schema in (flipped, wider, [b, a, c]):
+            test = CategoricalDataset(schema, d.rows[:50])
+            with pytest.raises(SchemaMismatch, match=(
+                    "^the test set's variables or states differ from the train set's$")):
+                evaluate(["hc-complete"], d, KnowledgeBase(), B=1, seed=1, test=test)
 
     def test_unknown_algorithm_rejected(self):
         d = _mar_amputed(seed=22, n=300)

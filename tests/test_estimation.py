@@ -36,6 +36,7 @@ from oracles import (
     em_fit_by_rows,
     family_bic,
     ipw_family_bic,
+    ipw_weights_by_loop,
     joint_log_likelihood,
     mixed_radix_by_loop,
     parameter_set_json,
@@ -76,7 +77,7 @@ def _random_instance(seed, max_vars=4, missing=0.3):
 class TestParameterSet:
     # building a set checks nothing: check_graph refuses what does not fit
     def test_rows_must_sum_to_one(self):
-        params = ParameterSet({"a": ((), np.array([[0.5, 0.4]]))}, {"a": ("s0", "s1")})
+        params = ParameterSet({"a": ((), np.array([[0.5, 0.4]]), ("s0", "s1"))})
         with pytest.raises(SchemaMismatch, match="CPT rows for 'a' do not sum to 1"):
             params.check_graph(Dag(["a"]))
 
@@ -90,7 +91,7 @@ class TestParameterSet:
     def test_row_sum_tolerance_is_that_of_allclose(self, row_sum):
         table = np.array([[row_sum, 0.0]])
         accepted = np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
-        params = ParameterSet({"a": ((), table)}, {"a": ("s0", "s1")})
+        params = ParameterSet({"a": ((), table, ("s0", "s1"))})
         try:
             params.check_graph(Dag(["a"]))
         except SchemaMismatch:
@@ -99,9 +100,8 @@ class TestParameterSet:
             assert accepted
 
     def test_shape_must_match_parent_product(self):
-        params = ParameterSet({"a": ((), np.array([[0.5, 0.5]])),
-                               "b": (("a",), np.array([[0.5, 0.5]]))},
-                              {"a": ("s0", "s1"), "b": ("s0", "s1")})
+        params = ParameterSet({"a": ((), np.array([[0.5, 0.5]]), ("s0", "s1")),
+                               "b": (("a",), np.array([[0.5, 0.5]]), ("s0", "s1"))})
         with pytest.raises(SchemaMismatch,
                            match=re.escape("CPT for 'b' has shape (1, 2), expected (2, 2)")):
             params.check_graph(Dag(["a", "b"], [("a", "b")]))
@@ -123,7 +123,7 @@ class TestParameterSet:
         for v in g.vertices:
             assert back.parents(v) == params.parents(v)
             assert np.allclose(back.table(v), params.table(v))
-            assert back.states[v] == params.states[v]
+            assert back.states(v) == params.states(v)
 
 
 class TestFittedCpts:
@@ -191,7 +191,7 @@ class TestFitMle:
             family = [names.index(u) for u in parents + (v,)]
             counts = tally_counts(d.rows, family, [cards[j] for j in family])
             assert params.parents(v) == parents
-            assert params.states[v] == d.variable(v).states
+            assert params.states(v) == d.variable(v).states
             assert np.array_equal(params.table(v), _normalized(counts, pseudocount))
 
     def test_missing_cells_rejected(self):
@@ -301,11 +301,11 @@ class TestExpandCompletions:
         if data.draw(st.booleans()):
             # impossible completions, and rows with no possible completion
             variables = {}
-            for v, (parents, table) in params.variables.items():
+            for v, (parents, table, states) in params.variables.items():
                 table = np.where(table < 0.3, 0.0, table)
                 table[table.sum(axis=1) == 0] = 1.0
-                variables[v] = (parents, table / table.sum(axis=1, keepdims=True))
-            params = ParameterSet(variables, params.states)
+                variables[v] = (parents, table / table.sum(axis=1, keepdims=True), states)
+            params = ParameterSet(variables)
         with np.errstate(invalid="ignore"):
             got = e_step_at(g, params, d)
             again = e_step_at(g, params, d)
@@ -542,9 +542,33 @@ class TestIpwWeights:
 
     def test_parent_missing_where_target_observed_rejected(self):
         d = _dataset([2, 2], [[MISSING, 0]])
-        with pytest.raises(SchemaMismatch,
-                           match="detected parent 'v0' has missing cells where 'v1' is observed"):
+        with pytest.raises(SchemaMismatch, match="detected parent 'v0' of 'v1' has missing cells"):
             ipw_weights(d, "v1", ["v0"])
+
+    def test_parent_missing_where_target_missing_rejected(self):
+        # a stratum is a state of the fully observed parents: a parent cell
+        # missing even where the target is missing has no stratum
+        d = _dataset([2, 2], [[MISSING, MISSING], [0, 0], [1, MISSING]])
+        with pytest.raises(SchemaMismatch, match="detected parent 'v0' of 'v1' has missing cells"):
+            ipw_weights(d, "v1", ["v0"])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_by_row_oracle(self, data):
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(0, 30))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        target = data.draw(st.sampled_from(names))
+        missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows[np.array(missing, dtype=bool), names.index(target)] = MISSING
+        d = _dataset(cards, rows)
+        # the parents in any order, each maybe listed twice
+        parents = data.draw(st.lists(st.sampled_from([v for v in names if v != target])))
+        assert np.array_equal(ipw_weights(d, target, parents),
+                              ipw_weights_by_loop(d, target, parents))
 
 
 # v0 of 3 states, v1 of 4; PARTIAL has one v1 cell missing
@@ -782,7 +806,7 @@ class TestIpwBicScorer:
     def test_family_counts_use_family_complete_rows_only(self):
         d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
         scorer = IpwBicScorer(d, {"v1": np.array([1.0, 0.0, 1.0])})
-        counts = scorer._counts_on("v1", ("v0",), ("v1",))
+        counts = scorer._counts_on("v1", ("v0",), frozenset({"v1"}))
         # the row with v1 missing contributes nothing
         assert counts.sum() == pytest.approx(2.0)
 
@@ -881,15 +905,16 @@ class TestIpwBicScorer:
                 # parents, each on its own observed set
                 if (old < new and len(new) == len(old) + 1
                         and (child, frozenset(new), frozenset(obs)) not in scorer._cache):
-                    queried |= {tuple(sorted(seen & (old | {child, y}), key=names.index))
+                    queried |= {frozenset(seen & (old | {child, y}))
                                 for y in others if y not in old}
                 got = scorer.move_delta(child, old, new)
                 assert got == fresh.move_delta(child, old, new)
                 want_new, want_old = oracle(child, new, obs), oracle(child, old, obs)
                 want, scale = want_new - want_old, max(abs(want_new), abs(want_old))
             assert abs(got - want) <= 1e-12 * max(scale, 1.0)
-            queried.add(tuple(sorted(obs, key=names.index)))
-        # one entry per observed set touched, and no other
+            queried.add(frozenset(obs))
+        # one entry per observed set touched, under the score cache's
+        # frozenset, and no other
         assert set(scorer._observed) == queried
         assert len(scorer._observed) <= 2 ** len(scorer.partial)
         # each entry is one weight per row, exactly 0.0 off its set
@@ -982,6 +1007,6 @@ class TestIpwBicScorer:
         d = _dataset([2, 2], rows)
         w = ipw_weights(d, "v1", ["v0"])
         scorer = IpwBicScorer(d, {"v1": w})
-        counts = scorer._counts_on("v1", ("v0",), ("v1",))
+        counts = scorer._counts_on("v1", ("v0",), frozenset({"v1"}))
         n_seen = (~d.mask[:, 1]).sum()
         assert counts.sum() == pytest.approx(float(n_seen))
