@@ -123,7 +123,10 @@ def _load_dataset(config: dict, seed: int):
         size = {"n": n for n in _fields(config, dataset_n=int).values()}
         d = ecdemo.ec_demo_dataset(seed=seed, **size)
     else:
-        d = read_csv(_input_file(_path(ref, "dataset"), "config field 'dataset': file"))
+        path = _input_file(_path(ref, "dataset"), "config field 'dataset': file")
+        if "dataset_n" in config:
+            raise ConfigError("config field 'dataset_n' applies to dataset 'ec-demo' only")
+        d = read_csv(path)
     spec_path = config.get("ampute_spec")
     if spec_path is not None:
         d = ampute(d, AmputationSpec.from_json(_read_text(

@@ -150,7 +150,9 @@ def read_csv(path) -> CategoricalDataset:
     a column of more than ``MAX_STATES`` states or an over-long field raises
     ``MalformedCsv``."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # "utf-8-sig" drops a leading byte-order mark, as spreadsheets'
+        # "CSV UTF-8" exports write one; a file without it reads as UTF-8
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             records = list(reader)
@@ -207,7 +209,10 @@ def write_csv(d: CategoricalDataset, path) -> None:
         fields = np.array([*map(_csv_field, var.states), "NA"], dtype=object)
         cells[:, c] = fields[d.rows[:, c]]
     lines = [csv_line(d.names), *map(",".join, cells.tolist())]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    # read_csv drops one leading byte-order mark: a header that starts with
+    # one is written behind a second
+    sig = "-sig" if lines[0].startswith("\ufeff") else ""
+    with open(path, "w", newline="", encoding="utf-8" + sig) as fh:
         fh.writelines(line + "\n" for line in lines)
 
 

@@ -24,7 +24,6 @@ from .data import (
 from .errors import (
     ConfigError,
     CycleDetected,
-    MissDagError,
     SchemaMismatch,
     checked_number,
     json_object,
@@ -389,8 +388,6 @@ def _replicate(args):
     db = bootstrap(train, stream)
     found = SEARCHES[name](db, kb, opts)
     g = found.graph
-    if not kb.satisfied_by(g):
-        raise MissDagError(f"{name} violated the knowledge base")
     params = found.refit()
     ll_in = log_likelihood(params, g, db).log_likelihood
     ll_out = log_likelihood(params, g, test).log_likelihood

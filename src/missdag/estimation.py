@@ -113,19 +113,12 @@ class EmTrace:
         return len(self.log_likelihoods)
 
 
-def _check_coverage(g: Dag, d: CategoricalDataset) -> None:
-    for v in g.vertices:
-        if v not in d._index:
-            raise SchemaMismatch(f"dataset has no column for vertex {v!r}")
-
-
 def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float) -> ParameterSet:
     """Per-family counting estimator, each vertex's parents in the dataset's
     column order; unseen parent configurations with zero pseudocount get a
     uniform row."""
     if d.mask.any():
         raise SchemaMismatch("fit_mle requires complete data")
-    _check_coverage(g, d)
     block = d.rows[:, [d.index(v) for v in g.vertices]]
     return _m_step(d, *_coded_families(g, d, block, d.index), None, pseudocount)
 
@@ -349,7 +342,6 @@ def expand_completions(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray]
 def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> ScoreValue:
     """Sum of per-row log-likelihoods; rows with missing cells contribute the
     exact marginal over all completions (one ``expand_completions``)."""
-    _check_coverage(g, d)
     params.check_graph(g)
     for v in g.vertices:
         if params.table(v).shape[1] != d.variable(v).cardinality:
@@ -397,7 +389,6 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float, max_iter: int,
     codes, and ``_m_step`` counts them, over the complete rows alone for
     the start.
     """
-    _check_coverage(g, d)
     index = _completion_index(d, g.vertices, {v: d.variable(v).cardinality for v in g.vertices})
     parents, shapes, codes = _coded_families(g, d, index[0], g.vertices.index)
     # available-case start: the rows without missing cells, which are the
@@ -469,16 +460,13 @@ def _family_bics(counts: np.ndarray, rows_per_table: Sequence[int], pseudocount:
     else:
         c_hat, r_hat = c, r
     ratio = c_hat / r_hat
-    if ratio.all():
-        terms = c * np.log(ratio)
-    else:
-        # a subnormal count over a larger row sum underflows to 0: take the
-        # logarithms apart for those terms only, so the others keep their bits
-        under = ratio == 0
-        ratio[under] = 1.0
-        logs = np.log(ratio)
-        logs[under] = np.log(c_hat[under]) - np.log(r_hat[under])
-        terms = c * logs
+    # a subnormal count over a larger row sum underflows to 0: take the
+    # logarithms apart for those terms only, so the others keep their bits
+    under = ratio == 0
+    ratio[under] = 1.0
+    logs = np.log(ratio)
+    logs[under] = np.log(c_hat[under]) - np.log(r_hat[under])
+    terms = c * logs
     per_row = 0.5 * math.log(n_effective) * (card - 1)
     if len(rows_per_table) == 1:
         return [float(terms.sum()) - per_row * rows_per_table[0]]
@@ -648,18 +636,16 @@ class IpwBicScorer(BicScorer):
 
     def _weights_on(self, obs: frozenset) -> np.ndarray:
         """One weight per row for the observed set ``obs``: the product of
-        its variables' weights, normalised to mean one over the rows where
-        every variable of ``obs`` is observed, and 0.0 on the others; built
-        once per set."""
+        its variables' weights (one for a variable without weights),
+        normalised to mean one over the rows where every variable of ``obs``
+        is observed, and 0.0 on the others; built once per set."""
         w = self._observed.get(obs)
         if w is None:
             seen = ~self.mask[:, [self._col[v] for v in obs]].any(axis=1)
             w = np.ones(seen.size)
             # in column order: the bits of the weight product depend on it
             for v in self._canon(obs):
-                vw = self.var_weights.get(v)
-                if vw is not None:
-                    w = w * vw
+                w = w * self.var_weights.get(v, 1.0)
             # Normalise to mean weight one over the usable rows: the weighted
             # counts then never claim more evidence than the rows actually
             # seen, which keeps the (fixed) BIC penalty honest across row

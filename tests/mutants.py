@@ -109,6 +109,20 @@ MUTANTS = [
     (ESTIMATION, "frozenset({child})), t.T))", "frozenset({child})), t))",
      "tests/test_estimation.py::TestBicScorer::"
      "test_reverse_families_score_as_each_family_alone"),
+    # a CSV's byte-order mark read into the first column's name
+    ("src/missdag/data.py", 'newline="", encoding="utf-8-sig") as fh:',
+     'newline="", encoding="utf-8") as fh:',
+     "tests/test_data.py::TestCsv::test_byte_order_mark_is_not_read_into_the_first_name"),
+    # a first name that starts with a byte-order mark written without a second
+    ("src/missdag/data.py", 'sig = "-sig" if', 'sig = "" if',
+     "tests/test_data.py::TestCsv::"
+     "test_first_name_that_starts_with_a_byte_order_mark_reads_back"),
+    # dataset_n dropped unread when the dataset is a CSV
+    ("src/missdag/cli.py", 'if "dataset_n" in config:', "if False:",
+     "tests/test_cli.py::TestExitCodes::test_usage_error_on_dataset_n_with_a_csv"),
+    # a partially observed variable without IPW weights weighs zero, not one
+    (ESTIMATION, "self.var_weights.get(v, 1.0)", "self.var_weights.get(v, 0.0)",
+     "tests/test_estimation.py::TestIpwBicScorer::test_variable_without_weights_weighs_one"),
 ]
 
 

@@ -763,7 +763,7 @@ def read_csv_by_cell(path) -> CategoricalDataset:
     both ragged and over ``MAX_STATES`` it reports whichever it meets first
     (``read_csv`` reports the ragged row)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             records = list(reader)

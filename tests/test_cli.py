@@ -131,13 +131,28 @@ class TestExitCodes:
         # "dataset_n": 0, or a CSV with a header only
         data = tmp_path / "d.csv"
         data.write_text("a,b\n")
-        cfg = _demo_config(tmp_path, dataset=str(data) if from_csv else "ec-demo",
-                           dataset_n=0, algorithm=algorithm)
+        source = {"dataset": str(data)} if from_csv else {"dataset": "ec-demo", "dataset_n": 0}
+        cfg = _write_json(tmp_path / "config.json",
+                          {**source, "algorithm": algorithm, "max_parents": 2})
         assert main(["discover", "--config", cfg, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         _assert_one_diagnostic(err, False)
         assert err == "error: SchemaMismatch: BIC needs a positive sample size, got 0\n"
+
+    @pytest.mark.parametrize("command", ["discover", "evaluate"])
+    def test_usage_error_on_dataset_n_with_a_csv(self, tmp_path, no_env_seed, capsys, command):
+        # the key sizes ec-demo only; a CSV run used to drop it and read every row
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n" + "0,1\n1,0\n" * 30)
+        cfg = _write_json(tmp_path / "c.json", {"dataset": str(data), "dataset_n": 5,
+                                                "algorithm": "hc-complete",
+                                                "algorithms": ["hc-complete"], "B": 1})
+        assert main([command, "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'dataset_n' applies to dataset 'ec-demo' only\n")
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_error_on_a_field_over_the_size_limit(self, tmp_path, no_env_seed,
                                                           capsys):

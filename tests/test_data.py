@@ -238,6 +238,24 @@ class TestCsv:
         with pytest.raises(MalformedCsv):
             read_csv(path)
 
+    def test_byte_order_mark_is_not_read_into_the_first_name(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" exports start with one
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfA,B\n0,1\n")
+        d = read_csv(path)
+        assert d.names == ("A", "B")
+        assert d.variable("A").states == ("0", "__pad0")
+
+    def test_first_name_that_starts_with_a_byte_order_mark_reads_back(self, tmp_path):
+        d = CategoricalDataset([VariableSchema("\ufeffA", ("x", "y")),
+                                VariableSchema("B", ("x", "y"))],
+                               np.array([[0, 1], [1, MISSING]], dtype=np.int16))
+        path = tmp_path / "d.csv"
+        write_csv(d, path)
+        back = read_csv(path)
+        assert back.names == d.names
+        assert _labels(back) == _labels(d)
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,b\n\xff,0\n")

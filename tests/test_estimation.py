@@ -206,6 +206,17 @@ class TestFitMle:
         with pytest.raises(SchemaMismatch):
             fit_mle(g, d, pseudocount=0.0)
 
+    @pytest.mark.parametrize("fit", ["fit_mle", "em_fit", "log_likelihood"])
+    def test_each_fit_names_the_vertex_the_dataset_lacks(self, fit):
+        g = Dag(["v0", "x"], [("v0", "x")])
+        d = _dataset([2], [[0], [1]])
+        params = random_params(np.random.default_rng(0), g, {"v0": 2, "x": 2})
+        run = {"fit_mle": lambda: fit_mle(g, d, pseudocount=0.0),
+               "em_fit": lambda: em_fit(g, d, pseudocount=1.0, max_iter=5, tol=1e-6),
+               "log_likelihood": lambda: log_likelihood(params, g, d)}[fit]
+        with pytest.raises(SchemaMismatch, match="'x'"):
+            run()
+
 
 class TestLogLikelihood:
     def test_complete_data_matches_enumeration(self):
@@ -978,6 +989,41 @@ class TestIpwBicScorer:
             fresh = IpwBicScorer(d, var_weights, pseudocount)
             assert val == fresh._score_on(c, parents, obs) == oracle.score_on(c, parents, obs)
             assert math.isfinite(val)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_variable_without_weights_weighs_one(self, data):
+        # a partially observed variable that var_weights leaves out gives
+        # the bits of weights that are all one
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+        names = [f"v{i}" for i in range(len(cards))]
+        n = data.draw(st.integers(2, 40))
+        cells = st.tuples(*[st.integers(0, k - 1) for k in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, len(cards))
+        # v0 stays fully observed, so IPW weights can use it; v1 is missing
+        # on the first row and observed on the second, and gets no weights
+        for v in sorted({"v1"} | data.draw(st.sets(st.sampled_from(names[1:])))):
+            missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            if v == "v1":
+                missing[:2] = [True, False]
+            rows[np.array(missing, dtype=bool), names.index(v)] = MISSING
+        d = _dataset(cards, rows)
+        fully = [v for j, v in enumerate(names) if not d.mask[:, j].any()]
+        seen = set(names) - set(fully)
+        var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
+                       for v in sorted(seen - {"v1"}) if data.draw(st.booleans())}
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        left_out = IpwBicScorer(d, var_weights, pseudocount)
+        ones = IpwBicScorer(d, {**{v: np.ones(n) for v in seen}, **var_weights}, pseudocount)
+        assert left_out.family_score("v1", ()) == ones.family_score("v1", ())
+        for _ in range(data.draw(st.integers(1, 10))):
+            child = data.draw(st.sampled_from(names))
+            others = [v for v in names if v != child]
+            old = data.draw(st.sets(st.sampled_from(others)))
+            new = data.draw(st.sets(st.sampled_from(others)))
+            assert left_out.move_delta(child, old, new) == ones.move_delta(child, old, new)
+            assert left_out.family_score(child, new) == ones.family_score(child, new)
 
     @pytest.mark.parametrize("junk", [np.nan, np.inf])
     def test_weights_where_the_variable_is_missing_are_never_read(self, junk):
