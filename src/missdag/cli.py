@@ -52,8 +52,8 @@ def _diag(message: str, json_logs: bool) -> None:
 
 def _resolve_seed(args, config=None):
     env = os.environ.get("MGD_SEED")
-    if getattr(args, "seed", None) is not None:
-        seed = int(args.seed)
+    if args.seed is not None:
+        seed = args.seed
     elif config is not None and "seed" in config:
         seed = checked_number(config["seed"], int, "config field 'seed'")
     elif env is not None:
@@ -93,11 +93,12 @@ def _input_file(path, what: str) -> Path:
 
 
 def _read_text(path, what: str) -> str:
-    """The text of a UTF-8 input file; a missing file or one that is not
-    UTF-8 is a usage error."""
+    """The text of a UTF-8 input file, without a leading byte-order mark (as
+    Windows Notepad's "UTF-8 with BOM" writes); a missing file or one that
+    is not UTF-8 is a usage error."""
     p = _input_file(path, what)
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} is not UTF-8 text: {p}: {exc}") from None
 
@@ -143,7 +144,7 @@ def _load_knowledge(config: dict) -> KnowledgeBase:
 
 
 def _out_dir(args, config: dict) -> Path:
-    out = getattr(args, "out", None) or config.get("out")
+    out = args.out or config.get("out")
     if out is None:
         raise ConfigError("no output directory (flag --out or config field 'out')")
     p = _path(out, "out")

@@ -260,6 +260,10 @@ class AmputationEntry:
             raise ConfigError(f"unknown amputation mechanism {self.mechanism!r}")
         if self.mechanism == "MCAR" and self.drivers:
             raise ConfigError("MCAR entries take no drivers")
+        if len(set(self.drivers)) != len(self.drivers):
+            # its weights would add to the linear predictor once per listing
+            raise ConfigError(f"amputation entry for {self.target!r} lists a driver twice: "
+                              f"{list(self.drivers)}")
 
 
 @dataclass(frozen=True)
@@ -323,7 +327,11 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
     Driver states are read from the pre-amputation data, so MNAR entries may
     reference the target itself (self-masking) or other amputation targets.
     """
-    targets = []
+    rows = d.rows.copy()
+    # one spawned child stream per entry: spawned streams are guaranteed
+    # distinct from the root stream of the same seed, so amputation noise
+    # never collides with data sampled from default_rng(seed)
+    streams = np.random.SeedSequence(spec.seed).spawn(len(spec.entries))
     for i, e in enumerate(spec.entries):
         for name in (e.target,) + e.drivers:
             if name not in d.names:
@@ -339,29 +347,20 @@ def ampute(d: CategoricalDataset, spec: AmputationSpec) -> CategoricalDataset:
         j = d.index(e.target)
         if d.mask[:, j].any():
             raise SchemaMismatch(f"target {e.target!r} must be complete before amputation")
-        targets.append(j)
+        eta = np.full(d.n, e.intercept, dtype=float)
         for w in e.drivers:
             jd = d.index(w)
             if d.mask[:, jd].any():
                 raise SchemaMismatch(f"driver {w!r} has missing cells in the input")
-    rows = d.rows.copy()
-    # one spawned child stream per entry: spawned streams are guaranteed
-    # distinct from the root stream of the same seed, so amputation noise
-    # never collides with data sampled from default_rng(seed)
-    streams = np.random.SeedSequence(spec.seed).spawn(len(spec.entries))
-    for i, e in enumerate(spec.entries):
-        eta = np.full(d.n, e.intercept, dtype=float)
-        for w in e.drivers:
             wmap = e.weights.get(w, {})
-            states = d.variable(w).states
-            per_state = np.array([float(wmap.get(s, 0.0)) for s in states])
+            per_state = np.array([float(wmap.get(s, 0.0)) for s in d.schema[jd].states])
             # a sum past the float range is +/-inf, where the logistic is 1 or 0
             with np.errstate(over="ignore"):
-                eta = eta + per_state[d.column(w)]
+                eta = eta + per_state[d.rows[:, jd]]
         values, where = np.unique(eta, return_inverse=True)
         prob = np.array([logistic(v) for v in values])[where]
         u = np.random.default_rng(streams[i]).random(d.n)
-        rows[u < prob, targets[i]] = MISSING
+        rows[u < prob, j] = MISSING
     out = CategoricalDataset(d.schema, rows)
     # MAR drivers must remain fully observed after all entries are applied
     for e in spec.entries:

@@ -389,8 +389,8 @@ def _replicate(args):
     found = SEARCHES[name](db, kb, opts)
     g = found.graph
     params = found.refit()
-    ll_in = log_likelihood(params, g, db).log_likelihood
-    ll_out = log_likelihood(params, g, test).log_likelihood
+    ll_in = log_likelihood(params, g, db)
+    ll_out = log_likelihood(params, g, test)
     for which, ll in (("in-sample", ll_in), ("held-out", ll_out)):
         if not math.isfinite(ll):
             # a row of probability 0 under the refit parameters: no report

@@ -339,7 +339,7 @@ def expand_completions(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray]
     return block, weights, origin, row_ll
 
 
-def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> ScoreValue:
+def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> float:
     """Sum of per-row log-likelihoods; rows with missing cells contribute the
     exact marginal over all completions (one ``expand_completions``)."""
     params.check_graph(g)
@@ -355,7 +355,7 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> Score
         index = _completion_index(d, g.vertices, cards)
         codes = _family_codes(index[0], g.vertices, params.parents, cards)
         row_ll = expand_completions(tables, codes, index, d.n)[3]
-    return ScoreValue(log_likelihood=float(np.sum(row_ll)))
+    return float(np.sum(row_ll))
 
 
 def rescale_ll(values: Sequence[float], n: int) -> List[float]:

@@ -46,10 +46,8 @@ class Dag:
         children = {v: set() for v in verts}
         edge_set = set()
         for p, c in edges:
-            if p not in self._index:
-                raise SchemaMismatch(f"unknown vertex {p!r}")
-            if c not in self._index:
-                raise SchemaMismatch(f"unknown vertex {c!r}")
+            self._check(p)
+            self._check(c)
             if p == c:
                 raise CycleDetected([p, c])
             if (p, c) in edge_set:
@@ -230,17 +228,27 @@ def classify_mechanism(m: MGraph) -> MechanismClass:
 def implied_mgraph(base: Dag, partially_observed: Iterable[str],
                    indicator_parents: Mapping[str, Iterable[str]]) -> MGraph:
     """Extend a substantive DAG with an indicator R_x for each partially
-    observed x. ``indicator_parents[x]`` lists the substantive causes of x's
-    missingness (empty for MCAR), each wired into R_x."""
+    observed x, prefixed with R_ again while a vertex or an earlier indicator
+    holds the name (R_R_x for a column named R_x, say).
+    ``indicator_parents[x]`` lists the substantive causes of x's missingness
+    (empty for MCAR), each wired into R_x."""
     part = list(partially_observed)
-    indicators = {x: f"R_{x}" for x in part}
+    taken = set(base.vertices)
+    indicators = {}
+    for x in part:
+        r = f"R_{x}"
+        while r in taken:
+            r = f"R_{r}"
+        taken.add(r)
+        indicators[x] = r
     edges = list(base.edges)
     for x in part:
         base._check(x)
         for p in indicator_parents.get(x, ()):
             base._check(p)
             edges.append((p, indicators[x]))
-    # a variable listed twice declares its indicator twice, which Dag refuses
+    # a variable listed twice names a second indicator, but the map keeps
+    # only the last, which the vertex list then declares twice: Dag refuses it
     return MGraph(Dag([*base.vertices, *(indicators[x] for x in part)], edges), indicators)
 
 
@@ -263,7 +271,6 @@ def _dot_id(s: str) -> str:
 
 def export_dot(g: Dag, roles: Optional[Mapping[str, str]] = None) -> str:
     """Deterministic DOT text: vertices in declared order, edges sorted."""
-    order = {v: i for i, v in enumerate(g.vertices)}
     lines = ["digraph G {"]
     for v in g.vertices:
         body = ""
@@ -271,7 +278,7 @@ def export_dot(g: Dag, roles: Optional[Mapping[str, str]] = None) -> str:
             color = _ROLE_COLORS.get(roles[v], roles[v])
             body = f" [style=filled fillcolor={_dot_id(color)}]"
         lines.append(f"  {_dot_id(v)}{body};")
-    for p, c in sorted(g.edges, key=lambda e: (order[e[0]], order[e[1]])):
+    for p, c in sorted(g.edges, key=lambda e: (g._index[e[0]], g._index[e[1]])):
         lines.append(f"  {_dot_id(p)} -> {_dot_id(c)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

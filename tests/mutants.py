@@ -123,6 +123,17 @@ MUTANTS = [
     # a partially observed variable without IPW weights weighs zero, not one
     (ESTIMATION, "self.var_weights.get(v, 1.0)", "self.var_weights.get(v, 0.0)",
      "tests/test_estimation.py::TestIpwBicScorer::test_variable_without_weights_weighs_one"),
+    # a JSON input's byte-order mark read as text
+    ("src/missdag/cli.py", 'return p.read_text(encoding="utf-8-sig")',
+     'return p.read_text(encoding="utf-8")',
+     "tests/test_cli.py::TestDiscover::test_json_input_with_a_byte_order_mark_is_read"),
+    # an amputation driver listed twice counted once per listing
+    ("src/missdag/data.py", "if len(set(self.drivers)) != len(self.drivers):", "if False:",
+     "tests/test_data.py::TestAmputation::test_malformed_entry_in_json_rejected"),
+    # an indicator name left free for a later indicator to take
+    ("src/missdag/graphs.py", "        taken.add(r)\n", "",
+     "tests/test_graphs.py::TestClassifyMechanism::"
+     "test_indicator_name_a_vertex_holds_is_prefixed_again"),
 ]
 
 

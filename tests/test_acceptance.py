@@ -334,7 +334,7 @@ def test_criterion_9_ll_matches_full_joint_enumeration():
         rows = d.rows.copy()
         rows[holes] = MISSING
         d = CategoricalDataset(d.schema, rows)
-        got = log_likelihood(params, g, d).log_likelihood
+        got = log_likelihood(params, g, d)
         want = joint_log_likelihood(params, g, d)
         assert got == pytest.approx(want, rel=1e-12)
     dt = _elapsed(t0)

@@ -765,6 +765,19 @@ class TestDiscover:
         assert ("Survival1yr", "Survival3yr") in g.edges
         assert ("Survival3yr", "Survival5yr") in g.edges
 
+    @pytest.mark.parametrize("marked", ["config", "knowledge", "ampute_spec"])
+    def test_json_input_with_a_byte_order_mark_is_read(self, tmp_path, no_env_seed, capsys,
+                                                       marked):
+        # Windows Notepad's "UTF-8 with BOM" starts the file with EF BB BF
+        files = {"knowledge": tmp_path / "kb.json", "ampute_spec": tmp_path / "spec.json"}
+        files["knowledge"].write_text(ecdemo.ec_knowledge_json())
+        files["ampute_spec"].write_text(amputation_spec_json(ecdemo.ec_mnar_amputation(seed=5)))
+        files["config"] = Path(_demo_config(tmp_path, **{k: str(v) for k, v in files.items()}))
+        files[marked].write_bytes(b"\xef\xbb\xbf" + files[marked].read_bytes())
+        assert main(["discover", "--config", str(files["config"]), "--seed", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_across_reruns(self, tmp_path, no_env_seed):
         cfg = _demo_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

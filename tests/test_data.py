@@ -406,7 +406,10 @@ class TestAmputation:
         {"target": "x", "mechanism": "MCAR", "drvers": []},
         {"target": "x", "mechanism": "MCAR", "intercept": float("inf")},
         {"target": "x", "mechanism": "MAR", "drivers": ["w"], "intercept": 0.0,
-         "weights": {"w": {"s1": float("-inf")}}}])
+         "weights": {"w": {"s1": float("-inf")}}},
+        # each listing would add the driver's weights to the predictor again
+        {"target": "x", "mechanism": "MNAR", "drivers": ["x", "x"], "intercept": -1.0,
+         "weights": {"x": {"s1": 1.0}}}])
     def test_malformed_entry_in_json_rejected(self, target):
         with pytest.raises(ConfigError):
             AmputationSpec.from_json(json.dumps({"seed": 0, "targets": [target]}))

@@ -715,6 +715,17 @@ class TestHcAipw:
         assert {frozenset(("a", "b")), frozenset(("b", "c"))} <= skel
         assert "a" in found.report["c"]["detected_parents"]
 
+    def test_column_named_as_an_indicator_is_searched(self):
+        # A's indicator would be R_A, the name of a column
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, (400, 3))
+        rows[rng.random(400) < 0.2, 0] = MISSING
+        d = CategoricalDataset([VariableSchema(v, ("s0", "s1")) for v in ("A", "R_A", "B")],
+                               rows)
+        found = hc_aipw(d, KnowledgeBase())
+        assert found.graph.vertices == ("A", "R_A", "B")
+        assert set(found.report) == {"A"}
+
 
 class TestEvaluate:
     def _run(self, threads, B=3):

@@ -241,6 +241,16 @@ class TestClassifyMechanism:
         assert m.graph == Dag(["w", "x", "y", "R_y", "R_x"],
                               [("w", "x"), ("x", "y"), ("w", "R_x"), ("x", "R_x")])
 
+    def test_indicator_name_a_vertex_holds_is_prefixed_again(self):
+        # R_a is a column, so a's indicator is R_R_a, and R_a's the next name
+        m = implied_mgraph(Dag(["a", "R_a"]), ["a", "R_a"], {"a": ("R_a",)})
+        assert m.indicators == {"a": "R_R_a", "R_a": "R_R_R_a"}
+        assert m.graph == Dag(["a", "R_a", "R_R_a", "R_R_R_a"], [("R_a", "R_R_a")])
+
+    def test_variable_listed_twice_rejected(self):
+        with pytest.raises(SchemaMismatch, match="duplicate vertex names"):
+            implied_mgraph(self._base(), ["x", "y", "x"], {})
+
     def test_unknown_indicator_parent_rejected(self):
         with pytest.raises(SchemaMismatch, match="unknown vertex 'zz'"):
             implied_mgraph(self._base(), ["x"], {"x": ("zz",)})
