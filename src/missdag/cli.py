@@ -174,11 +174,6 @@ def _dot(g: Dag) -> str:
                       if set(g.vertices) >= set(ecdemo.EC_ROLES) else None)
 
 
-def _search_options(config: dict) -> SearchOptions:
-    return SearchOptions(**{f.name: config[f.name]
-                            for f in dataclasses.fields(SearchOptions) if f.name in config})
-
-
 def _load_run(args):
     """The config, seed, search options, dataset, knowledge base and output
     directory of a ``discover`` or ``evaluate`` run."""
@@ -186,8 +181,10 @@ def _load_run(args):
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
-    return (config, seed, _search_options(config), _load_dataset(config, seed),
-            _load_knowledge(config), _out_dir(args, config))
+    opts = SearchOptions(**{f.name: config[f.name]
+                            for f in dataclasses.fields(SearchOptions) if f.name in config})
+    return (config, seed, opts, _load_dataset(config, seed), _load_knowledge(config),
+            _out_dir(args, config))
 
 
 def cmd_discover(args) -> int:
@@ -302,6 +299,8 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     out = _out_file(args.out)
     if args.model == "ec-demo":
+        if args.params:
+            raise ConfigError("--params applies to a graph-file model only, not 'ec-demo'")
         g, params = ecdemo.ec_ground_truth()
     else:
         if not args.params:
@@ -313,11 +312,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = _load_graph(args.graph)
-    out = _out_file(args.out) if args.out else None
-    text = _dot(g)
-    if out is not None:
-        _write(out, text)
+    text = _dot(_load_graph(args.graph))
+    if args.out:
+        _write(_out_file(args.out), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -127,7 +127,7 @@ class CategoricalDataset:
         return self.rows[:, self.index(name)]
 
     def take(self, idx) -> "CategoricalDataset":
-        idx = np.asarray(idx, dtype=np.intp)
+        """The rows ``idx`` selects: row numbers, or one bool per row."""
         return CategoricalDataset(self.schema, self.rows[idx])
 
     def is_complete(self) -> bool:
@@ -223,17 +223,16 @@ def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     params.check_graph(g)
     schema = [VariableSchema(v, params.states(v)) for v in g.vertices]
     col = {v: i for i, v in enumerate(g.vertices)}
-    cards = {v: len(params.states(v)) for v in g.vertices}
     rng = np.random.default_rng(seed)
     rows = np.zeros((n, len(schema)), dtype=np.int16)
     for v in g.topological_order():
         parents, table, _ = params.variables[v]
         probs = table[mixed_radix(rows, [col[q] for q in parents],
-                                  [cards[q] for q in parents])]
+                                  [schema[col[q]].cardinality for q in parents])]
         u = rng.random(n)
         cum = np.cumsum(probs, axis=1)
         val = np.sum(cum < u[:, None], axis=1)
-        rows[:, col[v]] = np.minimum(val, cards[v] - 1)
+        rows[:, col[v]] = np.minimum(val, table.shape[1] - 1)
     return CategoricalDataset(schema, rows)
 
 

@@ -62,10 +62,10 @@ class ParameterSet:
         """Refuse CPTs that do not fit ``g``: a CPT for a variable ``g``
         lacks, a vertex without a CPT, parents other than the vertex's
         parents in ``g``, each listed once, a table whose shape is not
-        (product of the parents' numbers of states, number of states), or a
-        row whose sum is more than ``ROW_SUM_TOL`` from 1. The package's own
-        fits pass by construction, and are not checked until they are
-        used."""
+        (product of the parents' numbers of states, number of states), a
+        row whose sum is more than ``ROW_SUM_TOL`` from 1, or a negative
+        cell. The package's own fits pass by construction, and are not
+        checked until they are used."""
         extra = sorted(set(self.variables) - set(g.vertices))
         if extra:
             raise SchemaMismatch(f"CPTs for variables the graph lacks: {extra}")
@@ -82,6 +82,8 @@ class ParameterSet:
             # NaN and +-inf sums fail the comparison
             if not (np.abs(table.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
                 raise SchemaMismatch(f"CPT rows for {v!r} do not sum to 1")
+            if (table < 0).any():
+                raise SchemaMismatch(f"CPT for {v!r} has a negative probability")
 
     @staticmethod
     def from_json(text: str) -> "ParameterSet":
@@ -343,9 +345,11 @@ def log_likelihood(params: ParameterSet, g: Dag, d: CategoricalDataset) -> float
     """Sum of per-row log-likelihoods; rows with missing cells contribute the
     exact marginal over all completions (one ``expand_completions``)."""
     params.check_graph(g)
+    # check_graph ties each table's width to its labels, so this covers
+    # the number of states too
     for v in g.vertices:
-        if params.table(v).shape[1] != d.variable(v).cardinality:
-            raise SchemaMismatch(f"CPT cardinality mismatch for {v!r}")
+        if params.states(v) != d.variable(v).states:
+            raise SchemaMismatch(f"CPT states for {v!r} are not the dataset's, in order")
     tables = [params.table(v) for v in g.vertices]
     cards = {v: d.variable(v).cardinality for v in g.vertices}
     if d.is_complete():
@@ -620,6 +624,10 @@ class IpwBicScorer(BicScorer):
     missing cells read as state 0: a row of weight 0.0 adds nothing to a
     bin, and the others are added in row order, so the counts have the bits
     of a count over the set's rows alone.
+
+    ``var_weights`` holds one vector of ``d.n`` weights per variable of
+    ``d``; weights for another name or of another length raise
+    ``SchemaMismatch``.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
@@ -627,6 +635,10 @@ class IpwBicScorer(BicScorer):
         super().__init__(d.schema, np.maximum(d.rows, 0), pseudocount=pseudocount)
         self.mask = d.mask
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
+        for k, w in self.var_weights.items():
+            d.index(k)  # weights for a variable the dataset lacks: SchemaMismatch
+            if w.shape != (d.n,):
+                raise SchemaMismatch(f"IPW weights for {k!r} have shape {w.shape}, not ({d.n},)")
         self.partial = frozenset(
             v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
         # by observed set (a family's partially observed variables, the

@@ -235,18 +235,17 @@ def implied_mgraph(base: Dag, partially_observed: Iterable[str],
     part = list(partially_observed)
     taken = set(base.vertices)
     indicators = {}
+    edges = list(base.edges)
     for x in part:
+        base._check(x)
         r = f"R_{x}"
         while r in taken:
             r = f"R_{r}"
         taken.add(r)
         indicators[x] = r
-    edges = list(base.edges)
-    for x in part:
-        base._check(x)
         for p in indicator_parents.get(x, ()):
             base._check(p)
-            edges.append((p, indicators[x]))
+            edges.append((p, r))
     # a variable listed twice names a second indicator, but the map keeps
     # only the last, which the vertex list then declares twice: Dag refuses it
     return MGraph(Dag([*base.vertices, *(indicators[x] for x in part)], edges), indicators)

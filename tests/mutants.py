@@ -134,6 +134,26 @@ MUTANTS = [
     ("src/missdag/graphs.py", "        taken.add(r)\n", "",
      "tests/test_graphs.py::TestClassifyMechanism::"
      "test_indicator_name_a_vertex_holds_is_prefixed_again"),
+    # a CPT's states checked by their number alone
+    (ESTIMATION, "if params.states(v) != d.variable(v).states:",
+     "if len(params.states(v)) != len(d.variable(v).states):",
+     "tests/test_estimation.py::TestLogLikelihood::"
+     "test_cpt_states_must_be_the_datasets_in_order"),
+    # a CPT row that sums to 1 through a negative cell
+    (ESTIMATION, "if (table < 0).any():", "if False:",
+     "tests/test_estimation.py::TestParameterSet::test_negative_cell_refused"),
+    # a parameter file given with the bundled model ignored
+    ("src/missdag/cli.py", "if args.params:", "if False:",
+     "tests/test_cli.py::TestAmputeAndSimulate::test_simulate_ec_demo_refuses_params"),
+    # IPW weights of another shape broadcast over the rows
+    (ESTIMATION, "if w.shape != (d.n,):", "if False:",
+     "tests/test_estimation.py::TestIpwBicScorer::"
+     "test_weights_for_an_unknown_variable_or_of_another_shape_refused"),
+    # a boolean selection read as row numbers
+    ("src/missdag/data.py", "CategoricalDataset(self.schema, self.rows[idx])",
+     "CategoricalDataset(self.schema, self.rows[np.asarray(idx, dtype=np.intp)])",
+     "tests/test_data.py::TestDataset::"
+     "test_take_of_a_boolean_selection_returns_the_selected_rows"),
 ]
 
 

@@ -924,6 +924,16 @@ class TestAmputeAndSimulate:
                      "--out", str(tmp_path / "d.csv"), "--seed", "1"]) == 2
         capsys.readouterr()
 
+    def test_simulate_ec_demo_refuses_params(self, tmp_path, no_env_seed, capsys):
+        # the bundled model has its own CPTs: a parameter file, even one that
+        # does not exist, was ignored
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "ec-demo", "--params", str(tmp_path / "absent.json"),
+                     "--n", "5", "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --params applies to a graph-file model only, not 'ec-demo'\n")
+        assert not out.exists()
+
     def test_params_without_a_cpt_is_a_runtime_error(self, tmp_path, monkeypatch,
                                                      capsys):
         (tmp_path / "g.json").write_text(GRAPH)
@@ -945,7 +955,11 @@ class TestAmputeAndSimulate:
         ({"b": {"parents": ["a", "a"], "table": [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5],
                                                  [0.2, 0.8]]}},
          "CPT parents for 'b' do not match the graph"),
-    ], ids=["extra-cpt", "misshaped-cpt", "parent-listed-twice"])
+        # rows that sum to 1 through a negative cell: every sample fell in the
+        # first state
+        ({"a": {"parents": [], "table": [[1.5, -0.5]]}},
+         "CPT for 'a' has a negative probability"),
+    ], ids=["extra-cpt", "misshaped-cpt", "parent-listed-twice", "negative-cell"])
     def test_params_that_do_not_fit_the_graph_is_a_runtime_error(
             self, tmp_path, monkeypatch, capsys, variables, line):
         (tmp_path / "g.json").write_text(GRAPH)

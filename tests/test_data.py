@@ -118,6 +118,12 @@ class TestDataset:
         assert t.mask[1, 1] and not t.mask[0, 1]
         assert t.rows[0, 1] == 1
 
+    def test_take_of_a_boolean_selection_returns_the_selected_rows(self):
+        # a cast to row numbers read [False, True, True] as rows 0, 1, 1
+        d = _dataset([3], [[0], [1], [2]])
+        assert d.take(np.array([False, True, True])) == _dataset([3], [[1], [2]])
+        assert d.take([True, False, True]) == _dataset([3], [[0], [2]])
+
 
 # tokens that a CSV cell or header may hold: missing-cell tokens, the pad
 # labels, CSV syntax, line breaks, a lone carriage return and Unicode

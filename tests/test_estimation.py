@@ -106,6 +106,12 @@ class TestParameterSet:
                            match=re.escape("CPT for 'b' has shape (1, 2), expected (2, 2)")):
             params.check_graph(Dag(["a", "b"], [("a", "b")]))
 
+    def test_negative_cell_refused(self):
+        # the row sums to 1, and sampling it drew the first state every time
+        params = ParameterSet({"a": ((), np.array([[1.5, -0.5]]), ("s0", "s1"))})
+        with pytest.raises(SchemaMismatch, match="CPT for 'a' has a negative probability"):
+            params.check_graph(Dag(["a"]))
+
     def test_refuses_a_cpt_the_graph_lacks(self):
         g = Dag(["a", "b"], [("a", "b")])
         params = random_params(np.random.default_rng(0), Dag(["a", "b", "c"], [("a", "b")]),
@@ -240,6 +246,17 @@ class TestLogLikelihood:
         d = _dataset([2, 2], [[0, 0]])
         with pytest.raises(SchemaMismatch):
             log_likelihood(params, g, d)
+
+    @pytest.mark.parametrize("states", [("s1", "s0"), ("u", "v")],
+                             ids=["other-order", "other-labels"])
+    def test_cpt_states_must_be_the_datasets_in_order(self, states):
+        # a CPT was checked by its number of states alone, so one labelled
+        # in another order scored each row under the other state's cell
+        d = _dataset([2], [[0]] * 9 + [[1]])
+        params = ParameterSet({"v0": ((), np.array([[0.1, 0.9]]), states)})
+        with pytest.raises(SchemaMismatch,
+                           match="CPT states for 'v0' are not the dataset's, in order"):
+            log_likelihood(params, Dag(["v0"]), d)
 
 
 class TestExpandCompletions:
@@ -813,6 +830,19 @@ class TestIpwBicScorer:
         fwd = scorer.move_delta("v2", (), ("v1",))
         back = scorer.move_delta("v2", ("v1",), ())
         assert fwd == pytest.approx(-back, abs=1e-9)
+
+    @pytest.mark.parametrize("var_weights, line", [
+        ({"v1_typo": np.ones(3)}, "unknown variable 'v1_typo'"),
+        ({"v1": np.ones(1)}, "IPW weights for 'v1' have shape (1,), not (3,)"),
+        ({"v1": np.ones((3, 1))}, "IPW weights for 'v1' have shape (3, 1), not (3,)"),
+    ], ids=["unknown-variable", "length-one", "column"])
+    def test_weights_for_an_unknown_variable_or_of_another_shape_refused(self, var_weights,
+                                                                         line):
+        # an unknown key was never read, and a length-1 vector broadcast
+        # over every row: both scored as if unweighted
+        d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
+        with pytest.raises(SchemaMismatch, match=re.escape(line)):
+            IpwBicScorer(d, var_weights)
 
     def test_family_counts_use_family_complete_rows_only(self):
         d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
