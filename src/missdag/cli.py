@@ -63,9 +63,7 @@ def _resolve_seed(args, config=None):
             raise ConfigError(f"MGD_SEED must be int, got {env!r}") from None
     else:
         raise ConfigError("no seed given (flag --seed, config field 'seed', or MGD_SEED)")
-    if seed < 0:
-        raise ConfigError(f"the seed must be >= 0, got {seed}")
-    return seed
+    return checked_number(seed, int, "the seed", "be >= 0", lambda v: v >= 0)
 
 
 def _fields(config: dict, **kinds) -> dict:
@@ -177,8 +175,7 @@ def _dot(g: Dag) -> str:
 def _load_run(args):
     """The config, seed, search options, dataset, knowledge base and output
     directory of a ``discover`` or ``evaluate`` run."""
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    checked_number(args.threads, int, "--threads", "be >= 1", lambda v: v >= 1)
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     opts = SearchOptions(**{f.name: config[f.name]

@@ -85,7 +85,10 @@ class CategoricalDataset:
 
     def __init__(self, schema: Sequence[VariableSchema], rows):
         self.schema = tuple(schema)
-        rows = np.array(rows, dtype=np.int16)
+        rows = np.array(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            # a float or string cell would be truncated or parsed by the cast
+            raise SchemaMismatch(f"rows must hold integer state indices, not {rows.dtype}")
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise SchemaMismatch("row matrix shape does not match schema")
         mask = rows == MISSING
@@ -93,6 +96,8 @@ class CategoricalDataset:
             col = rows[~mask[:, j], j]
             if col.size and (col.min() < 0 or col.max() >= var.cardinality):
                 raise SchemaMismatch(f"state index out of range in column {var.name!r}")
+        # in range, so the cast keeps every cell
+        rows = rows.astype(np.int16, copy=False)
         rows.setflags(write=False)
         mask.setflags(write=False)
         self.rows = rows
@@ -127,8 +132,19 @@ class CategoricalDataset:
         return self.rows[:, self.index(name)]
 
     def take(self, idx) -> "CategoricalDataset":
-        """The rows ``idx`` selects: row numbers, or one bool per row."""
-        return CategoricalDataset(self.schema, self.rows[idx])
+        """The rows ``idx`` selects: row numbers in 0 .. n - 1, or one bool
+        per row. Another selection (a negative or non-integer index, say,
+        which numpy would wrap or refuse) raises SchemaMismatch."""
+        idx = np.asarray(idx)
+        if idx.dtype == bool:
+            ok = idx.shape == (self.n,)
+        else:
+            ok = idx.ndim == 1 and (idx.size == 0 or idx.dtype.kind in "iu"
+                                    and 0 <= idx.min() and idx.max() < self.n)
+        if not ok:
+            raise SchemaMismatch(f"a row selection must be row numbers in 0 .. {self.n - 1} "
+                                 "or one bool per row")
+        return CategoricalDataset(self.schema, self.rows[idx] if idx.size else self.rows[:0])
 
     def is_complete(self) -> bool:
         return not self.mask.any()
@@ -216,14 +232,22 @@ def write_csv(d: CategoricalDataset, path) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of ``seed``: an int >= 0, or a ``SeedSequence`` (a
+    bootstrap replicate's stream). numpy would refuse a negative int with
+    its own ValueError, and draw fresh entropy for None."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = checked_number(seed, int, "seed", "be >= 0", lambda v: v >= 0)
+    return np.random.default_rng(seed)
+
+
 def forward_sample(g: Dag, params, n: int, seed: int) -> CategoricalDataset:
     """Ancestral sampling: n i.i.d. rows, deterministic given seed."""
-    if n < 0:
-        raise ConfigError(f"sample size n must be >= 0, got {n}")
+    n = checked_number(n, int, "sample size n", "be >= 0", lambda v: v >= 0)
     params.check_graph(g)
     schema = [VariableSchema(v, params.states(v)) for v in g.vertices]
     col = {v: i for i, v in enumerate(g.vertices)}
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     rows = np.zeros((n, len(schema)), dtype=np.int16)
     for v in g.topological_order():
         parents, table, _ = params.variables[v]
@@ -265,6 +289,10 @@ class AmputationEntry:
                               f"{list(self.drivers)}")
 
 
+# checked_number's rule for an amputation spec's intercept and weights
+_FINITE = ("be finite", math.isfinite)
+
+
 @dataclass(frozen=True)
 class AmputationSpec:
     entries: Tuple[AmputationEntry, ...]
@@ -272,6 +300,8 @@ class AmputationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "seed", checked_number(
+            self.seed, int, "amputation spec field 'seed'", "be >= 0", lambda v: v >= 0))
 
     @staticmethod
     def from_json(text: str) -> "AmputationSpec":
@@ -290,23 +320,14 @@ class AmputationSpec:
                     mechanism=t["mechanism"],
                     drivers=tuple(checked_strings(t.get("drivers", []),
                                                   "amputation spec field 'drivers'")),
-                    intercept=(_finite(t["intercept"], "amputation spec field 'intercept'")
+                    intercept=(checked_number(t["intercept"], float,
+                                              "amputation spec field 'intercept'", *_FINITE)
                                if "intercept" in t else -math.inf),
-                    weights={k: {s: _finite(w, "amputation spec weight")
+                    weights={k: {s: checked_number(w, float, "amputation spec weight", *_FINITE)
                                  for s, w in v.items()}
                              for k, v in t.get("weights", {}).items()},
                 ))
-            seed = checked_number(doc["seed"], int, "amputation spec field 'seed'")
-        if seed < 0:
-            raise ConfigError(f"amputation spec field 'seed' must be >= 0, got {seed}")
-        return AmputationSpec(tuple(entries), seed)
-
-
-def _finite(value, what: str) -> float:
-    value = checked_number(value, float, what)
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return value
+            return AmputationSpec(tuple(entries), doc["seed"])
 
 
 def logistic(x: float) -> float:
@@ -389,20 +410,18 @@ def impute_mode(d: CategoricalDataset) -> CategoricalDataset:
 def bootstrap(d: CategoricalDataset, seed: int) -> CategoricalDataset:
     if d.n < 1:
         raise SchemaMismatch("cannot resample an empty dataset")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, d.n, size=d.n)
+    idx = _rng(seed).integers(0, d.n, size=d.n)
     return d.take(idx)
 
 
 def split(d: CategoricalDataset, held_out_fraction: float, seed: int):
     """(train, test) with floor(n * fraction) > 0 rows held out."""
-    if not 0.0 < held_out_fraction < 1.0:
-        raise ConfigError(f"held-out fraction must lie in (0, 1), got {held_out_fraction}")
+    held_out_fraction = checked_number(held_out_fraction, float, "held-out fraction",
+                                       "lie in (0, 1)", lambda v: 0 < v < 1)
     k = int(math.floor(d.n * held_out_fraction))
     if k == 0:
         raise SchemaMismatch(f"held-out set is empty: floor({d.n} x {held_out_fraction}) = 0")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.n)
+    perm = _rng(seed).permutation(d.n)
     test_idx = np.sort(perm[:k])
     train_idx = np.sort(perm[k:])
     return d.take(train_idx), d.take(test_idx)

@@ -61,13 +61,10 @@ class SearchOptions:
 
     def __post_init__(self):
         for f in fields(self):
-            what = f"search option {f.name!r}"
-            value = checked_number(getattr(self, f.name), int if f.type == "int" else float,
-                                   what)
-            if f.name == "alpha" and not 0 < value <= 1:
-                raise ConfigError(f"{what} must lie in (0, 1], got {value!r}")
-            if f.name != "alpha" and not 0 <= value < math.inf:
-                raise ConfigError(f"{what} must be finite and >= 0, got {value!r}")
+            rule = (("lie in (0, 1]", lambda v: 0 < v <= 1) if f.name == "alpha"
+                    else ("be finite and >= 0", lambda v: 0 <= v < math.inf))
+            checked_number(getattr(self, f.name), int if f.type == "int" else float,
+                           f"search option {f.name!r}", *rule)
 
     def sem_options(self) -> dict:
         """The options as ``bootstrap_sem``'s keyword arguments."""
@@ -86,8 +83,14 @@ class KnowledgeBase:
     required: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "forbidden", frozenset(tuple(e) for e in self.forbidden))
-        object.__setattr__(self, "required", frozenset(tuple(e) for e in self.required))
+        for key in ("forbidden", "required"):
+            # a string is not a pair: "ab" would read as the edge a -> b
+            edges = getattr(self, key)
+            if not isinstance(edges, (list, tuple, set, frozenset)) or not all(
+                    isinstance(e, (list, tuple)) and len(e) == 2
+                    and all(isinstance(v, str) for v in e) for e in edges):
+                raise ConfigError(f"knowledge field {key!r} must list [parent, child] pairs")
+            object.__setattr__(self, key, frozenset(map(tuple, edges)))
         if self.forbidden & self.required:
             raise ConfigError("an edge is both forbidden and required")
         verts = sorted({v for e in self.required for v in e})
@@ -103,13 +106,7 @@ class KnowledgeBase:
     def from_json(text: str) -> "KnowledgeBase":
         keys = ("forbidden", "required")
         doc = json_object(text, "knowledge", keys)
-        edges = {key: doc.get(key, []) for key in keys}
-        for key, pairs in edges.items():
-            if not isinstance(pairs, list) or not all(
-                    isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
-                    for e in pairs):
-                raise ConfigError(f"knowledge field {key!r} must list [parent, child] pairs")
-        return KnowledgeBase(**edges)
+        return KnowledgeBase(**{key: doc.get(key, []) for key in keys})
 
 
 @dataclass
@@ -191,6 +188,8 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
 
     A non-finite initial score is refused: every delta from it is NaN, so
     the search would stop at once and report the initial graph."""
+    max_iter = checked_number(max_iter, int, "max_iter", "be >= 0", lambda v: v >= 0)
+    max_parents = checked_number(max_parents, int, "max_parents", "be >= 0", lambda v: v >= 0)
     if not kb.satisfied_by(init):
         raise ConfigError("initial graph violates the knowledge base")
     trace = SearchTrace(initial_score=scorer.score(init))
@@ -418,10 +417,8 @@ def _replicates(algorithms, d: CategoricalDataset, kb: KnowledgeBase, B: int,
     ll_out)`` of B replicates of each algorithm, in (algorithm, b) order.
     Every algorithm sees the same B resamples. A test set given must have
     the train set's schema: its variables and their states, in order."""
-    if B < 1:
-        raise ConfigError(f"B must be >= 1, got {B}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    B = checked_number(B, int, "B", "be >= 1", lambda v: v >= 1)
+    threads = checked_number(threads, int, "threads", "be >= 1", lambda v: v >= 1)
     split_ss, boot_ss = np.random.SeedSequence(seed).spawn(2)
     train, test = split(d, held_out_fraction, split_ss) if test is None else (d, test)
     if test.schema != train.schema:
@@ -505,8 +502,8 @@ def bootstrap_sem(d: CategoricalDataset, kb: KnowledgeBase, B: int = 100,
     if unknown:
         raise TypeError(f"bootstrap_sem() got unexpected keyword arguments {unknown}")
     opts = SearchOptions(**{_SEM_KEYWORDS[kw]: v for kw, v in sem_options.items()})
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1], got {threshold}")
+    threshold = checked_number(threshold, float, "threshold", "lie in (0, 1]",
+                               lambda v: 0 < v <= 1)
     _, _, results = _replicates(["bootstrap-sem"], d, kb, B, held_out_fraction, seed,
                                 threads, opts)
     tally = Counter(e for _, _, edges, _, _ in results for e in edges)

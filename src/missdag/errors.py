@@ -109,14 +109,19 @@ def checked_keys(doc, keys, what: str) -> dict:
     return doc
 
 
-def checked_number(value, kind, what: str):
+def checked_number(value, kind, what: str, rule: str = "", ok=None):
     """``value`` as ``kind``: an int field takes a non-bool integer, a float
     field a non-bool int or float (converted with ``kind``). Nothing else is
-    coerced: ``1.9`` is not an int and ``"0.5"`` is not a float."""
+    coerced: ``1.9`` is not an int and ``"0.5"`` is not a float. A converted
+    value that ``ok`` rejects (a NaN, say, which fails every comparison)
+    raises ``{what} must {rule}, got {value!r}``."""
     accepted = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    value = kind(value)
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{what} must {rule}, got {value!r}")
+    return value
 
 
 def checked_strings(value, what: str) -> list:

@@ -33,6 +33,8 @@ TABLE_CAP = 2 ** 24  # cells of the count tables or CPTs built at once: 128 MiB 
 # how far a CPT row sum may be from 1: 1e-9 absolute plus 1e-5 relative, the
 # accept set of np.allclose(row_sums, 1.0, atol=1e-9)
 ROW_SUM_TOL = 1e-9 + 1e-5
+# checked_number's rule for a pseudocount or a tolerance, as SearchOptions has it
+_FINITE_AT_LEAST_0 = ("be finite and >= 0", lambda v: 0 <= v < math.inf)
 
 
 class ParameterSet:
@@ -119,6 +121,7 @@ def fit_mle(g: Dag, d: CategoricalDataset, pseudocount: float) -> ParameterSet:
     """Per-family counting estimator, each vertex's parents in the dataset's
     column order; unseen parent configurations with zero pseudocount get a
     uniform row."""
+    pseudocount = checked_number(pseudocount, float, "pseudocount", *_FINITE_AT_LEAST_0)
     if d.mask.any():
         raise SchemaMismatch("fit_mle requires complete data")
     block = d.rows[:, [d.index(v) for v in g.vertices]]
@@ -393,6 +396,9 @@ def em_fit(g: Dag, d: CategoricalDataset, pseudocount: float, max_iter: int,
     codes, and ``_m_step`` counts them, over the complete rows alone for
     the start.
     """
+    pseudocount = checked_number(pseudocount, float, "pseudocount", *_FINITE_AT_LEAST_0)
+    max_iter = checked_number(max_iter, int, "max_iter", "be >= 0", lambda v: v >= 0)
+    tol = checked_number(tol, float, "tol", *_FINITE_AT_LEAST_0)
     index = _completion_index(d, g.vertices, {v: d.variable(v).cardinality for v in g.vertices})
     parents, shapes, codes = _coded_families(g, d, index[0], g.vertices.index)
     # available-case start: the rows without missing cells, which are the
@@ -501,7 +507,8 @@ class BicScorer:
         # column-major (no copy if it already is): a family reads its columns
         self.rows = np.asfortranarray(rows, dtype=np.int16)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        self.pseudocount = float(pseudocount)
+        self.pseudocount = checked_number(pseudocount, float, "pseudocount",
+                                          *_FINITE_AT_LEAST_0)
         self.n_effective = float(self.rows.shape[0] if n_effective is None else n_effective)
         if not self.n_effective > 0:
             raise SchemaMismatch(f"BIC needs a positive sample size, got {self.n_effective:g}")
@@ -625,22 +632,25 @@ class IpwBicScorer(BicScorer):
     bin, and the others are added in row order, so the counts have the bits
     of a count over the set's rows alone.
 
-    ``var_weights`` holds one vector of ``d.n`` weights per variable of
-    ``d``; weights for another name or of another length raise
-    ``SchemaMismatch``.
+    ``var_weights`` holds one vector of ``d.n`` weights per partially
+    observed variable of ``d``; weights for another name (a fully observed
+    variable's included) or of another length raise ``SchemaMismatch``.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
                  pseudocount: float = 0.0):
         super().__init__(d.schema, np.maximum(d.rows, 0), pseudocount=pseudocount)
         self.mask = d.mask
+        self.partial = frozenset(
+            v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         for k, w in self.var_weights.items():
             d.index(k)  # weights for a variable the dataset lacks: SchemaMismatch
+            if k not in self.partial:
+                # no observed set holds it, so its weights would never be read
+                raise SchemaMismatch(f"IPW weights for {k!r}, which has no missing cell")
             if w.shape != (d.n,):
                 raise SchemaMismatch(f"IPW weights for {k!r} have shape {w.shape}, not ({d.n},)")
-        self.partial = frozenset(
-            v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
         # by observed set (a family's partially observed variables, the
         # frozenset of the score cache's keys): its weight vector; at most
         # 2^|partial| entries of n x 8 bytes

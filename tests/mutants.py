@@ -9,7 +9,7 @@ replacement alone, runs that mutant's test and prints ``killed`` or
 ``survived``. It exits 1 if a mutant survives, a replacement no longer
 matches its file exactly once, or the unmutated copy fails. pytest does not
 collect this file, as its name does not start with ``test_``; the probe
-takes about a minute. ``tests/test_hygiene.py`` checks, without running the
+takes about two minutes. ``tests/test_hygiene.py`` checks, without running the
 probe, that every replacement still matches once and every test exists.
 """
 
@@ -23,6 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DISCOVERY, ESTIMATION = "src/missdag/discovery.py", "src/missdag/estimation.py"
 LEGALITY = "tests/test_discovery.py::TestLegalMoves::test_search_moves_match_candidate_graphs"
+HC_LIMITS = "tests/test_discovery.py::TestHillClimb::test_limits_out_of_range_refused"
+EM_SETTINGS = "tests/test_estimation.py::TestEmFit::test_settings_out_of_range_refused"
 
 # (file, old text, new text, the test that must fail)
 MUTANTS = [
@@ -150,10 +152,59 @@ MUTANTS = [
      "tests/test_estimation.py::TestIpwBicScorer::"
      "test_weights_for_an_unknown_variable_or_of_another_shape_refused"),
     # a boolean selection read as row numbers
-    ("src/missdag/data.py", "CategoricalDataset(self.schema, self.rows[idx])",
-     "CategoricalDataset(self.schema, self.rows[np.asarray(idx, dtype=np.intp)])",
+    ("src/missdag/data.py", "self.rows[idx] if idx.size",
+     "self.rows[np.asarray(idx, dtype=np.intp)] if idx.size",
      "tests/test_data.py::TestDataset::"
      "test_take_of_a_boolean_selection_returns_the_selected_rows"),
+    # a number's rule never applied, only its type
+    ("src/missdag/errors.py", "if ok is not None and not ok(value):", "if False:",
+     "tests/test_cli.py::test_a_number_is_refused_by_its_type_then_its_rule"),
+    # hill climbing's limits taken unchecked
+    (DISCOVERY, 'max_iter, int, "max_iter", "be >= 0", lambda v: v >= 0)',
+     'max_iter, int, "max_iter")', HC_LIMITS),
+    (DISCOVERY, 'max_parents, int, "max_parents", "be >= 0", lambda v: v >= 0)',
+     'max_parents, int, "max_parents")', HC_LIMITS),
+    # EM's settings taken unchecked
+    (ESTIMATION, 'max_iter, int, "max_iter", "be >= 0", lambda v: v >= 0)',
+     'max_iter, int, "max_iter")', EM_SETTINGS),
+    (ESTIMATION, 'tol = checked_number(tol, float, "tol", *_FINITE_AT_LEAST_0)',
+     'tol = checked_number(tol, float, "tol")', EM_SETTINGS),
+    (ESTIMATION, '"pseudocount", *_FINITE_AT_LEAST_0)\n    max_iter',
+     '"pseudocount")\n    max_iter', EM_SETTINGS),
+    # fit_mle's and the scorers' pseudocount taken unchecked
+    (ESTIMATION, '"pseudocount", *_FINITE_AT_LEAST_0)\n    if d.mask.any():',
+     '"pseudocount")\n    if d.mask.any():',
+     "tests/test_estimation.py::TestFitMle::test_pseudocount_out_of_range_refused"),
+    (ESTIMATION, '"pseudocount",\n                                          *_FINITE_AT_LEAST_0)',
+     '"pseudocount")',
+     "tests/test_estimation.py::TestBicScorer::test_pseudocount_out_of_range_refused"),
+    # float rows cast to int16, which truncates them
+    ("src/missdag/data.py", 'if rows.size and rows.dtype.kind not in "iu":', "if False:",
+     "tests/test_data.py::TestDataset::test_rows_that_are_not_integers_refused"),
+    # the state range checked after the int16 cast, which wraps 65537 to 1
+    ("src/missdag/data.py", "rows = np.array(rows)\n",
+     "rows = np.array(rows, dtype=np.int16)\n",
+     "tests/test_data.py::TestDataset::test_state_range_is_checked_before_the_cast"),
+    # a selection handed to numpy unchecked: -1 wraps to the last row
+    ("src/missdag/data.py", "        if not ok:\n", "        if False:\n",
+     "tests/test_data.py::TestDataset::test_take_refuses_a_selection_that_is_not_rows"),
+    # an amputation spec's seed checked by the JSON reader alone
+    ("src/missdag/data.py", '"be >= 0", lambda v: v >= 0))', '"be >= 0", lambda v: True))',
+     "tests/test_data.py::TestAmputation::test_spec_seed_is_checked_however_the_spec_is_built"),
+    # a resampling seed handed to numpy unchecked
+    ("src/missdag/data.py", "if not isinstance(seed, np.random.SeedSequence):", "if False:",
+     "tests/test_data.py::TestResampling::test_resampling_seed_must_be_an_int_at_least_0"),
+    # IPW weights for a fully observed variable accepted and never read
+    (ESTIMATION, "if k not in self.partial:", "if False:",
+     "tests/test_estimation.py::TestIpwBicScorer::"
+     "test_weights_for_a_fully_observed_variable_refused"),
+    # a knowledge entry that is not a pair of names read as one
+    (DISCOVERY, 'raise ConfigError(f"knowledge field {key!r} must list [parent, child] pairs")',
+     "pass", "tests/test_discovery.py::TestKnowledgeBase::"
+     "test_an_entry_that_is_not_a_pair_of_names_refused"),
+    # the run settings' type checks
+    (DISCOVERY, 'B = checked_number(B, int, "B", "be >= 1", lambda v: v >= 1)', "pass",
+     "tests/test_discovery.py::TestBootstrapSem::test_run_settings_of_the_wrong_type_refused"),
 ]
 
 

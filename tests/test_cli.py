@@ -19,7 +19,7 @@ from missdag import cli, ecdemo, estimation
 from missdag.cli import CONFIG_KEYS, main
 from missdag.data import MAX_STATES, MISSING, MISSING_TOKENS, read_csv
 from missdag.discovery import ALGORITHMS
-from missdag.errors import ConfigError, SchemaMismatch, reading
+from missdag.errors import ConfigError, SchemaMismatch, checked_number, json_text, reading
 from missdag.graphs import graph_from_json, graph_to_json
 
 from oracles import amputation_spec_json, parse_dot
@@ -652,6 +652,31 @@ def test_reading_a_document_passes_missdag_errors_through(raised):
     assert info.value is raised
 
 
+@pytest.mark.parametrize("value, kind, line", [
+    (0, float, "x must be >= 1, got 0.0"),
+    (math.nan, float, "x must be >= 1, got nan"),
+    (-2, int, "x must be >= 1, got -2"),
+    (1.0, int, "x must be int, got 1.0"),
+    (True, float, "x must be float, got True"),
+])
+def test_a_number_is_refused_by_its_type_then_its_rule(value, kind, line):
+    # the rule reads the converted value, and so does the message
+    with pytest.raises(ConfigError) as info:
+        checked_number(value, kind, "x", "be >= 1", lambda v: v >= 1)
+    assert str(info.value) == line
+
+
+def test_a_number_that_keeps_its_rule_is_converted():
+    assert repr(checked_number(1, float, "x", "be >= 1", lambda v: v >= 1)) == "1.0"
+    assert checked_number(-1, int, "x") == -1
+
+
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+def test_a_json_artifact_refuses_a_number_json_cannot_hold(number):
+    with pytest.raises(SchemaMismatch, match="^an artifact holds a number JSON cannot hold: "):
+        json_text({"ll": [0.5, number]})
+
+
 @pytest.mark.parametrize("json_logs", [False, True])
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_graph_input_is_usage_error(tmp_path, monkeypatch, capsys, case,
@@ -718,6 +743,12 @@ class TestSeedResolution:
 
 
 class TestDiscover:
+    def test_config_without_a_dataset_is_usage_error(self, tmp_path, no_env_seed, capsys):
+        cfg = _write_json(tmp_path / "config.json", {"algorithm": "hc-complete"})
+        assert main(["discover", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: config field 'dataset' is required\n"
+
     def test_writes_graph_dot_and_trace(self, tmp_path, no_env_seed):
         cfg = _demo_config(tmp_path)
         out = tmp_path / "o"

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -123,6 +124,48 @@ class TestDataset:
         d = _dataset([3], [[0], [1], [2]])
         assert d.take(np.array([False, True, True])) == _dataset([3], [[1], [2]])
         assert d.take([True, False, True]) == _dataset([3], [[0], [2]])
+
+    @pytest.mark.parametrize("idx", [[-1], [0.5], [True], [0, 3], [[0]]],
+                             ids=["negative", "float", "short-mask", "past-the-end", "2d"])
+    def test_take_refuses_a_selection_that_is_not_rows(self, idx):
+        # numpy wrapped -1 to the last row and raised IndexError for the rest
+        d = _dataset([3], [[0], [1], [2]])
+        with pytest.raises(SchemaMismatch, match=r"row numbers in 0 \.\. 2 or one bool per row"):
+            d.take(idx)
+
+    def test_take_of_no_rows_is_an_empty_dataset(self):
+        # np.asarray([]) is a float array, which numpy refuses as an index
+        d = _dataset([3], [[0], [1], [2]])
+        assert d.take([]) == _dataset([3], np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1.7]], [["1", "0"]], [[True, False]],
+                                      np.array([[1.0, 0.0]])],
+                             ids=["fractions", "strings", "bools", "whole-floats"])
+    def test_rows_that_are_not_integers_refused(self, rows):
+        # the int16 cast truncated [[0.5, 1.7]] to [[0, 1]] and parsed "1"
+        with pytest.raises(SchemaMismatch, match="rows must hold integer state indices"):
+            CategoricalDataset(_schema(2, 2), rows)
+
+    def test_an_empty_float_array_is_no_rows(self):
+        assert CategoricalDataset(_schema(2, 2), np.empty((0, 2))).n == 0
+
+    @pytest.mark.parametrize("rows", [np.array([[0], [65537]]), [[0], [65537]], [[0], [-2]]],
+                             ids=["int64", "python-int", "negative"])
+    def test_state_range_is_checked_before_the_cast(self, rows):
+        # an int64 65537 wrapped to state 1 of a 3-state column, and a
+        # Python int raised numpy's OverflowError
+        with pytest.raises(SchemaMismatch, match="state index out of range in column 'v0'"):
+            CategoricalDataset(_schema(3), rows)
+
+    def test_rows_of_another_shape_refused(self):
+        for rows in ([[0, 1, 0]], [0, 1], np.zeros((2, 2, 2), dtype=np.int16)):
+            with pytest.raises(SchemaMismatch, match="row matrix shape does not match schema"):
+                CategoricalDataset(_schema(2, 2), rows)
+
+    def test_duplicate_variable_names_refused(self):
+        schema = [VariableSchema("v", ("a", "b")), VariableSchema("v", ("a", "b"))]
+        with pytest.raises(SchemaMismatch, match="duplicate variable names in schema"):
+            CategoricalDataset(schema, [[0, 1]])
 
 
 # tokens that a CSV cell or header may hold: missing-cell tokens, the pad
@@ -288,6 +331,20 @@ class TestForwardSample:
         with pytest.raises(ConfigError):
             forward_sample(g, params, -1, seed=9)
 
+    @pytest.mark.parametrize("n, seed, line", [
+        (2.5, 1, "sample size n must be int, got 2.5"),
+        (True, 1, "sample size n must be int, got True"),
+        (3, -1, "seed must be >= 0, got -1"),
+        (3, None, "seed must be int, got None"),
+    ], ids=["float-size", "bool-size", "negative-seed", "no-seed"])
+    def test_size_and_seed_must_be_ints(self, n, seed, line):
+        # a float size raised a bare TypeError, a negative seed numpy's
+        # ValueError, and None drew a fresh seed from the operating system
+        g = Dag(["a"])
+        params = random_params(np.random.default_rng(5), g, {"a": 2})
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+            forward_sample(g, params, n, seed)
+
 
 class TestAmputation:
     def test_logit_inverts_expit(self):
@@ -387,6 +444,21 @@ class TestAmputation:
         d = _dataset([2], [[MISSING], [0]])
         spec = AmputationSpec((AmputationEntry("v0", "MCAR", intercept=0.0),), seed=0)
         with pytest.raises(SchemaMismatch, match="target 'v0' must be complete before amputation"):
+            ampute(d, spec)
+
+    @pytest.mark.parametrize("seed, line", [(-1, "must be >= 0, got -1"),
+                                            (1.5, "must be int, got 1.5")])
+    def test_spec_seed_is_checked_however_the_spec_is_built(self, seed, line):
+        # only the JSON reader checked it; ampute raised numpy's ValueError
+        entries = (AmputationEntry("v0", "MCAR", intercept=0.0),)
+        with pytest.raises(ConfigError, match=f"^amputation spec field 'seed' {line}$"):
+            AmputationSpec(entries, seed)
+
+    def test_incomplete_driver_rejected(self):
+        d = _dataset([2, 2], [[0, MISSING], [1, 0]])
+        spec = AmputationSpec((AmputationEntry("v0", "MAR", drivers=("v1",), intercept=0.0),),
+                              seed=0)
+        with pytest.raises(SchemaMismatch, match="driver 'v1' has missing cells in the input"):
             ampute(d, spec)
 
     def test_mar_driver_amputed_elsewhere_rejected(self):
@@ -505,3 +577,27 @@ class TestResampling:
         for f in (0.0, 1.0, -0.1):
             with pytest.raises(ConfigError, match="held-out fraction must lie in"):
                 split(d, f, seed=0)
+
+    def test_split_fraction_must_be_a_number(self):
+        # "0.2" raised a bare TypeError from the range comparison
+        d = _dataset([2], [[0], [1]])
+        with pytest.raises(ConfigError, match="held-out fraction must be float, got '0.2'"):
+            split(d, "0.2", seed=1)
+
+    @pytest.mark.parametrize("resample", [lambda d, seed: bootstrap(d, seed),
+                                          lambda d, seed: split(d, 0.5, seed)],
+                             ids=["bootstrap", "split"])
+    @pytest.mark.parametrize("seed, line", [(-1, "seed must be >= 0, got -1"),
+                                            (1.5, "seed must be int, got 1.5")],
+                             ids=["negative", "float"])
+    def test_resampling_seed_must_be_an_int_at_least_0(self, resample, seed, line):
+        # numpy raised its own ValueError or TypeError
+        d = _dataset([2], [[0], [1]])
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+            resample(d, seed)
+
+    def test_resampling_takes_a_seed_sequence(self):
+        d = _dataset([4], [[0], [1], [2], [3]])
+        stream = np.random.SeedSequence(7)
+        assert bootstrap(d, stream) == bootstrap(d, np.random.SeedSequence(7))
+        assert split(d, 0.5, stream) == split(d, 0.5, np.random.SeedSequence(7))

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 from collections import Counter
 
 import numpy as np
@@ -136,6 +137,17 @@ class TestKnowledgeBase:
     def test_json_round_trip(self):
         kb = KnowledgeBase(forbidden={("x", "y")}, required={("y", "z")})
         assert KnowledgeBase.from_json(knowledge_json(kb)) == kb
+
+    @pytest.mark.parametrize("edges", [{"required": ["ab"]}, {"forbidden": [("a", "b", "c")]},
+                                       {"required": "ab"}, {"forbidden": [("a", 1)]},
+                                       {"required": None}],
+                             ids=["string-entry", "triple", "string", "number", "none"])
+    def test_an_entry_that_is_not_a_pair_of_names_refused(self, edges):
+        # "ab" was read as the edge a -> b, as the JSON reader never allowed
+        (key,) = edges
+        line = f"knowledge field {key!r} must list [parent, child] pairs"
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+            KnowledgeBase(**edges)
 
 
 class TestLegalMoves:
@@ -295,6 +307,17 @@ class TestHillClimb:
         assert (g, trace) == hill_climb_by_rescoring(
             _EdgeScorer(weights), KnowledgeBase(), init,
             SearchOptions.max_iter, SearchOptions.max_parents)
+
+    @pytest.mark.parametrize("limits, line", [
+        ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+        ({"max_parents": -1}, "max_parents must be >= 0, got -1"),
+        ({"max_parents": 2.0}, "max_parents must be int, got 2.0"),
+    ], ids=["max-iter", "max-parents", "float-max-parents"])
+    def test_limits_out_of_range_refused(self, limits, line):
+        # a negative limit returned the initial graph, as if no move helped
+        scorer = _EdgeScorer({("a", "b"): 5})
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+            hill_climb(scorer, KnowledgeBase(), Dag(["a", "b"]), **limits)
 
     def test_rescores_only_the_moves_whose_child_changed(self, monkeypatch):
         # seven variables, knowledge, 14 moves of all three kinds, 114 calls
@@ -587,6 +610,23 @@ class TestBootstrapSem:
             bootstrap_sem(d, KnowledgeBase(), B=0)
         with pytest.raises(ConfigError):
             bootstrap_sem(d, KnowledgeBase(), B=2, threshold=0.0)
+
+    @pytest.mark.parametrize("run, line", [
+        (lambda d: evaluate(["hc-complete"], d, KnowledgeBase(), B=2.0),
+         "B must be int, got 2.0"),
+        (lambda d: evaluate(["hc-complete"], d, KnowledgeBase(), B=1, threads=1.5),
+         "threads must be int, got 1.5"),
+        (lambda d: bootstrap_sem(d, KnowledgeBase(), B=1, threshold="0.5"),
+         "threshold must be float, got '0.5'"),
+        (lambda d: bootstrap_sem(d, KnowledgeBase(), B=1, threshold=2),
+         "threshold must lie in (0, 1], got 2.0"),
+    ], ids=["float-B", "float-threads", "string-threshold", "int-threshold"])
+    def test_run_settings_of_the_wrong_type_refused(self, run, line):
+        # B=2.0 and the string threshold raised a bare TypeError, and
+        # threads=1.5 ran
+        d = _mar_amputed(seed=12, n=300)
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+            run(d)
 
     def test_threads_below_one_rejected(self):
         # refused, not run serially

@@ -13,7 +13,7 @@ from missdag.data import (
     family_counts,
     forward_sample,
 )
-from missdag.errors import SchemaMismatch, TooManyMissingInRow
+from missdag.errors import ConfigError, SchemaMismatch, TooManyMissingInRow
 from missdag import estimation
 from missdag.estimation import (
     BicScorer,
@@ -157,6 +157,14 @@ class TestFittedCpts:
 
 
 class TestFitMle:
+    @pytest.mark.parametrize("pseudocount", [math.nan, -1.0, math.inf, "1"])
+    def test_pseudocount_out_of_range_refused(self, pseudocount):
+        # NaN and -1 were read as 0, and infinity gave NaN tables
+        g = Dag(["v0", "v1"], [("v0", "v1")])
+        d = _dataset([2, 2], [[0, 0], [1, 1]])
+        with pytest.raises(ConfigError, match="^pseudocount must be "):
+            fit_mle(g, d, pseudocount)
+
     def test_hand_counts(self):
         g = Dag(["v0", "v1"], [("v0", "v1")])
         d = _dataset([2, 2], [[0, 0], [0, 0], [0, 1], [1, 1]])
@@ -552,6 +560,23 @@ class TestEmFit:
         assert per_fit == [len(g.vertices)] * 2
 
 
+    @pytest.mark.parametrize("settings, line", [
+        ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+        ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
+        ({"tol": -1e-3}, "tol must be finite and >= 0, got -0.001"),
+        ({"pseudocount": math.nan}, "pseudocount must be finite and >= 0, got nan"),
+        ({"pseudocount": -1}, "pseudocount must be finite and >= 0, got -1.0"),
+    ], ids=["negative-max-iter", "nan-tol", "negative-tol", "nan-pseudocount",
+            "negative-pseudocount"])
+    def test_settings_out_of_range_refused(self, settings, line):
+        # max_iter -1 returned an empty trace, a NaN tol never converged and
+        # a NaN or negative pseudocount was read as 0
+        g, _, d = _random_instance(10, missing=0.3)
+        kwargs = {"pseudocount": 1.0, "max_iter": 5, "tol": 1e-6, **settings}
+        with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
+            em_fit(g, d, **kwargs)
+
+
 class TestIpwWeights:
     def test_hand_values(self):
         # stratum v0=0: 3 usable, 2 observed -> phat = 3/5; v0=1: 1/1 -> 2/3
@@ -696,6 +721,17 @@ def _add_instances(draw):
 
 
 class TestBicScorer:
+    @pytest.mark.parametrize("scorer", [BicScorer, lambda schema, rows, pseudocount:
+                                        IpwBicScorer(_dataset([2, 2], rows), {}, pseudocount)],
+                             ids=["bic", "ipw"])
+    @pytest.mark.parametrize("pseudocount", [math.nan, -0.5])
+    def test_pseudocount_out_of_range_refused(self, scorer, pseudocount):
+        # both were read as 0 by the pseudocount > 0 branch
+        d = _dataset([2, 2], [[0, 0], [1, 1]])
+        with pytest.raises(ConfigError, match=re.escape(
+                f"pseudocount must be finite and >= 0, got {pseudocount!r}")):
+            scorer(d.schema, d.rows, pseudocount=pseudocount)
+
     def test_score_decomposes_over_families(self):
         g, _, d = _random_instance(12, missing=0.0)
         scorer = BicScorer(d.schema, d.rows)
@@ -844,6 +880,13 @@ class TestIpwBicScorer:
         with pytest.raises(SchemaMismatch, match=re.escape(line)):
             IpwBicScorer(d, var_weights)
 
+    def test_weights_for_a_fully_observed_variable_refused(self):
+        # no observed set holds v0, so its weights were accepted and never read
+        d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
+        with pytest.raises(SchemaMismatch, match=re.escape(
+                "IPW weights for 'v0', which has no missing cell")):
+            IpwBicScorer(d, {"v0": np.array([1.0, 2.0, 3.0]), "v1": np.ones(3)})
+
     def test_family_counts_use_family_complete_rows_only(self):
         d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
         scorer = IpwBicScorer(d, {"v1": np.array([1.0, 0.0, 1.0])})
@@ -867,8 +910,10 @@ class TestIpwBicScorer:
             rows[np.array(missing, dtype=bool), names.index(v)] = MISSING
         d = _dataset(cards, rows)
         fully = [v for j, v in enumerate(names) if not d.mask[:, j].any()]
+        # a variable drawn into partial may have drawn no missing cell, and
+        # weights for a fully observed variable are refused
         var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
-                       for v in sorted(partial) if data.draw(st.booleans())}
+                       for v in sorted(partial - set(fully)) if data.draw(st.booleans())}
         pseudocount = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         scorer = IpwBicScorer(d, var_weights, pseudocount)
         child = data.draw(st.sampled_from(names))
