@@ -7,7 +7,9 @@ Datasets are immutable: every operation returns a new instance.
 
 from __future__ import annotations
 
+import collections
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
@@ -30,6 +32,8 @@ MISSING = -1
 MISSING_TOKENS = ("", "NA")
 # cells are int16 state indices 0 .. 32767
 MAX_STATES = int(np.iinfo(np.int16).max) + 1
+# read_csv and write_csv hold about this many cells as strings at a time
+CSV_CHUNK_CELLS = 2 ** 14
 
 
 def mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> np.ndarray:
@@ -158,47 +162,81 @@ class CategoricalDataset:
         return f"CategoricalDataset(n={self.n}, p={self.p})"
 
 
+def _code_records(reader, header):
+    """(fault or None, each column's token -> state index lookup, the (p, n)
+    int16 codes) of the records ``reader`` has left, read in chunks of
+    ``CSV_CHUNK_CELLS // p`` records. A new token of a column gets the next
+    state index as it first appears. A ragged row ends the reading; a column
+    over ``MAX_STATES`` ends the coding, but the reading goes on, so that a
+    ragged row later in the file, or a column further left going over, is
+    the fault reported, as a read of the whole file would report it."""
+    p = len(header)
+    size = max(1, CSV_CHUNK_CELLS // max(p, 1))
+    lookups = [dict.fromkeys(MISSING_TOKENS, MISSING) for _ in header]
+    blocks = [np.empty((p, 0), dtype=np.int16)]
+    over = p  # the leftmost column over MAX_STATES so far, or p for none
+    read = 0
+    while chunk := list(itertools.islice(reader, size)):
+        for r, rec in enumerate(chunk, read + 1):
+            if len(rec) != p:
+                return f"row {r} has {len(rec)} fields, expected {p}", None, None
+        read += len(chunk)
+        block = np.empty((p, len(chunk)), dtype=np.int16)
+        for c, column in zip(range(over), zip(*chunk)):
+            lookup = lookups[c]
+            for t in dict.fromkeys(column):
+                if t not in lookup:
+                    lookup[t] = len(lookup) - len(MISSING_TOKENS)
+            if len(lookup) - len(MISSING_TOKENS) > MAX_STATES:
+                over = c  # the columns right of c no longer matter
+                break
+            if over == p:
+                block[c] = np.fromiter(map(lookup.__getitem__, column), np.int16, len(column))
+        blocks.append(block)
+    if over < p:
+        return f"column {header[over]!r} has more than {MAX_STATES} distinct values", None, None
+    return None, lookups, np.concatenate(blocks, axis=1)
+
+
 def read_csv(path) -> CategoricalDataset:
-    """The dataset in a CSV file with a header row, read a column at a time.
-    Each column's states are its distinct tokens in order of first
-    appearance; empty and ``NA`` cells are missing, and a column with fewer
-    than two states is padded to two. A repeated column name, a ragged row,
-    a column of more than ``MAX_STATES`` states or an over-long field raises
-    ``MalformedCsv``."""
+    """The dataset in a CSV file with a header row, read ``CSV_CHUNK_CELLS``
+    cells at a time. Each column's states are its distinct tokens in order
+    of first appearance; empty and ``NA`` cells are missing, and a column
+    with fewer than two states is padded to two.
+
+    ``MalformedCsv`` is raised for a file that is not UTF-8 text, an
+    over-long field, an empty file, a repeated column name, a ragged row and
+    a column of more than ``MAX_STATES`` states. A file with several of
+    these faults gets the first in that order (the first ragged row, the
+    leftmost such column), wherever in the file each lies."""
     try:
         # "utf-8-sig" drops a leading byte-order mark, as spreadsheets'
         # "CSV UTF-8" exports write one; a file without it reads as UTF-8
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            records = list(reader)
+            if header is None:
+                fault = "empty file"
+            elif len(set(header)) != len(header):
+                name = next(h for i, h in enumerate(header) if h in header[:i])
+                fault = f"column name {name!r} appears more than once in the header"
+            else:
+                fault, lookups, codes = _code_records(reader, header)
+            # read to the end: a decode error or csv.Error anywhere in the
+            # file is reported before the fault
+            collections.deque(reader, maxlen=0)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise MalformedCsv(f"{path}: line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise MalformedCsv(f"{path}: empty file")
-    if len(set(header)) != len(header):
-        name = next(h for i, h in enumerate(header) if h in header[:i])
-        raise MalformedCsv(f"{path}: column name {name!r} appears more than once "
-                           "in the header")
-    p = len(header)
-    for r, rec in enumerate(records):
-        if len(rec) != p:
-            raise MalformedCsv(f"{path}: row {r + 1} has {len(rec)} fields, expected {p}")
-    codes = np.empty((p, len(records)), dtype=np.int16)
+    if fault:
+        raise MalformedCsv(f"{path}: {fault}")
     schema = []
-    for c, column in enumerate(zip(*records) if records else [()] * p):
-        states = [t for t in dict.fromkeys(column) if t not in MISSING_TOKENS]
-        if len(states) > MAX_STATES:
-            raise MalformedCsv(f"{path}: column {header[c]!r} has more than "
-                               f"{MAX_STATES} distinct values")
-        code = dict.fromkeys(MISSING_TOKENS, MISSING)
-        code.update(zip(states, range(len(states))))
-        codes[c] = np.fromiter(map(code.__getitem__, column), np.int16, len(column))
+    for name, lookup in zip(header, lookups):
+        states = list(lookup)[len(MISSING_TOKENS):]
         # pad a degenerate column to two states with labels it does not hold
         pads = [pad for pad in ("__pad0", "__pad1", "__pad2") if pad not in states]
-        schema.append(VariableSchema(header[c], (states + pads)[:max(2, len(states))]))
+        schema.append(VariableSchema(name, (states + pads)[:max(2, len(states))]))
     return CategoricalDataset(schema, codes.T)
 
 
@@ -218,18 +256,24 @@ def csv_line(fields: Sequence[str]) -> str:
 
 
 def write_csv(d: CategoricalDataset, path) -> None:
-    """``d`` as a CSV file that ``read_csv`` reads back to the same cells."""
-    cells = np.empty((d.n, d.p), dtype=object)
-    for c, var in enumerate(d.schema):
-        # a missing cell holds MISSING (-1), which picks the appended "NA"
-        fields = np.array([*map(_csv_field, var.states), "NA"], dtype=object)
-        cells[:, c] = fields[d.rows[:, c]]
-    lines = [csv_line(d.names), *map(",".join, cells.tolist())]
+    """``d`` as a CSV file that ``read_csv`` reads back to the same cells,
+    written ``CSV_CHUNK_CELLS`` cells at a time."""
+    # a missing cell holds MISSING (-1), which picks the appended "NA"
+    fields = [np.array([*map(_csv_field, var.states), "NA"], dtype=object)
+              for var in d.schema]
+    header = csv_line(d.names)
     # read_csv drops one leading byte-order mark: a header that starts with
     # one is written behind a second
-    sig = "-sig" if lines[0].startswith("\ufeff") else ""
+    sig = "-sig" if header.startswith("\ufeff") else ""
+    step = max(1, CSV_CHUNK_CELLS // max(d.p, 1))
     with open(path, "w", newline="", encoding="utf-8" + sig) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.write(header + "\n")
+        for start in range(0, d.n, step):
+            rows = d.rows[start:start + step]
+            cells = np.empty(rows.shape, dtype=object)
+            for c, f in enumerate(fields):
+                cells[:, c] = f[rows[:, c]]
+            fh.writelines(",".join(line) + "\n" for line in cells.tolist())
 
 
 def _rng(seed) -> np.random.Generator:

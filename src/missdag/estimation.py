@@ -498,15 +498,33 @@ class BicScorer:
     reverse family (y | {child}) from the same tables, transposed, so the
     first sweep of a hill climb from the empty graph counts each pair of
     variables once.
+
+    ``rows`` must hold one state index 0 .. cardinality - 1 per schema
+    variable, and ``weights`` one finite number >= 0 per row; other rows or
+    weights raise ``SchemaMismatch``.
     """
 
     def __init__(self, schema: Sequence[VariableSchema], rows: np.ndarray,
                  weights: Optional[np.ndarray] = None, pseudocount: float = 0.0,
                  n_effective: Optional[float] = None):
         self.schema = tuple(schema)
+        rows = np.asarray(rows)
+        cards = np.array([v.cardinality for v in self.schema])
+        if rows.shape[1:] != cards.shape:
+            raise SchemaMismatch("row matrix shape does not match schema")
+        # checked before the int16 cast, which would wrap a large index; a
+        # state index past the cardinality would be counted in another cell
+        bad_cols = ~((rows.min(axis=0, initial=0) >= 0) & (rows.max(axis=0, initial=0) < cards))
+        if bad_cols.any():
+            raise SchemaMismatch("state index out of range in column "
+                                 f"{self.schema[int(bad_cols.argmax())].name!r}")
         # column-major (no copy if it already is): a family reads its columns
         self.rows = np.asfortranarray(rows, dtype=np.int16)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
+        if weights is not None and (self.weights.shape != rows.shape[:1] or not (
+                (0 <= self.weights) & (self.weights < math.inf)).all()):
+            # a negative or NaN weight would make the score NaN
+            raise SchemaMismatch(f"BIC weights must be {rows.shape[0]} finite numbers >= 0")
         self.pseudocount = checked_number(pseudocount, float, "pseudocount",
                                           *_FINITE_AT_LEAST_0)
         self.n_effective = float(self.rows.shape[0] if n_effective is None else n_effective)

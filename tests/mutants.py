@@ -9,8 +9,9 @@ replacement alone, runs that mutant's test and prints ``killed`` or
 ``survived``. It exits 1 if a mutant survives, a replacement no longer
 matches its file exactly once, or the unmutated copy fails. pytest does not
 collect this file, as its name does not start with ``test_``; the probe
-takes about two minutes. ``tests/test_hygiene.py`` checks, without running the
-probe, that every replacement still matches once and every test exists.
+takes about three and a half minutes on two cores. ``tests/test_hygiene.py``
+checks, without running the probe, that every replacement still matches once
+and every test exists.
 """
 
 import os
@@ -205,6 +206,29 @@ MUTANTS = [
     # the run settings' type checks
     (DISCOVERY, 'B = checked_number(B, int, "B", "be >= 1", lambda v: v >= 1)', "pass",
      "tests/test_discovery.py::TestBootstrapSem::test_run_settings_of_the_wrong_type_refused"),
+    # BIC weights that are negative, not finite or of another shape accepted
+    (ESTIMATION, "if weights is not None and (self.weights.shape",
+     "if False and (self.weights.shape", "tests/test_estimation.py::TestBicScorer::"
+     "test_weights_that_are_not_one_finite_count_per_row_refused"),
+    # BIC rows with a state index out of range accepted
+    (ESTIMATION, "if bad_cols.any():", "if False:",
+     "tests/test_estimation.py::TestBicScorer::test_rows_out_of_range_refused"),
+    # a CSV reader that stops at a ragged row, raising it at once
+    ("src/missdag/data.py", "collections.deque(reader, maxlen=0)", "pass",
+     "tests/test_data.py::TestCsv::"
+     "test_decode_error_in_a_later_chunk_reported_before_a_ragged_row"),
+    # the column going over MAX_STATES last reported, not the leftmost
+    ("src/missdag/data.py",
+     "over = c  # the columns right of c no longer matter\n                break", "over = c",
+     "tests/test_data.py::TestCsv::test_leftmost_column_with_too_many_states_reported"),
+    # a column's states restarted in each chunk
+    ("src/missdag/data.py", "lookup = lookups[c]",
+     "lookup = lookups[c] = dict.fromkeys(MISSING_TOKENS, MISSING)",
+     "tests/test_data.py::TestCsv::test_read_matches_cell_by_cell_reader_in_small_chunks"),
+    # a chunk of CSV lines that repeats the next chunk's first row
+    ("src/missdag/data.py", "rows = d.rows[start:start + step]",
+     "rows = d.rows[start:start + step + 1]",
+     "tests/test_data.py::TestCsv::test_write_matches_whole_file_writer"),
 ]
 
 

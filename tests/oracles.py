@@ -8,8 +8,8 @@ one row at a time, exhaustive DAG enumeration for score optima, a
 family's BIC from its table alone, IPW weights one row at a time, every
 hill-climbing move re-scored on every iteration with candidate graphs
 built until one is legal, a conditional G-test one stratum at a time, a
-CSV read one cell at a time, and scipy's logistic and chi-square survival
-function. Slow, obviously correct, and independent of the production code
+CSV read one cell at a time and written whole, and scipy's logistic and
+chi-square survival function. Slow, obviously correct, and independent of the production code
 paths.
 """
 
@@ -32,6 +32,7 @@ from missdag.data import (
     MISSING_TOKENS,
     CategoricalDataset,
     VariableSchema,
+    csv_line,
     family_counts,
 )
 from missdag.discovery import IMPROVEMENT_EPS, SearchTrace
@@ -753,15 +754,17 @@ def parse_dot(text: str) -> Dag:
     return Dag(verts, edges)
 
 
-# --- CSV read one cell at a time ---
+# --- CSV read one cell at a time, and written whole ---
 
 
 def read_csv_by_cell(path) -> CategoricalDataset:
-    """What ``data.read_csv`` returns or raises, by a row-major scan that
-    gives each new token of a column the next state index as it first
-    appears. It does not catch an over-long field, and on a file that is
-    both ragged and over ``MAX_STATES`` it reports whichever it meets first
-    (``read_csv`` reports the ragged row)."""
+    """What ``data.read_csv`` returns or raises, by a row-major scan of the
+    whole file that gives each new token of a column the next state index
+    as it first appears. It does not catch an over-long field. Of a ragged
+    row and a column over ``MAX_STATES`` it reports whichever it meets first
+    in that scan, as it does of two columns over ``MAX_STATES``;
+    ``read_csv`` reports the first ragged row, then the leftmost column
+    over, wherever each lies in the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -799,6 +802,20 @@ def read_csv_by_cell(path) -> CategoricalDataset:
         schema.append(VariableSchema(name, tuple(states)))
     return CategoricalDataset(schema, rows)
 
+
+def write_csv_whole(d: CategoricalDataset, path) -> None:
+    """What ``data.write_csv`` writes, built whole: every cell as a string in
+    one n x p array, then every line in one list."""
+    cells = np.empty((d.n, d.p), dtype=object)
+    for c, var in enumerate(d.schema):
+        # a missing cell holds MISSING (-1), which picks the appended "NA";
+        # a state label is never "", the one field csv_line quotes alone
+        fields = np.array([*(csv_line([s]) for s in var.states), "NA"], dtype=object)
+        cells[:, c] = fields[d.rows[:, c]]
+    lines = [csv_line(d.names), *map(",".join, cells.tolist())]
+    sig = "-sig" if lines[0].startswith("\ufeff") else ""
+    with open(path, "w", newline="", encoding="utf-8" + sig) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 # --- JSON documents the package reads, written back ---

@@ -3,13 +3,16 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from missdag.data import (
+    CSV_CHUNK_CELLS,
     MAX_STATES,
     MISSING,
     MISSING_TOKENS,
@@ -39,6 +42,7 @@ from oracles import (
     mixed_radix_by_loop,
     random_params,
     read_csv_by_cell,
+    write_csv_whole,
 )
 
 
@@ -210,6 +214,45 @@ def _read_outcome(read, path):
     return d.schema, d.rows.tolist(), d.mask.tolist()
 
 
+@st.composite
+def datasets(draw, max_n=5):
+    """0-3 columns named and labelled by hostile tokens, 0 .. max_n rows,
+    some cells missing."""
+    names = draw(st.lists(TOKENS, max_size=3, unique=True))
+    labels = TOKENS.filter(lambda t: t not in MISSING_TOKENS)
+    schema = [VariableSchema(name, draw(st.lists(labels, min_size=2, max_size=4, unique=True)))
+              for name in names]
+    record = st.tuples(*[st.integers(MISSING, v.cardinality - 1) for v in schema])
+    n = draw(st.integers(0, max_n))
+    rows = np.array(draw(st.lists(record, min_size=n, max_size=n)),
+                    dtype=np.int16).reshape(n, len(schema))
+    return CategoricalDataset(schema, rows)
+
+
+# chunk sizes of a few cells, so that a small file spans several chunks
+SMALL_CHUNKS = st.integers(1, 7)
+
+
+def _wide_dataset(n, p, seed):
+    """n rows of p columns of 2-4 states, 5% of the cells missing."""
+    rng = np.random.default_rng(seed)
+    schema = [VariableSchema(f"V{j:02d}", tuple(f"s{k}" for k in range(2 + j % 3)))
+              for j in range(p)]
+    rows = np.stack([rng.integers(0, v.cardinality, n) for v in schema], axis=1)
+    rows[rng.random((n, p)) < 0.05] = MISSING
+    return CategoricalDataset(schema, rows)
+
+
+def _peak_bytes(call, *args):
+    """The tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCsv:
     @given(csv_texts())
     @settings(max_examples=200, deadline=None)
@@ -217,19 +260,32 @@ class TestCsv:
         csv_path.write_text(text, encoding="utf-8", newline="")
         assert _read_outcome(read_csv, csv_path) == _read_outcome(read_csv_by_cell, csv_path)
 
-    @given(st.data())
+    @given(csv_texts() | datasets(max_n=12), SMALL_CHUNKS)
+    @settings(max_examples=200, deadline=None)
+    def test_read_matches_cell_by_cell_reader_in_small_chunks(self, csv_path, source, cells):
+        # states carried from chunk to chunk, and faults in any chunk; most
+        # of csv_texts' files of several rows are ragged, so datasets'
+        # files are read too
+        if isinstance(source, str):
+            csv_path.write_text(source, encoding="utf-8", newline="")
+        else:
+            write_csv_whole(source, csv_path)
+        with mock.patch("missdag.data.CSV_CHUNK_CELLS", cells):
+            assert _read_outcome(read_csv, csv_path) == _read_outcome(read_csv_by_cell,
+                                                                      csv_path)
+
+    @given(datasets(max_n=12), st.just(CSV_CHUNK_CELLS) | SMALL_CHUNKS)
+    @settings(max_examples=200, deadline=None)
+    def test_write_matches_whole_file_writer(self, csv_path, d, cells):
+        write_csv_whole(d, csv_path)
+        whole = csv_path.read_bytes()
+        with mock.patch("missdag.data.CSV_CHUNK_CELLS", cells):
+            write_csv(d, csv_path)
+        assert csv_path.read_bytes() == whole
+
+    @given(datasets())
     @settings(max_examples=100, deadline=None)
-    def test_write_then_read_keeps_every_label(self, csv_path, data):
-        names = data.draw(st.lists(TOKENS, max_size=3, unique=True))
-        labels = TOKENS.filter(lambda t: t not in MISSING_TOKENS)
-        schema = [VariableSchema(name, data.draw(st.lists(labels, min_size=2, max_size=4,
-                                                          unique=True)))
-                  for name in names]
-        record = st.tuples(*[st.integers(MISSING, v.cardinality - 1) for v in schema])
-        n = data.draw(st.integers(0, 5))
-        rows = np.array(data.draw(st.lists(record, min_size=n, max_size=n)),
-                        dtype=np.int16).reshape(n, len(schema))
-        d = CategoricalDataset(schema, rows)
+    def test_write_then_read_keeps_every_label(self, csv_path, d):
         write_csv(d, csv_path)
         back = read_csv(csv_path)
         assert back.names == d.names
@@ -258,6 +314,34 @@ class TestCsv:
         path.write_text("a,b\n" + "".join(f"t{i},0\n" for i in range(33000)) + "x\n")
         with pytest.raises(MalformedCsv, match="row 33001 has 1 fields, expected 2"):
             read_csv(path)
+
+    def test_leftmost_column_with_too_many_states_reported(self, tmp_path):
+        # c goes over MAX_STATES chunks before a and b, which go over in
+        # the same chunk
+        path = tmp_path / "d.csv"
+        k = MAX_STATES + 1
+        path.write_text("a,b,c\n" + "".join(f"x,y,u{i}\n" for i in range(k))
+                        + "".join(f"t{i},v{i},u0\n" for i in range(k)))
+        with pytest.raises(MalformedCsv, match=f"column 'a' has more than {MAX_STATES} "):
+            read_csv(path)
+
+    def test_decode_error_in_a_later_chunk_reported_before_a_ragged_row(self, tmp_path):
+        # the ragged row is in the first chunk of records, the byte that is
+        # not UTF-8 in the third
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n0\n" + b"0,1\n" * CSV_CHUNK_CELLS + b"\xff,0\n")
+        with pytest.raises(MalformedCsv, match=r"d\.csv: not UTF-8 text: .* byte 0xff"):
+            read_csv(path)
+
+    def test_read_holds_one_chunk_of_strings(self, tmp_path):
+        # a read that holds the whole file as strings peaks at 12.7 MB
+        path = tmp_path / "d.csv"
+        write_csv(_wide_dataset(4000, 50, seed=0), path)
+        assert _peak_bytes(read_csv, path) < 4e6
+
+    def test_write_holds_one_chunk_of_strings(self, tmp_path):
+        # a write that builds every line first peaks at 4.3 MB
+        assert _peak_bytes(write_csv, _wide_dataset(4000, 50, seed=0), tmp_path / "d.csv") < 1e6
 
     def test_round_trip_with_missing(self, tmp_path):
         # reading infers the states, so cells are compared by label

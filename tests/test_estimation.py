@@ -732,6 +732,30 @@ class TestBicScorer:
                 f"pseudocount must be finite and >= 0, got {pseudocount!r}")):
             scorer(d.schema, d.rows, pseudocount=pseudocount)
 
+    @pytest.mark.parametrize("weights", [[1, -5, 1, 1], [1, math.nan, 1, 1],
+                                         [1, math.inf, 1, 1], [1, 1, 1], [[1, 1, 1, 1]]],
+                             ids=["negative", "nan", "inf", "short", "2d"])
+    def test_weights_that_are_not_one_finite_count_per_row_refused(self, weights):
+        # a negative or NaN weight scored nan, and another shape raised
+        # numpy's ValueError
+        d = _dataset([2, 2], [[0, 0], [0, 1], [1, 1], [1, 0]])
+        with pytest.raises(SchemaMismatch, match="^BIC weights must be 4 finite numbers >= 0$"):
+            BicScorer(d.schema, d.rows, weights=weights)
+
+    @pytest.mark.parametrize("cell", [-1, 2, 65538], ids=["negative", "past-the-end", "wraps"])
+    def test_rows_out_of_range_refused(self, cell):
+        # -1 raised numpy's ValueError, a state 2 of a 2-state child was
+        # counted in a cell of the next parent configuration, and 65538 was
+        # cast to state 2
+        rows = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, cell]])
+        with pytest.raises(SchemaMismatch, match="^state index out of range in column 'v2'$"):
+            BicScorer(_schema(2, 2, 2), rows)
+
+    def test_rows_of_another_shape_refused(self):
+        for rows in ([[0, 1, 0]], [0, 1]):
+            with pytest.raises(SchemaMismatch, match="row matrix shape does not match schema"):
+                BicScorer(_schema(2, 2), rows)
+
     def test_score_decomposes_over_families(self):
         g, _, d = _random_instance(12, missing=0.0)
         scorer = BicScorer(d.schema, d.rows)
