@@ -49,6 +49,23 @@ def mixed_radix(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int]) -> 
     return code
 
 
+def unique_rows(rows: np.ndarray):
+    """The distinct rows of a 2-D array: (first, inverse, counts), the index
+    of each distinct row's first occurrence, the distinct row of each row,
+    and how many rows each distinct row has. One 1-D ``np.unique`` over the
+    rows' bytes, one opaque item per row, finds them, in the order of those
+    bytes: for booleans, or bytes, that of ``np.unique(rows, axis=0)``,
+    which takes about six times as long."""
+    rows = np.ascontiguousarray(rows)
+    n, width = rows.shape[0], rows.shape[1] * rows.itemsize
+    if not width:  # rows of no columns have no bytes to view, and are all one row
+        first = np.zeros(min(n, 1), dtype=np.intp)
+        return first, np.zeros(n, dtype=np.intp), np.full(first.size, n, dtype=np.intp)
+    _, first, inverse, counts = np.unique(rows.view(f"V{width}")[:, 0], return_index=True,
+                                          return_inverse=True, return_counts=True)
+    return first, inverse, counts
+
+
 def family_counts(rows: np.ndarray, cols: Sequence[int], cards: Sequence[int],
                   weights: Optional[np.ndarray] = None) -> np.ndarray:
     """(Weighted) counts of a family's configurations as a float table with

@@ -20,6 +20,7 @@ from .data import (
     bootstrap,
     impute_mode,
     split,
+    unique_rows,
 )
 from .errors import (
     ConfigError,
@@ -355,7 +356,12 @@ def hc_aipw(d: CategoricalDataset, kb: KnowledgeBase,
 def _hc_complete(d: CategoricalDataset, kb: KnowledgeBase,
                  opts: SearchOptions) -> Discovery:
     dc = impute_mode(d)
-    scorer = BicScorer(dc.schema, dc.rows, pseudocount=opts.score_pseudocount)
+    # each distinct row once, weighted by its count: integer counts add up
+    # exactly in any order, so the scores have the bits of a count over
+    # every row, with the penalty's sample size n
+    first, _, counts = unique_rows(dc.rows)
+    scorer = BicScorer(dc.schema, dc.rows[first], weights=counts,
+                       pseudocount=opts.score_pseudocount, n_effective=dc.n)
     g, trace = hill_climb(scorer, kb, _initial_graph(dc.names, kb),
                           max_iter=opts.max_iter, max_parents=opts.max_parents)
     return Discovery(g, lambda: fit_mle(g, dc, opts.refit_pseudocount), trace)

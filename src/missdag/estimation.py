@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix
+from .data import CategoricalDataset, VariableSchema, family_counts, mixed_radix, unique_rows
 from .errors import (
     SchemaMismatch,
     TooManyMissingInRow,
@@ -202,18 +202,11 @@ def _joint_logp(tables: Sequence[np.ndarray], codes: Sequence[np.ndarray],
 
 def _mask_patterns(mask: np.ndarray):
     """The distinct rows of a boolean matrix and the pattern of each row: the
-    result of ``np.unique(mask, axis=0, return_inverse=True)``, found by a 1-D
-    unique over the rows' packed bits, one opaque item per row. Packed bits
-    compare as bytes in the order of the booleans, so the patterns come in
-    the same order."""
-    packed = np.ascontiguousarray(np.packbits(mask, axis=1))
-    if not packed.shape[1]:  # rows of no columns pack to no bytes
-        packed = np.zeros((mask.shape[0], 1), dtype=np.uint8)
-    width = packed.shape[1]
-    keys, inverse = np.unique(packed.view(f"V{width}")[:, 0], return_inverse=True)
-    patterns = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1,
-                             count=mask.shape[1]).astype(bool)
-    return patterns, inverse
+    result of ``np.unique(mask, axis=0, return_inverse=True)``, found by
+    ``unique_rows`` over the rows' packed bits. Packed bits compare as bytes
+    in the order of the booleans, so the patterns come in the same order."""
+    first, inverse, _ = unique_rows(np.packbits(mask, axis=1))
+    return mask[first], inverse
 
 
 def _completion_index(d: CategoricalDataset, vertices: Tuple[str, ...],
@@ -478,10 +471,11 @@ def _family_bics(counts: np.ndarray, rows_per_table: Sequence[int], pseudocount:
     logs[under] = np.log(c_hat[under]) - np.log(r_hat[under])
     terms = c * logs
     per_row = 0.5 * math.log(n_effective) * (card - 1)
+    # np.add.reduce is what ndarray.sum calls, without its Python wrapper
     if len(rows_per_table) == 1:
-        return [float(terms.sum()) - per_row * rows_per_table[0]]
+        return [float(np.add.reduce(terms)) - per_row * rows_per_table[0]]
     ends = np.searchsorted(row, np.cumsum(rows_per_table)).tolist()
-    return [float(terms[start:end].sum()) - per_row * rows
+    return [float(np.add.reduce(terms[start:end])) - per_row * rows
             for start, end, rows in zip([0] + ends, ends, rows_per_table)]
 
 
@@ -500,8 +494,10 @@ class BicScorer:
     variables once.
 
     ``rows`` must hold one state index 0 .. cardinality - 1 per schema
-    variable, and ``weights`` one finite number >= 0 per row; other rows or
-    weights raise ``SchemaMismatch``.
+    variable, ``weights`` one finite number >= 0 per row, and
+    ``n_effective`` must be a finite number > 0; other rows, weights or
+    sample sizes raise ``SchemaMismatch``, or ``ConfigError`` for a sample
+    size that is not a number.
     """
 
     def __init__(self, schema: Sequence[VariableSchema], rows: np.ndarray,
@@ -527,8 +523,10 @@ class BicScorer:
             raise SchemaMismatch(f"BIC weights must be {rows.shape[0]} finite numbers >= 0")
         self.pseudocount = checked_number(pseudocount, float, "pseudocount",
                                           *_FINITE_AT_LEAST_0)
-        self.n_effective = float(self.rows.shape[0] if n_effective is None else n_effective)
-        if not self.n_effective > 0:
+        # a number, then finite and > 0: at inf every score would be -inf
+        self.n_effective = checked_number(self.rows.shape[0] if n_effective is None
+                                          else n_effective, float, "n_effective")
+        if not 0 < self.n_effective < math.inf:
             raise SchemaMismatch(f"BIC needs a positive sample size, got {self.n_effective:g}")
         self._col = {v.name: i for i, v in enumerate(self.schema)}
         self._card = {v.name: v.cardinality for v in self.schema}
@@ -557,18 +555,22 @@ class BicScorer:
         to the ``parents`` (column order) of ``child``, over every row with
         its weight in ``weights`` (one each if None), where ``base`` codes
         the rows over the parents followed by the child. y's counts are one
-        ``bincount`` of that code times y's cardinality plus y, and their
-        table is transposed so that y sits at its column-order place among
-        the parents, as ``family_counts`` would lay it out."""
+        ``bincount`` of that code times y's cardinality (one product per
+        cardinality) plus y, and their table is transposed so that y sits at
+        its column-order place among the parents, as ``family_counts`` would
+        lay it out."""
         pcols = [self._col[v] for v in parents]
         pcards = [self._card[v] for v in parents]
         card, ncfg = self._card[child], math.prod(pcards)
         code = np.empty_like(base)
         tables = []
+        shifted: Dict[int, np.ndarray] = {}  # y's cardinality -> base * card_y
         for y in adds:
             j, card_y = self._col[y], self._card[y]
-            np.multiply(base, card_y, out=code)
-            code += self.rows[:, j]
+            shift = shifted.get(card_y)
+            if shift is None:
+                shift = shifted[card_y] = base * card_y
+            np.add(shift, self.rows[:, j], out=code)
             counts = np.bincount(code, weights, minlength=ncfg * card * card_y)
             # axes (parents before y, parents after y, child, y) -> y in place
             before = math.prod(pcards[:bisect.bisect(pcols, j)])
@@ -596,15 +598,20 @@ class BicScorer:
         ``family_counts`` would give. A sweep from the empty graph thus
         counts each pair of variables once. The reverse tables are stacked
         by y's cardinality, as a stack shares its child's columns."""
-        adds = [v.name for v in self.schema if v.name != child and v.name not in old
-                and (child, old | {v.name}) not in self._cache]
+        keys, adds = [], []
+        for v in self.schema:
+            if v.name != child and v.name not in old:
+                key = (child, old | {v.name})
+                if key not in self._cache:
+                    keys.append(key)
+                    adds.append(v.name)
         family = self._canon(old) + (child,)
         cards = [self._card[v] for v in family]
         _check_cells(math.prod(cards) * sum(self._card[y] for y in adds),
                      "scoring the parent additions of", child)
         base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
         tables = self._add_tables(base, self.weights, family[:-1], child, adds)
-        self._cache_scores([(child, old | {y}) for y in adds], tables)
+        self._cache_scores(keys, tables)
         if not old:
             reverse: Dict[int, list] = {}  # y's cardinality -> [(key, table)]
             for y, t in zip(adds, tables):
@@ -651,8 +658,10 @@ class IpwBicScorer(BicScorer):
     of a count over the set's rows alone.
 
     ``var_weights`` holds one vector of ``d.n`` weights per partially
-    observed variable of ``d``; weights for another name (a fully observed
-    variable's included) or of another length raise ``SchemaMismatch``.
+    observed variable of ``d``, each finite and >= 0 on the rows where its
+    variable is observed; weights for another name (a fully observed
+    variable's included), of another length or of another value there
+    raise ``SchemaMismatch``.
     """
 
     def __init__(self, d: CategoricalDataset, var_weights: Mapping[str, np.ndarray],
@@ -663,12 +672,17 @@ class IpwBicScorer(BicScorer):
             v.name for j, v in enumerate(self.schema) if d.mask[:, j].any())
         self.var_weights = {k: np.asarray(v, dtype=float) for k, v in var_weights.items()}
         for k, w in self.var_weights.items():
-            d.index(k)  # weights for a variable the dataset lacks: SchemaMismatch
+            j = d.index(k)  # weights for a variable the dataset lacks: SchemaMismatch
             if k not in self.partial:
                 # no observed set holds it, so its weights would never be read
                 raise SchemaMismatch(f"IPW weights for {k!r}, which has no missing cell")
             if w.shape != (d.n,):
                 raise SchemaMismatch(f"IPW weights for {k!r} have shape {w.shape}, not ({d.n},)")
+            # a negative, NaN or infinite weight makes a score NaN or inf;
+            # where k is missing a weight is never read (see _weights_on)
+            if not ((0 <= w) & (w < math.inf))[~d.mask[:, j]].all():
+                raise SchemaMismatch(f"IPW weights for {k!r} must be finite and >= 0 "
+                                     "where it is observed")
         # by observed set (a family's partially observed variables, the
         # frozenset of the score cache's keys): its weight vector; at most
         # 2^|partial| entries of n x 8 bytes

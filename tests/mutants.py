@@ -26,6 +26,8 @@ DISCOVERY, ESTIMATION = "src/missdag/discovery.py", "src/missdag/estimation.py"
 LEGALITY = "tests/test_discovery.py::TestLegalMoves::test_search_moves_match_candidate_graphs"
 HC_LIMITS = "tests/test_discovery.py::TestHillClimb::test_limits_out_of_range_refused"
 EM_SETTINGS = "tests/test_estimation.py::TestEmFit::test_settings_out_of_range_refused"
+HC_COMPLETE = ("tests/test_discovery.py::TestHcComplete::"
+               "test_distinct_rows_search_as_every_imputed_row")
 
 # (file, old text, new text, the test that must fail)
 MUTANTS = [
@@ -210,6 +212,28 @@ MUTANTS = [
     (ESTIMATION, "if weights is not None and (self.weights.shape",
      "if False and (self.weights.shape", "tests/test_estimation.py::TestBicScorer::"
      "test_weights_that_are_not_one_finite_count_per_row_refused"),
+    # hc-complete's penalty over its distinct rows, not every row
+    (DISCOVERY, "pseudocount=opts.score_pseudocount, n_effective=dc.n)",
+     "pseudocount=opts.score_pseudocount)", HC_COMPLETE),
+    # hc-complete counting each distinct row once, unweighted
+    (DISCOVERY, "weights=counts,", "weights=counts * 0 + 1,", HC_COMPLETE),
+    # the shifted code of an add looked up by the child's cardinality
+    (ESTIMATION, "shift = shifted.get(card_y)", "shift = shifted.get(card)", HC_COMPLETE),
+    # an infinite BIC sample size accepted, which scores every family -inf
+    (ESTIMATION, "if not 0 < self.n_effective < math.inf:", "if not 0 < self.n_effective:",
+     "tests/test_estimation.py::TestBicScorer::"
+     "test_sample_size_that_is_not_a_finite_positive_number_refused"),
+    # IPW weights that are negative or not finite where observed accepted
+    (ESTIMATION, "if not ((0 <= w) & (w < math.inf))[~d.mask[:, j]].all():",
+     "if False:", "tests/test_estimation.py::TestIpwBicScorer::"
+     "test_weights_that_are_not_finite_and_at_least_0_where_observed_refused"),
+    # IPW weights checked where their variable is missing too
+    (ESTIMATION, "(w < math.inf))[~d.mask[:, j]].all():", "(w < math.inf)).all():",
+     "tests/test_estimation.py::TestIpwBicScorer::"
+     "test_weights_where_the_variable_is_missing_are_never_read"),
+    # rows of no columns viewed as bytes
+    ("src/missdag/data.py", "    if not width:", "    if False:",
+     "tests/test_data.py::TestUniqueRows::test_no_rows_no_columns_and_all_rows_equal"),
     # BIC rows with a state index out of range accepted
     (ESTIMATION, "if bad_cols.any():", "if False:",
      "tests/test_estimation.py::TestBicScorer::test_rows_out_of_range_refused"),

@@ -407,6 +407,23 @@ def mixed_radix_by_loop(rows, cols: Sequence[int], cards: Sequence[int]):
     return codes
 
 
+def unique_rows_by_dict(rows):
+    """(first, inverse, counts) of a 2-D array's distinct rows, from a dict
+    keyed by each row as a tuple: the distinct rows in the order they first
+    appear, each one's first row, each row's distinct row and each distinct
+    row's count, as Python lists."""
+    seen = {}
+    first, inverse, counts = [], [], []
+    for r, row in enumerate(rows.tolist()):
+        k = seen.setdefault(tuple(row), len(seen))
+        if k == len(first):
+            first.append(r)
+            counts.append(0)
+        inverse.append(k)
+        counts[k] += 1
+    return first, inverse, counts
+
+
 def tally_counts(rows, cols: Sequence[int], cards: Sequence[int], weights=None):
     """Family count table, one row at a time: one table row per parent
     configuration (first parent most significant), one column per child

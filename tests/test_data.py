@@ -30,6 +30,7 @@ from missdag.data import (
     mixed_radix,
     read_csv,
     split,
+    unique_rows,
     write_csv,
 )
 from missdag.errors import ConfigError, MalformedCsv, MissDagError, SchemaMismatch
@@ -42,6 +43,7 @@ from oracles import (
     mixed_radix_by_loop,
     random_params,
     read_csv_by_cell,
+    unique_rows_by_dict,
     write_csv_whole,
 )
 
@@ -78,6 +80,40 @@ class TestMixedRadix:
         got = mixed_radix(rows, cols, ccards)
         assert got.dtype == np.int64 and got.shape == (n,)
         assert got.tolist() == mixed_radix_by_loop(rows, cols, ccards)
+
+
+class TestUniqueRows:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_of_tuples(self, data):
+        dtype, n, p = data.draw(st.tuples(st.sampled_from([np.int16, bool]), st.integers(0, 30),
+                                          st.integers(0, 6)))
+        # few distinct rows, so that most rows repeat one; all equal too
+        distinct = data.draw(st.integers(1, 4))
+        pool = np.array(data.draw(st.lists(st.integers(-1, 2), min_size=distinct * p,
+                                           max_size=distinct * p))).reshape(distinct, p)
+        rows = pool.astype(dtype)[data.draw(st.lists(st.integers(0, distinct - 1),
+                                                      min_size=n, max_size=n))]
+        if data.draw(st.booleans()):
+            rows = np.asfortranarray(rows)
+        first, inverse, counts = unique_rows(rows)
+        assert first.shape == counts.shape and inverse.shape == (n,)
+        # the oracle lists the distinct rows as they first appear
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        want_first, want_inverse, want_counts = unique_rows_by_dict(rows)
+        assert first[order].tolist() == want_first
+        assert rank[inverse].tolist() == want_inverse
+        assert counts[order].tolist() == want_counts
+
+    def test_no_rows_no_columns_and_all_rows_equal(self):
+        # a byte view of rows of no columns would raise IndexError
+        for rows, want in [(np.zeros((0, 3), np.int16), ([], [], [])),
+                           (np.zeros((0, 0), np.int16), ([], [], [])),
+                           (np.zeros((4, 0), np.int16), ([0], [0] * 4, [4])),
+                           (np.full((4, 3), 2, np.int16), ([0], [0] * 4, [4]))]:
+            assert tuple(a.tolist() for a in unique_rows(rows)) == want
 
 
 class TestSchema:

@@ -16,6 +16,7 @@ from missdag.data import (
     ampute,
     bootstrap,
     forward_sample,
+    impute_mode,
     logit,
     split,
 )
@@ -577,6 +578,39 @@ class TestSearches:
                              ("score_pseudocount", float("nan"))]:
             with pytest.raises(ConfigError, match=field):
                 SearchOptions(**{field: value})
+
+
+class TestHcComplete:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_rows_search_as_every_imputed_row(self, data):
+        # the search counts each distinct imputed row once, weighted by its
+        # count, with the penalty's sample size n: the same moves, deltas and
+        # scores, bit for bit, as a search over every row
+        p = data.draw(st.integers(2, 5))
+        names = [f"v{i}" for i in range(p)]
+        cards = data.draw(st.lists(st.integers(2, 3), min_size=p, max_size=p))
+        # few distinct rows, many copies of each; -1 is a missing cell
+        distinct = data.draw(st.lists(st.tuples(*[st.integers(-1, k - 1) for k in cards]),
+                                      min_size=1, max_size=8))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=80))
+        rows = np.array(distinct)[picks]
+        assume((rows != MISSING).any(axis=0).all())  # every column has an observed cell
+        d = CategoricalDataset([VariableSchema(v, tuple(f"s{k}" for k in range(c)))
+                                for v, c in zip(names, cards)], rows)
+        order = data.draw(st.permutations(names))
+        pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+        required = data.draw(st.sets(st.sampled_from(pairs))) if data.draw(st.booleans()) else ()
+        forbidden = data.draw(st.sets(st.sampled_from(
+            [(b, a) for a, b in pairs]))) if data.draw(st.booleans()) else ()
+        kb = KnowledgeBase(required=set(required), forbidden=set(forbidden))
+        opts = SearchOptions(score_pseudocount=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                             max_parents=data.draw(st.integers(0, 3)))
+        found = SEARCHES["hc-complete"](d, kb, opts)
+        dc = impute_mode(d)
+        want = hill_climb(BicScorer(dc.schema, dc.rows, pseudocount=opts.score_pseudocount), kb,
+                          Dag(d.names, sorted(kb.required)), opts.max_iter, opts.max_parents)
+        assert (found.graph, found.trace) == want
 
 
 class TestBootstrapSem:

@@ -742,6 +742,20 @@ class TestBicScorer:
         with pytest.raises(SchemaMismatch, match="^BIC weights must be 4 finite numbers >= 0$"):
             BicScorer(d.schema, d.rows, weights=weights)
 
+    @pytest.mark.parametrize("n_effective, error, line", [
+        (math.inf, SchemaMismatch, "BIC needs a positive sample size, got inf"),
+        (math.nan, SchemaMismatch, "BIC needs a positive sample size, got nan"),
+        (0, SchemaMismatch, "BIC needs a positive sample size, got 0"),
+        ("5", ConfigError, "n_effective must be float, got '5'"),
+        (True, ConfigError, "n_effective must be float, got True"),
+    ], ids=["inf", "nan", "zero", "string", "bool"])
+    def test_sample_size_that_is_not_a_finite_positive_number_refused(self, n_effective, error,
+                                                                        line):
+        # inf made every score -inf, and "5" and True were read as 5.0 and 1.0
+        d = _dataset([2, 2], [[0, 0], [0, 1], [1, 1], [1, 0]])
+        with pytest.raises(error, match="^" + re.escape(line) + "$"):
+            BicScorer(d.schema, d.rows, n_effective=n_effective)
+
     @pytest.mark.parametrize("cell", [-1, 2, 65538], ids=["negative", "past-the-end", "wraps"])
     def test_rows_out_of_range_refused(self, cell):
         # -1 raised numpy's ValueError, a state 2 of a 2-state child was
@@ -903,6 +917,16 @@ class TestIpwBicScorer:
         d = _dataset([2, 2], [[0, 0], [0, MISSING], [1, 1]])
         with pytest.raises(SchemaMismatch, match=re.escape(line)):
             IpwBicScorer(d, var_weights)
+
+    @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_weights_that_are_not_finite_and_at_least_0_where_observed_refused(self, bad):
+        # -5 scored nan, and inf scored under a numpy RuntimeWarning
+        d = _dataset([2, 2], [[0, 0], [1, MISSING], [1, 1], [0, 1]])
+        with pytest.raises(SchemaMismatch, match=re.escape(
+                "IPW weights for 'v1' must be finite and >= 0 where it is observed")):
+            IpwBicScorer(d, {"v1": np.array([1.0, 1.0, bad, 1.0])})
+        # where v1 is missing no weight is read
+        IpwBicScorer(d, {"v1": np.array([1.0, bad, 1.0, 1.0])})
 
     def test_weights_for_a_fully_observed_variable_refused(self):
         # no observed set holds v0, so its weights were accepted and never read
