@@ -113,10 +113,11 @@ class CategoricalDataset:
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise SchemaMismatch("row matrix shape does not match schema")
         mask = rows == MISSING
-        for j, var in enumerate(self.schema):
-            col = rows[~mask[:, j], j]
-            if col.size and (col.min() < 0 or col.max() >= var.cardinality):
-                raise SchemaMismatch(f"state index out of range in column {var.name!r}")
+        # every cell at once; the first bad column in column order is named
+        bad = ((rows < MISSING) | (rows >= [v.cardinality for v in self.schema])).any(axis=0)
+        if bad.any():
+            raise SchemaMismatch("state index out of range in column "
+                                 f"{self.schema[int(bad.argmax())].name!r}")
         # in range, so the cast keeps every cell
         rows = rows.astype(np.int16, copy=False)
         rows.setflags(write=False)

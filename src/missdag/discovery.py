@@ -173,13 +173,15 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     first, then for the children the last move changed (``b``, and ``a``
     too after a reversal). They cover the moves the knowledge base and the
     parent limit allow: every delete of a parent that is not required, and
-    every add that is not forbidden while the child has room. The child
-    ranks its improving ones. An iteration takes each child's first ranked
-    move that keeps the graph acyclic now. A reversal a -> b is a
-    candidate iff its delete of a and its add of b are both listed, and
-    scores the sum of those two cached deltas. A pick tests acyclicity
-    only. So the search takes the moves a search that rescored every legal
-    move would take.
+    every add that is not forbidden while the child has room. Each
+    iteration asks the scorer for them in one call, ``scorer.move_delta``
+    of {child: (its parents, the vertices x to toggle)}, which returns
+    {child: {x: delta}}. The child ranks its improving ones. An iteration
+    takes each child's first ranked move that keeps the graph acyclic now.
+    A reversal a -> b is a candidate iff its delete of a and its add of b
+    are both listed, and scores the sum of those two cached deltas. A pick
+    tests acyclicity only. So the search takes the moves a search that
+    rescored every legal move would take.
 
     The search keeps its own parent sets, child sets, edge set and ``reach``
     bitsets (``_descendants``). After an add a -> b, every vertex that
@@ -209,13 +211,13 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
     ranked = {}   # child -> sorted [(-delta, op, x)], improving
     changed = verts
     for _ in range(max_iter):
+        deltas.update(scorer.move_delta({
+            b: (parents[b], [x for x in verts if x != b and (
+                (x, b) not in kb.required if x in parents[b]
+                else len(parents[b]) < max_parents and (x, b) not in kb.forbidden)])
+            for b in changed}))
         for b in changed:
-            pb = parents[b]
-            deltas[b] = {x: scorer.move_delta(b, pb, pb - {x} if x in pb else pb | {x})
-                         for x in verts if x != b and ((x, b) not in kb.required if x in pb
-                                                       else len(pb) < max_parents
-                                                       and (x, b) not in kb.forbidden)}
-            ranked[b] = sorted((-delta, "delete" if x in pb else "add", x)
+            ranked[b] = sorted((-delta, "delete" if x in parents[b] else "add", x)
                                for x, delta in deltas[b].items() if delta > IMPROVEMENT_EPS)
         best = None  # the smallest (-delta, op, a, b)
         for b in verts:
@@ -226,12 +228,13 @@ def hill_climb(scorer, kb: KnowledgeBase, init: Dag, max_iter: int = SearchOptio
                         best = (nd, op, x, b)
                     break
         for a, b in edges:
-            # a reversal makes a cycle iff another directed path a ~> b remains
-            if a in deltas[b] and b in deltas[a] and not any(
-                    reach[index[c]] >> index[b] & 1 for c in children[a] if c != b):
+            if a in deltas[b] and b in deltas[a]:
                 delta = deltas[b][a] + deltas[a][b]
                 key = (-delta, "reverse", a, b)
-                if delta > IMPROVEMENT_EPS and (best is None or key < best):
+                # a reversal makes a cycle iff another directed path a ~> b
+                # remains, checked last as it is the dearest test
+                if delta > IMPROVEMENT_EPS and (best is None or key < best) and not any(
+                        reach[index[c]] >> index[b] & 1 for c in children[a] if c != b):
                     best = key
         if best is None:
             break

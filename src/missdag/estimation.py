@@ -467,9 +467,10 @@ def _family_bics(counts: np.ndarray, rows_per_table: Sequence[int], pseudocount:
     # logarithms apart for those terms only, so the others keep their bits
     under = ratio == 0
     ratio[under] = 1.0
-    logs = np.log(ratio)
+    # in place, as a scoring pass stacks every table it counts
+    logs = np.log(ratio, out=ratio)
     logs[under] = np.log(c_hat[under]) - np.log(r_hat[under])
-    terms = c * logs
+    terms = np.multiply(c, logs, out=logs)
     per_row = 0.5 * math.log(n_effective) * (card - 1)
     # np.add.reduce is what ndarray.sum calls, without its Python wrapper
     if len(rows_per_table) == 1:
@@ -479,6 +480,38 @@ def _family_bics(counts: np.ndarray, rows_per_table: Sequence[int], pseudocount:
             for start, end, rows in zip([0] + ends, ends, rows_per_table)]
 
 
+class _Stacks:
+    """The count tables of one scoring pass that wait to be scored, with
+    their cache keys: one stack per child cardinality, as a stack shares its
+    columns. Tables that would take the waiting cells past ``TABLE_CAP``
+    first have every stack scored (``room``), and ``flush`` scores the rest;
+    each table gets the bits it gets alone (``_family_bics``)."""
+
+    def __init__(self, scorer: "BicScorer"):
+        self.scorer = scorer
+        self.stacks: Dict[int, Tuple[list, list]] = {}  # columns -> (keys, tables)
+        self.cells = 0
+
+    def room(self, cells: int) -> None:
+        if self.cells + cells > TABLE_CAP:
+            self.flush()
+
+    def add(self, keys: List[tuple], tables: List[np.ndarray]) -> None:
+        """Put tables of one child cardinality, with their keys, in its stack."""
+        cells = sum(t.size for t in tables)
+        self.room(cells)
+        stack = self.stacks.setdefault(tables[0].shape[1], ([], []))
+        stack[0].extend(keys)
+        stack[1].extend(tables)
+        self.cells += cells
+
+    def flush(self) -> None:
+        for keys, tables in self.stacks.values():
+            self.scorer._cache_scores(keys, tables)
+        self.stacks.clear()
+        self.cells = 0
+
+
 class BicScorer:
     """Decomposable BIC with a (child, parent-set) family-score cache.
 
@@ -486,12 +519,15 @@ class BicScorer:
     EM completion); the penalty's sample size ``n_effective`` is the row
     count unless given. A lookup keys the family by the parent set as
     given; only a cache miss puts the parents in column order to count the
-    family. An add move that misses scores all of its child's uncached adds
-    to the same parents in one pass (see ``move_delta``), to the bits each
-    would get alone. On an empty parent set that pass also scores each
-    reverse family (y | {child}) from the same tables, transposed, so the
-    first sweep of a hill climb from the empty graph counts each pair of
-    variables once.
+    family. ``move_delta`` gives a hill-climb iteration's deltas from one
+    pass that counts every family they need and the cache lacks, once, and
+    scores them in one stack per child cardinality (``_Stacks``), each to
+    the bits it would get alone. A child's adds are counted from one code of
+    its parents and itself. When neither the child nor y has parents, the
+    table of the child's add of y, transposed, is that of y's add of the
+    child, so the first sweep of a hill climb from the empty graph counts
+    each pair of variables once. ``score`` scores the missing families of a
+    graph in one such pass.
 
     ``rows`` must hold one state index 0 .. cardinality - 1 per schema
     variable, ``weights`` one finite number >= 0 per row, and
@@ -548,12 +584,12 @@ class BicScorer:
         _check_cells(math.prod(cards), "the counts of", child)
         return family_counts(self.rows, [self._col[v] for v in family], cards, self.weights)
 
-    def _add_tables(self, base: np.ndarray, weights: Optional[np.ndarray],
+    def _add_tables(self, base: np.ndarray, weights: Sequence[Optional[np.ndarray]],
                     parents: Tuple[str, ...], child: str,
                     adds: Sequence[str]) -> List[np.ndarray]:
         """The count table of each family that adds one vertex y of ``adds``
         to the ``parents`` (column order) of ``child``, over every row with
-        its weight in ``weights`` (one each if None), where ``base`` codes
+        y's weights in ``weights`` (one each if None), where ``base`` codes
         the rows over the parents followed by the child. y's counts are one
         ``bincount`` of that code times y's cardinality (one product per
         cardinality) plus y, and their table is transposed so that y sits at
@@ -562,76 +598,152 @@ class BicScorer:
         pcols = [self._col[v] for v in parents]
         pcards = [self._card[v] for v in parents]
         card, ncfg = self._card[child], math.prod(pcards)
+        # the configurations of the parents before each place, first to last
+        befores = [math.prod(pcards[:k]) for k in range(len(pcards) + 1)]
+        columns = self.rows.T
         code = np.empty_like(base)
         tables = []
         shifted: Dict[int, np.ndarray] = {}  # y's cardinality -> base * card_y
-        for y in adds:
+        for y, w in zip(adds, weights):
             j, card_y = self._col[y], self._card[y]
             shift = shifted.get(card_y)
             if shift is None:
                 shift = shifted[card_y] = base * card_y
-            np.add(shift, self.rows[:, j], out=code)
-            counts = np.bincount(code, weights, minlength=ncfg * card * card_y)
+            np.add(shift, columns[j], out=code)
+            counts = np.bincount(code, w, minlength=ncfg * card * card_y)
             # axes (parents before y, parents after y, child, y) -> y in place
-            before = math.prod(pcards[:bisect.bisect(pcols, j)])
+            before = befores[bisect.bisect(pcols, j)]
             tables.append(counts.reshape(before, ncfg // before, card, card_y)
                           .transpose(0, 3, 1, 2).reshape(-1, card))
         return tables
 
     def _cache_scores(self, keys: Sequence[tuple], tables: Sequence[np.ndarray]) -> List[float]:
-        """Score the count tables of one child's families in one stack, each
-        to the bits it gets alone, cache each under its key and return the
-        scores."""
+        """Score the count tables of families of one child cardinality in
+        one stack, each to the bits it gets alone, cache each under its key
+        and return the scores."""
         bics = _family_bics(np.concatenate(tables, dtype=float), [t.shape[0] for t in tables],
                             self.pseudocount, self.n_effective)
         self._cache.update(zip(keys, bics))
         return bics
 
-    def _score_adds(self, child: str, old: frozenset) -> None:
-        """Cache the score of every family that adds one vertex y to the
-        parents ``old`` of ``child``, where it is missing, from one code of
-        the parents (column order) followed by the child.
+    def _contexts(self, child: str, parents: frozenset, toggles: Sequence[str]):
+        """The context of the family (child | parents) alone, and that of the
+        move that toggles x in the parents, for each x of ``toggles``: the
+        end of their cache keys, and the arguments of ``_weights_on`` and
+        ``_family_counts`` after the family. Plain rows have none."""
+        return (), [()] * len(toggles)
 
-        With ``old`` empty it also caches each reverse family (y | {child}).
-        Its table is the transpose of (child | {y}): the same bins, filled by
-        the same rows in the same order, so it gets the bits that
-        ``family_counts`` would give. A sweep from the empty graph thus
-        counts each pair of variables once. The reverse tables are stacked
-        by y's cardinality, as a stack shares its child's columns."""
-        keys, adds = [], []
-        for v in self.schema:
-            if v.name != child and v.name not in old:
-                key = (child, old | {v.name})
-                if key not in self._cache:
-                    keys.append(key)
-                    adds.append(v.name)
-        family = self._canon(old) + (child,)
-        cards = [self._card[v] for v in family]
-        _check_cells(math.prod(cards) * sum(self._card[y] for y in adds),
-                     "scoring the parent additions of", child)
-        base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
-        tables = self._add_tables(base, self.weights, family[:-1], child, adds)
-        self._cache_scores(keys, tables)
-        if not old:
-            reverse: Dict[int, list] = {}  # y's cardinality -> [(key, table)]
-            for y, t in zip(adds, tables):
-                reverse.setdefault(self._card[y], []).append(((y, frozenset({child})), t.T))
-            for stack in reverse.values():
-                self._cache_scores(*zip(*stack))
+    def _weights_on(self) -> Optional[np.ndarray]:
+        return self.weights
 
     def score(self, g: Dag) -> float:
+        """The sum of the family scores of ``g``'s vertices, in vertex order,
+        once the families the cache lacks are scored in one stack per child
+        cardinality."""
+        stacks = _Stacks(self)
+        for v in g.vertices:
+            parents = frozenset(g.parents(v))
+            self._count_alone(v, [(v, parents) + self._contexts(v, parents, ())[0]], stacks)
+        stacks.flush()
         return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
 
-    def move_delta(self, child: str, old_parents: Iterable[str],
-                   new_parents: Iterable[str]) -> float:
-        """The family score of the new parents minus that of the old. An add
-        (one more parent) whose family misses the cache first scores every
-        add to the old parents in one pass: those are the moves a hill climb
-        asks for next."""
-        old, new = frozenset(old_parents), frozenset(new_parents)
-        if old < new and len(new) == len(old) + 1 and (child, new) not in self._cache:
-            self._score_adds(child, old)
-        return self.family_score(child, new) - self.family_score(child, old)
+    def move_delta(self, moves: Mapping[str, Tuple[Iterable[str], Sequence[str]]]
+                   ) -> Dict[str, Dict[str, float]]:
+        """One hill-climb iteration's deltas: ``moves`` maps each child to
+        (its parents, the vertices x to toggle in them), and the result maps
+        it to {x: the family score with x toggled minus that of the
+        parents}. One pass counts every family these deltas need and the
+        cache lacks, once (``_count_child``), and scores them in one stack
+        per child cardinality."""
+        stacks = _Stacks(self)
+        later = {c for c, (ps, _) in moves.items() if not ps}  # parentless, not yet counted
+        spare: Dict[Tuple[str, str], np.ndarray] = {}  # (y, x) -> x's add of y, counted
+        asked = {}  # child -> (its toggles, the new families' keys, the old ones')
+        for c, (ps, xs) in moves.items():
+            later.discard(c)
+            asked[c] = xs, *self._count_child(c, frozenset(ps), xs, stacks, later, spare)
+        stacks.flush()
+        cache = self._cache
+        return {c: {x: cache[new] - cache[old] for x, new, old in zip(*keys)}
+                for c, keys in asked.items()}
+
+    def _count_child(self, child: str, old: frozenset, toggles: Sequence[str], stacks: _Stacks,
+                     later: set, spare: Dict[Tuple[str, str], np.ndarray]
+                     ) -> Tuple[List[tuple], List[tuple]]:
+        """Put in ``stacks`` the table of every family that a delta of
+        ``child`` with parents ``old`` needs and the cache lacks: the adds
+        first, each from ``spare`` where an earlier child counted it, else
+        from ``_count_adds``; then the old family and each delete alone.
+        Returns, per toggle, the new family's key and the old family's key,
+        each ended by the move's context."""
+        cache = self._cache
+        contexts = self._contexts(child, old, toggles)[1]
+        olds = {ctx: (child, old) + ctx for ctx in dict.fromkeys(contexts)}
+        news, adds, deletes, reused = [], [], [], ([], [])
+        for x, ctx in zip(toggles, contexts):
+            if x in old:
+                new = (child, old - {x}) + ctx
+                deletes.append(new)
+            else:
+                new = (child, old | {x}) + ctx
+                if new not in cache:
+                    table = spare.pop((child, x), None)
+                    if table is None:
+                        adds.append((x, new))
+                    else:
+                        reused[0].append(new)
+                        reused[1].append(table.T)
+            news.append(new)
+        if reused[0]:
+            stacks.add(*reused)
+        counted = self._count_adds(child, old, adds, stacks, later, spare) if adds else ()
+        self._count_alone(child, [key for ctx, key in olds.items() if ctx not in counted]
+                          + deletes, stacks)
+        return news, [olds[ctx] for ctx in contexts]
+
+    def _count_alone(self, child: str, keys: Sequence[tuple], stacks: _Stacks) -> None:
+        """Put in ``stacks`` the counts of each family of ``child`` under
+        ``keys`` that the cache lacks."""
+        for key in keys:
+            if key not in self._cache:
+                stacks.add([key], [self._family_counts(child, self._canon(key[1]), *key[2:])])
+
+    def _count_adds(self, child: str, old: frozenset, adds: Sequence[Tuple[str, tuple]],
+                    stacks: _Stacks, later: set,
+                    spare: Dict[Tuple[str, str], np.ndarray]) -> List[tuple]:
+        """Put in ``stacks`` the table of each add y of ``adds`` ((y, key)
+        pairs) to the parents ``old`` of ``child``, all from one code of the
+        parents (column order) followed by the child, each with the weights
+        of its key's context (``_add_tables``). An IPW context also gets the
+        old family's table from that code where the cache lacks it; returns
+        those contexts.
+
+        From no parents, the table of (child | {y}) transposed is that of (y
+        | {child}): the same bins, filled by the same rows in the same
+        order, so it gets the bits that ``family_counts`` would give. It
+        goes in ``spare``, untransposed, for y when y is a parentless child
+        of the pass still to be counted."""
+        family = self._canon(old) + (child,)
+        cards = [self._card[v] for v in family]
+        size = math.prod(cards)
+        olds = [ctx for ctx in dict.fromkeys(key[2:] for _, key in adds)
+                if ctx and (child, old) + ctx not in self._cache]
+        cells = size * (len(olds) + sum(self._card[y] for y, _ in adds))
+        _check_cells(cells, "scoring the parent additions of", child)
+        stacks.room(cells)
+        base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
+        tables = self._add_tables(base, [self._weights_on(*key[2:]) for _, key in adds],
+                                  family[:-1], child, [y for y, _ in adds])
+        keys = [key for _, key in adds]
+        for ctx in olds:
+            keys.append((child, old) + ctx)
+            tables.append(np.bincount(base, self._weights_on(*ctx), minlength=size)
+                          .reshape(-1, cards[-1]))
+        stacks.add(keys, tables)
+        for (y, _), t in zip(adds, tables) if not old else ():
+            if y in later:
+                spare[y, child] = t
+        return olds
 
 
 class IpwBicScorer(BicScorer):
@@ -645,10 +757,12 @@ class IpwBicScorer(BicScorer):
     of their union), otherwise the subpopulation shift between subsets
     would masquerade as signal. Every score is cached under (child, parent
     set, observed set), both sets frozensets; ``family_score`` scores a
-    family on its own observed set, under the same key. An add move that
-    misses scores all of its child's uncached adds to the same parents in
-    one pass, grouped by observed set (see ``move_delta``), to the bits each
-    would get alone.
+    family on its own observed set, under the same key. The observed set is
+    the context of ``BicScorer``'s pass (``_contexts``): a delete, a fully
+    observed add and the old family share the old family's set, and each
+    partially observed add y has its own, with y. The pass counts a child's
+    adds, each with its observed set's weights, and the old family on each
+    of those sets, from one code of the parents and the child.
 
     An observed set is kept, under the same frozenset, as one weight per
     dataset row, exactly 0.0 on the rows where a variable of the set is
@@ -713,12 +827,19 @@ class IpwBicScorer(BicScorer):
             self._observed[obs] = w
         return w
 
+    def _contexts(self, child: str, parents: frozenset, toggles: Sequence[str]):
+        obs = self.partial & (parents | {child})
+        return (obs,), [(obs | {x} if x in self.partial else obs,) for x in toggles]
+
     def _counts_on(self, child: str, parents: Tuple[str, ...], obs: frozenset):
         family = parents + (child,)
         cards = [self._card[v] for v in family]
         _check_cells(math.prod(cards), "the counts of", child)
         return family_counts(self.rows, [self._col[v] for v in family], cards,
                              self._weights_on(obs))
+
+    def _family_counts(self, child: str, parents: Tuple[str, ...], obs: frozenset):
+        return self._counts_on(child, parents, obs)
 
     def family_score(self, child: str, parents: Iterable[str]) -> float:
         parents = frozenset(parents)
@@ -732,50 +853,5 @@ class IpwBicScorer(BicScorer):
         counts = self._counts_on(child, self._canon(parents), obs)
         return self._cache_scores([key], [counts])[0]
 
-    def _score_adds(self, child: str, old: frozenset) -> None:
-        """Cache the score of every family that adds one vertex y to the
-        parents ``old`` of ``child``, where it is missing, on the observed
-        set of that move, and the score of ``old`` on each such set. Every
-        fully observed y shares the set of the old family; any other y has
-        its own. The rows are coded once over the parents (column order)
-        followed by the child; per set, the old family's counts are one
-        ``bincount`` of that code with the set's weights."""
-        shared = self.partial & (old | {child})
-        groups: Dict[frozenset, list] = {}  # observed set -> the adds counted on it
-        for v in self.schema:
-            y = v.name
-            if y != child and y not in old:
-                obs = shared | {y} if y in self.partial else shared
-                if (child, old | {y}, obs) not in self._cache:
-                    groups.setdefault(obs, []).append(y)
-        family = self._canon(old) + (child,)
-        cards = [self._card[v] for v in family]
-        # the stack holds, per observed set, the old family's table unless it
-        # is cached, and each add's table, y's cardinality times the old one
-        olds = sum((child, old, obs) not in self._cache for obs in groups)
-        widths = sum(self._card[y] for ys in groups.values() for y in ys)
-        _check_cells(math.prod(cards) * (olds + widths),
-                     "scoring the parent additions of", child)
-        base = mixed_radix(self.rows, [self._col[v] for v in family], cards)
-        keys, tables = [], []
-        for obs, adds in groups.items():
-            w = self._weights_on(obs)
-            if (child, old, obs) not in self._cache:
-                keys.append((child, old, obs))
-                tables.append(np.bincount(base, w, minlength=math.prod(cards))
-                              .reshape(-1, cards[-1]))
-            keys += [(child, old | {y}, obs) for y in adds]
-            tables += self._add_tables(base, w, family[:-1], child, adds)
-        self._cache_scores(keys, tables)
-
-    def move_delta(self, child: str, old_parents: Iterable[str],
-                   new_parents: Iterable[str]) -> float:
-        """The score of the new family minus that of the old, both on the
-        rows where every member of either is observed. An add whose family
-        misses the cache first scores every add to the old parents in one
-        pass, as ``BicScorer.move_delta`` does."""
-        old, new = frozenset(old_parents), frozenset(new_parents)
-        obs = self.partial & (old | new | {child})
-        if old < new and len(new) == len(old) + 1 and (child, new, obs) not in self._cache:
-            self._score_adds(child, old)
-        return self._score_on(child, new, obs) - self._score_on(child, old, obs)
+    # in this class's own namespace, where perfbench/tracer.py hooks it
+    move_delta = BicScorer.move_delta

@@ -28,6 +28,7 @@ HC_LIMITS = "tests/test_discovery.py::TestHillClimb::test_limits_out_of_range_re
 EM_SETTINGS = "tests/test_estimation.py::TestEmFit::test_settings_out_of_range_refused"
 HC_COMPLETE = ("tests/test_discovery.py::TestHcComplete::"
                "test_distinct_rows_search_as_every_imputed_row")
+ITERATION_PASS = "tests/test_estimation.py::TestIterationPass::"
 
 # (file, old text, new text, the test that must fail)
 MUTANTS = [
@@ -77,7 +78,7 @@ MUTANTS = [
     (DISCOVERY, "reach[index[c]] >> index[b] & 1 for c in children[a] if c != b",
      "False for c in children[a]", LEGALITY),
     # forbidden adds listed
-    (DISCOVERY, "and (x, b) not in kb.forbidden)}", ")}", LEGALITY),
+    (DISCOVERY, "and (x, b) not in kb.forbidden)])", ")])", LEGALITY),
     # the reversal of a required edge
     (DISCOVERY, "if a in deltas[b] and b in deltas[a]", "if b in deltas[a]", LEGALITY),
     # an add that closes a cycle
@@ -111,9 +112,20 @@ MUTANTS = [
      "obs = np.bincount(code, minlength=ncfg)",
      "tests/test_estimation.py::TestIpwWeights::test_matches_row_by_row_oracle"),
     # a reverse family (y | {child}) scored on the (child | {y}) table untransposed
-    (ESTIMATION, "frozenset({child})), t.T))", "frozenset({child})), t))",
+    (ESTIMATION, "reused[1].append(table.T)", "reused[1].append(table)",
      "tests/test_estimation.py::TestBicScorer::"
      "test_reverse_families_score_as_each_family_alone"),
+    # a reverse family read from the add table of a child that has parents
+    (ESTIMATION, "for (y, _), t in zip(adds, tables) if not old else ():",
+     "for (y, _), t in zip(adds, tables):",
+     ITERATION_PASS + "test_only_a_child_without_parents_gives_reverse_tables"),
+    # the stacks of a scoring pass never scored before they pass the cell budget
+    (ESTIMATION, "if self.cells + cells > TABLE_CAP:", "if False:",
+     ITERATION_PASS + "test_stacks_are_scored_before_they_pass_the_cell_budget"),
+    # an IPW delete scored on its own observed set, not the old family's
+    (ESTIMATION, "(obs | {x} if x in self.partial else obs,)",
+     "(obs ^ {x} if x in self.partial else obs,)",
+     ITERATION_PASS + "test_an_ipw_delete_is_scored_on_the_old_familys_observed_set"),
     # a CSV's byte-order mark read into the first column's name
     ("src/missdag/data.py", 'newline="", encoding="utf-8-sig") as fh:',
      'newline="", encoding="utf-8") as fh:',

@@ -554,6 +554,26 @@ class FamilyByFamilyIpw(FamilyByFamilyBic):
         return self.score_on(child, new_parents, obs) - self.score_on(child, old_parents, obs)
 
 
+class PerIteration:
+    """A scorer of one move at a time, ``family_score(child, parents)`` and
+    ``move_delta(child, old, new)``, as ``hill_climb`` calls a scorer: a
+    graph's score is the sum of its families' scores, and
+    ``move_delta(moves)`` maps each child -> (parents, toggles) to {x: the
+    scorer's delta of the move from the parents to the parents with x
+    toggled}."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def score(self, g: Dag) -> float:
+        return sum(self.scorer.family_score(v, g.parents(v)) for v in g.vertices)
+
+    def move_delta(self, moves):
+        return {child: {x: self.scorer.move_delta(child, parents, frozenset(parents) ^ {x})
+                        for x in toggles}
+                for child, (parents, toggles) in moves.items()}
+
+
 def ipw_weights_by_loop(d, target: str, parents: Iterable[str]) -> np.ndarray:
     """``ipw_weights`` for fully observed ``parents``, one row at a time: a
     row's stratum is its tuple of parent states, a stratum's observation

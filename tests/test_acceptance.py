@@ -43,6 +43,7 @@ from missdag.stats import g_test
 
 from conftest import record_criterion
 from oracles import (
+    FamilyByFamilyBic,
     all_dags,
     amputation_spec_json,
     best_score_exhaustive,
@@ -197,14 +198,15 @@ def test_criterion_4_hill_climb_matches_exhaustive_optimum():
         if got == pytest.approx(best_score_exhaustive(scorer, names), abs=1e-6):
             hits += 1
         # local optimality must hold in 100% of instances
+        move_delta = FamilyByFamilyBic(scorer).move_delta
         for op, (a, b) in legal_moves(g, kb, max_parents=4):
             if op == "add":
-                delta = scorer.move_delta(b, g.parents(b), g.parents(b) | {a})
+                delta = move_delta(b, g.parents(b), g.parents(b) | {a})
             elif op == "delete":
-                delta = scorer.move_delta(b, g.parents(b), g.parents(b) - {a})
+                delta = move_delta(b, g.parents(b), g.parents(b) - {a})
             else:
-                delta = (scorer.move_delta(b, g.parents(b), g.parents(b) - {a})
-                         + scorer.move_delta(a, g.parents(a), g.parents(a) | {b}))
+                delta = (move_delta(b, g.parents(b), g.parents(b) - {a})
+                         + move_delta(a, g.parents(a), g.parents(a) | {b}))
             assert delta <= 1e-9
         DISCOVERY_RUNS.append((g, kb))
     dt = _elapsed(t0)

@@ -197,6 +197,15 @@ class TestDataset:
         with pytest.raises(SchemaMismatch, match="state index out of range in column 'v0'"):
             CategoricalDataset(_schema(3), rows)
 
+    @pytest.mark.parametrize("cell, name", [(3, "v2"), (-2, "v2"), (-7, "v2"), (-1, "v4")],
+                             ids=["past-cardinality", "below-missing", "far-below", "missing"])
+    def test_first_column_with_a_state_out_of_range_named(self, cell, name):
+        # v4's bad state comes first in row order, v2's first in column
+        # order, which picks the column named; -1 is a missing cell
+        rows = [[0, 1, 0, 1, 5], [1, 2, 1, 0, 0], [0, 0, cell, 1, 1]]
+        with pytest.raises(SchemaMismatch, match=f"^state index out of range in column '{name}'$"):
+            CategoricalDataset(_schema(2, 3, 3, 2, 2), rows)
+
     def test_rows_of_another_shape_refused(self):
         for rows in ([[0, 1, 0]], [0, 1], np.zeros((2, 2, 2), dtype=np.int16)):
             with pytest.raises(SchemaMismatch, match="row matrix shape does not match schema"):

@@ -1,7 +1,6 @@
 import dataclasses
 import inspect
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,6 +42,7 @@ from missdag.stats import chi2_sf, g_test
 from oracles import (
     FamilyByFamilyBic,
     FamilyByFamilyIpw,
+    PerIteration,
     apply_move,
     knowledge_json,
     best_score_exhaustive,
@@ -220,7 +220,8 @@ class TestLegalMoves:
                         # the add closes a cycle with b -> a; reversing b -> a
                         # takes the gain instead
                         expect = [("reverse", (b, a), 100.0)]
-                    _, trace = hill_climb(_EdgeScorer(weights), kb, g, 1, max_parents)
+                    _, trace = hill_climb(PerIteration(_EdgeScorer(weights)), kb, g, 1,
+                                          max_parents)
                     assert trace.moves == expect, (op, (a, b))
 
 
@@ -263,16 +264,14 @@ def _search_instance(seed, kind, max_vars=6):
 
 class _EdgeScorer:
     """A decomposable score whose family score is the sum of its edges'
-    weights (-10 for an edge not listed), exact in floating point."""
+    weights (-10 for an edge not listed), exact in floating point, one move
+    at a time; ``hill_climb`` takes it as ``PerIteration(_EdgeScorer(...))``."""
 
     def __init__(self, weights):
         self.weights = weights
 
     def family_score(self, child, parents):
         return float(sum(self.weights.get((p, child), -10) for p in parents))
-
-    def score(self, g):
-        return sum(self.family_score(v, g.parents(v)) for v in g.vertices)
 
     def move_delta(self, child, old_parents, new_parents):
         return self.family_score(child, new_parents) - self.family_score(child, old_parents)
@@ -302,7 +301,7 @@ class TestHillClimb:
     def test_takes_an_add_that_a_move_unblocked(self, first, weights):
         # adding c -> a gains 3, but closes a cycle until the first move
         init = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        g, trace = hill_climb(_EdgeScorer(weights), KnowledgeBase(), init)
+        g, trace = hill_climb(PerIteration(_EdgeScorer(weights)), KnowledgeBase(), init)
         assert trace.moves == [first, ("add", ("c", "a"), 3.0)]
         assert trace.iterations == 2
         assert (g, trace) == hill_climb_by_rescoring(
@@ -316,50 +315,49 @@ class TestHillClimb:
     ], ids=["max-iter", "max-parents", "float-max-parents"])
     def test_limits_out_of_range_refused(self, limits, line):
         # a negative limit returned the initial graph, as if no move helped
-        scorer = _EdgeScorer({("a", "b"): 5})
+        scorer = PerIteration(_EdgeScorer({("a", "b"): 5}))
         with pytest.raises(ConfigError, match=f"^{re.escape(line)}$"):
             hill_climb(scorer, KnowledgeBase(), Dag(["a", "b"]), **limits)
 
     def test_rescores_only_the_moves_whose_child_changed(self, monkeypatch):
-        # seven variables, knowledge, 14 moves of all three kinds, 114 calls
-        # where a search that rescored every legal move would read 498
-        # deltas. It reverses two edges it added (v0 -> v6 and v1 -> v4), so
-        # v6 and v4 get back parent sets they had, and 10 calls repeat.
+        # seven variables, knowledge, 14 moves of all three kinds, 114 deltas
+        # where a search that rescored every legal move would read 498. It
+        # reverses two edges it added (v0 -> v6 and v1 -> v4), so v6 and v4
+        # get back parent sets they had, and 10 deltas repeat.
         self._check_rescoring(monkeypatch, seed=3, max_vars=8, total=114, distinct=104)
 
     def test_rescores_only_the_moves_whose_child_changed_on_ten_variables(
             self, monkeypatch):
-        # 17 moves of all three kinds, 168 calls against 743 reads
+        # 17 moves of all three kinds, 168 deltas against 743 reads
         self._check_rescoring(monkeypatch, seed=20, max_vars=10, total=168, distinct=168)
 
     @staticmethod
     def _check_rescoring(monkeypatch, seed, max_vars, total, distinct):
         # A child's deltas are computed when it gets a parent set: for every
         # child in the first iteration, then only for the children the last
-        # move changed (b, and a after a reversal). Such a child gets one call
-        # per move the knowledge base and the parent limit allow: every delete
-        # of a parent that is not required, and every add that is not
-        # forbidden while it has room, whether or not it closes a cycle. The
-        # reversal scan makes no call of its own.
+        # move changed (b, and a after a reversal), in one scorer call per
+        # iteration. Such a child gets one delta per move the knowledge base
+        # and the parent limit allow: every delete of a parent that is not
+        # required, and every add that is not forbidden while it has room,
+        # whether or not it closes a cycle. The reversal scan asks for none.
         kb, init, make = _search_instance(seed, "bic", max_vars=max_vars)
         max_iter, max_parents = 500, 3
         calls = []
         move_delta = BicScorer.move_delta
 
-        def counted(self, *args):
-            calls.append(args)
-            return move_delta(self, *args)
+        def counted(self, moves):
+            calls.append(moves)
+            return move_delta(self, moves)
 
         monkeypatch.setattr(BicScorer, "move_delta", counted)
         _, trace = hill_climb(make(), kb, init, max_iter, max_parents)
         h, changed, expected, reads_total = init, init.vertices, [], 0
         for k in range(len(trace.moves) + 1):
-            for b in changed:
-                pb = h.parents(b)
-                expected += [(b, pb, pb - {x} if x in pb else pb | {x}) for x in h.vertices
-                             if x != b and ((x, b) not in kb.required if x in pb else
-                                            len(pb) < max_parents
-                                            and (x, b) not in kb.forbidden)]
+            expected.append({b: (h.parents(b), [
+                x for x in h.vertices if x != b and (
+                    (x, b) not in kb.required if x in h.parents(b)
+                    else len(h.parents(b)) < max_parents and (x, b) not in kb.forbidden)])
+                for b in changed})
             # the deltas a search that rescored every legal move would read
             reads_total += sum(1 + (op == "reverse")
                                for op, _ in legal_moves(h, kb, max_parents))
@@ -369,9 +367,53 @@ class TestHillClimb:
                 changed = (b, a) if op == "reverse" else (b,)
         assert len(trace.moves) < max_iter
         assert {op for op, _, _ in trace.moves} == {"add", "delete", "reverse"}
-        assert Counter(calls) == Counter(expected)
-        assert (len(calls), len(set(calls))) == (total, distinct)
+        # one call per iteration, its children in order, each with its
+        # parents and its toggles in vertex order
+        assert [list(moves.items()) for moves in calls] == \
+            [list(moves.items()) for moves in expected]
+        asked = [(b, pb, x) for moves in calls for b, (pb, xs) in moves.items() for x in xs]
+        assert (len(asked), len(set(asked))) == (total, distinct)
         assert total < reads_total / 3
+
+    @pytest.mark.parametrize("seed, max_vars, empty, sizes", [
+        (3, 8, False, (89, 0, 89)), (20, 10, False, (154, 0, 154)), (3, 8, True, (38, 21, 59))])
+    def test_counts_each_family_the_search_scores_once(self, monkeypatch, seed, max_vars,
+                                                        empty, sizes):
+        # The searches of _check_rescoring, and the first from the empty
+        # graph with no knowledge; in the first, v6 and v4 get back parent
+        # sets they had, and count nothing then. Every family a search
+        # scores is counted once, alone (_family_counts) or as an add
+        # (_add_tables), or is the transpose of a counted add to no parents.
+        kb, init, make = _search_instance(seed, "bic", max_vars=max_vars)
+        if empty:
+            kb, init = KnowledgeBase(), Dag(init.vertices)
+        counted, asked = [], {(v, init.parents(v)) for v in init.vertices}
+        family_counts, add_tables = BicScorer._family_counts, BicScorer._add_tables
+        move_delta = BicScorer.move_delta
+
+        def counting_family(self, child, parents):
+            counted.append((child, frozenset(parents)))
+            return family_counts(self, child, parents)
+
+        def counting_adds(self, base, weights, parents, child, adds):
+            counted.extend((child, frozenset(parents) | {y}) for y in adds)
+            return add_tables(self, base, weights, parents, child, adds)
+
+        def asking(self, moves):
+            for b, (pb, xs) in moves.items():
+                asked.update([(b, pb)] + [(b, pb ^ {x}) for x in xs])
+            return move_delta(self, moves)
+
+        monkeypatch.setattr(BicScorer, "_family_counts", counting_family)
+        monkeypatch.setattr(BicScorer, "_add_tables", counting_adds)
+        monkeypatch.setattr(BicScorer, "move_delta", asking)
+        scorer = make()
+        hill_climb(scorer, kb, init, 500, 3)
+        assert set(scorer._cache) == asked
+        assert len(counted) == len(set(counted))
+        reverse = asked - set(counted)
+        assert all(len(ps) == 1 and (min(ps), frozenset({c})) in counted for c, ps in reverse)
+        assert (len(counted), len(reverse), len(asked)) == sizes
 
     def test_first_sweep_counts_each_pair_once(self, monkeypatch):
         # from the empty graph, the first sweep counts (b | {a}) and reads
@@ -397,7 +439,8 @@ class TestHillClimb:
     def test_moves_only_on_a_gain_above_the_improvement_threshold(self, gain, moves):
         # a gain of at most IMPROVEMENT_EPS (1e-9) is rounding, not a better graph
         init = Dag(["a", "b"])
-        g, trace = hill_climb(_EdgeScorer({("a", "b"): gain}), KnowledgeBase(), init)
+        g, trace = hill_climb(PerIteration(_EdgeScorer({("a", "b"): gain})), KnowledgeBase(),
+                              init)
         assert trace.moves == moves
         assert g.edges == {e for _, e, _ in moves}
 

@@ -28,7 +28,9 @@ from missdag.estimation import (
 from missdag.graphs import Dag
 
 from oracles import (
+    FamilyByFamilyBic,
     FamilyByFamilyIpw,
+    PerIteration,
     _normalized,
     bic,
     completion_index_by_pattern,
@@ -637,12 +639,12 @@ TABLE_SITES = {
     "family counts": (lambda d: BicScorer(d.schema, d.rows).family_score("v1", {"v0"}),
                       COMPLETE, 12, "the counts of 'v1'"),
     # the add v0 -> v1 is the only one: a 4 x 3 table
-    "add stack": (lambda d: BicScorer(d.schema, d.rows).move_delta("v1", (), {"v0"}),
+    "add stack": (lambda d: BicScorer(d.schema, d.rows).move_delta({"v1": ((), ["v0"])}),
                   COMPLETE, 12, "scoring the parent additions of 'v1'"),
     "ipw family counts": (lambda d: IpwBicScorer(d, {}).family_score("v1", {"v0"}),
                           PARTIAL, 12, "the counts of 'v1'"),
     # v1's table on its observed rows (4 cells) and the add of v0 (12)
-    "ipw add stack": (lambda d: IpwBicScorer(d, {}).move_delta("v1", (), {"v0"}),
+    "ipw add stack": (lambda d: IpwBicScorer(d, {}).move_delta({"v1": ((), ["v0"])}),
                       PARTIAL, 16, "scoring the parent additions of 'v1'"),
     "mle cpt": (lambda d: fit_mle(V0_V1, d, 1.0), COMPLETE, 12, "the CPT of 'v1'"),
     "em cpt": (lambda d: em_fit(V0_V1, d, 1.0, 2, 1e-6), PARTIAL, 12, "the CPT of 'v1'"),
@@ -660,6 +662,12 @@ def test_tables_over_the_cell_budget_are_refused(monkeypatch, site):
         call(d)
     monkeypatch.setattr(estimation, "TABLE_CAP", cells)
     call(d)
+
+
+def _move(scorer, child, parents, x):
+    """The delta of toggling x in the parents of ``child``, from one
+    per-iteration ``move_delta`` call."""
+    return scorer.move_delta({child: (parents, [x])})[child][x]
 
 
 class TestWeightedCountsAndBic:
@@ -781,7 +789,7 @@ class TestBicScorer:
         scorer = BicScorer(d.schema, d.rows)
         g0 = Dag(["v0", "v1", "v2"], [("v0", "v2")])
         g1 = Dag(["v0", "v1", "v2"], [("v0", "v2"), ("v1", "v2")])
-        delta = scorer.move_delta("v2", g0.parents("v2"), g1.parents("v2"))
+        delta = _move(scorer, "v2", g0.parents("v2"), "v1")
         assert delta == pytest.approx(scorer.score(g1) - scorer.score(g0), abs=1e-9)
 
     def test_parent_order_does_not_matter(self):
@@ -796,8 +804,9 @@ class TestBicScorer:
         [0.0, 5e-324, 0.0, 1.0], 0.0, [0, 1, 2, 3], "v3", [], "v0"))
     @settings(max_examples=200, deadline=None)
     def test_adds_score_as_each_family_alone(self, instance):
-        # one move_delta scores every add of the child to the same parents
-        # in one pass; each must have the bits of its table scored alone
+        # one move_delta call scores every add of the child to the same
+        # parents in one pass; each must have the bits of its table scored
+        # alone
         cards, rows, weights, pseudocount, order, child, old, first = instance
         rows = np.array(rows, dtype=np.int16).reshape(len(rows), len(cards))
         if weights is not None:
@@ -818,7 +827,7 @@ class TestBicScorer:
             return count(*args)
 
         scorer._family_counts = counted_count
-        delta = scorer.move_delta(child, old, old | {first})
+        deltas = scorer.move_delta({child: (old, [first] + [y for y in adds if y != first])})
         assert counted == [(child, scorer._canon(old))]  # the old family alone
 
         def oracle(parents):
@@ -828,9 +837,9 @@ class TestBicScorer:
             return family_bic(counts, pseudocount, scorer.n_effective)
 
         assert scorer.family_score(child, old) == oracle(old)
-        assert delta == oracle(old | {first}) - oracle(old)
+        assert list(deltas) == [child]
+        assert deltas[child] == {y: oracle(old | {y}) - oracle(old) for y in adds}
         for y in adds:
-            assert scorer.move_delta(child, old, old | {y}) == oracle(old | {y}) - oracle(old)
             assert math.isfinite(scorer.family_score(child, old | {y}))
         assert math.isfinite(scorer.family_score(child, old))
         assert len(counted) == 1
@@ -838,7 +847,7 @@ class TestBicScorer:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_reverse_families_score_as_each_family_alone(self, data):
-        # an add to an empty parent set also scores each reverse family
+        # a pass over children without parents scores each reverse family
         # (y | {child}) from the transpose of the (child | {y}) table; with
         # cardinalities 2-5 most of those tables are not square
         cards = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=5))
@@ -853,8 +862,7 @@ class TestBicScorer:
         names = [v.name for v in schema]
         pairs = [(child, y) for child in names for y in names if y != child]
         scorer = BicScorer(schema, rows, weights, pseudocount)
-        for child, y in pairs:
-            scorer.move_delta(child, (), {y})
+        scorer.move_delta({child: ((), [y for y in names if y != child]) for child in names})
         for child, y in pairs:
             fresh = BicScorer(schema, rows, weights, pseudocount)
             assert scorer.family_score(y, {child}) == fresh.family_score(y, {child})
@@ -887,9 +895,9 @@ class TestIpwBicScorer:
             child = data.draw(st.sampled_from(names))
             others = [v for v in names if v != child]
             old = frozenset(data.draw(st.sets(st.sampled_from(others))))
-            new = old ^ {data.draw(st.sampled_from(others))}
-            assert ipw.move_delta(child, old, new) == plain.move_delta(child, old, new)
-            assert ipw.family_score(child, new) == plain.family_score(child, new)
+            x = data.draw(st.sampled_from(others))
+            assert _move(ipw, child, old, x) == _move(plain, child, old, x)
+            assert ipw.family_score(child, old ^ {x}) == plain.family_score(child, old ^ {x})
         g = random_dag(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
                        names, edge_prob=0.5)
         assert ipw.score(g) == plain.score(g)
@@ -901,8 +909,8 @@ class TestIpwBicScorer:
         d = _dataset([2, 2, 2], rows)
         w = ipw_weights(d, "v1", ["v0"])
         scorer = IpwBicScorer(d, {"v1": w})
-        fwd = scorer.move_delta("v2", (), ("v1",))
-        back = scorer.move_delta("v2", ("v1",), ())
+        fwd = _move(scorer, "v2", (), "v1")
+        back = _move(scorer, "v2", ("v1",), "v1")
         assert fwd == pytest.approx(-back, abs=1e-9)
 
     @pytest.mark.parametrize("var_weights, line", [
@@ -973,7 +981,18 @@ class TestIpwBicScorer:
         want_new, want_old = (ipw_family_bic(d, var_weights, child, ps, obs, pseudocount)
                               for ps in (new, old))
         tol = 1e-12 * max(abs(want_new), abs(want_old), 1.0)
-        assert abs(scorer.move_delta(child, old, new) - (want_new - want_old)) <= tol
+        # a change of any number of parents: both families on the observed
+        # set of their union
+        got = (scorer._score_on(child, frozenset(new), frozenset(obs))
+               - scorer._score_on(child, frozenset(old), frozenset(obs)))
+        assert abs(got - (want_new - want_old)) <= tol
+        # every one-vertex move from old, in one pass
+        for x, got in scorer.move_delta({child: (old, others)})[child].items():
+            obs = seen & (old | {child, x})
+            want_new, want_old = (ipw_family_bic(d, var_weights, child, ps, obs, pseudocount)
+                                  for ps in (old ^ {x}, old))
+            tol = 1e-12 * max(abs(want_new), abs(want_old), 1.0)
+            assert abs(got - (want_new - want_old)) <= tol
         g = random_dag(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
                        names, edge_prob=0.5)
         want = [ipw_family_bic(d, var_weights, v, g.parents(v),
@@ -983,10 +1002,11 @@ class TestIpwBicScorer:
         # the parent set's type and order do not change a value, whether the
         # family is computed (a fresh scorer) or looked up
         shuffled = data.draw(st.permutations(sorted(new)))
+        want = scorer.move_delta({child: (frozenset(new), others)})
         for ps in (list(shuffled), tuple(shuffled), set(new), frozenset(new)):
             fresh = IpwBicScorer(d, var_weights, pseudocount)
             for s in (fresh, scorer):
-                assert s.move_delta(child, old, ps) == scorer.move_delta(child, old, new)
+                assert s.move_delta({child: (ps, others)}) == want
                 assert s.family_score(child, ps) == scorer.family_score(child, new)
 
     @given(st.data())
@@ -1028,25 +1048,21 @@ class TestIpwBicScorer:
                 got = scorer.family_score(child, old)
                 assert got == fresh.family_score(child, old)
                 want = oracle(child, old, obs)
-                scale = abs(want)
-            else:
-                if query == "add":
-                    new = old | {data.draw(st.sampled_from(sorted(set(others) - old)))}
-                else:
-                    new = data.draw(st.sets(st.sampled_from(others)))
-                obs = seen & (old | new | {child})
-                # an add that misses the cache scores every add to the same
-                # parents, each on its own observed set
-                if (old < new and len(new) == len(old) + 1
-                        and (child, frozenset(new), frozenset(obs)) not in scorer._cache):
-                    queried |= {frozenset(seen & (old | {child, y}))
-                                for y in others if y not in old}
-                got = scorer.move_delta(child, old, new)
-                assert got == fresh.move_delta(child, old, new)
-                want_new, want_old = oracle(child, new, obs), oracle(child, old, obs)
-                want, scale = want_new - want_old, max(abs(want_new), abs(want_old))
-            assert abs(got - want) <= 1e-12 * max(scale, 1.0)
-            queried.add(frozenset(obs))
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+                queried.add(frozenset(obs))
+                continue
+            # every add to the same parents, or some one-vertex moves, in one
+            # pass: each move on its own observed set
+            toggles = ([v for v in others if v not in old] if query == "add" else
+                       data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+            deltas = scorer.move_delta({child: (old, toggles)})[child]
+            assert deltas == fresh.move_delta({child: (old, toggles)})[child]
+            for x, got in deltas.items():
+                obs = seen & (old | {child, x})
+                want_new, want_old = oracle(child, old ^ {x}, obs), oracle(child, old, obs)
+                scale = max(abs(want_new), abs(want_old), 1.0)
+                assert abs(got - (want_new - want_old)) <= 1e-12 * scale
+                queried.add(frozenset(obs))
         # one entry per observed set touched, under the score cache's
         # frozenset, and no other
         assert set(scorer._observed) == queried
@@ -1060,9 +1076,10 @@ class TestIpwBicScorer:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_adds_score_as_each_family_alone(self, data):
-        # one move_delta scores every add of the child to the same parents
-        # and the old family on each add's observed set, in one pass; each
-        # must have the bits of its family counted and scored alone
+        # one move_delta call scores every add of the child to the same
+        # parents and the old family on each add's observed set, in one
+        # pass; each must have the bits of its family counted and scored
+        # alone
         k = data.draw(st.integers(0, 3))
         cards = data.draw(st.lists(st.integers(2, 4), min_size=k + 2, max_size=k + 5))
         n = data.draw(st.integers(1, 40))
@@ -1094,18 +1111,17 @@ class TestIpwBicScorer:
         # earlier deletes, and adds scored alone, leave some families cached
         for y in sorted(old):
             if data.draw(st.booleans()):
-                scorer.move_delta(child, old, old - {y})
+                scorer.move_delta({child: (old, [y])})
         for y in adds:
             if y != first and data.draw(st.booleans()):
                 scorer._score_on(child, old | {y}, frozenset(seen & (old | {child, y})))
         before = set(scorer._cache)
-        scorer.move_delta(child, old, old | {first})
+        scorer.move_delta({child: (old, [first] + [y for y in adds if y != first])})
         batched = {key: val for key, val in scorer._cache.items() if key not in before}
-        want = set()  # each uncached add, and the old family on its observed set
+        want = set()  # each add, and the old family on its observed set
         for y in adds:
             obs = frozenset(seen & (old | {child, y}))
-            if (child, old | {y}, obs) not in before:
-                want |= {(child, old | {y}, obs), (child, old, obs)}
+            want |= {(child, old | {y}, obs), (child, old, obs)}
         assert set(batched) == want - before
         oracle = FamilyByFamilyIpw(scorer)
         for (c, parents, obs), val in batched.items():
@@ -1145,7 +1161,14 @@ class TestIpwBicScorer:
             others = [v for v in names if v != child]
             old = data.draw(st.sets(st.sampled_from(others)))
             new = data.draw(st.sets(st.sampled_from(others)))
-            assert left_out.move_delta(child, old, new) == ones.move_delta(child, old, new)
+            assert left_out.move_delta({child: (old, others)}) == \
+                ones.move_delta({child: (old, others)})
+            # the families of a change of any number of parents, on the
+            # observed set of their union
+            obs = frozenset(seen & (old | new | {child}))
+            for ps in (old, new):
+                assert left_out._score_on(child, frozenset(ps), obs) == \
+                    ones._score_on(child, frozenset(ps), obs)
             assert left_out.family_score(child, new) == ones.family_score(child, new)
 
     @pytest.mark.parametrize("junk", [np.nan, np.inf])
@@ -1164,9 +1187,8 @@ class TestIpwBicScorer:
             others = [v for v in d.names if v != child]
             for old in itertools.chain.from_iterable(
                     itertools.combinations(others, k) for k in range(3)):
-                for y in others:
-                    new = set(old) ^ {y}
-                    assert a.move_delta(child, old, new) == b.move_delta(child, old, new)
+                assert a.move_delta({child: (old, others)}) == \
+                    b.move_delta({child: (old, others)})
                 assert a.family_score(child, old) == b.family_score(child, old)
 
     def test_mean_one_normalisation_caps_total_evidence(self):
@@ -1179,3 +1201,146 @@ class TestIpwBicScorer:
         counts = scorer._counts_on("v1", ("v0",), frozenset({"v1"}))
         n_seen = (~d.mask[:, 1]).sum()
         assert counts.sum() == pytest.approx(float(n_seen))
+
+
+class TestIterationPass:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_move_deltas(self, data):
+        # one pass over many children, some without parents, under knowledge
+        # and a parent limit, gives every delta the bits of the per-move
+        # referee, with the stacks scored whenever they would pass a low
+        # cell budget; a child's add stack over the budget is refused
+        p = data.draw(st.integers(2, 7))
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=p, max_size=p))
+        names = [f"v{i}" for i in range(p)]
+        n = data.draw(st.integers(1, 40))
+        cells = st.tuples(*[st.integers(0, c - 1) for c in cards])
+        rows = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)),
+                        dtype=np.int16).reshape(n, p)
+        pseudocount = data.draw(st.sampled_from([0.0, 0.5]))
+        kind = data.draw(st.sampled_from(["bic", "weighted", "ipw"]))
+        partial = set()
+        if kind == "ipw":
+            # v0 stays fully observed, so IPW weights can use it
+            for j in data.draw(st.sets(st.integers(1, p - 1))):
+                missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                rows[np.array(missing, dtype=bool), j] = MISSING
+            d = _dataset(cards, rows)
+            partial = {v for j, v in enumerate(names) if d.mask[:, j].any()}
+            fully = [v for v in names if v not in partial]
+            var_weights = {v: ipw_weights(d, v, data.draw(st.sets(st.sampled_from(fully))))
+                           for v in sorted(partial) if data.draw(st.booleans())}
+
+            def make():
+                return IpwBicScorer(d, var_weights, pseudocount)
+            referee = FamilyByFamilyIpw
+        else:
+            weights = None if kind == "bic" else np.array(data.draw(
+                st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+
+            def make():
+                return BicScorer(_schema(*cards), rows, weights, pseudocount)
+            referee = FamilyByFamilyBic
+        card = dict(zip(names, cards))
+        edges = [(a, b) for a in names for b in names if a != b]
+        required = set(data.draw(st.lists(st.sampled_from(edges), unique=True, max_size=4)))
+        forbidden = set(data.draw(st.lists(st.sampled_from(edges), unique=True,
+                                           max_size=8))) - required
+        max_parents = data.draw(st.integers(0, 4))
+        moves = {}
+        for b in data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True)):
+            others = [x for x in names if x != b]
+            pb = frozenset(data.draw(st.sets(st.sampled_from(others), max_size=3))
+                           if data.draw(st.booleans()) else ())
+            moves[b] = pb, [x for x in others if (
+                (x, b) not in required if x in pb
+                else len(pb) < max_parents and (x, b) not in forbidden)]
+        # a bound on every table and on every child's add stack
+        need = max(math.prod(card[v] for v in pb | {b}) * sum(1 + card[x] for x in xs)
+                   for b, (pb, xs) in moves.items()) or 1
+        scorer = make()
+        warm = data.draw(st.lists(st.sampled_from(sorted(moves)), unique=True, max_size=2))
+        scorer.move_delta({b: moves[b] for b in warm})
+        stacks = []
+        family_bics = estimation._family_bics
+
+        def recorded(counts, *args):
+            stacks.append(counts.size)
+            return family_bics(counts, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "TABLE_CAP", data.draw(st.integers(need, 3 * need)))
+            mp.setattr(estimation, "_family_bics", recorded)
+            got = scorer.move_delta(moves)
+            assert all(size <= estimation.TABLE_CAP for size in stacks)
+            assert got == PerIteration(referee(scorer)).move_delta(moves)
+            assert [list(deltas) for deltas in got.values()] == [xs for _, xs in moves.values()]
+            assert list(got) == list(moves)
+            # a fresh scorer's add stack: each add's table, and for IPW the
+            # old family's on each add's observed set
+            child = data.draw(st.sampled_from(sorted(moves)))
+            pb, xs = moves[child]
+            adds = [x for x in xs if x not in pb]
+            if adds:
+                sets = {frozenset(partial & (pb | {child, x})) for x in adds}
+                size = math.prod(card[v] for v in pb | {child}) * (
+                    sum(card[x] for x in adds) + (len(sets) if kind == "ipw" else 0))
+                mp.setattr(estimation, "TABLE_CAP", size - 1)
+                with pytest.raises(SchemaMismatch, match=(
+                        f"^scoring the parent additions of '{child}' would take {size} table "
+                        f"cells, more than the budget of {size - 1}$")):
+                    make().move_delta({child: moves[child]})
+                mp.setattr(estimation, "TABLE_CAP", size)
+                assert make().move_delta({child: moves[child]}) == \
+                    {child: got[child]}
+
+    @pytest.mark.parametrize("kind", ["bic", "ipw"])
+    def test_only_a_child_without_parents_gives_reverse_tables(self, kind):
+        # v0, with the parent v2, adds v1 before v1, without parents, adds
+        # v0: the table of (v0 | {v1, v2}) transposed is not that of (v1 |
+        # {v0}), while the one of (v2 | {v1}) is that of (v1 | {v2})
+        rng = np.random.default_rng(7)
+        rows = np.column_stack([rng.integers(0, k, 80) for k in (2, 3, 2)]).astype(np.int16)
+        if kind == "ipw":
+            rows[rng.random(80) < 0.3, 1] = MISSING
+            d = _dataset([2, 3, 2], rows)
+            scorer, referee = IpwBicScorer(d, {"v1": ipw_weights(d, "v1", ["v0"])}), \
+                FamilyByFamilyIpw
+        else:
+            scorer, referee = BicScorer(_schema(2, 3, 2), rows), FamilyByFamilyBic
+        moves = {"v0": (frozenset({"v2"}), ["v1", "v2"]), "v2": (frozenset(), ["v0", "v1"]),
+                 "v1": (frozenset(), ["v0", "v2"])}
+        assert scorer.move_delta(moves) == PerIteration(referee(scorer)).move_delta(moves)
+
+    def test_an_ipw_delete_is_scored_on_the_old_familys_observed_set(self):
+        # deleting v1 or v2 from (v0 | {v1, v2}) scores both families on the
+        # rows where v0, v1 and v2 are all observed
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 2, (120, 4)).astype(np.int16)
+        for j in (1, 2):
+            rows[rng.random(120) < 0.3, j] = MISSING
+        d = _dataset([2, 2, 2, 2], rows)
+        scorer = IpwBicScorer(d, {v: ipw_weights(d, v, ["v3"]) for v in ("v1", "v2")})
+        moves = {"v0": (frozenset({"v1", "v2"}), ["v1", "v2", "v3"])}
+        referee = PerIteration(FamilyByFamilyIpw(scorer))
+        assert scorer.move_delta(moves) == referee.move_delta(moves)
+
+    def test_stacks_are_scored_before_they_pass_the_cell_budget(self, monkeypatch):
+        # a first sweep over six variables under a budget that holds each
+        # child's add stack but not the sweep's tables
+        d = _dataset([2, 3, 4, 2, 3, 4], np.random.default_rng(9).integers(0, 2, (60, 6)))
+        scorer = BicScorer(d.schema, d.rows)
+        moves = {v: (frozenset(), [x for x in d.names if x != v]) for v in d.names}
+        stacks = []
+        family_bics = estimation._family_bics
+
+        def recorded(counts, *args):
+            stacks.append(counts.size)
+            return family_bics(counts, *args)
+
+        monkeypatch.setattr(estimation, "TABLE_CAP", 4 * (2 + 3 + 4 + 2 + 3))
+        monkeypatch.setattr(estimation, "_family_bics", recorded)
+        got = scorer.move_delta(moves)
+        assert max(stacks) <= estimation.TABLE_CAP < sum(stacks)
+        assert got == PerIteration(FamilyByFamilyBic(scorer)).move_delta(moves)

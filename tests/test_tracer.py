@@ -42,3 +42,8 @@ def test_traced_evaluate_records_every_layer():
     # layer sees at least one call per EM iteration
     assert metrics["estimation.expand_completions.calls"] >= \
         metrics["estimation.em_fit.iterations"]
+    # move_delta is the per-iteration scoring pass: one call per hill-climb
+    # iteration, and one more for each climb that stopped on its own
+    assert metrics["estimation.move_delta.calls"] == (
+        metrics["discovery.hill_climb.calls"] + metrics["discovery.hill_climb.iterations"]
+        - metrics["discovery.hill_climb.max_iter_hit"])
